@@ -8,12 +8,13 @@ import argparse
 import sys
 
 from . import borel, homology, reps, strat, tilting
-from .errors import (NonTerminating, ParseError, SearchBudgetExceeded,
-                     StratakitError, Truncated)
+from .errors import (DecompositionFailed, NonTerminating, ParseError,
+                     SearchBudgetExceeded, StratakitError, Truncated)
 from .parser import parse_file
 from .report import Report
 
-INCONCLUSIVE = (NonTerminating, SearchBudgetExceeded, Truncated)
+INCONCLUSIVE = (DecompositionFailed, NonTerminating, SearchBudgetExceeded,
+                Truncated)
 
 
 def _algebra_section(rep, f, a):

@@ -346,7 +346,7 @@ def build_algebra(spec, degree_cap=64):
                     acc = F.add(expansion.get(q, F.zero), F.neg(F.mul(c, c2)))
                     expansion[q] = acc
             else:
-                expansion[q := p] = F.add(expansion.get(q, F.zero), F.neg(c))
+                expansion[p] = F.add(expansion.get(p, F.zero), F.neg(c))
         red[lead] = {q: c for q, c in expansion.items() if not F.is_zero(c)}
 
     basis = sorted(

@@ -8,8 +8,8 @@ vertex; composition `compose(g, f)` means "f first, then g".
 import random
 
 from . import linalg
-from .errors import (AlgebraMismatch, DecompositionFailed, NotASubmodule,
-                     StratakitError, UnknownVertex)
+from .errors import (AlgebraMismatch, NotASubmodule, StratakitError,
+                     UnknownVertex)
 from .linalg import Matrix
 from .quiver import Path
 
@@ -634,26 +634,51 @@ def _split_by_endo(m, f):
     return pieces
 
 
-def decompose_with_inclusions(m, budget=300):
-    """List of (indecomposable Rep, inclusion into m), in deterministic order."""
-    if m.total_dim == 0:
-        return []
-    endos = hom_basis(m, m)
-    if len(endos) == 1:
-        return [(m, identity_morphism(m))]
-    candidates = list(endos)
+def _split_candidates(endos, budget):
+    """Endomorphisms to try as splitters, generated lazily in a fixed order:
+    the basis, then pairwise sums, then `budget` seeded random combinations."""
+    yield from endos
     for i in range(len(endos)):
         for j in range(i + 1, len(endos)):
-            candidates.append(endos[i].add(endos[j]))
+            yield endos[i].add(endos[j])
     rng = random.Random(_ISO_SEED + 1)
-    F = m.algebra.field
+    F = endos[0].source.algebra.field
     for _ in range(budget):
         if F.is_rational:
             coeffs = [F.of(rng.randint(-3, 3)) for _ in endos]
         else:
             coeffs = [F.of(rng.randrange(F.p)) for _ in endos]
-        candidates.append(morphism_from_coeffs(endos, coeffs))
-    for f in candidates:
+        yield morphism_from_coeffs(endos, coeffs)
+
+
+def _simple_top_or_socle(m):
+    """Is the top or the socle of the nonzero module m simple?
+
+    Top and socle are additive over direct sums and nonzero on every nonzero
+    summand, so a yes certifies that m is indecomposable."""
+    return (m.total_dim - radical_submodule(m).total_dim == 1
+            or socle_submodule(m).total_dim == 1)
+
+
+def decompose_with_inclusions(m, budget=300):
+    """List of (indecomposable Rep, inclusion into m), in deterministic order.
+
+    A module with a simple top or a simple socle is indecomposable and is
+    returned as it is, without computing End(m).  Otherwise the candidates of
+    `_split_candidates` are tried one at a time; the first whose minimal
+    polynomial has two coprime factors splits m into its generalized
+    eigenspaces, and each piece is decomposed in turn.  The basis of End(m)
+    comes first, so when no candidate splits, no basis endomorphism has a
+    composite minimal polynomial and m is returned as indecomposable.
+    """
+    if m.total_dim == 0:
+        return []
+    if _simple_top_or_socle(m):
+        return [(m, identity_morphism(m))]
+    endos = hom_basis(m, m)
+    if len(endos) == 1:
+        return [(m, identity_morphism(m))]
+    for f in _split_candidates(endos, budget):
         pieces = _split_by_endo(m, f)
         if pieces is None:
             continue
@@ -663,13 +688,6 @@ def decompose_with_inclusions(m, budget=300):
             for part, part_incl in decompose_with_inclusions(sub, budget):
                 out.append((part, compose(incl, part_incl)))
         return out
-    # no splitting found: certify locality as far as min polys allow
-    for f in endos:
-        mp = minimal_polynomial(F, _total_matrix(f))
-        if len(_factor_min_poly(F, mp)) > 1:
-            raise DecompositionFailed(
-                "endomorphism with composite minimal polynomial found but no "
-                "splitting located within the search budget")
     return [(m, identity_morphism(m))]
 
 

@@ -388,7 +388,12 @@ class GfdReport:
 
 def probe_modules(a):
     """Finite probe corpus: simples, projectives, injectives, standards,
-    costandards, and the radicals and tops of all of those, up to iso."""
+    costandards, and the radicals and tops of all of those, up to iso.
+
+    Built once per algebra and cached on it as a tuple."""
+    hit = a.cache.get("probe_modules")
+    if hit is not None:
+        return hit
     base = []
     for i in range(a.n):
         base.append(reps.simple(a, i))
@@ -410,18 +415,28 @@ def probe_modules(a):
                 continue
             seen.add(cand.key())
             out.append(cand)
+    out = a.cache["probe_modules"] = tuple(out)
     return out
 
 
 def gfd_algebra(a, cap=homology.DEFAULT_CAP):
-    """Compute the four good-filtration-dimension quantities independently."""
+    """Compute the four good-filtration-dimension quantities independently.
+
+    The report is cached per algebra and cap, so repeated calls return the
+    same object; a failed computation is not cached."""
+    key = ("gfd_report", cap)
+    hit = a.cache.get(key)
+    if hit is not None:
+        return hit
     pd_t, tilt = _tilting_pd(a, cap)
     reg = reps.regular_module(a)
     gfd_reg = gfd_nabla_bar(reg, cap)
     tc = t_codim(reg, tilt, cap)
     probes = probe_modules(a)
     sup = max((gfd_nabla_bar(m, cap) for m in probes), default=0)
-    return GfdReport(a, pd_t, gfd_reg, tc, sup, len(probes))
+    report = GfdReport(a, pd_t, gfd_reg, tc, sup, len(probes))
+    a.cache[key] = report
+    return report
 
 
 # -- Ringel dual --------------------------------------------------------------
@@ -611,12 +626,12 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
                            f"pd T = {pd_t}; vanishing above, attained at top"))
 
     # pd T equals the T-codimension of the regular module
-    tc = t_codim(reg, tilt, cap)
+    report = gfd_algebra(a, cap)
+    tc = report.tcodim_regular
     out.append(CheckResult("pdT_equals_tcodim", pd_t == tc,
                            f"pd T = {pd_t}, T-codim(A) = {tc}"))
 
     # four-way equality
-    report = gfd_algebra(a, cap)
     out.append(CheckResult(
         "gfd_four_way", report.consistent,
         f"pd T = {report.pd_t}, gfd(A) = {report.gfd_regular}, "

@@ -3,7 +3,9 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+from stratakit import reps
 from stratakit.cli import main
+from stratakit.errors import DecompositionFailed
 
 from conftest import fixture_path
 
@@ -113,3 +115,13 @@ def test_text_format_has_section_headers():
     code, out, _ = run_cli(["analyze", fixture_path("a2.alg")])
     assert code == 0
     assert "[algebra]" in out and "[class]" in out and "[dims]" in out
+
+
+def test_decomposition_failure_is_inconclusive(monkeypatch):
+    def fail(*args, **kwargs):
+        raise DecompositionFailed("search budget exhausted")
+
+    monkeypatch.setattr(reps, "decompose_with_inclusions", fail)
+    code, _, err = run_cli(["analyze", fixture_path("a3line.alg")])
+    assert code == 3
+    assert "inconclusive" in err

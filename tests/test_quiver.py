@@ -6,9 +6,11 @@ import pytest
 
 from stratakit.errors import MalformedRelation, NotAdmissible, UnknownVertex
 from stratakit.fields import GF, QQ
+from stratakit.parser import parse
 from stratakit.quiver import QuiverSpec, build_algebra
 
 from conftest import algebra
+from test_cli import machine_dict, run_cli
 
 
 def test_fixture_dimensions():
@@ -109,3 +111,31 @@ def test_gf2_loop_square_zero():
     assert a.dim == 2
     x = a.arrow_index("x")
     assert a.nf_path(0, (x, x)) == {}
+
+
+AUSLANDER3 = """name aus3
+field GF 101
+vertices 3 2 1
+arrow a1 1 2
+arrow b1 2 1
+arrow a2 2 3
+arrow b2 3 2
+relation 1*b1.a1
+relation 1*a1.b1 - 1*b2.a2
+"""
+
+
+def test_multi_term_relation_auslander_algebra(tmp_path):
+    # Auslander algebra of k[x]/(x^3): vertex i is k[x]/(x^i), a_i includes
+    # i into i+1 and b_i projects back.  Its second relation has two terms.
+    assert parse(AUSLANDER3).build().dim == 14
+    path = tmp_path / "aus3.alg"
+    path.write_text(AUSLANDER3)
+    code, out, _ = run_cli(["check", str(path), "--format", "machine"])
+    assert code == 0
+    d = machine_dict(out)
+    assert d["class.kind"] == "quasi-hereditary"
+    assert d["dims.gl_dim"] == "2"
+    assert d["dims.pd_T"] == "1"
+    assert d["dims.inj_T"] == "1"
+    assert [d[f"tilting.T({v})"] for v in "321"] == ["1 0 0", "2 1 0", "3 2 1"]

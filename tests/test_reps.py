@@ -10,6 +10,7 @@ from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
                             injective, is_isomorphic, kernel, projective,
                             quotient, radical_submodule, regular_module,
                             simple, socle_submodule, top, trace)
+from stratakit.tilting import probe_modules
 
 from conftest import algebra
 
@@ -139,3 +140,54 @@ def test_compose_order_is_f_first():
     g = reps.identity_morphism(p2)
     assert compose(g, f).source is p1
     assert compose(g, f).target is p2
+
+
+def test_simple_top_or_socle_skips_the_endomorphism_search(monkeypatch):
+    a = algebra("borelA")
+    calls = []
+
+    def counting_hom_basis(m, n):
+        calls.append((m, n))
+        return hom_basis(m, n)
+
+    monkeypatch.setattr(reps, "hom_basis", counting_hom_basis)
+    # P(1) has simple top E(1); I(1) has simple socle E(1) but not simple top
+    for m in (projective(a, 0), injective(a, 0)):
+        parts = reps.decompose_with_inclusions(m)
+        assert len(parts) == 1
+        part, incl = parts[0]
+        assert part is m and incl.is_isomorphism()
+    assert top(injective(a, 0)).total_dim > 1
+    assert calls == []
+
+
+def test_a3line_projective_sum_splits_as_before():
+    # summands, actions and inclusion bases as the eager search returned them
+    a = algebra("a3line")
+    F = a.field
+    m = direct_sum([projective(a, 0), projective(a, 1)])
+    got = [(part.dims, [x.to_rows() for x in part.action],
+            [b.to_rows() for b in incl.blocks])
+           for part, incl in reps.decompose_with_inclusions(m)]
+    one, zero = F.one, F.zero
+    assert got == [
+        ((1, 0, 1), [[[]], [[one]]], [[[one], [zero]], [[]], [[one], [zero]]]),
+        ((1, 1, 1), [[[one]], [[one]]],
+         [[[zero], [one]], [[one]], [[zero], [one]]]),
+    ]
+
+
+@pytest.mark.parametrize("name", ["point", "semisimple2", "a2", "a3line",
+                                  "loop2", "borelA", "borelB"])
+def test_simple_top_or_socle_modules_have_local_endomorphisms(name):
+    # the shortcut answers "indecomposable" where the search would too:
+    # no basis endomorphism has a minimal polynomial with two distinct
+    # irreducible factors, so none of them splits the module
+    a = algebra(name)
+    F = a.field
+    fired = [m for m in probe_modules(a) if reps._simple_top_or_socle(m)]
+    assert fired
+    for m in fired:
+        for f in hom_basis(m, m):
+            mp = reps.minimal_polynomial(F, reps._total_matrix(f))
+            assert len(reps._factor_min_poly(F, mp)) == 1

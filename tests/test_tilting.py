@@ -3,15 +3,17 @@
 import pytest
 
 from stratakit import homology, reps, strat, tilting
-from stratakit.errors import NotStratified
+from stratakit.errors import NotStratified, Truncated
 from stratakit.homology import global_dim, inj_dim, proj_dim
+from stratakit.parser import parse_file
 from stratakit.reps import is_isomorphic, regular_module, simple
 from stratakit.tilting import (characteristic_cotilting, characteristic_tilting,
                                gfd_algebra, gfd_delta_bar, gfd_nabla_bar,
                                probe_modules, ringel_dual, t_codim,
                                verify_section2)
 
-from conftest import algebra
+from conftest import algebra, fixture_path
+from test_cli import run_cli
 
 STRATIFIED = ["point", "semisimple2", "a2", "a3line", "loop2", "borelA",
               "borelB"]
@@ -149,3 +151,40 @@ def test_probe_modules_are_nonzero_and_distinct():
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
             assert not is_isomorphic(probes[i], probes[j])
+
+
+def _fresh(name):
+    return parse_file(fixture_path(name + ".alg")).build()
+
+
+def test_check_computes_t_codim_and_probes_once(monkeypatch):
+    t_codims, probe_lists = [], []
+    real_t_codim, real_probes = tilting.t_codim, tilting.probe_modules
+
+    def counting_t_codim(*args, **kwargs):
+        t_codims.append(args)
+        return real_t_codim(*args, **kwargs)
+
+    def recording_probes(a):
+        probe_lists.append(real_probes(a))
+        return probe_lists[-1]
+
+    monkeypatch.setattr(tilting, "t_codim", counting_t_codim)
+    monkeypatch.setattr(tilting, "probe_modules", recording_probes)
+    code, _, _ = run_cli(["check", fixture_path("borelA.alg"),
+                          "--format", "machine"])
+    assert code == 0
+    assert len(t_codims) == 1
+    assert probe_lists and all(p is probe_lists[0] for p in probe_lists)
+
+
+def test_gfd_report_is_cached_per_cap():
+    a = _fresh("a3line")
+    report = gfd_algebra(a, 20)
+    assert gfd_algebra(a, 20) is report
+    assert report.consistent
+
+
+def test_gfd_report_small_cap_still_truncates():
+    with pytest.raises(Truncated):
+        gfd_algebra(_fresh("a3line"), 0)
