@@ -179,8 +179,6 @@ def main(argv=None):
         print(f"input error: {err}", file=sys.stderr)
         return 2
     sys.stdout.write(rep.render(args.format))
-    if rep.inconclusive:
-        return 3
     return 0 if rep.ok else 1
 
 

@@ -84,9 +84,6 @@ class FieldSpec:
             return 1 / Fraction(a)
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return a == 0
 

@@ -8,9 +8,8 @@ same module reuse one resolution.
 from . import linalg, reps
 from .errors import NothingToExtend, StratakitError, Truncated, ZeroModule
 from .linalg import Matrix
-from .reps import (Morphism, Rep, compose, direct_sum, hom_basis, kernel,
-                   path_matrix, projective, quotient, radical_submodule,
-                   zero_morphism, zero_rep)
+from .reps import (Morphism, compose, direct_sum, hom_basis, kernel,
+                   path_matrix, projective, quotient, radical_submodule)
 
 DEFAULT_CAP = 20
 
@@ -31,7 +30,8 @@ def projective_cover(m):
     a = m.algebra
     F = a.field
     tdims, pi = reps.top_multiplicities(m)
-    # lifts of a basis of the top: columns of the linear sections of pi
+    # lifts of a basis of the top: columns of the linear sections of pi;
+    # the top of a nonzero module is nonzero, so there is at least one
     summands = []
     lifts = []
     for v in range(a.n):
@@ -39,15 +39,12 @@ def projective_cover(m):
         for k in range(tdims[v]):
             summands.append(v)
             lifts.append((v, sec.column(k)))
-    P = direct_sum([projective(a, v) for v in summands]) if summands else zero_rep(a)
+    P = direct_sum([projective(a, v) for v in summands])
     blocks = [[] for _ in range(a.n)]  # per vertex: list of column vectors
     for (v, x) in lifts:
         # the summand P(v) has basis the paths from v; image of path p is p.x
-        by_target = [[] for _ in range(a.n)]
-        for bi in a.basis_with_source(v):
-            by_target[a.path_target(a.basis[bi])].append(bi)
-        for tv in range(a.n):
-            for bi in by_target[tv]:
+        for tv, paths in enumerate(a.projective_layout(v)):
+            for bi in paths:
                 p = a.basis[bi]
                 vec = path_matrix(m, p.src, p.arrs).apply(x)
                 blocks[tv].append(vec)
@@ -80,9 +77,8 @@ def _generator_offsets(a, summands):
     out = []
     for v in summands:
         out.append((v, offs[v]))
-        pv = projective(a, v)
-        for tv in range(a.n):
-            offs[tv] += pv.dims[tv]
+        for tv, paths in enumerate(a.projective_layout(v)):
+            offs[tv] += len(paths)
     return out
 
 
@@ -130,21 +126,6 @@ class Resolution:
             if sub.total_dim == 0:
                 self.complete = True
 
-    def syzygy_at(self, s):
-        """Omega^s of the module (s >= 0; Omega^0 is the module itself)."""
-        if s == 0:
-            return self.module
-        self.extend_to(s)
-        if self.complete and s >= len(self.terms):
-            return zero_rep(self.module.algebra)
-        if len(self.terms) < s:
-            raise Truncated(f"resolution capped before syzygy {s}")
-        if s == len(self.terms):
-            return self.syzygy
-        # kernel of diffs[s-1] equals the image of diffs[s]
-        sub, _ = reps.image(self.diffs[s]).as_rep()
-        return sub
-
     def is_minimal(self):
         """Each differential lands in the radical of its target."""
         for i in range(1, len(self.diffs)):
@@ -187,6 +168,16 @@ def inj_dim(m, cap=DEFAULT_CAP):
     return proj_dim(reps.dual_to_opposite(m), cap)
 
 
+def finite_dim(d, what):
+    """int(d) for a dimension from proj_dim, inj_dim or global_dim.
+
+    A LowerBound means the resolution was capped, so the true value is
+    unknown: raise Truncated rather than let it pass for a number."""
+    if isinstance(d, LowerBound):
+        raise Truncated(f"{what} capped at {int(d)}; raise the cap")
+    return int(d)
+
+
 def global_dim(a, cap=DEFAULT_CAP):
     best = 0
     capped = False
@@ -219,16 +210,11 @@ def _ext_complex_diff(res, n, s):
     offs = [0] * a.n
     for v in src_verts:
         entry = []
-        pv = projective(a, v)
-        by_target = [[] for _ in range(a.n)]
-        for bi in a.basis_with_source(v):
-            by_target[a.path_target(a.basis[bi])].append(bi)
-        for tv in range(a.n):
-            for k, bi in enumerate(by_target[tv]):
+        for tv, paths in enumerate(a.projective_layout(v)):
+            for k, bi in enumerate(paths):
                 entry.append((tv, offs[tv] + k, a.basis[bi]))
+            offs[tv] += len(paths)
         summand_paths.append(entry)
-        for tv in range(a.n):
-            offs[tv] += pv.dims[tv]
     col_off = []
     acc = 0
     for v in src_verts:
@@ -291,11 +277,6 @@ def ext_dim(i, m, n, cap=DEFAULT_CAP):
         return ker_dim
     d_prev = delta(i - 1)
     return ker_dim - linalg.rank(d_prev)
-
-
-def ext_vanishes_above(m, n, d, limit, cap=DEFAULT_CAP):
-    """True if Ext^i(m, n) = 0 for d < i <= limit."""
-    return all(ext_dim(i, m, n, cap) == 0 for i in range(d + 1, limit + 1))
 
 
 # -- realized extension classes ---------------------------------------------

@@ -7,7 +7,6 @@ needed.
 """
 
 from .errors import StratakitError
-from .fields import FieldSpec
 
 
 class Matrix:
@@ -139,16 +138,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def pow(self, n):
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            base = base.mul(base) if n > 1 else base
-            n >>= 1
-        return result
-
 
 def hstack(mats):
     mats = list(mats)
@@ -257,26 +246,12 @@ def solve(m, b):
     return x
 
 
-def solve_many(m, bs):
-    """Solve m.x = b for several right-hand sides; None entries where inconsistent."""
-    return [solve(m, b) for b in bs]
-
-
-def column_space_contains(basis_mat, vec):
-    return solve(basis_mat, vec) is not None
-
-
-def span_matrix(field, vectors, dim):
-    """Matrix whose columns are the given vectors (possibly none)."""
-    return Matrix.from_columns(field, [list(v) for v in vectors], rows=dim)
-
-
 def column_reduce(field, vectors, dim):
     """Reduce a list of vectors to a basis of their span (deterministic)."""
     if not vectors:
         return []
-    m = span_matrix(field, vectors, dim)
-    return image_basis(m)
+    return image_basis(Matrix.from_columns(field, [list(v) for v in vectors],
+                                           rows=dim))
 
 
 def is_invertible(m):

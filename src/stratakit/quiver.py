@@ -65,6 +65,7 @@ class PathAlgebra:
         self.idempotent_index = [self.basis_index[Path(v, ())] for v in range(self.n)]
         self.nilpotency = max((len(p.arrs) for p in basis), default=0) + 1
         self._mult = {}
+        self._layouts = {}
         self._opposite = None
         # assorted caches used by higher layers, keyed per algebra
         self.cache = {}
@@ -95,6 +96,21 @@ class PathAlgebra:
 
     def basis_with_target(self, v):
         return [i for i, p in enumerate(self.basis) if self.path_target(p) == v]
+
+    def projective_layout(self, v):
+        """Coordinates of P(v) = A.e_v: per target vertex w, the indices of
+        the basis paths from v to w, in basis order (cached).
+
+        The vertex-w block of P(v) has one coordinate per entry of layout[w],
+        so dims[w] = len(layout[w]), and the trivial path e_v is layout[v][0].
+        """
+        hit = self._layouts.get(v)
+        if hit is None:
+            by_target = [[] for _ in range(self.n)]
+            for i in self.basis_with_source(v):
+                by_target[self.path_target(self.basis[i])].append(i)
+            hit = self._layouts[v] = tuple(tuple(t) for t in by_target)
+        return hit
 
     # -- normal forms --------------------------------------------------------
 
@@ -353,7 +369,3 @@ def build_algebra(spec, degree_cap=64):
         (p for ln in range(0, max_len + 1) for p in free.get(ln, []) if p not in red),
         key=_path_key)
     return PathAlgebra(spec, basis, red, max_len)
-
-
-def opposite_algebra(a):
-    return a.opposite()

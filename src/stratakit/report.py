@@ -10,7 +10,6 @@ class Report:
     def __init__(self):
         self.entries = []                # (section, key, value)
         self.failures = 0
-        self.inconclusive = 0
 
     def add(self, section, key, value):
         self.entries.append((section, key, value))
@@ -22,10 +21,6 @@ class Report:
         status = {True: "pass", False: "fail", None: "info"}[passed]
         value = f"{status}" + (f" ({detail})" if detail else "")
         self.entries.append((section, key, value))
-
-    def mark_inconclusive(self, section, key, reason):
-        self.inconclusive += 1
-        self.entries.append((section, key, f"inconclusive ({reason})"))
 
     @property
     def ok(self):

@@ -11,7 +11,6 @@ from . import linalg
 from .errors import (AlgebraMismatch, NotASubmodule, StratakitError,
                      UnknownVertex)
 from .linalg import Matrix
-from .quiver import Path
 
 
 class Rep:
@@ -53,9 +52,6 @@ class Rep:
             if acc is not None and not acc.is_zero():
                 return False
         return True
-
-    def dimension_vector(self):
-        return self.dims
 
     def __repr__(self):
         lab = self.label or "Rep"
@@ -171,27 +167,9 @@ class Submodule:
         return True
 
 
-def full_submodule(m):
-    F = m.algebra.field
-    return Submodule(m, [Matrix.identity(F, d) for d in m.dims], check=False)
-
-
 def zero_submodule(m):
     F = m.algebra.field
     return Submodule(m, [Matrix.zero(F, d, 0) for d in m.dims], check=False)
-
-
-def sum_submodules(subs):
-    amb = subs[0].ambient
-    F = amb.algebra.field
-    bases = []
-    for v in range(len(amb.dims)):
-        vecs = []
-        for s in subs:
-            vecs.extend(s.bases[v].columns())
-        bases.append(Matrix.from_columns(
-            F, linalg.column_reduce(F, vecs, amb.dims[v]), rows=amb.dims[v]))
-    return Submodule(amb, bases, check=False)
 
 
 def path_matrix(m, src, arrs):
@@ -202,21 +180,6 @@ def path_matrix(m, src, arrs):
     for ai in arrs:
         cur = m.action[ai].mul(cur)
     return cur
-
-
-def element_action_matrix(m, elem, src, tgt):
-    """Action of an algebra element (coefficient vector) from vertex src to tgt."""
-    a = m.algebra
-    F = a.field
-    out = Matrix.zero(F, m.dims[tgt], m.dims[src])
-    for i, c in enumerate(elem):
-        if F.is_zero(c):
-            continue
-        p = a.basis[i]
-        if p.src != src or a.path_target(p) != tgt:
-            continue
-        out = out.add(path_matrix(m, p.src, p.arrs).scale(c))
-    return out
 
 
 # -- standard constructions -------------------------------------------------
@@ -240,10 +203,7 @@ def projective(a, i):
     if not 0 <= i < a.n:
         raise UnknownVertex(f"vertex index {i}")
     F = a.field
-    idxs = a.basis_with_source(i)
-    by_target = [[] for _ in range(a.n)]
-    for bi in idxs:
-        by_target[a.path_target(a.basis[bi])].append(bi)
+    by_target = a.projective_layout(i)
     pos = {}
     for v in range(a.n):
         for k, bi in enumerate(by_target[v]):
@@ -258,10 +218,7 @@ def projective(a, i):
             for q, c in nf.items():
                 mat[pos[a.basis_index[q]]][col] = c
         action.append(Matrix.from_rows(F, mat) if dims[t] else Matrix(F, 0, dims[s], []))
-    rep = Rep(a, dims, action, label=f"P({a.vertices[i]})")
-    rep.generator_vertex = i
-    rep.generator_coord = (i, 0)        # the trivial path e_i is first at vertex i
-    return rep
+    return Rep(a, dims, action, label=f"P({a.vertices[i]})")
 
 
 def dual_to_opposite(m):
@@ -292,25 +249,20 @@ def direct_sum(reps):
     for ai in range(len(a.arrows)):
         action.append(linalg.block_diag(F, [r.action[ai] for r in reps]))
     total = Rep(a, dims, action)
-    # inclusion / projection morphisms per summand
-    incls, projs = [], []
+    # inclusion morphism of each summand
+    incls = []
     offset = [0] * a.n
     for r in reps:
-        iblocks, pblocks = [], []
+        iblocks = []
         for v in range(a.n):
             inc = Matrix.zero(F, dims[v], r.dims[v]).to_rows()
-            prj = Matrix.zero(F, r.dims[v], dims[v]).to_rows()
             for k in range(r.dims[v]):
                 inc[offset[v] + k][k] = F.one
-                prj[k][offset[v] + k] = F.one
             iblocks.append(Matrix.from_rows(F, inc) if dims[v] else Matrix(F, 0, r.dims[v], []))
-            pblocks.append(Matrix.from_rows(F, prj) if r.dims[v] else Matrix(F, 0, dims[v], []))
         incls.append(Morphism(r, total, iblocks))
-        projs.append(Morphism(total, r, pblocks))
         for v in range(a.n):
             offset[v] += r.dims[v]
     total.summand_inclusions = incls
-    total.summand_projections = projs
     return total
 
 
@@ -491,11 +443,6 @@ def trace(u, m):
     bases = [Matrix.from_columns(F, linalg.column_reduce(F, vecs[v], m.dims[v]),
                                  rows=m.dims[v]) for v in range(m.algebra.n)]
     return Submodule(m, bases, check=False)
-
-
-def composition_multiplicity(m, i):
-    """[m : E(i)] -- simples are one dimensional, so this is dims[i]."""
-    return m.dims[i]
 
 
 # -- isomorphism testing ----------------------------------------------------

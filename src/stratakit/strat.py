@@ -10,8 +10,8 @@ from . import homology, linalg, reps
 from .errors import NotStratified, SearchBudgetExceeded, StratakitError
 from .fields import QQ
 from .linalg import Matrix
-from .reps import (Morphism, Rep, Submodule, compose, hom_basis, kernel,
-                   projective, quotient, radical_submodule, simple, trace)
+from .reps import (Submodule, compose, hom_basis, kernel, projective,
+                   quotient, radical_submodule, trace)
 
 SEARCH_BUDGET = 100_000
 
@@ -91,12 +91,6 @@ class FiltrationCertificate:
 
     def __len__(self):
         return len(self.factor_indices)
-
-    def multiplicities(self, nfactors):
-        out = [0] * nfactors
-        for i in self.factor_indices:
-            out[i] += 1
-        return out
 
     def verify(self, family):
         """Recheck the certificate from scratch against the factor family."""

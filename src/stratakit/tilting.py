@@ -8,8 +8,7 @@ modules, with proj_dim(T) supplying the finite scan bound.
 
 from . import homology, linalg, reps, strat
 from .errors import (NonTerminating, NoEmbedding, NotProperlyStratified,
-                     NotStratified, PresentationFailed, StratakitError,
-                     Truncated)
+                     NotStratified, PresentationFailed, StratakitError)
 from .linalg import Matrix
 from .quiver import QuiverSpec, build_algebra
 from .reps import Morphism, compose, direct_sum, hom_basis, identity_morphism
@@ -20,14 +19,17 @@ EXTENSION_BUDGET = 1000
 class CharTilting:
     """The basic characteristic tilting module T = ⊕ T(λ).
 
-    Carries, per summand: the embedding of Delta(λ), the cokernel M(λ) with
-    its filtration by lower standard modules, and T(λ)'s own Delta- and
+    Carries the standard and proper costandard families it was built from,
+    and, per summand: the embedding of Delta(λ), the cokernel M(λ) with its
+    filtration by lower standard modules, and T(λ)'s own Delta- and
     proper-costandard filtration certificates.
     """
 
-    def __init__(self, algebra, summands, delta_embeddings, coker_certs,
-                 delta_certs, nabla_bar_certs):
+    def __init__(self, algebra, deltas, nbars, summands, delta_embeddings,
+                 coker_certs, delta_certs, nabla_bar_certs):
         self.algebra = algebra
+        self.deltas = deltas                      # Delta(λ), by vertex index
+        self.nbars = nbars                        # NablaBar(λ), by vertex index
         self.summands = summands                  # T(λ), by vertex index
         self.delta_embeddings = delta_embeddings  # Delta(λ) -> T(λ)
         self.coker_certs = coker_certs            # M(λ) ∈ F(Delta_{<λ})
@@ -42,20 +44,22 @@ class CharTilting:
                     return False
         return True
 
-    def contains(self, m):
-        """Is m in add(T)?"""
-        if m.total_dim == 0:
-            return True
-        for part, _ in reps.decompose(m):
-            if not any(reps.is_isomorphic(part, t) for t in self.summands):
-                return False
-        return True
+    def contains(self, m, cap=homology.DEFAULT_CAP):
+        """Is m in add(T)?
+
+        Over a standardly stratified algebra add(T) = F(Delta) ∩ F(NablaBar),
+        and both classes are decided by Ext^1-vanishing: m is in F(NablaBar)
+        iff Ext^1(Delta(i), m) = 0 for all i, and in F(Delta) iff
+        Ext^1(m, NablaBar(j)) = 0 for all j.  No decomposition is needed.
+        """
+        return (all(homology.ext_dim(1, d, m, cap) == 0 for d in self.deltas)
+                and all(homology.ext_dim(1, m, nb, cap) == 0
+                        for nb in self.nbars))
 
     def verify(self):
         """Re-verify every stored certificate and the defining sequences."""
         a = self.algebra
-        deltas = strat.standard_family(a)
-        nbars = strat.proper_costandard_family(a)
+        deltas, nbars = self.deltas, self.nbars
         for lam in range(a.n):
             emb = self.delta_embeddings[lam]
             if not (emb.is_injective()
@@ -172,7 +176,8 @@ def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
         coker_certs.append(ccert)
         delta_certs.append(dcert)
         nb_certs.append(ncert)
-    tilt = CharTilting(a, summands, embeddings, coker_certs, delta_certs, nb_certs)
+    tilt = CharTilting(a, deltas, nbars, summands, embeddings, coker_certs,
+                       delta_certs, nb_certs)
     if not tilt.is_basic():
         raise StratakitError("characteristic tilting is not basic")
     a.cache["char_tilting"] = tilt
@@ -225,24 +230,14 @@ class Cotilting:
         self.dbar_certs = dbar_certs
         self.total = direct_sum(summands)
 
-    def contains(self, m):
-        if m.total_dim == 0:
-            return True
-        for part, _ in reps.decompose(m):
-            if not any(reps.is_isomorphic(part, s) for s in self.summands):
-                return False
-        return True
-
 
 # -- good filtration dimensions ----------------------------------------------
 
 def _tilting_pd(a, cap):
     tilt = characteristic_tilting(a, cap)
-    d = homology.proj_dim(tilt.total, cap)
-    if isinstance(d, homology.LowerBound):
-        raise Truncated("characteristic tilting has capped projective "
-                        "dimension; raise the cap")
-    return int(d), tilt
+    pd_t = homology.finite_dim(homology.proj_dim(tilt.total, cap),
+                               "projective dimension of T")
+    return pd_t, tilt
 
 
 def gfd_nabla_bar(x, cap=homology.DEFAULT_CAP):
@@ -269,34 +264,6 @@ def gfd_delta_bar(x, cap=homology.DEFAULT_CAP):
     return gfd_nabla_bar(reps.dual_to_opposite(x), cap)
 
 
-def nabla_bar_coresolution(x, cap=homology.DEFAULT_CAP):
-    """Explicit coresolution 0 -> x -> X_0 -> ... -> X_d -> 0 with every X_i
-    in F(NablaBar), as (list of X_i, list of certificates).
-
-    The injective terms carry NablaBar filtrations over a standardly
-    stratified algebra; the final cokernel is checked directly.
-    """
-    a = x.algebra
-    nbars = strat.proper_costandard_family(a)
-    terms, certs = [], []
-    cur = x
-    for _ in range(cap + 1):
-        cert = strat.filtration_certificate(cur, nbars)
-        if cert is not None:
-            terms.append(cur)
-            certs.append(cert)
-            return terms, certs
-        emb = homology.injective_hull(cur)
-        terms.append(emb.target)
-        cert = strat.filtration_certificate(emb.target, nbars)
-        if cert is None:
-            raise StratakitError("injective hull has no proper-costandard "
-                                 "filtration; algebra not stratified?")
-        certs.append(cert)
-        cur, _ = reps.cokernel(emb)
-    raise NonTerminating("coresolution did not close within the cap")
-
-
 # -- T-(co)dimension ----------------------------------------------------------
 
 def t_codim(x, tilt=None, cap=homology.DEFAULT_CAP):
@@ -305,15 +272,18 @@ def t_codim(x, tilt=None, cap=homology.DEFAULT_CAP):
     Built greedily: the evaluation map into copies of the T(λ) is a left
     add(T)-approximation; copies are dropped as long as the map stays
     injective with a Delta-filtered cokernel, then recurse on the cokernel.
+    The recursion stops at the first cokernel in add(T), which
+    `CharTilting.contains` decides by Ext^1-vanishing against the families
+    stored on `tilt`.
     """
     a = x.algebra
     if tilt is None:
         tilt = characteristic_tilting(a, cap)
-    deltas = strat.standard_family(a)
+    deltas = tilt.deltas
     steps = 0
     cur = x
     while True:
-        if tilt.contains(cur):
+        if tilt.contains(cur, cap):
             return steps
         if steps > cap:
             raise NonTerminating("add(T)-coresolution did not close")
@@ -597,8 +567,7 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
                                "algebra is not standardly stratified; "
                                "tilting checks skipped"))
         return out
-    tilt = characteristic_tilting(a, cap)
-    pd_t = int(homology.proj_dim(tilt.total, cap))
+    pd_t, tilt = _tilting_pd(a, cap)
     probes = probe_modules(a)
     reg = reps.regular_module(a)
 
@@ -652,25 +621,26 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
                                "S isomorphic to T" if s_iso_t
                                else "S not isomorphic to T"))
         if s_iso_t:
-            inj_t = homology.inj_dim(tilt.total, cap)
-            bound = pd_t + int(inj_t)
+            bound = pd_t + homology.finite_dim(
+                homology.inj_dim(tilt.total, cap), "injective dimension of T")
             ok = True
             witness = ""
             for m in probes:
                 pdm = homology.proj_dim(m, cap)
                 if isinstance(pdm, homology.LowerBound):
                     continue            # infinite (or capped) pd: not in scope
-                if int(pdm) > bound:
+                if pdm > bound:
                     ok = False
-                    witness = f"{m.label or m.dims}: pd {int(pdm)} > {bound}"
+                    witness = f"{m.label or m.dims}: pd {pdm} > {bound}"
                     break
             out.append(CheckResult(
                 "findim_bound", ok,
                 witness or f"all finite-pd probes within pd T + inj T = {bound}"))
 
     if cls.quasi_hereditary:
-        inj_t = int(homology.inj_dim(tilt.total, cap))
-        gl = int(homology.global_dim(a, cap))
+        inj_t = homology.finite_dim(homology.inj_dim(tilt.total, cap),
+                                    "injective dimension of T")
+        gl = homology.finite_dim(homology.global_dim(a, cap), "global dimension")
         left = max(pd_t, inj_t) <= gl
         right = gl <= pd_t + inj_t
         out.append(CheckResult(
@@ -680,7 +650,8 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
             "gldim_sum_equality", None,
             "equality" if gl == pd_t + inj_t else "strict"))
         dual = ringel_dual(a, cap)
-        gl_dual = int(homology.global_dim(dual, cap))
+        gl_dual = homology.finite_dim(homology.global_dim(dual, cap),
+                                      "global dimension of End(T)")
         out.append(CheckResult(
             "ringel_gldim_sandwich",
             max(pd_t, inj_t) <= gl_dual <= pd_t + inj_t,

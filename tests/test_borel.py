@@ -44,6 +44,23 @@ def test_right_module_is_projective_over_b():
         assert any(reps.is_isomorphic(part, p) for p in projs)
 
 
+def test_right_module_not_projective_is_reported():
+    # B = k[y]/(y^2) -> A = k[x]/(x^3), y |-> x^2: as a right B-module,
+    # A = B.1 ⊕ k.x with x.y = x^3 = 0, and the summand k.x is not projective
+    b = build_algebra(QuiverSpec(["1"], [("y", "1", "1")],
+                                 [[(1, ("y", "y"))]], QQ))
+    a = build_algebra(QuiverSpec(["1"], [("x", "1", "1")],
+                                 [[(1, ("x", "x", "x"))]], QQ))
+    e = check_embedding(Embedding(b, a, {"y": [(1, ("x", "x"))]}))
+    right = right_module_structure(e)
+    assert sorted(part.total_dim for part, _ in reps.decompose(right)) == [1, 2]
+    report = is_exact_borel(e)
+    clauses = {name: (ok, detail) for name, ok, detail in report.clauses}
+    assert clauses["right_projective"] == (
+        False, "a non-projective right B-summand exists")
+    assert not report.verdict
+
+
 def test_induce_simples_to_standards():
     e = _borel_embedding()
     b, a = e.b, e.a

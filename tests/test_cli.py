@@ -3,6 +3,8 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from stratakit import reps
 from stratakit.cli import main
 from stratakit.errors import DecompositionFailed
@@ -102,13 +104,20 @@ def test_unknown_module_is_input_error():
     assert "input error" in err
 
 
-def test_inconclusive_exit_code_on_tiny_cap():
-    # with the resolution cap at zero, proj dim of the tilting module cannot
-    # be decided; this must surface as "inconclusive", not pass/fail
-    code, _, err = run_cli(["gfd", fixture_path("a3line.alg"),
-                            "--module", "E(3)", "--cap", "0"])
+@pytest.mark.parametrize("argv", [
+    # at cap 0 the projective dimension of the tilting module is unknown
+    ["gfd", fixture_path("a3line.alg"), "--module", "E(3)", "--cap", "0"],
+    # at cap 2 gl.dim(borelA) = 4 is only known to be >= 2, so the
+    # sandwich and sum-equality checks cannot be decided
+    ["check", fixture_path("borelA.alg"), "--cap", "2"],
+], ids=["gfd_cap0", "check_cap2"])
+def test_inconclusive_exit_code_on_tiny_cap(argv):
+    # a capped dimension must surface as "inconclusive", not pass/fail, and
+    # no partial report is printed
+    code, out, err = run_cli(argv)
     assert code == 3
     assert "inconclusive" in err
+    assert out == ""
 
 
 def test_text_format_has_section_headers():

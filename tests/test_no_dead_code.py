@@ -1,0 +1,59 @@
+"""Dead-code gate: every public function and method in src/stratakit has a use.
+
+The scan is by name.  It collects the public module-level functions and the
+public methods of module-level classes in src/stratakit/*.py, then every name
+that the code under src/, tests/ and bench/ mentions as a `Name`, as the
+attribute of an `Attribute`, or in an import.  A public function whose name is
+never mentioned is reported.
+
+Because it matches names, not bindings, the gate misses a dead method whose
+name is also used for something else: a `Matrix.pow` next to the builtin
+`pow`, or a second `contains` method while another class's `contains` is
+called.  Those still need a reader.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "stratakit"
+
+
+def _definitions():
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((path.stem, node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        out.append((path.stem, f"{node.name}.{item.name}",
+                                    item.name))
+    return [(mod, qual, name) for mod, qual, name in out
+            if not name.startswith("_")]
+
+
+def _mentioned_names():
+    names = set()
+    for top in ("src", "tests", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rsplit(".", 1)[-1])
+                    if node.asname:
+                        names.add(node.asname)
+    return names
+
+
+def test_every_public_function_is_used():
+    used = _mentioned_names()
+    dead = [f"{mod}.{qual}" for mod, qual, name in _definitions()
+            if name not in used]
+    assert not dead, f"public functions nothing refers to: {dead}"

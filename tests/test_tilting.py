@@ -188,3 +188,22 @@ def test_gfd_report_is_cached_per_cap():
 def test_gfd_report_small_cap_still_truncates():
     with pytest.raises(Truncated):
         gfd_algebra(_fresh("a3line"), 0)
+
+
+def _in_add_t_by_decomposition(tilt, m):
+    """Reference add(T) membership: every indecomposable summand of m is
+    isomorphic to some T(λ)."""
+    return all(any(is_isomorphic(part, t) for t in tilt.summands)
+               for part, _ in reps.decompose(m))
+
+
+@pytest.mark.parametrize("name", STRATIFIED)
+def test_add_T_by_ext_agrees_with_decomposition(name):
+    a = algebra(name)
+    tilt = characteristic_tilting(a)
+    modules = (list(probe_modules(a)) + list(tilt.summands)
+               + [tilt.total, regular_module(a)])
+    for m in modules:
+        assert tilt.contains(m) == _in_add_t_by_decomposition(tilt, m), m
+    assert all(tilt.contains(t) for t in tilt.summands)
+    assert tilt.contains(tilt.total)
