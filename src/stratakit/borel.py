@@ -241,11 +241,9 @@ def is_exact_borel(e, cap=homology.DEFAULT_CAP):
     # induction carries standard B-modules to standard A-modules
     delta_ok = True
     detail = []
+    deltas_a, deltas_b = strat.standard_family(a), strat.standard_family(b)
     for i in range(b.n):
-        db = strat.standard(b, i)
-        da = strat.standard(a, i)
-        ind = induce(e, db)
-        good = reps.is_isomorphic(ind, da)
+        good = reps.is_isomorphic(induce(e, deltas_b[i]), deltas_a[i])
         detail.append(f"{b.vertices[i]}:{'ok' if good else 'FAIL'}")
         delta_ok = delta_ok and good
     clauses.append(("standards_induce", delta_ok, " ".join(detail)))
@@ -254,7 +252,10 @@ def is_exact_borel(e, cap=homology.DEFAULT_CAP):
 
 def verify_lemma_induction_bounds(e, cap=homology.DEFAULT_CAP):
     """Induction does not raise projective dimension, and its values are
-    Delta-filtered; checked over the probe corpus of B-modules."""
+    Delta-filtered; checked over the probe corpus of B-modules.
+
+    Returns (ok, entries), one entry (label, pd of A⊗m, pd of m, ok) per
+    probe m; a capped projective dimension stays a LowerBound (">=N")."""
     a, b = e.a, e.b
     deltas_a = strat.standard_family(a)
     entries = []
@@ -270,8 +271,7 @@ def verify_lemma_induction_bounds(e, cap=homology.DEFAULT_CAP):
         else:
             bound_ok = (not isinstance(pda, homology.LowerBound)
                         and int(pda) <= int(pdb))
-        entries.append((m.label or str(m.dims), int(pda), int(pdb),
-                        bound_ok and cert))
+        entries.append((m.label or str(m.dims), pda, pdb, bound_ok and cert))
         ok = ok and bound_ok and cert
     return ok, entries
 
@@ -364,8 +364,8 @@ def duality_check(a, sigma, cap=homology.DEFAULT_CAP):
                            reps.simple(a, i)) for i in range(a.n))
     clauses.append(("fixes_simples", simples_ok))
     delta_ok = all(
-        reps.is_isomorphic(twisted_dual(a, sigma_idx, strat.standard(a, i)),
-                           strat.costandard(a, i)) for i in range(a.n))
+        reps.is_isomorphic(twisted_dual(a, sigma_idx, d), nb)
+        for d, nb in zip(strat.standard_family(a), strat.costandard_family(a)))
     clauses.append(("delta_to_nabla", delta_ok))
     cls = strat.strat_class(a)
     if cls.standardly_stratified:

@@ -327,26 +327,20 @@ def _cocycle_classes(m, n):
     cocycles = hom_basis(omega, n)
     if not cocycles:
         return [], omega, incl, cover
-    # coboundaries: restrictions of Hom(P0, n) along the inclusion
+    # coboundaries: restrictions of Hom(P0, n) along the inclusion; keep
+    # the cocycles independent modulo them
     vec_len = sum(b.rows * b.cols for b in cocycles[0].blocks)
 
     def flat(f):
         return [e for b in f.blocks for e in b.entries]
 
     cob = [flat(compose(g, incl)) for g in hom_basis(P0, n)]
-    cob_mat = Matrix.from_columns(F, cob, rows=vec_len) if cob else Matrix(F, vec_len, 0, [])
-    reps_out = []
-    chosen = Matrix(F, vec_len, 0, [])
-    for c in cocycles:
-        candidate = linalg.hstack([cob_mat, chosen,
-                                   Matrix.from_columns(F, [flat(c)], rows=vec_len)])
-        if linalg.rank(candidate) > linalg.rank(linalg.hstack([cob_mat, chosen])):
-            reps_out.append(c)
-            chosen = linalg.hstack([chosen, Matrix.from_columns(F, [flat(c)], rows=vec_len)])
+    keep = linalg.pivot_columns(F, cob + [flat(c) for c in cocycles], vec_len)
+    reps_out = [cocycles[k - len(cob)] for k in keep if k >= len(cob)]
     return reps_out, omega, incl, cover
 
 
-def _pushout_extension(n, omega, incl, cover, cocycle):
+def _pushout_extension(n, incl, cover, cocycle):
     """Build 0 -> n -> Z -> m -> 0 from a cocycle Omega(m) -> n.
 
     Z = (n ⊕ P0) / {(cocycle(w), -incl(w))}.
@@ -356,38 +350,29 @@ def _pushout_extension(n, omega, incl, cover, cocycle):
     P0 = cover.source
     m = cover.target
     total = direct_sum([n, P0])
-    incl_n, incl_p = total.summand_inclusions
-    sub_vecs = []
-    for v in range(a.n):
-        cols = []
-        for j in range(omega.dims[v]):
-            w_img_n = cocycle.blocks[v].column(j)
-            w_img_p = [F.neg(x) for x in incl.blocks[v].column(j)]
-            col = [F.zero] * total.dims[v]
-            nb = incl_n.blocks[v]
-            pb = incl_p.blocks[v]
-            vec_n = nb.apply(w_img_n)
-            vec_p = pb.apply(w_img_p)
-            col = [F.add(x, y) for x, y in zip(vec_n, vec_p)]
-            cols.append(col)
-        sub_vecs.append(Matrix.from_columns(F, cols, rows=total.dims[v]))
-    W = reps.Submodule(total, sub_vecs, check=False)
+    # at each vertex, total's coordinates are n's first, then P0's
+    W = reps.Submodule(total, [linalg.vstack([cocycle.blocks[v],
+                                              incl.blocks[v].neg()])
+                               for v in range(a.n)], check=False)
     Z, pi = quotient(total, W)
-    emb = compose(pi, incl_n)                      # n -> Z
-    # projection Z -> m: descend (x, y) -> cover(y); use the linear sections of pi
-    blocks = []
+    # n -> Z: pi on the n-coordinates; Z -> m: descend (x, y) -> cover(y)
+    # through the P0-rows of the linear sections of pi
+    emb_blocks, proj_blocks = [], []
     for v in range(a.n):
-        sec = pi.section_blocks[v]
-        comp = cover.blocks[v].mul(incl_p.blocks[v].transpose()).mul(sec)
-        blocks.append(comp)
-    proj = Morphism(Z, m, blocks)
+        nd, p, sec = n.dims[v], pi.blocks[v], pi.section_blocks[v]
+        emb_blocks.append(Matrix(F, p.rows, nd, [p[i, j] for i in range(p.rows)
+                                                 for j in range(nd)]))
+        proj_blocks.append(cover.blocks[v].mul(
+            Matrix(F, sec.rows - nd, sec.cols, sec.entries[nd * sec.cols:])))
+    emb = Morphism(n, Z, emb_blocks)
+    proj = Morphism(Z, m, proj_blocks)
     return ExtClass(emb, proj)
 
 
 def ext1_classes(m, n):
     """Basis of Ext^1(m, n) realized as non-split short exact sequences."""
     cocycles, omega, incl, cover = _cocycle_classes(m, n)
-    return [_pushout_extension(n, omega, incl, cover, c) for c in cocycles]
+    return [_pushout_extension(n, incl, cover, c) for c in cocycles]
 
 
 def universal_extension(q, x):
@@ -404,7 +389,7 @@ def universal_extension(q, x):
     qr = direct_sum([q] * r) if r > 1 else None
     P0 = cover.source
     if r == 1:
-        return_ext = _pushout_extension(x, omega, incl, cover, cocycles[0])
+        return_ext = _pushout_extension(x, incl, cover, cocycles[0])
         return return_ext.middle, return_ext.incl, return_ext.proj
     Pr = direct_sum([P0] * r)
     Or = direct_sum([omega] * r)
@@ -415,5 +400,5 @@ def universal_extension(q, x):
                                for v in range(a.n)])
     coc = Morphism(Or, x, [linalg.hstack([c.blocks[v] for c in cocycles])
                            for v in range(a.n)])
-    ext = _pushout_extension(x, Or, incl_r, cover_r, coc)
+    ext = _pushout_extension(x, incl_r, cover_r, coc)
     return ext.middle, ext.incl, ext.proj

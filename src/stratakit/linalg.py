@@ -246,12 +246,17 @@ def solve(m, b):
     return x
 
 
+def pivot_columns(field, vectors, dim):
+    """Indices of the vectors not in the span of the vectors before them.
+
+    These are the pivot columns of one rref, which is exactly what a greedy
+    left-to-right rank test would keep."""
+    return rref(Matrix.from_columns(field, vectors, rows=dim))[1]
+
+
 def column_reduce(field, vectors, dim):
     """Reduce a list of vectors to a basis of their span (deterministic)."""
-    if not vectors:
-        return []
-    return image_basis(Matrix.from_columns(field, [list(v) for v in vectors],
-                                           rows=dim))
+    return [list(vectors[i]) for i in pivot_columns(field, vectors, dim)]
 
 
 def is_invertible(m):

@@ -58,20 +58,30 @@ def proper_costandard(a, i):
     return q
 
 
+def _family(a, build):
+    """(build(a, 0), ..., build(a, n-1)), built once per algebra and cached
+    on it as a tuple.  Callers share these modules: never relabel them."""
+    key = ("family", build.__name__)
+    hit = a.cache.get(key)
+    if hit is None:
+        hit = a.cache[key] = tuple(build(a, i) for i in range(a.n))
+    return hit
+
+
 def standard_family(a):
-    return [standard(a, i) for i in range(a.n)]
+    return _family(a, standard)
 
 
 def proper_standard_family(a):
-    return [proper_standard(a, i) for i in range(a.n)]
+    return _family(a, proper_standard)
 
 
 def costandard_family(a):
-    return [costandard(a, i) for i in range(a.n)]
+    return _family(a, costandard)
 
 
 def proper_costandard_family(a):
-    return [proper_costandard(a, i) for i in range(a.n)]
+    return _family(a, proper_costandard)
 
 
 # -- filtration certificates -------------------------------------------------

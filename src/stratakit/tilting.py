@@ -11,7 +11,8 @@ from .errors import (NonTerminating, NoEmbedding, NotProperlyStratified,
                      NotStratified, PresentationFailed, StratakitError)
 from .linalg import Matrix
 from .quiver import QuiverSpec, build_algebra
-from .reps import Morphism, compose, direct_sum, hom_basis, identity_morphism
+from .reps import (Morphism, Rep, compose, direct_sum, hom_basis,
+                   identity_morphism)
 
 EXTENSION_BUDGET = 1000
 
@@ -19,23 +20,21 @@ EXTENSION_BUDGET = 1000
 class CharTilting:
     """The basic characteristic tilting module T = ⊕ T(λ).
 
-    Carries the standard and proper costandard families it was built from,
-    and, per summand: the embedding of Delta(λ), the cokernel M(λ) with its
-    filtration by lower standard modules, and T(λ)'s own Delta- and
+    Carries, per summand: the embedding of Delta(λ), the cokernel M(λ) with
+    its filtration by lower standard modules, and T(λ)'s own Delta- and
     proper-costandard filtration certificates.
     """
 
-    def __init__(self, algebra, deltas, nbars, summands, delta_embeddings,
-                 coker_certs, delta_certs, nabla_bar_certs):
+    def __init__(self, algebra, summands, delta_embeddings, coker_certs,
+                 delta_certs, nabla_bar_certs):
         self.algebra = algebra
-        self.deltas = deltas                      # Delta(λ), by vertex index
-        self.nbars = nbars                        # NablaBar(λ), by vertex index
         self.summands = summands                  # T(λ), by vertex index
         self.delta_embeddings = delta_embeddings  # Delta(λ) -> T(λ)
         self.coker_certs = coker_certs            # M(λ) ∈ F(Delta_{<λ})
         self.delta_certs = delta_certs            # T(λ) ∈ F(Delta)
         self.nabla_bar_certs = nabla_bar_certs    # T(λ) ∈ F(NablaBar)
         self.total = direct_sum(summands)
+        self._radical = {}
 
     def is_basic(self):
         for i in range(len(self.summands)):
@@ -48,18 +47,48 @@ class CharTilting:
         """Is m in add(T)?
 
         Over a standardly stratified algebra add(T) = F(Delta) ∩ F(NablaBar),
-        and both classes are decided by Ext^1-vanishing: m is in F(NablaBar)
-        iff Ext^1(Delta(i), m) = 0 for all i, and in F(Delta) iff
-        Ext^1(m, NablaBar(j)) = 0 for all j.  No decomposition is needed.
+        and both classes are decided by Ext^1-vanishing.  No decomposition
+        is needed.
         """
-        return (all(homology.ext_dim(1, d, m, cap) == 0 for d in self.deltas)
-                and all(homology.ext_dim(1, m, nb, cap) == 0
-                        for nb in self.nbars))
+        return (strat.in_F_nabla_bar_by_ext(m, cap)
+                and strat.in_F_delta_by_ext(m, cap))
+
+    def radical(self, s, t):
+        """Basis of rad(T(s), T(t)), as morphisms; computed once per pair.
+
+        For s != t this is all of Hom(T(s), T(t)).  On the diagonal it is
+        spanned by f - c·id over the basis of End(T(s)), where c is the
+        scalar with f - c·id nilpotent; raises PresentationFailed when
+        End(T(s)) is not split local over the base field.
+        """
+        hit = self._radical.get((s, t))
+        if hit is not None:
+            return hit
+        homs = hom_basis(self.summands[s], self.summands[t])
+        if s != t:
+            rad = homs
+        else:
+            F = self.algebra.field
+            ident = identity_morphism(self.summands[s])
+            rad = []
+            for f in homs:
+                c = _local_scalar(F, linalg.block_diag(F, f.blocks))
+                if c is None:
+                    raise PresentationFailed(
+                        "endomorphism ring of a tilting summand is not "
+                        "split local over the base field")
+                rad.append(f.add(ident.scale(F.neg(c))))
+            dim = sum(d * d for d in self.summands[s].dims)
+            rad = [rad[k] for k in linalg.pivot_columns(
+                F, [_flat(g) for g in rad], dim)]
+        self._radical[(s, t)] = rad
+        return rad
 
     def verify(self):
         """Re-verify every stored certificate and the defining sequences."""
         a = self.algebra
-        deltas, nbars = self.deltas, self.nbars
+        deltas = strat.standard_family(a)
+        nbars = strat.proper_costandard_family(a)
         for lam in range(a.n):
             emb = self.delta_embeddings[lam]
             if not (emb.is_injective()
@@ -78,6 +107,11 @@ class CharTilting:
             if not self.nabla_bar_certs[lam].verify(nbars):
                 return False
         return self.is_basic()
+
+
+def _flat(f):
+    """The entries of a morphism's blocks as one vector."""
+    return [e for b in f.blocks for e in b.entries]
 
 
 def _summand_with_delta(x, emb, lam):
@@ -157,7 +191,9 @@ def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
                     f"Ext^1(Delta({a.vertices[nu]}), T({a.vertices[lam]})) "
                     "did not vanish after extension sweeps")
         t_lam, emb_lam = _summand_with_delta(x, emb, lam)
-        t_lam.label = f"T({a.vertices[lam]})"
+        # a Rep of its own: t_lam may be the shared Delta(λ) itself
+        t_lam = Rep(a, t_lam.dims, t_lam.action, label=f"T({a.vertices[lam]})")
+        emb_lam = Morphism(emb_lam.source, t_lam, emb_lam.blocks)
         coker, _ = reps.cokernel(emb_lam)
         if coker.total_dim == 0:
             ccert = None
@@ -176,8 +212,8 @@ def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
         coker_certs.append(ccert)
         delta_certs.append(dcert)
         nb_certs.append(ncert)
-    tilt = CharTilting(a, deltas, nbars, summands, embeddings, coker_certs,
-                       delta_certs, nb_certs)
+    tilt = CharTilting(a, summands, embeddings, coker_certs, delta_certs,
+                       nb_certs)
     if not tilt.is_basic():
         raise StratakitError("characteristic tilting is not basic")
     a.cache["char_tilting"] = tilt
@@ -266,60 +302,60 @@ def gfd_delta_bar(x, cap=homology.DEFAULT_CAP):
 
 # -- T-(co)dimension ----------------------------------------------------------
 
+def _left_approximation(m, tilt):
+    """The minimal left add(T)-approximation of m, or None if Hom(m, T) = 0.
+
+    Hom(m, T) is a module over End(T); the approximation maps m into one
+    copy of T(λ) for each map in hom_basis(m, T(λ)) that is independent
+    modulo rad(m, T(λ)) = Σ_μ rad(T(μ), T(λ)) ∘ Hom(m, T(μ)).
+    """
+    a = m.algebra
+    homs = [hom_basis(m, t) for t in tilt.summands]
+    chosen = []                          # (T(λ), morphism m -> T(λ))
+    for lam, t in enumerate(tilt.summands):
+        rad = [compose(g, h) for mu in range(a.n)
+               for g in tilt.radical(mu, lam) for h in homs[mu]]
+        dim = sum(dm * dt for dm, dt in zip(m.dims, t.dims))
+        keep = linalg.pivot_columns(
+            a.field, [_flat(f) for f in rad + homs[lam]], dim)
+        chosen += [(t, homs[lam][k - len(rad)]) for k in keep if k >= len(rad)]
+    if not chosen:
+        return None
+    return Morphism(m, direct_sum([t for t, _ in chosen]),
+                    [linalg.vstack([f.blocks[v] for _, f in chosen])
+                     for v in range(a.n)])
+
+
 def t_codim(x, tilt=None, cap=homology.DEFAULT_CAP):
     """Minimal length of an exact coresolution of x by add(T) modules.
 
-    Built greedily: the evaluation map into copies of the T(λ) is a left
-    add(T)-approximation; copies are dropped as long as the map stays
-    injective with a Delta-filtered cokernel, then recurse on the cokernel.
-    The recursion stops at the first cokernel in add(T), which
-    `CharTilting.contains` decides by Ext^1-vanishing against the families
-    stored on `tilt`.
+    Each step maps cur into its minimal left add(T)-approximation.  Every
+    injective map from cur into add(T) with a Delta-filtered cokernel
+    factors through it, so the approximation is such a map whenever one
+    exists; otherwise NoEmbedding is raised.  The recursion on the cokernel
+    stops at the first module in add(T).
+
+    Which admissible map is used does not change the count.  For M in
+    F(Delta) and 0 -> M -> T_0 -> C -> 0 with T_0 in add(T) and C in
+    F(Delta), Ext^i(Delta, C) ≅ Ext^{i+1}(Delta, M) for i >= 1, so every
+    step lowers the NablaBar-good filtration dimension by one.
     """
-    a = x.algebra
     if tilt is None:
-        tilt = characteristic_tilting(a, cap)
-    deltas = tilt.deltas
+        tilt = characteristic_tilting(x.algebra, cap)
     steps = 0
     cur = x
-    while True:
-        if tilt.contains(cur, cap):
-            return steps
+    while not tilt.contains(cur, cap):
         if steps > cap:
             raise NonTerminating("add(T)-coresolution did not close")
-        copies = []                      # (summand rep, morphism cur -> it)
-        for t in tilt.summands:
-            for f in hom_basis(cur, t):
-                copies.append((t, f))
-
-        def evaluation(chosen):
-            target = direct_sum([t for t, _ in chosen])
-            blocks = [linalg.vstack([f.blocks[v] for _, f in chosen])
-                      for v in range(a.n)]
-            return Morphism(cur, target, blocks)
-
-        def admissible(chosen):
-            if not chosen:
-                return False
-            f = evaluation(chosen)
-            if not f.is_injective():
-                return False
-            coker, _ = reps.cokernel(f)
-            return (coker.total_dim == 0
-                    or strat.filtration_certificate(coker, deltas) is not None)
-
-        if not copies or not admissible(copies):
+        f = _left_approximation(cur, tilt)
+        coker = (reps.cokernel(f)[0] if f is not None and f.is_injective()
+                 else None)
+        if coker is None or not strat.in_F_delta_by_ext(coker, cap):
             raise NoEmbedding("module has no injective add(T)-approximation "
                               "with a Delta-filtered cokernel")
-        k = 0
-        while k < len(copies):
-            trial = copies[:k] + copies[k + 1:]
-            if admissible(trial):
-                copies = trial
-            else:
-                k += 1
-        cur, _ = reps.cokernel(evaluation(copies))
+        cur = coker
         steps += 1
+    return steps
 
 
 def t_dim(x, cap=homology.DEFAULT_CAP):
@@ -364,13 +400,11 @@ def probe_modules(a):
     hit = a.cache.get("probe_modules")
     if hit is not None:
         return hit
+    deltas, nablas = strat.standard_family(a), strat.costandard_family(a)
     base = []
     for i in range(a.n):
-        base.append(reps.simple(a, i))
-        base.append(reps.projective(a, i))
-        base.append(reps.injective(a, i))
-        base.append(strat.standard(a, i))
-        base.append(strat.costandard(a, i))
+        base += [reps.simple(a, i), reps.projective(a, i), reps.injective(a, i),
+                 deltas[i], nablas[i]]
     out = []
     seen = set()
     for m in base:
@@ -433,72 +467,29 @@ def ringel_dual(a, cap=homology.DEFAULT_CAP):
     n = a.n
     # order of the dual: reversed
     order = list(range(n - 1, -1, -1))
-    summ = [tilt.summands[i] for i in order]
-    homs = [[hom_basis(summ[s], summ[t]) for t in range(n)] for s in range(n)]
 
-    def flat_mat(f):
-        return linalg.block_diag(F, f.blocks)
+    def rad_basis(s, t):
+        """rad(s, t) between summands numbered in the reversed order."""
+        return tilt.radical(order[s], order[t])
 
-    end_dim = sum(len(homs[s][t]) for s in range(n) for t in range(n))
-    # radical elements, as morphisms tagged with (source summand, target summand)
-    rad = []
-    for s in range(n):
-        for t in range(n):
-            if s != t:
-                rad.extend((s, t, f) for f in homs[s][t])
-            else:
-                ident = identity_morphism(summ[s])
-                for f in homs[s][s]:
-                    c = _local_scalar(F, flat_mat(f))
-                    if c is None:
-                        raise PresentationFailed(
-                            "endomorphism ring of a tilting summand is not "
-                            "split local over the base field")
-                    g = f.add(ident.scale(F.neg(c)))
-                    rad.append((s, s, g))
-    # reduce the diagonal radical parts to a basis (drop zero/dependent ones)
-    by_pair = {}
-    for s, t, f in rad:
-        by_pair.setdefault((s, t), []).append(f)
-    rad_basis = {}
-    for (s, t), fs in by_pair.items():
-        vecs = [list(flat_mat(f).entries) for f in fs]
-        dim = len(vecs[0]) if vecs else 0
-        keep = []
-        chosen = Matrix(F, dim, 0, [])
-        for f, v in zip(fs, vecs):
-            cand = linalg.hstack([chosen, Matrix.from_columns(F, [v], rows=dim)])
-            if linalg.rank(cand) > linalg.rank(chosen):
-                keep.append(f)
-                chosen = cand
-        rad_basis[(s, t)] = keep
-
-    # rad^2 per pair: compositions through every middle summand
-    rad2 = {}
-    for s in range(n):
-        for t in range(n):
-            elems = []
-            for mid in range(n):
-                for f in rad_basis.get((s, mid), []):
-                    for g in rad_basis.get((mid, t), []):
-                        elems.append(compose(g, f))
-            rad2[(s, t)] = elems
-    # arrows: per pair, lift a basis of rad/rad^2
+    # End(T(s)) is k·id ⊕ rad(T(s), T(s)) for each of the n summands
+    end_dim = n + sum(len(rad_basis(s, t)) for s in range(n) for t in range(n))
+    # arrows: per pair, lift a basis of rad/rad^2, where rad^2 is spanned by
+    # the compositions through every middle summand
     arrows = []            # (name, s, t, morphism)
     for s in range(n):
         for t in range(n):
-            base = rad2[(s, t)]
-            base_vecs = [list(flat_mat(f).entries) for f in base]
-            for f in rad_basis.get((s, t), []):
-                v = list(flat_mat(f).entries)
-                sz = len(v)
-                lowmat = (Matrix.from_columns(F, base_vecs, rows=sz)
-                          if base_vecs else Matrix(F, sz, 0, []))
-                cand = linalg.hstack([lowmat, Matrix.from_columns(F, [v], rows=sz)])
-                if linalg.rank(cand) > linalg.rank(lowmat):
-                    name = f"r{len(arrows)}"
-                    arrows.append((name, s, t, f))
-                    base_vecs.append(v)
+            rad2 = [compose(g, f) for mid in range(n)
+                    for f in rad_basis(s, mid) for g in rad_basis(mid, t)]
+            rad = rad_basis(s, t)
+            if not rad:
+                continue
+            dim = sum(len(b.entries) for b in rad[0].blocks)
+            keep = linalg.pivot_columns(
+                F, [_flat(f) for f in rad2 + rad], dim)
+            for k in keep:
+                if k >= len(rad2):
+                    arrows.append((f"r{len(arrows)}", s, t, rad[k - len(rad2)]))
     # relation recovery: generate paths length by length, dropping any path
     # that already evaluates to zero (its extensions are ideal consequences);
     # the relations are the kernel of evaluation on all surviving paths,
@@ -528,7 +519,7 @@ def ringel_dual(a, cap=homology.DEFAULT_CAP):
         length += 1
     relations = []
     for (s0, t0), items in groups.items():
-        vecs = [list(flat_mat(f).entries) for _, f in items]
+        vecs = [_flat(f) for _, f in items]
         sz = len(vecs[0])
         mat = Matrix.from_columns(F, vecs, rows=sz)
         for kvec in linalg.kernel_basis(mat):

@@ -11,9 +11,10 @@ from stratakit.borel import (Embedding, check_embedding, duality_check,
 from stratakit.errors import (IdempotentMismatch, NotAntiAutomorphism,
                               NotInjective, NotMultiplicative)
 from stratakit.fields import QQ
+from stratakit.parser import parse_file
 from stratakit.quiver import QuiverSpec, build_algebra
 
-from conftest import algebra, algebra_file
+from conftest import algebra, algebra_file, fixture_path
 
 
 def _borel_embedding():
@@ -172,3 +173,16 @@ def test_find_duality_recovers_borelA():
     sigma, clauses = found
     assert sigma["alpha"] == "beta" and sigma["gamma"] == "delta"
     assert all(flag for _, flag in clauses)
+
+
+def test_induction_bounds_keep_capped_dimensions():
+    # fresh algebras, so no resolution cached at the default cap is reused
+    b = parse_file(fixture_path("borelB.alg")).build()
+    a = parse_file(fixture_path("borelA.alg")).build()
+    images = {name: [(c, tuple(p)) for (c, p) in terms]
+              for name, terms in algebra_file("borelB").embedding.items()}
+    e = check_embedding(Embedding(b, a, images))
+    _, entries = verify_lemma_induction_bounds(e, cap=1)
+    capped = [pd for _, pda, pdb, _ in entries for pd in (pda, pdb)
+              if isinstance(pd, homology.LowerBound)]
+    assert capped and all(str(pd) == ">=1" for pd in capped)

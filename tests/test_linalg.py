@@ -86,6 +86,28 @@ def test_image_basis_spans_columns(m):
             assert all(m.field.is_zero(e) for e in col)
 
 
+def _greedy_independent(field, vectors, dim):
+    """Reference: keep each vector that raises the rank of those kept."""
+    keep, chosen = [], Matrix(field, dim, 0, [])
+    for i, v in enumerate(vectors):
+        cand = linalg.hstack([chosen, Matrix.from_columns(field, [v], rows=dim)])
+        if linalg.rank(cand) > linalg.rank(chosen):
+            keep.append(i)
+            chosen = cand
+    return keep
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_matrices, st.lists(st.integers(0, 4), max_size=4))
+def test_pivot_columns_match_greedy_rank_loop(m, repeats):
+    # repeated and zero columns make dependent vectors
+    F = m.field
+    cols = m.columns()
+    vectors = [[F.zero] * m.rows] + cols + [cols[i % len(cols)] for i in repeats]
+    assert (linalg.pivot_columns(F, vectors, m.rows)
+            == _greedy_independent(F, vectors, m.rows))
+
+
 def test_inverse_exact():
     m = Matrix.from_rows(QQ, [[Fraction(1), Fraction(2)],
                               [Fraction(3), Fraction(5)]])

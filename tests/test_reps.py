@@ -191,3 +191,19 @@ def test_simple_top_or_socle_modules_have_local_endomorphisms(name):
         for f in hom_basis(m, m):
             mp = reps.minimal_polynomial(F, reps._total_matrix(f))
             assert len(reps._factor_min_poly(F, mp)) == 1
+
+
+def test_hom_dimension_mismatch_settles_isomorphism_without_search(monkeypatch):
+    probes = probe_modules(algebra("borelA"))
+    mismatched = [(m, n) for m in probes for n in probes
+                  if m is not n and m.dims == n.dims
+                  and len({len(reps.hom_basis(m, n)), len(reps.hom_basis(m, m)),
+                           len(reps.hom_basis(n, n))}) > 1]
+    assert mismatched
+
+    def no_search(homs, predicate, budget=400):
+        raise AssertionError("_combo_search called")
+
+    monkeypatch.setattr(reps, "_combo_search", no_search)
+    for m, n in mismatched:
+        assert reps.find_isomorphism(m, n) is None

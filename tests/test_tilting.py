@@ -3,13 +3,13 @@
 import pytest
 
 from stratakit import homology, reps, strat, tilting
-from stratakit.errors import NotStratified, Truncated
+from stratakit.errors import NoEmbedding, NotStratified, Truncated
 from stratakit.homology import global_dim, inj_dim, proj_dim
 from stratakit.parser import parse_file
-from stratakit.reps import is_isomorphic, regular_module, simple
+from stratakit.reps import injective, is_isomorphic, regular_module, simple
 from stratakit.tilting import (characteristic_cotilting, characteristic_tilting,
                                gfd_algebra, gfd_delta_bar, gfd_nabla_bar,
-                               probe_modules, ringel_dual, t_codim,
+                               probe_modules, ringel_dual, t_codim, t_dim,
                                verify_section2)
 
 from conftest import algebra, fixture_path
@@ -207,3 +207,77 @@ def test_add_T_by_ext_agrees_with_decomposition(name):
         assert tilt.contains(m) == _in_add_t_by_decomposition(tilt, m), m
     assert all(tilt.contains(t) for t in tilt.summands)
     assert tilt.contains(tilt.total)
+
+
+@pytest.mark.parametrize("name", STRATIFIED)
+def test_t_codim_equals_gfd_on_F_delta(name):
+    a = algebra(name)
+    tilt = characteristic_tilting(a)
+    modules = [regular_module(a)] + [m for m in probe_modules(a)
+                                     if strat.in_F_delta_by_ext(m)]
+    for m in modules:
+        assert t_codim(m, tilt) == gfd_nabla_bar(m), m
+
+
+@pytest.mark.parametrize("name", ["point", "semisimple2", "a2", "a3line",
+                                  "borelA", "borelB"])
+def test_t_dim_of_injectives_equals_gfd_delta_bar(name):
+    a = algebra(name)
+    assert strat.strat_class(a).quasi_hereditary
+    for i in range(a.n):
+        m = injective(a, i)
+        assert t_dim(m) == gfd_delta_bar(m), m
+
+
+def test_t_codim_raises_without_an_admissible_map():
+    # E(2) over a3line is not Delta-filtered, so no coresolution exists
+    a = algebra("a3line")
+    e2 = simple(a, 1)
+    assert not strat.in_F_delta_by_ext(e2)
+    with pytest.raises(NoEmbedding):
+        t_codim(e2)
+
+
+# Pinned Ringel-dual presentations: (vertices, arrows, relations as
+# (str(coefficient), arrow names)).  A refactor must leave them unchanged.
+RINGEL_SPECS = {
+    "point": (["1"], [], []),
+    "semisimple2": (["2", "1"], [], []),
+    "a2": (["2", "1"], [("r0", "2", "1")], []),
+    "a3line": (["3", "2", "1"], [("r0", "3", "2"), ("r1", "1", "2")], []),
+    "loop2": (["1"], [("r0", "1", "1")], [[("1", ("r0", "r0"))]]),
+    "borelA": (["3", "2", "1"],
+               [("r0", "3", "2"), ("r1", "2", "3"), ("r2", "2", "1"),
+                ("r3", "1", "2")],
+               [[("1", ("r0", "r2"))], [("1", ("r1", "r0"))],
+                [("1", ("r3", "r1"))], [("1", ("r3", "r2"))],
+                [("1", ("r0", "r1", "r0"))], [("1", ("r2", "r3", "r1"))],
+                [("1", ("r2", "r3", "r2"))]]),
+    "borelB": (["3", "2", "1"],
+               [("r0", "3", "2"), ("r1", "3", "1"), ("r2", "2", "1")],
+               [[("1", ("r0", "r2"))]]),
+}
+
+
+@pytest.mark.parametrize("name", STRATIFIED)
+def test_ringel_dual_presentation_is_pinned(name):
+    spec = ringel_dual(algebra(name)).spec
+    relations = [[(str(c), t) for c, t in rel] for rel in spec.relations]
+    assert (spec.vertices, spec.arrows, relations) == RINGEL_SPECS[name]
+
+
+FAMILIES = (strat.standard_family, strat.proper_standard_family,
+            strat.costandard_family, strat.proper_costandard_family)
+
+
+@pytest.mark.parametrize("name", STRATIFIED)
+def test_cached_families_keep_their_labels(name):
+    a = _fresh(name)
+    families = [fam(a) for fam in FAMILIES]
+    labels = [[m.label for m in fam] for fam in families]
+    verify_section2(a)
+    assert all(fam(a) is cached for fam, cached in zip(FAMILIES, families))
+    assert [[m.label for m in fam] for fam in families] == labels
+    members = [id(m) for fam in families for m in fam]
+    tilt = characteristic_tilting(a)
+    assert not any(id(t) in members for t in tilt.summands)
