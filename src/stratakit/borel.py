@@ -14,7 +14,7 @@ from .errors import (EmbeddingError, IdempotentMismatch, NotAntiAutomorphism,
                      StratakitError)
 from .linalg import Matrix
 from .quiver import Path
-from .reps import Rep, Submodule, direct_sum, projective, quotient
+from .reps import Rep, direct_sum, projective, quotient
 
 
 class Embedding:
@@ -146,8 +146,8 @@ def right_module_structure(e):
 def induce(e, m):
     """A ⊗_B m as a left A-module, via the cokernel presentation.
 
-    The free cover is ⊕_i P_A(i) ⊗ m_i; the relation submodule is spanned by
-    (a·φ(β)) ⊗ x − a ⊗ (β·x) over the arrows β of B.
+    The free cover is ⊕_i P_A(i) ⊗ m_i; the relation submodule is generated
+    by φ(β) ⊗ x − e_t ⊗ (β·x) over the arrows β: s -> t of B and x in m_s.
     """
     a, b = e.a, e.b
     F = a.field
@@ -185,31 +185,18 @@ def induce(e, m):
             vecs[tv][offsets[copy][tv] + k] = F.add(
                 vecs[tv][offsets[copy][tv] + k], cf)
 
-    rel_vectors = [[] for _ in range(a.n)]
+    gens = []
     for bi_arrow, (name, src, tgt) in enumerate(b.arrows):
-        img = e.arrow_imgs[bi_arrow]
         act = m.action[bi_arrow]                 # m_src -> m_tgt
-        for abasis in a.basis_with_source(tgt):
-            x = [F.zero] * a.dim
-            x[abasis] = F.one
-            a_phi = a.multiply(x, img)           # lands in A·e_src
-            for c in range(m.dims[src]):
-                vecs = [[F.zero] * free.dims[v] for v in range(a.n)]
-                place(vecs, copy_index[(src, c)], a_phi)
-                for d in range(m.dims[tgt]):
-                    coeff = act[d, c]
-                    if F.is_zero(coeff):
-                        continue
-                    neg = [F.zero] * a.dim
-                    neg[abasis] = F.neg(coeff)
-                    place(vecs, copy_index[(tgt, d)], neg)
-                for v in range(a.n):
-                    rel_vectors[v].append(vecs[v])
-    bases = [Matrix.from_columns(
-        F, linalg.column_reduce(F, rel_vectors[v], free.dims[v]),
-        rows=free.dims[v]) for v in range(a.n)]
-    w = Submodule(free, bases, check=False)
-    ind, _ = quotient(free, w)
+        for c in range(m.dims[src]):
+            vecs = [[F.zero] * free.dims[v] for v in range(a.n)]
+            place(vecs, copy_index[(src, c)], e.arrow_imgs[bi_arrow])
+            for d in range(m.dims[tgt]):
+                unit = [F.zero] * a.dim
+                unit[a.idempotent_index[tgt]] = F.neg(act[d, c])
+                place(vecs, copy_index[(tgt, d)], unit)
+            gens.append((tgt, vecs[tgt]))
+    ind, _ = quotient(free, reps.generated_submodule(free, gens))
     ind.label = f"A(x){m.label}" if m.label else "induced"
     return ind
 

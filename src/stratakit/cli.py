@@ -1,20 +1,19 @@
 """Command-line driver: analyze / check / gfd over algebra description files.
 
 Exit codes: 0 all checks pass, 1 a theorem check failed, 2 input error,
-3 inconclusive (a search or resolution budget was exhausted).
+3 inconclusive (a resolution reached the cap, or an extension or
+coresolution loop ran out of steps).
 """
 
 import argparse
 import sys
 
 from . import borel, homology, reps, strat, tilting
-from .errors import (DecompositionFailed, NonTerminating, ParseError,
-                     SearchBudgetExceeded, StratakitError, Truncated)
+from .errors import NonTerminating, ParseError, StratakitError, Truncated
 from .parser import parse_file
 from .report import Report
 
-INCONCLUSIVE = (DecompositionFailed, NonTerminating, SearchBudgetExceeded,
-                Truncated)
+INCONCLUSIVE = (NonTerminating, Truncated)
 
 
 def _algebra_section(rep, f, a):
@@ -52,8 +51,7 @@ def _dimension_section(rep, a, cls, cap):
     if cls.properly_stratified:
         cot = tilting.characteristic_cotilting(a, cap)
         rep.add("dims", "inj_S", homology.inj_dim(cot.total, cap))
-        rep.add("dims", "S_iso_T",
-                reps.is_isomorphic(cot.total, tilt.total))
+        rep.add("dims", "S_iso_T", tilting.s_iso_t(a, cap))
 
 
 def cmd_analyze(args):

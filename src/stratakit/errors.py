@@ -35,20 +35,12 @@ class NotASubmodule(StratakitError):
     """A subspace family is not closed under the arrow actions."""
 
 
-class DecompositionFailed(StratakitError):
-    """No direct-sum splitting was found within the search budget."""
-
-
 class ZeroModule(StratakitError):
     pass
 
 
 class Truncated(StratakitError):
     """A resolution was capped before the requested degree; the answer is unknown."""
-
-
-class SearchBudgetExceeded(StratakitError):
-    """Filtration search ran out of budget (distinct from a definite failure)."""
 
 
 class NotStratified(StratakitError):

@@ -28,7 +28,6 @@ def projective_cover(m):
     if m.total_dim == 0:
         raise ZeroModule("projective cover of the zero module")
     a = m.algebra
-    F = a.field
     tdims, pi = reps.top_multiplicities(m)
     # lifts of a basis of the top: columns of the linear sections of pi;
     # the top of a nonzero module is nonzero, so there is at least one
@@ -40,18 +39,10 @@ def projective_cover(m):
             summands.append(v)
             lifts.append((v, sec.column(k)))
     P = direct_sum([projective(a, v) for v in summands])
-    blocks = [[] for _ in range(a.n)]  # per vertex: list of column vectors
-    for (v, x) in lifts:
-        # the summand P(v) has basis the paths from v; image of path p is p.x
-        for tv, paths in enumerate(a.projective_layout(v)):
-            for bi in paths:
-                p = a.basis[bi]
-                vec = path_matrix(m, p.src, p.arrs).apply(x)
-                blocks[tv].append(vec)
-    mats = []
-    for tv in range(a.n):
-        mats.append(Matrix.from_columns(F, blocks[tv], rows=m.dims[tv]))
-    cover = Morphism(P, m, mats)
+    images = [reps.path_images(m, v, x) for v, x in lifts]
+    cover = Morphism(P, m, [Matrix.from_columns(
+        a.field, [c for img in images for c in img[tv]], rows=m.dims[tv])
+        for tv in range(a.n)])
     P.cover_summands = summands
     if not cover.is_surjective():
         raise StratakitError("projective cover failed to be surjective")

@@ -376,7 +376,7 @@ def cokernel(f):
     return quotient(f.target, image(f))
 
 
-# -- radical, top, socle, trace ---------------------------------------------
+# -- radical, top, socle, generated submodules --------------------------------
 
 def radical_submodule(m):
     a = m.algebra
@@ -415,18 +415,39 @@ def socle_submodule(m):
     return Submodule(m, bases, check=False)
 
 
-def trace(u, m):
-    """Sum of images of all morphisms u -> m."""
-    if u.algebra is not m.algebra:
-        raise AlgebraMismatch("trace across algebras")
-    homs = hom_basis(u, m)
-    F = m.algebra.field
-    vecs = [[] for _ in range(m.algebra.n)]
-    for f in homs:
-        for v in range(m.algebra.n):
-            vecs[v].extend(f.blocks[v].columns())
-    bases = [Matrix.from_columns(F, linalg.column_reduce(F, vecs[v], m.dims[v]),
-                                 rows=m.dims[v]) for v in range(m.algebra.n)]
+def path_images(m, v, x):
+    """The columns p·x, per target w in the order of projective_layout(v), of
+    the map P(v) -> m sending e_v to the vector x of m at v."""
+    a = m.algebra
+    out = []
+    for paths in a.projective_layout(v):
+        cols = []
+        for bi in paths:
+            y = x
+            for ai in a.basis[bi].arrs:
+                y = m.action[ai].apply(y)
+            cols.append(y)
+        out.append(cols)
+    return out
+
+
+def generated_submodule(m, gens, sub=None):
+    """The smallest submodule of m containing the submodule `sub` and the
+    generators `gens`, pairs (v, x) of a vertex and a vector of m at v: the
+    span of sub and of the images p·x of the basis paths p from v."""
+    a = m.algebra
+    F = a.field
+    new = [[] for _ in range(a.n)]
+    for v, x in gens:
+        for w, cols in enumerate(path_images(m, v, x)):
+            new[w] += cols
+    bases = []
+    for w, d in enumerate(m.dims):
+        b = sub.bases[w] if sub is not None else Matrix.zero(F, d, 0)
+        if new[w]:
+            b = Matrix.from_columns(
+                F, linalg.column_reduce(F, b.columns() + new[w], d), rows=d)
+        bases.append(b)
     return Submodule(m, bases, check=False)
 
 
@@ -436,13 +457,9 @@ _ISO_SEED = 20240517
 
 
 def _combo_search(homs, predicate, budget=400):
-    """Search the span of `homs` for a morphism satisfying `predicate`."""
-    if not homs:
-        return None
+    """Search the span of `homs`, beyond the basis itself, for a morphism
+    satisfying `predicate`."""
     F = homs[0].source.algebra.field
-    for f in homs:
-        if predicate(f):
-            return f
     r = len(homs)
     if r >= 2:
         rng = random.Random(_ISO_SEED)
@@ -481,7 +498,9 @@ def find_isomorphism(m, n):
     """An isomorphism m -> n, or None.
 
     If m ≅ n then dim Hom(m, n) = dim End(m) = dim End(n), so a mismatch
-    settles the question before any search."""
+    settles the question before any search.  For indecomposable m ≅ n via φ
+    the non-isomorphisms form the proper subspace φ∘rad End(m), so a basis
+    scan decides when m or n has a simple top or socle."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("iso test across algebras")
     if m.dims != n.dims:
@@ -490,6 +509,11 @@ def find_isomorphism(m, n):
         return zero_morphism(m, n)
     homs = hom_basis(m, n)
     if not homs or any(len(hom_basis(x, x)) != len(homs) for x in (m, n)):
+        return None
+    for f in homs:
+        if f.is_isomorphism():
+            return f
+    if _simple_top_or_socle(m) or _simple_top_or_socle(n):
         return None
     return _combo_search(homs, lambda f: f.is_isomorphism())
 

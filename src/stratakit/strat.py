@@ -1,45 +1,42 @@
 """Standard, proper standard and costandard modules; filtration certificates.
 
 The stratifying order is the position of a vertex in the declared vertex list
-(later = larger).  Filtration membership is decided two independent ways: a
-direct search for an explicit filtration certificate, and (when the algebra is
-stratified) the Ext-vanishing criterion; the two are cross-checked in tests.
+(later = larger).  Filtration membership is decided two independent ways: an
+explicit filtration certificate, constructed from the trace filtration, and
+(when the algebra is stratified) the Ext-vanishing criterion; the two are
+cross-checked in tests.
 """
 
 from . import homology, linalg, reps
-from .errors import NotStratified, SearchBudgetExceeded, StratakitError
-from .fields import QQ
+from .errors import NotStratified, StratakitError
 from .linalg import Matrix
-from .reps import (Submodule, compose, hom_basis, kernel, projective,
-                   quotient, radical_submodule, trace)
+from .reps import (Submodule, generated_submodule, projective, quotient,
+                   radical_submodule)
+from .reps import hom_basis  # noqa: F401  (bench/selftest.py traces it here)
 
-SEARCH_BUDGET = 100_000
+
+def _unit_gens(m, vertices):
+    """The standard basis vectors of m at the given vertices, as generators."""
+    F = m.algebra.field
+    return [(v, x) for v in vertices
+            for x in Matrix.identity(F, m.dims[v]).columns()]
 
 
 def standard(a, i):
-    """Delta(i): P(i) modulo the trace of the projectives at larger vertices."""
+    """Delta(i): P(i) modulo the submodule generated by its vectors at larger
+    vertices, which is the trace of the projectives P(j), j > i."""
     p = projective(a, i)
-    higher = [projective(a, j) for j in range(i + 1, a.n)]
-    if higher:
-        t = trace(reps.direct_sum(higher), p)
-    else:
-        t = reps.zero_submodule(p)
-    q, _ = quotient(p, t)
+    q, _ = quotient(p, generated_submodule(p, _unit_gens(p, range(i + 1, a.n))))
     q.label = f"Delta({a.vertices[i]})"
     return q
 
 
 def proper_standard(a, i):
-    """Delta-bar(i): Delta(i) modulo the trace of P(i) in its radical."""
+    """Delta-bar(i): Delta(i) modulo the submodule generated by e_i·rad
+    Delta(i), which is the trace of P(i) in its radical."""
     d = standard(a, i)
-    rad = radical_submodule(d)
-    rad_rep, rad_incl = rad.as_rep()
-    # trace of P(i) inside rad Delta(i), pushed into Delta(i)
-    t_in_rad = trace(projective(a, i), rad_rep)
-    F = a.field
-    bases = [rad_incl.blocks[v].mul(t_in_rad.bases[v]) for v in range(a.n)]
-    t = Submodule(d, bases, check=False)
-    q, _ = quotient(d, t)
+    rad = radical_submodule(d).bases[i].columns()
+    q, _ = quotient(d, generated_submodule(d, [(i, x) for x in rad]))
     q.label = f"DeltaBar({a.vertices[i]})"
     return q
 
@@ -90,8 +87,8 @@ class FiltrationCertificate:
     """An explicit chain 0 = M_0 < M_1 < ... < M_r = M with labelled factors.
 
     layers[s] is the per-vertex basis matrix of M_s in the coordinates of M;
-    factor_labels[s] names the isomorphism class of M_{s+1}/M_s, indexing into
-    the reference family it was built against.
+    factor_indices[s] is the index in the reference family of the factor
+    M_{s+1}/M_s.
     """
 
     def __init__(self, module, layers, factor_indices):
@@ -105,7 +102,6 @@ class FiltrationCertificate:
     def verify(self, family):
         """Recheck the certificate from scratch against the factor family."""
         m = self.module
-        a = m.algebra
         if len(self.layers) != len(self.factor_indices) + 1:
             return False
         if any(b.cols != 0 for b in self.layers[0]):
@@ -122,124 +118,120 @@ class FiltrationCertificate:
             if not hi.contains(lo):
                 return False
         for s, fi in enumerate(self.factor_indices):
-            hi_rep, hi_incl = subs[s + 1].as_rep()
-            # express the lower layer inside the higher one
-            lower = []
-            ok = True
-            for v in range(a.n):
-                cols = [linalg.solve(subs[s + 1].bases[v], subs[s].bases[v].column(j))
-                        for j in range(subs[s].bases[v].cols)]
-                if any(c is None for c in cols):
-                    ok = False
-                    break
-                lower.append(Matrix.from_columns(a.field, cols, rows=hi_rep.dims[v]))
-            if not ok:
-                return False
-            factor, _ = quotient(hi_rep, Submodule(hi_rep, lower, check=False))
+            # M_{s+1}/M_s is the image of M_{s+1} in M/M_s
+            _, pi = quotient(m, subs[s])
+            _, hi_incl = subs[s + 1].as_rep()
+            factor, _ = reps.image(reps.compose(pi, hi_incl)).as_rep()
             if not reps.is_isomorphic(factor, family[fi]):
                 return False
         return True
 
 
-def _dim_vector_multiplicities(m, family):
-    """Unique rational multiplicity solution for the dim vector, if determined.
-
-    Returns a list of multiplicities, None (infeasible), or "underdetermined".
-    """
-    F = QQ
+def _top_lifts(m, sub, w, below=None):
+    """Vectors of sub at w lifting a basis of the top of sub/below at w."""
     a = m.algebra
-    cols = [[F.of(f.dims[v]) for v in range(a.n)] for f in family]
-    mat = Matrix.from_columns(F, cols, rows=a.n)
-    target = [F.of(d) for d in m.dims]
-    x = linalg.solve(mat, target)
-    if x is None:
-        return None
-    if linalg.rank(mat) < len(family):
-        return "underdetermined"
-    out = []
-    for c in x:
-        if c.denominator != 1 or c < 0:
-            return None
-        out.append(int(c))
-    return out
+    known = [c for ai, (_, s, t) in enumerate(a.arrows) if t == w
+             for c in m.action[ai].mul(sub.bases[s]).columns()]
+    known += below.bases[w].columns() if below is not None else []
+    cols = sub.bases[w].columns()
+    return [cols[k - len(known)] for k in linalg.pivot_columns(
+        a.field, known + cols, m.dims[w]) if k >= len(known)]
 
 
-def _epi_candidates(m, factor):
-    """Morphisms m -> factor that are surjective, singles first then pairs."""
-    homs = hom_basis(m, factor)
-    if not homs:
-        return []
+def _top_kernel(f, mu):
+    """Generators (w, vector) of K(μ) = ker(P(μ) -> f) for a projective
+    cover, in the coordinates of projective_layout(μ); None unless the top of
+    f is the simple module at μ.  Cached per module in the algebra's cache."""
+    key = ("top_kernel", mu, f.key())
+    if key not in f.algebra.cache:
+        cover = homology.projective_cover(f)
+        k = reps.kernel(cover)
+        f.algebra.cache[key] = (
+            [(w, g) for w in range(f.algebra.n)
+             for g in _top_lifts(cover.source, k, w)]
+            if cover.source.cover_summands == [mu] else None)
+    return f.algebra.cache[key]
 
-    def is_epi(f):
-        return f.is_surjective()
 
+def _trace_chain(m, family, kernels):
+    """(chain, factor indices), both bottom-up, of a filtration of m whose
+    factor family[μ] is P(μ)/K(μ), kernels[μ] generating K(μ); or None."""
+    a = m.algebra
+    U = [reps.zero_submodule(m)]        # U[μ] is generated by e_{>=μ}·m
+    for mu in reversed(range(a.n)):
+        U.append(generated_submodule(m, _unit_gens(m, [mu]), U[-1]))
+    U.reverse()
+    chain, indices = [U[0]], []         # top-down
+    for mu in range(a.n):
+        below, cur = U[mu + 1], U[mu]
+        while cur.total_dim > below.total_dim:
+            if mu >= len(family):
+                return None
+            # peel: W = U_{μ+1} + K(μ)·e_μ(cur) is generated by g·x over the
+            # generators g of K(μ) and x in e_μ(cur); g·x lies in U_{μ+1}
+            # when g sits at a vertex above μ
+            low = [(w, g) for w, g in kernels[mu] if w <= mu]
+            gens = []
+            for x in cur.bases[mu].columns() if low else []:
+                images = reps.path_images(m, mu, x)
+                gens += [(w, Matrix.from_columns(
+                    a.field, images[w], rows=m.dims[w]).apply(g))
+                    for w, g in low]
+            steps = [generated_submodule(m, gens, below)]
+            # cur/W is generated at μ: each lift of its top adds one factor
+            for x in _top_lifts(m, cur, mu, steps[0]):
+                steps.append(generated_submodule(m, [(mu, x)], steps[-1]))
+                if (steps[-1].total_dim - steps[-2].total_dim
+                        != family[mu].total_dim):
+                    return None
+            if steps[-1].total_dim != cur.total_dim:
+                return None
+            chain += reversed(steps[:-1])
+            indices += [mu] * (len(steps) - 1)
+            cur = steps[0]
+    return chain[::-1], indices[::-1]
+
+
+def _annihilator(m, sub):
+    """The submodule of m killed by sub, a submodule of D(m) over the
+    opposite algebra."""
     F = m.algebra.field
-    out = [f for f in homs if is_epi(f)]
-    for i in range(len(homs)):
-        for j in range(i + 1, len(homs)):
-            g = homs[i].add(homs[j])
-            if is_epi(g):
-                out.append(g)
-            g = homs[i].add(homs[j].scale(F.neg(F.one)))
-            if is_epi(g):
-                out.append(g)
-    return out
+    return Submodule(m, [Matrix.from_columns(
+        F, linalg.kernel_basis(b.transpose()), rows=d)
+        for b, d in zip(sub.bases, m.dims)], check=False)
 
 
 def filtration_certificate(m, family):
-    """Search for a filtration of m with factors from the family, or None.
+    """A filtration of m with factors from the family, or None.
 
-    DFS from the top: pick an epimorphism m -> family[i], recurse into its
-    kernel.  Failures are memoized by structural key; a hard node budget
-    guards against pathological searches.
+    Constructed from the trace filtration, not searched for.  Member μ is
+    P(μ)/K(μ) (Delta, DeltaBar).  The layers U_μ/U_{μ+1}, U_μ generated by
+    e_{>=μ}·m, have no composition factor above μ.  A layer is peeled from
+    the top: C/W with W = U_{μ+1} + K(μ)·e_μC is a quotient of family[μ]^t,
+    t the multiplicity of the simple at μ in its top, and equals it when
+    each lift of that top adds dim family[μ].  For Delta, W = U_{μ+1}; for
+    DeltaBar, W = U_{μ+1} + ⟨e_μ·rad C⟩.  None proves non-membership for
+    Delta, DeltaBar and their prefixes: a filtered module has a filtration
+    with larger vertices lower, whose parts are the U_μ (Dlab–Ringel;
+    Ágoston–Happel–Lukács–Unger 2000), and Delta(μ) ∈ F(DeltaBar(μ)) forces
+    Delta(μ) to be free over End(Delta(μ)), so peeling loses nothing.
+    Families with simple socles (Nabla, NablaBar), and families with simple
+    tops that yield nothing, are handled over the opposite algebra and
+    mapped back by annihilators: Nabla can have simple tops.
     """
-    a = m.algebra
-    fail_memo = a.cache.setdefault(("filtration_fail", tuple(f.key() for f in family)), set())
-    budget = [SEARCH_BUDGET]
-
-    def search(cur):
-        """Returns factor indices top-down plus the chain of kernels, or None."""
-        if cur.total_dim == 0:
-            return []
-        if cur.key() in fail_memo:
-            return None
-        if budget[0] <= 0:
-            raise SearchBudgetExceeded("filtration search budget exhausted")
-        budget[0] -= 1
-        feas = _dim_vector_multiplicities(cur, family)
-        if feas is None:
-            fail_memo.add(cur.key())
-            return None
-        for fi in range(len(family) - 1, -1, -1):
-            if isinstance(feas, list) and feas[fi] == 0:
-                continue
-            for epi in _epi_candidates(cur, family[fi]):
-                ker_rep, ker_incl = kernel(epi).as_rep()
-                rest = search(ker_rep)
-                if rest is not None:
-                    return rest + [(fi, ker_incl)]
-        fail_memo.add(cur.key())
-        return None
-
-    found = search(m)
+    kernels = [_top_kernel(f, mu) for mu, f in enumerate(family)]
+    found = _trace_chain(m, family, kernels) if None not in kernels else None
     if found is None:
-        return None
-    # rebuild ambient-coordinate layers: walking top-down, each kernel is
-    # expressed inside the previous one, so compose the inclusions
-    F = a.field
-    layers = [[Matrix.identity(F, d) for d in m.dims]]
-    incl_so_far = None
-    factor_indices = []
-    for fi, ker_incl in reversed(found):
-        factor_indices.append(fi)
-        if incl_so_far is None:
-            incl_so_far = ker_incl
-        else:
-            incl_so_far = compose(incl_so_far, ker_incl)
-        layers.append([b for b in incl_so_far.blocks])
-    layers.reverse()
-    factor_indices.reverse()                    # now bottom-up
-    return FiltrationCertificate(m, layers, factor_indices)
+        dual = [reps.dual_to_opposite(f) for f in family]
+        kernels = [_top_kernel(f, mu) for mu, f in enumerate(dual)]
+        if None not in kernels:
+            found = _trace_chain(reps.dual_to_opposite(m), dual, kernels)
+        if found is None:
+            return None
+        chain, indices = found
+        found = [_annihilator(m, s) for s in reversed(chain)], indices[::-1]
+    chain, indices = found
+    return FiltrationCertificate(m, [s.bases for s in chain], indices)
 
 
 def in_filtration_class(m, family):
@@ -286,7 +278,8 @@ def classify(a):
     proper = proper_standard_family(a)
     delta_cert = filtration_certificate(reg, deltas)
     proper_cert = filtration_certificate(reg, proper) if delta_cert is not None else None
-    eq = [reps.is_isomorphic(d, p) for d, p in zip(deltas, proper)]
+    # DeltaBar(i) is a quotient of Delta(i)
+    eq = [d.total_dim == p.total_dim for d, p in zip(deltas, proper)]
     result = StratClass(a, delta_cert, proper_cert, eq)
     a.cache["strat_class"] = result
     return result

@@ -133,7 +133,7 @@ def test_criterion_5_certificate_vs_ext_criterion(capsys):
             ok = ok and by_cert == by_ext
             checked += 1
     announce(capsys, 5, ok and checked > 0,
-             f"certificate search agrees with Ext criterion on {checked} "
+             f"constructed certificates agree with Ext criterion on {checked} "
              "probe modules, both families")
 
 

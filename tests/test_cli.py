@@ -7,7 +7,7 @@ import pytest
 
 from stratakit import reps
 from stratakit.cli import main
-from stratakit.errors import DecompositionFailed
+from stratakit.errors import NonTerminating
 
 from conftest import fixture_path
 
@@ -126,9 +126,9 @@ def test_text_format_has_section_headers():
     assert "[algebra]" in out and "[class]" in out and "[dims]" in out
 
 
-def test_decomposition_failure_is_inconclusive(monkeypatch):
+def test_non_terminating_is_inconclusive(monkeypatch):
     def fail(*args, **kwargs):
-        raise DecompositionFailed("search budget exhausted")
+        raise NonTerminating("extension budget exhausted")
 
     monkeypatch.setattr(reps, "decompose_with_inclusions", fail)
     code, _, err = run_cli(["analyze", fixture_path("a3line.alg")])

@@ -1,15 +1,20 @@
-"""Dead-code gate: every public function and method in src/stratakit has a use.
+"""Dead-code gates: every public function and method in src/stratakit has a
+use, and every exception class in errors.py is raised.
 
-The scan is by name.  It collects the public module-level functions and the
-public methods of module-level classes in src/stratakit/*.py, then every name
-that the code under src/, tests/ and bench/ mentions as a `Name`, as the
-attribute of an `Attribute`, or in an import.  A public function whose name is
-never mentioned is reported.
+The function scan is by name.  It collects the public module-level functions
+and the public methods of module-level classes in src/stratakit/*.py, then
+every name that the code under src/, tests/ and bench/ mentions as a `Name`,
+as the attribute of an `Attribute`, or in an import.  A public function whose
+name is never mentioned is reported.
 
 Because it matches names, not bindings, the gate misses a dead method whose
 name is also used for something else: a `Matrix.pow` next to the builtin
 `pow`, or a second `contains` method while another class's `contains` is
 called.  Those still need a reader.
+
+The exception scan reads the `raise` statements under src/.  A class in
+errors.py is live when one of them raises it or a subclass of it, so the base
+classes of raised errors count as raised.
 """
 
 import ast
@@ -57,3 +62,31 @@ def test_every_public_function_is_used():
     dead = [f"{mod}.{qual}" for mod, qual, name in _definitions()
             if name not in used]
     assert not dead, f"public functions nothing refers to: {dead}"
+
+
+def _raised_names():
+    names = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_every_exception_is_raised():
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+    live = set()
+    pending = [name for name in _raised_names() if name in bases]
+    while pending:
+        name = pending.pop()
+        if name in bases and name not in live:
+            live.add(name)
+            pending += bases[name]
+    dead = sorted(set(bases) - live)
+    assert not dead, f"exception classes nothing raises: {dead}"

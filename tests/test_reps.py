@@ -6,10 +6,11 @@ from stratakit import reps
 from stratakit.errors import NotASubmodule
 from stratakit.linalg import Matrix
 from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
-                            decompose, direct_sum, hom_basis, hom_dim, image,
-                            injective, is_isomorphic, kernel, projective,
-                            quotient, radical_submodule, regular_module,
-                            simple, socle_submodule, top, trace)
+                            decompose, direct_sum, generated_submodule,
+                            hom_basis, hom_dim, image, injective,
+                            is_isomorphic, kernel, projective, quotient,
+                            radical_submodule, regular_module, simple,
+                            socle_submodule, top)
 from stratakit.tilting import probe_modules
 
 from conftest import algebra
@@ -94,8 +95,12 @@ def test_socle_and_radical_are_proper_for_nonsemisimple():
 def test_trace_of_projective_detects_composition_factors():
     a = algebra("a3line")
     p2 = projective(a, 1)
-    tr = trace(projective(a, 2), p2)        # trace of P(3) in P(2)
+    # the trace of P(3) in P(2) is generated by the vectors of P(2) at 3
+    at3 = Matrix.identity(a.field, p2.dims[2]).columns()
+    tr = generated_submodule(p2, [(2, x) for x in at3])
     assert sum(b.cols for b in tr.bases) == 1   # the socle copy of E(3)
+    assert all(tr.contains(image(f))
+               for f in hom_basis(projective(a, 2), p2))
 
 
 def test_direct_sum_decomposes_back():
@@ -206,4 +211,23 @@ def test_hom_dimension_mismatch_settles_isomorphism_without_search(monkeypatch):
 
     monkeypatch.setattr(reps, "_combo_search", no_search)
     for m, n in mismatched:
+        assert reps.find_isomorphism(m, n) is None
+
+
+def test_simple_top_or_socle_settles_isomorphism_by_basis_scan(monkeypatch):
+    # non-isomorphic pairs that pass the Hom-dimension filter: the basis
+    # scan must settle them, without trying combinations of the basis
+    probes = probe_modules(algebra("borelA"))
+    passing = [(m, n) for m in probes for n in probes
+               if m is not n and m.dims == n.dims and reps.hom_basis(m, n)
+               and len({len(reps.hom_basis(m, n)), len(reps.hom_basis(m, m)),
+                        len(reps.hom_basis(n, n))}) == 1]
+    assert any(len(reps.hom_basis(m, n)) > 1 for m, n in passing)
+
+    def no_combination(basis, coeffs):
+        raise AssertionError("morphism_from_coeffs called")
+
+    monkeypatch.setattr(reps, "morphism_from_coeffs", no_combination)
+    for m, n in passing:
+        assert reps._simple_top_or_socle(m) or reps._simple_top_or_socle(n)
         assert reps.find_isomorphism(m, n) is None

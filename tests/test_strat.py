@@ -116,3 +116,18 @@ def test_certificate_layers_are_a_chain():
     dims = [sum(b.cols for b in layer) for layer in cert.layers]
     assert dims[0] == 0 and dims[-1] == a.dim
     assert all(x < y for x, y in zip(dims, dims[1:]))
+
+
+def test_certificate_verify_rejects_wrong_factors():
+    a = algebra("borelA")
+    family = standard_family(a)
+    cert = filtration_certificate(regular_module(a), family)
+    assert cert.verify(family)
+    for s in range(len(cert)):
+        wrong = list(cert.factor_indices)
+        wrong[s] = (wrong[s] + 1) % a.n
+        bad = strat.FiltrationCertificate(cert.module, cert.layers, wrong)
+        assert not bad.verify(family)
+    skipped = cert.layers[:1] + cert.layers[2:]
+    assert not strat.FiltrationCertificate(
+        cert.module, skipped, cert.factor_indices[1:]).verify(family)
