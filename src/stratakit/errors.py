@@ -20,7 +20,8 @@ class MalformedRelation(StratakitError):
 
 
 class NotAdmissible(StratakitError):
-    """The quotient never became finite dimensional within the degree cap."""
+    """The quotient never became finite dimensional within the degree cap, or
+    the arrows are not nilpotent modulo the relations."""
 
 
 class UnknownVertex(StratakitError):

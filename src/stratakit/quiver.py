@@ -3,8 +3,16 @@
 The vertex order of the input IS the stratifying order (position in the list,
 later = larger).  Paths are stored in traversal order: the tuple (a, b, c)
 means "a first, then b, then c", which as a product is written c.b.a
-("later.earlier").  The ideal is reduced degree by degree with plain linear
-algebra over the base field; no noncommutative Groebner machinery.
+("later.earlier").
+
+The ideal is reduced by tip reduction, the degree-by-degree form of
+noncommutative Groebner bases for path algebras (E. L. Green, "Noncommutative
+Groebner bases, and projective resolutions", 1999).  Paths are ordered by
+length, then by arrow tuple; the tip of an ideal element is its largest path.
+The basis of kQ/I is the set of paths that contain no tip, and only those
+paths are ever listed: the candidates of length d are the basis paths of
+length d - 1 extended by one arrow, and plain linear algebra over the base
+field splits them into tips and basis paths.
 """
 
 from collections import namedtuple
@@ -60,8 +68,8 @@ class PathAlgebra:
         self._aindex = {a[0]: i for i, a in enumerate(spec.arrows)}
         self.basis = basis                      # list of Path, sorted by (len, arrs)
         self.basis_index = {p: i for i, p in enumerate(basis)}
-        self._red = red                         # pivot Path -> {basis Path: coeff}
-        self.max_len = max_len                  # every longer path reduces to shorter ones
+        self._red = red                         # tip Path -> {basis Path: coeff}
+        self.max_len = max_len                  # no basis path is longer
         self.idempotent_index = [self.basis_index[Path(v, ())] for v in range(self.n)]
         self.nilpotency = max((len(p.arrs) for p in basis), default=0) + 1
         self._mult = {}
@@ -115,29 +123,20 @@ class PathAlgebra:
     # -- normal forms --------------------------------------------------------
 
     def nf_path(self, src, arrs):
-        """Normal form of the path (src, arrs) as {basis Path: coeff}."""
-        F = self.field
-        if len(arrs) <= self.max_len + 1:
-            p = Path(src, tuple(arrs))
-            if p in self._red:
-                return dict(self._red[p])
-            if p in self.basis_index:
-                return {p: F.one}
-            # length max_len + 1 and not a pivot: the path is dead
-            return {}
-        head = self.nf_path(src, arrs[:-1])
-        last = arrs[-1]
-        out = {}
-        for q, c in head.items():
-            if self.path_target(q) != self.arrows[last][1]:
-                continue  # cannot happen: normal forms preserve endpoints
-            for r, c2 in self.nf_path(q.src, q.arrs + (last,)).items():
-                acc = F.add(out.get(r, F.zero), F.mul(c, c2))
-                if F.is_zero(acc):
-                    out.pop(r, None)
-                else:
-                    out[r] = acc
-        return out
+        """Normal form of the path (src, arrs) as {basis Path: coeff}.
+
+        A path whose arrows do not compose is 0 in kQ.  A tip in the rewrite
+        table and a basis path are looked up; any other path is rewritten
+        through its head, the path minus its last arrow.
+        """
+        cur = src
+        for i in arrs:
+            _, s, t = self.arrows[i]
+            if s != cur:
+                return {}
+            cur = t
+        return _normal_form(self.field, self._red, self.basis_index,
+                            Path(src, tuple(arrs)))
 
     def mult_basis(self, i, j):
         """Product basis[i] . basis[j] (j acts first) as {basis index: coeff}."""
@@ -222,33 +221,160 @@ def _insert_row(field, echelon, row):
     return None
 
 
-def _reduce_vec(field, echelon, row):
-    """Fully reduce a vector by the echelon (echelon need not be back-substituted)."""
+def _accumulate(field, vec, key, c):
+    """vec[key] += c in a sparse vector, dropping the entry when it becomes 0."""
+    acc = field.add(vec.get(key, field.zero), c)
+    if field.is_zero(acc):
+        vec.pop(key, None)
+    else:
+        vec[key] = acc
+
+
+def _normal_form(field, red, normal, p):
+    """The path p as {normal path: coeff}.
+
+    A tip in `red` is replaced by its entry and a path in `normal` is kept.
+    Any other path is rewritten through its head (p minus its last arrow):
+    the normal form of the head is extended by the last arrow, which gives
+    paths that are again in `red` or `normal`.
+    """
+    hit = red.get(p)
+    if hit is not None:
+        return dict(hit)
+    if p in normal:
+        return {p: field.one}
+    last = p.arrs[-1]
+    head = _normal_form(field, red, normal, Path(p.src, p.arrs[:-1]))
+    return _combine(field, red, normal,
+                    {Path(q.src, q.arrs + (last,)): c for q, c in head.items()})
+
+
+def _combine(field, red, normal, element):
+    """The normal form of an element {Path: coeff} of kQ."""
+    out = {}
+    for p, c in element.items():
+        for q, c2 in _normal_form(field, red, normal, p).items():
+            _accumulate(field, out, q, field.mul(c, c2))
+    return out
+
+
+def _sweep(field, arrows, nverts, relations, degree_cap):
+    """Tip reduction degree by degree: (red, normal paths by length, None).
+
+    At degree d the candidates are the normal paths of length d - 1 extended
+    by one arrow; no other path of length d can be normal.  The rows are the
+    normal forms of n.r (n a normal path of length d - L, r a relation of top
+    length L), with the candidates kept as they are; an ideal element u.r.v
+    with v non-empty needs no row, since its normal form is 0 modulo the
+    lower degrees.  The pivots of the rows are the new tips, the other
+    candidates the normal paths of length d.  When a row reduces to a lead
+    shorter than d, the lower degrees missed an ideal element: the sweep
+    stops and returns (None, None, element).
+    """
     F = field
-    row = {p: c for p, c in row.items() if not F.is_zero(c)}
-    done = {}
-    while row:
-        lead = max(row, key=_path_key)
-        c = row.pop(lead)
-        if lead in echelon:
-            for p, c2 in echelon[lead].items():
+    out_of = [[i for i, (_, s, _) in enumerate(arrows) if s == v]
+              for v in range(nverts)]
+
+    def target(p):
+        return arrows[p.arrs[-1]][2] if p.arrs else p.src
+
+    by_len = [[Path(v, ()) for v in range(nverts)],
+              [Path(s, (i,)) for i, (_, s, _) in enumerate(arrows)]]
+    normal = set(by_len[0]) | set(by_len[1])
+    red = {}
+    d = 2
+    while True:
+        cands = [Path(n.src, n.arrs + (i,)) for n in by_len[d - 1]
+                 for i in out_of[target(n)]]
+        normal.update(cands)
+        echelon = {}
+        for rs, top, terms in relations:
+            if top > d:
+                continue
+            for n in by_len[d - top]:
+                if target(n) != rs:
+                    continue
+                row = _combine(F, red, normal, {Path(n.src, n.arrs + arrs): c
+                                                for arrs, c in terms.items()})
+                lead = _insert_row(F, echelon, row)
+                if lead is not None and len(lead.arrs) < d:
+                    return None, None, echelon[lead]
+        # fully reduced rewrite table: pivot -> combination of normal paths
+        for lead in sorted(echelon, key=_path_key):
+            expansion = {}
+            for p, c in echelon[lead].items():
                 if p == lead:
                     continue
-                acc = F.sub(row.get(p, F.zero), F.mul(c, c2))
-                if F.is_zero(acc):
-                    row.pop(p, None)
-                else:
-                    row[p] = acc
-        else:
-            done[lead] = c
-    return done
+                for q, c2 in red.get(p, {p: F.one}).items():
+                    _accumulate(F, expansion, q, F.neg(F.mul(c, c2)))
+            red[lead] = expansion
+            normal.discard(lead)
+        normal_d = [p for p in cands if p not in echelon]
+        if not normal_d:
+            return red, by_len, None
+        by_len.append(normal_d)
+        d += 1
+        if d > degree_cap:
+            raise NotAdmissible(
+                f"paths of length {degree_cap} still alive; ideal not admissible "
+                "(or raise the degree cap)")
+
+
+def _unreduced(a, relations):
+    """The first n.r (n a basis path, r a relation) whose normal form is not 0.
+
+    When there is none, the kernel of the normal form map is a two-sided
+    ideal that contains every relation, so it is the ideal itself and the
+    tables are those of kQ/I.
+    """
+    for rs, _, terms in relations:
+        for n in a.basis:
+            if a.path_target(n) != rs:
+                continue
+            nf = _combine(a.field, a._red, a.basis_index,
+                          {Path(n.src, n.arrs + arrs): c for arrs, c in terms.items()})
+            if nf:
+                return nf
+    return None
+
+
+def _check_nilpotent(a):
+    """Raise NotAdmissible unless the arrows generate a nilpotent ideal of kQ/I.
+
+    rad^(k+1) = rad^k . arrows, taken as spans, shrinks at every step until
+    it is 0; a nonzero span that stops shrinking is a power of the radical
+    that never vanishes.
+    """
+    F = a.field
+    span = [{p: F.one} for p in a.basis if p.arrs]
+    while span:
+        echelon = {}
+        for x in span:
+            # x is parallel (one start, one end): it starts as a path, and
+            # the echelon only combines rows that share their lead
+            end = a.path_target(next(iter(x)))
+            for ai, (_, s, _) in enumerate(a.arrows):
+                if s == end:
+                    _insert_row(F, echelon, _combine(
+                        F, a._red, a.basis_index,
+                        {Path(q.src, q.arrs + (ai,)): c for q, c in x.items()}))
+        if len(echelon) == len(span):
+            raise NotAdmissible("the arrow ideal is not nilpotent modulo the "
+                                "relations; ideal not admissible")
+        span = list(echelon.values())
 
 
 def build_algebra(spec, degree_cap=64):
-    """Build kQ/I, reducing the span of paths degree by degree.
+    """Build kQ/I by tip reduction (Green 1999), degree by degree.
 
-    Raises NotAdmissible when some cycle survives past the degree cap and
-    MalformedRelation for non-parallel or too-short relation terms.
+    Only paths that contain no tip are ever listed.  A relation element that
+    a degree missed (possible when the terms of a relation have different
+    lengths) is added to the relations and the sweep starts again; so is any
+    n.r that the finished tables do not reduce to 0.
+
+    Raises NotAdmissible when some cycle survives past the degree cap or the
+    arrow ideal is not nilpotent in the quotient, and MalformedRelation for
+    non-parallel or too-short relation terms.
     """
     F = spec.field
     if not isinstance(F, FieldSpec):
@@ -258,25 +384,20 @@ def build_algebra(spec, degree_cap=64):
     arrows = [(a, vindex[s], vindex[t]) for (a, s, t) in spec.arrows]
     aindex = {a[0]: i for i, a in enumerate(spec.arrows)}
 
-    def arr_src(i):
-        return arrows[i][1]
-
-    def arr_tgt(i):
-        return arrows[i][2]
-
     def seq_endpoints(idxseq):
-        src = arr_src(idxseq[0])
+        src = arrows[idxseq[0]][1]
         cur = src
         for i in idxseq:
-            if arr_src(i) != cur:
+            if arrows[i][1] != cur:
                 raise MalformedRelation("non-composable path in relation")
-            cur = arr_tgt(i)
+            cur = arrows[i][2]
         return src, cur
 
-    # resolve + validate relations
+    # resolve + validate relations as (src, top length, {arrow tuple: coeff});
+    # terms are summed and zero terms dropped before the top length is taken
     relations = []
     for rel in spec.relations:
-        terms = []
+        terms = {}
         endpoints = None
         for coeff, namesseq in rel:
             if len(namesseq) < 2:
@@ -291,81 +412,25 @@ def build_algebra(spec, degree_cap=64):
             elif ep != endpoints:
                 raise MalformedRelation("relation mixes non-parallel paths")
             c = F.of(coeff) if isinstance(coeff, int) else coeff
-            terms.append((c, idxseq))
+            _accumulate(F, terms, idxseq, c)
         if terms:
-            relations.append((endpoints, terms))
+            relations.append((endpoints[0], max(map(len, terms)), terms))
 
-    # free paths by length
-    free = {0: [Path(v, ()) for v in range(nverts)],
-            1: [Path(arr_src(i), (i,)) for i in range(len(arrows))]}
-
-    def target_of(p):
-        return arr_tgt(p.arrs[-1]) if p.arrs else p.src
-
-    echelon = {}
-    max_len = 1
-    d = 2
     while True:
-        prev = free[d - 1]
-        free[d] = [Path(p.src, p.arrs + (i,))
-                   for p in prev for i in range(len(arrows))
-                   if arr_src(i) == target_of(p)]
-        if not free[d]:
-            max_len = d - 1
-            break
-        # all ideal elements u.r.v of top degree exactly d
-        for (rs, rt), terms in relations:
-            L = max(len(t[1]) for t in terms)
-            for lv in range(0, d - L + 1):
-                lu = d - L - lv
-                for v in free[lv]:
-                    if target_of(v) != rs:
-                        continue
-                    for u in free[lu]:
-                        if u.src != rt:
-                            continue
-                        row = {}
-                        for c, arrs in terms:
-                            p = Path(v.src, v.arrs + arrs + u.arrs)
-                            row[p] = F.add(row.get(p, F.zero), c)
-                        _insert_row(F, echelon, row)
-        # does anything of length d survive?
-        alive = False
-        for p in free[d]:
-            nf = _reduce_vec(F, echelon, {p: F.one})
-            if any(len(q.arrs) >= d for q in nf):
-                alive = True
+        red, by_len, missed = _sweep(F, arrows, nverts, relations, degree_cap)
+        if missed is None:
+            basis = sorted((p for ps in by_len for p in ps), key=_path_key)
+            a = PathAlgebra(spec, basis, red, len(by_len) - 1)
+            missed = _unreduced(a, relations)
+            if missed is None:
                 break
-        if not alive:
-            max_len = d - 1
-            break
-        d += 1
-        if d > degree_cap:
-            raise NotAdmissible(
-                f"paths of length {degree_cap} still alive; ideal not admissible "
-                "(or raise the degree cap)")
+        lead = max(missed, key=_path_key)
+        relations.append((lead.src, len(lead.arrs),
+                          {p.arrs: c for p, c in missed.items()}))
 
-    # sanity: no pivot of length < 2 (the ideal must sit inside the arrow radical squared)
-    for lead in echelon:
+    # sanity: no tip of length < 2 (the ideal must sit inside the arrow radical squared)
+    for lead in red:
         if len(lead.arrs) < 2:
             raise NotAdmissible("ideal reduction produced an element of degree < 2")
-
-    # fully reduced rewrite table: pivot -> combination of non-pivot paths
-    red = {}
-    for lead in sorted(echelon, key=_path_key):
-        expansion = {}
-        for p, c in echelon[lead].items():
-            if p == lead:
-                continue
-            if p in red:
-                for q, c2 in red[p].items():
-                    acc = F.add(expansion.get(q, F.zero), F.neg(F.mul(c, c2)))
-                    expansion[q] = acc
-            else:
-                expansion[p] = F.add(expansion.get(p, F.zero), F.neg(c))
-        red[lead] = {q: c for q, c in expansion.items() if not F.is_zero(c)}
-
-    basis = sorted(
-        (p for ln in range(0, max_len + 1) for p in free.get(ln, []) if p not in red),
-        key=_path_key)
-    return PathAlgebra(spec, basis, red, max_len)
+    _check_nilpotent(a)
+    return a

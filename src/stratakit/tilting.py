@@ -187,7 +187,7 @@ def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
                     changed = True
         for nu in range(a.n):
             if homology.ext_dim(1, deltas[nu], x, cap) != 0:
-                raise NonTerminating(
+                raise StratakitError(
                     f"Ext^1(Delta({a.vertices[nu]}), T({a.vertices[lam]})) "
                     "did not vanish after extension sweeps")
         t_lam, emb_lam = _summand_with_delta(x, emb, lam)
@@ -200,12 +200,12 @@ def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
         else:
             ccert = strat.filtration_certificate(coker, deltas[:lam])
             if ccert is None:
-                raise NonTerminating("cokernel of Delta-embedding has no "
+                raise StratakitError("cokernel of Delta-embedding has no "
                                      "filtration by lower standard modules")
         dcert = strat.filtration_certificate(t_lam, deltas)
         ncert = strat.filtration_certificate(t_lam, nbars)
         if dcert is None or ncert is None:
-            raise NonTerminating("tilting summand has no filtration "
+            raise StratakitError("tilting summand has no filtration "
                                  "certificate")
         summands.append(t_lam)
         embeddings.append(emb_lam)

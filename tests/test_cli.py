@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from stratakit import reps
+from stratakit import reps, strat
 from stratakit.cli import main
 from stratakit.errors import NonTerminating
 
@@ -75,6 +75,19 @@ def test_check_with_standalone_embedding_file():
     assert machine_dict(out)["borel.exact_borel"].startswith("pass")
 
 
+def test_embedding_word_that_does_not_compose_is_an_input_error(tmp_path):
+    # "delta.beta" is beta then delta, which do not compose in borelA: the
+    # image of dbeta is 0, so the embedding is not injective
+    with open(fixture_path("borelB.alg"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "badB.alg"
+    bad.write_text(text.replace("1*beta.delta", "1*delta.beta"))
+    code, _, err = run_cli(["check", fixture_path("borelA.alg"),
+                            "--borel", str(bad), "--format", "machine"])
+    assert code == 2
+    assert "not injective" in err
+
+
 def test_gfd_builtin_and_declared_modules():
     code, out, _ = run_cli(["gfd", fixture_path("a3line.alg"),
                             "--module", "E(3)", "--format", "machine"])
@@ -134,3 +147,17 @@ def test_non_terminating_is_inconclusive(monkeypatch):
     code, _, err = run_cli(["analyze", fixture_path("a3line.alg")])
     assert code == 3
     assert "inconclusive" in err
+
+
+def test_missing_tilting_certificate_is_an_error(monkeypatch):
+    # certificates are constructed, not searched for under a budget, so a
+    # tilting summand without one is a definite failure, not "inconclusive"
+    construct = strat.filtration_certificate
+
+    def no_tilting_certificate(m, family):
+        return None if m.label.startswith("T(") else construct(m, family)
+
+    monkeypatch.setattr(strat, "filtration_certificate", no_tilting_certificate)
+    code, _, err = run_cli(["analyze", fixture_path("a3line.alg")])
+    assert code == 2
+    assert "no filtration certificate" in err

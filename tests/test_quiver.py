@@ -3,11 +3,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stratakit.errors import MalformedRelation, NotAdmissible, UnknownVertex
-from stratakit.fields import GF, QQ
+from stratakit.borel import Embedding, check_embedding
+from stratakit.errors import (MalformedRelation, NotAdmissible, NotInjective,
+                              StratakitError, UnknownVertex)
+from stratakit.fields import GF, QQ, FieldSpec
 from stratakit.parser import parse
-from stratakit.quiver import QuiverSpec, build_algebra
+from stratakit.quiver import (Path, PathAlgebra, QuiverSpec, _insert_row,
+                              _path_key, build_algebra)
 
 from conftest import algebra
 from test_cli import machine_dict, run_cli
@@ -78,6 +83,28 @@ def test_basis_respects_relations():
     assert a.nf_path(a.arrows[d][1], (d, g)) == {}
 
 
+def test_non_composable_path_is_zero():
+    a = algebra("borelA")
+    d, g = a.arrow_index("delta"), a.arrow_index("gamma")
+    # gamma then delta composes; delta then delta and a wrong start do not
+    assert a.nf_path(a.arrows[g][1], (g, d))
+    assert a.nf_path(a.arrows[d][1], (d, d)) == {}
+    assert a.nf_path(a.arrows[d][2], (d,)) == {}
+    assert a.nf_path(a.arrows[d][1], (d, g, d, d)) == {}
+
+
+def test_embedding_word_that_does_not_compose_is_zero():
+    # an embedding file may send an arrow to a word whose arrows do not
+    # compose; that word is 0 in kQ, so the image is 0 and not an error
+    b = algebra("a2")
+    a = build_algebra(QuiverSpec(["1", "2"], [("p", "1", "2"), ("q", "1", "2")],
+                                 [], QQ))
+    e = Embedding(b, a, {"a": [(1, ("p", "q"))]})
+    assert not any(e.arrow_imgs[0])
+    with pytest.raises(NotInjective):
+        check_embedding(e)
+
+
 def test_loop_without_relation_is_not_admissible():
     spec = QuiverSpec(["1"], [("x", "1", "1")], [], QQ)
     with pytest.raises(NotAdmissible):
@@ -139,3 +166,324 @@ def test_multi_term_relation_auslander_algebra(tmp_path):
     assert d["dims.pd_T"] == "1"
     assert d["dims.inj_T"] == "1"
     assert [d[f"tilting.T({v})"] for v in "321"] == ["1 0 0", "2 1 0", "3 2 1"]
+
+
+# -- the enumerating builder, kept as the reference for tip reduction ---------
+#
+# It lists every path of each length and every u.r.v, and treats a path of
+# length max_len + 1 that is not a pivot as 0.  It is right when every term
+# of a relation has the same length.
+
+
+class ReferencePathAlgebra(PathAlgebra):
+    def nf_path(self, src, arrs):
+        """Normal form of the path (src, arrs) as {basis Path: coeff}."""
+        F = self.field
+        if len(arrs) <= self.max_len + 1:
+            p = Path(src, tuple(arrs))
+            if p in self._red:
+                return dict(self._red[p])
+            if p in self.basis_index:
+                return {p: F.one}
+            # length max_len + 1 and not a pivot: the path is dead
+            return {}
+        head = self.nf_path(src, arrs[:-1])
+        last = arrs[-1]
+        out = {}
+        for q, c in head.items():
+            if self.path_target(q) != self.arrows[last][1]:
+                continue  # cannot happen: normal forms preserve endpoints
+            for r, c2 in self.nf_path(q.src, q.arrs + (last,)).items():
+                acc = F.add(out.get(r, F.zero), F.mul(c, c2))
+                if F.is_zero(acc):
+                    out.pop(r, None)
+                else:
+                    out[r] = acc
+        return out
+
+
+def _reduce_vec(field, echelon, row):
+    """Fully reduce a vector by the echelon (echelon need not be back-substituted)."""
+    F = field
+    row = {p: c for p, c in row.items() if not F.is_zero(c)}
+    done = {}
+    while row:
+        lead = max(row, key=_path_key)
+        c = row.pop(lead)
+        if lead in echelon:
+            for p, c2 in echelon[lead].items():
+                if p == lead:
+                    continue
+                acc = F.sub(row.get(p, F.zero), F.mul(c, c2))
+                if F.is_zero(acc):
+                    row.pop(p, None)
+                else:
+                    row[p] = acc
+        else:
+            done[lead] = c
+    return done
+
+
+def reference_build_algebra(spec, degree_cap=64):
+    """Build kQ/I, reducing the span of paths degree by degree.
+
+    Raises NotAdmissible when some cycle survives past the degree cap and
+    MalformedRelation for non-parallel or too-short relation terms.
+    """
+    F = spec.field
+    if not isinstance(F, FieldSpec):
+        raise StratakitError("spec.field must be a FieldSpec")
+    nverts = len(spec.vertices)
+    vindex = {v: i for i, v in enumerate(spec.vertices)}
+    arrows = [(a, vindex[s], vindex[t]) for (a, s, t) in spec.arrows]
+    aindex = {a[0]: i for i, a in enumerate(spec.arrows)}
+
+    def arr_src(i):
+        return arrows[i][1]
+
+    def arr_tgt(i):
+        return arrows[i][2]
+
+    def seq_endpoints(idxseq):
+        src = arr_src(idxseq[0])
+        cur = src
+        for i in idxseq:
+            if arr_src(i) != cur:
+                raise MalformedRelation("non-composable path in relation")
+            cur = arr_tgt(i)
+        return src, cur
+
+    # resolve + validate relations
+    relations = []
+    for rel in spec.relations:
+        terms = []
+        endpoints = None
+        for coeff, namesseq in rel:
+            if len(namesseq) < 2:
+                raise MalformedRelation("relation term shorter than 2 arrows")
+            try:
+                idxseq = tuple(aindex[nm] for nm in namesseq)
+            except KeyError as e:
+                raise MalformedRelation(f"unknown arrow in relation: {e}") from None
+            ep = seq_endpoints(idxseq)
+            if endpoints is None:
+                endpoints = ep
+            elif ep != endpoints:
+                raise MalformedRelation("relation mixes non-parallel paths")
+            c = F.of(coeff) if isinstance(coeff, int) else coeff
+            terms.append((c, idxseq))
+        if terms:
+            relations.append((endpoints, terms))
+
+    # free paths by length
+    free = {0: [Path(v, ()) for v in range(nverts)],
+            1: [Path(arr_src(i), (i,)) for i in range(len(arrows))]}
+
+    def target_of(p):
+        return arr_tgt(p.arrs[-1]) if p.arrs else p.src
+
+    echelon = {}
+    max_len = 1
+    d = 2
+    while True:
+        prev = free[d - 1]
+        free[d] = [Path(p.src, p.arrs + (i,))
+                   for p in prev for i in range(len(arrows))
+                   if arr_src(i) == target_of(p)]
+        if not free[d]:
+            max_len = d - 1
+            break
+        # all ideal elements u.r.v of top degree exactly d
+        for (rs, rt), terms in relations:
+            L = max(len(t[1]) for t in terms)
+            for lv in range(0, d - L + 1):
+                lu = d - L - lv
+                for v in free[lv]:
+                    if target_of(v) != rs:
+                        continue
+                    for u in free[lu]:
+                        if u.src != rt:
+                            continue
+                        row = {}
+                        for c, arrs in terms:
+                            p = Path(v.src, v.arrs + arrs + u.arrs)
+                            row[p] = F.add(row.get(p, F.zero), c)
+                        _insert_row(F, echelon, row)
+        # does anything of length d survive?
+        alive = False
+        for p in free[d]:
+            nf = _reduce_vec(F, echelon, {p: F.one})
+            if any(len(q.arrs) >= d for q in nf):
+                alive = True
+                break
+        if not alive:
+            max_len = d - 1
+            break
+        d += 1
+        if d > degree_cap:
+            raise NotAdmissible(
+                f"paths of length {degree_cap} still alive; ideal not admissible "
+                "(or raise the degree cap)")
+
+    # sanity: no pivot of length < 2 (the ideal must sit inside the arrow radical squared)
+    for lead in echelon:
+        if len(lead.arrs) < 2:
+            raise NotAdmissible("ideal reduction produced an element of degree < 2")
+
+    # fully reduced rewrite table: pivot -> combination of non-pivot paths
+    red = {}
+    for lead in sorted(echelon, key=_path_key):
+        expansion = {}
+        for p, c in echelon[lead].items():
+            if p == lead:
+                continue
+            if p in red:
+                for q, c2 in red[p].items():
+                    acc = F.add(expansion.get(q, F.zero), F.neg(F.mul(c, c2)))
+                    expansion[q] = acc
+            else:
+                expansion[p] = F.add(expansion.get(p, F.zero), F.neg(c))
+        red[lead] = {q: c for q, c in expansion.items() if not F.is_zero(c)}
+
+    basis = sorted(
+        (p for ln in range(0, max_len + 1) for p in free.get(ln, []) if p not in red),
+        key=_path_key)
+    return ReferencePathAlgebra(spec, basis, red, max_len)
+
+
+def _paths(a, length):
+    """Every path of the algebra's quiver with the given number of arrows."""
+    out = [Path(v, ()) for v in range(a.n)]
+    for _ in range(length):
+        out = [Path(p.src, p.arrs + (i,)) for p in out
+               for i, (_, s, _) in enumerate(a.arrows) if s == a.path_target(p)]
+    return out
+
+
+def _assert_same_algebra(spec, degree_cap):
+    try:
+        ref = reference_build_algebra(spec, degree_cap)
+    except NotAdmissible:
+        with pytest.raises(NotAdmissible):
+            build_algebra(spec, degree_cap)
+        return
+    a = build_algebra(spec, degree_cap)
+    assert (a.basis, a.max_len) == (ref.basis, ref.max_len)
+    for length in range(a.max_len + 2):
+        for p in _paths(a, length):
+            assert a.nf_path(p.src, p.arrs) == ref.nf_path(p.src, p.arrs), p
+
+
+@st.composite
+def graded_specs(draw):
+    """Quivers with 1-3 vertices and at most 3 arrows; every term of a relation
+    has the same length and a nonzero coefficient.  Half the specs also kill
+    every path of length 3 or 4, so that more of them are finite dimensional."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    nverts = draw(st.integers(1, 3))
+    vertices = [str(v) for v in range(nverts)]
+    ends = st.sampled_from(vertices)
+    arrows = [(f"a{i}", draw(ends), draw(ends))
+              for i in range(draw(st.integers(1, 3)))]
+    coeffs = (st.sampled_from([-3, -2, -1, 1, 2, 3]) if field.is_rational
+              else st.integers(1, field.p - 1))
+
+    def paths(length):
+        out = [(a,) for a in arrows]
+        for _ in range(length - 1):
+            out = [p + (a,) for p in out for a in arrows if a[1] == p[-1][2]]
+        return out
+
+    relations = []
+    for _ in range(draw(st.integers(0, 4))):
+        candidates = paths(draw(st.integers(2, 4)))
+        if not candidates:
+            continue
+        first = draw(st.sampled_from(candidates))
+        parallel = [p for p in candidates
+                    if (p[0][1], p[-1][2]) == (first[0][1], first[-1][2])]
+        chosen = draw(st.lists(st.sampled_from(parallel), min_size=1,
+                               max_size=3, unique=True))
+        relations.append([(draw(coeffs), tuple(a[0] for a in p)) for p in chosen])
+    if draw(st.booleans()):
+        relations += [[(1, tuple(a[0] for a in p))]
+                      for p in paths(draw(st.integers(3, 4)))]
+    return QuiverSpec(vertices, arrows, relations, field)
+
+
+@settings(max_examples=250, deadline=None)
+@given(graded_specs(), st.integers(2, 7))
+def test_tip_reduction_matches_enumeration(spec, degree_cap):
+    _assert_same_algebra(spec, degree_cap)
+
+
+@pytest.mark.parametrize("name", ["point", "semisimple2", "loop2", "a2",
+                                  "a3line", "borelA", "borelB", "aus3"])
+def test_tip_reduction_matches_enumeration_on_fixtures(name):
+    spec = parse(AUSLANDER3).to_spec() if name == "aus3" else algebra(name).spec
+    _assert_same_algebra(spec, 64)
+    _assert_same_algebra(spec.opposite(), 64)
+
+
+def _xy(m):
+    """k<x,y>/(x^2, y^2, (xy)^m, (yx)^m); m = 0 drops the last two."""
+    relations = [[(1, ("x", "x"))], [(1, ("y", "y"))]]
+    if m:
+        relations += [[(1, ("x", "y") * m)], [(1, ("y", "x") * m)]]
+    return QuiverSpec(["1"], [("x", "1", "1"), ("y", "1", "1")], relations, QQ)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_alternating_words_size(m):
+    # the basis is the alternating words shorter than 2m; the table holds
+    # the candidates ending in x^2 or y^2 at each length 2 .. 2m and the two
+    # alternating words of length 2m
+    a = build_algebra(_xy(m), degree_cap=2 * m)
+    assert (a.dim, a.max_len, len(a._red)) == (4 * m - 1, 2 * m - 1, 4 * m)
+
+
+@pytest.mark.parametrize("degree_cap", [2, 5, 9])
+def test_free_alternating_words_hit_the_degree_cap(degree_cap):
+    with pytest.raises(NotAdmissible, match=f"length {degree_cap} still alive"):
+        build_algebra(_xy(0), degree_cap)
+
+
+def _loop(field, *relations):
+    return QuiverSpec(["1"], [("x", "1", "1")],
+                      [[(c, ("x",) * n) for c, n in rel] for rel in relations],
+                      field)
+
+
+@pytest.mark.parametrize("spec", [
+    # x^2 = (x^4 + x^2) - x^4: the sweep meets it at degree 4
+    _loop(QQ, [(1, 4), (1, 2)], [(1, 4)]),
+    # x^2 = (x^5 + x^2) - x^2.x^3: only the check of the finished tables sees it
+    _loop(QQ, [(1, 3)], [(1, 5), (1, 2)]),
+    # 2 = 0 in GF(2): the relation is x^2, of length 2 and not 4
+    parse("field GF 2\nvertices 1\narrow x 1 1\nrelation 2*x.x.x.x + 1*x.x\n").to_spec(),
+], ids=["x4+x2,x4", "x3,x5+x2", "GF2:2x4+x2"])
+def test_mixed_length_relations_give_the_quotient(spec):
+    # each ideal is (x^2): the basis is e, x
+    a = build_algebra(spec)
+    assert [p.arrs for p in a.basis] == [(), (0,)]
+    assert a.nf_path(0, (0, 0)) == {}
+
+
+NOT_NILPOTENT = """name notnil
+field Q
+vertices 1
+arrow x 1 1
+relation x.x + x.x.x.x
+"""
+
+
+def test_non_nilpotent_arrow_ideal_is_not_admissible(tmp_path):
+    # k[x]/(x^2 + x^4) = k[x]/(x^2) x k[x]/(x^2 + 1): 4-dimensional, but x^2
+    # = -x^4 = x^6 = ... never vanishes
+    with pytest.raises(NotAdmissible, match="not nilpotent"):
+        parse(NOT_NILPOTENT).build()
+    path = tmp_path / "notnil.alg"
+    path.write_text(NOT_NILPOTENT)
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert "not nilpotent" in err
