@@ -1,8 +1,8 @@
 """Command-line driver: analyze / check / gfd over algebra description files.
 
 Exit codes: 0 all checks pass, 1 a theorem check failed, 2 input error,
-3 inconclusive (a resolution reached the cap, or an extension or
-coresolution loop ran out of steps).
+3 inconclusive (a resolution reached the cap, or a coresolution loop ran out
+of steps).
 """
 
 import argparse

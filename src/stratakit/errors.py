@@ -53,7 +53,7 @@ class NotProperlyStratified(StratakitError):
 
 
 class NonTerminating(StratakitError):
-    """The universal-extension loop exceeded its budget."""
+    """The add(T)-coresolution did not close within its step budget."""
 
 
 class NothingToExtend(StratakitError):

@@ -3,13 +3,23 @@
 A Rep carries one exact matrix per arrow (target-dim x source-dim); vectors
 are columns and matrices act on the left.  A Morphism stores one matrix per
 vertex; composition `compose(g, f)` means "f first, then g".
+
+Decomposition splits a module by Fitting's lemma along endomorphisms whose
+minimal polynomial has coprime factors over k.  Those factors come from the
+roots in k, found exactly: rational roots by Hensel lifting from a small
+prime, roots in GF(p) by gcd with x^p - x.  No polynomial is factored
+beyond that.
 """
 
 import random
+from fractions import Fraction
+from itertools import count
+from math import gcd
 
 from . import linalg
 from .errors import (AlgebraMismatch, NotASubmodule, StratakitError,
                      UnknownVertex)
+from .fields import GF, _is_prime
 from .linalg import Matrix
 
 
@@ -545,29 +555,173 @@ def minimal_polynomial(field, mat):
         powers.append(target)
 
 
-def _factor_min_poly(field, coeffs):
-    """Factor a monic polynomial into irreducible powers: [(coeffs, mult)]."""
-    import sympy
-    x = sympy.symbols("x")
-    if field.is_rational:
-        poly = sum(sympy.Rational(c.numerator, c.denominator) * x**i
-                   for i, c in enumerate(coeffs))
-        _, factors = sympy.Poly(poly, x, domain="QQ").factor_list()
-    else:
-        poly = sum(int(c) * x**i for i, c in enumerate(coeffs))
-        _, factors = sympy.Poly(poly, x, modulus=field.p, symmetric=False).factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = fac.all_coeffs()[::-1]  # ascending
-        if field.is_rational:
-            lead = sympy.Rational(cs[-1])
-            conv = [field.of(int(sympy.Rational(c / lead).p), int(sympy.Rational(c / lead).q))
-                    for c in cs]
-        else:
-            inv = pow(int(cs[-1]) % field.p, -1, field.p)
-            conv = [field.of(int(c) * inv) for c in cs]
-        out.append((conv, mult))
+# -- polynomials over k: ascending coefficient lists, no trailing zeros -------
+
+def _trim(f):
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _poly_mul(F, f, g):
+    out = [F.zero] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
     return out
+
+
+def _poly_divmod(F, f, g):
+    """Quotient and remainder of f by the nonzero g."""
+    f = list(f)
+    inv = F.inv(g[-1])
+    q = [F.zero] * max(len(f) - len(g) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = F.mul(f[i + len(g) - 1], inv)
+        for j, b in enumerate(g):
+            f[i + j] = F.sub(f[i + j], F.mul(c, b))
+    return q, _trim(f[:len(g) - 1])
+
+
+def _poly_gcd(F, f, g):
+    """The monic gcd of f and g, not both zero."""
+    while g:
+        f, g = g, _poly_divmod(F, f, g)[1]
+    inv = F.inv(f[-1])
+    return [F.mul(c, inv) for c in f]
+
+
+def _poly_powmod(F, f, e, g):
+    """f^e modulo g."""
+    out = [F.one]
+    while e:
+        if e & 1:
+            out = _poly_divmod(F, _poly_mul(F, out, f), g)[1]
+        f = _poly_divmod(F, _poly_mul(F, f, f), g)[1]
+        e >>= 1
+    return out
+
+
+def _poly_eval(F, f, c):
+    acc = F.zero
+    for a in reversed(f):
+        acc = F.add(F.mul(acc, c), a)
+    return acc
+
+
+def _squarefree_part(F, f):
+    """The product of the distinct monic irreducible factors of the monic f.
+
+    w = f / gcd(f, f') keeps the factors whose multiplicity the
+    characteristic does not divide.  Over GF(p), what is left of gcd(f, f')
+    once the factors of w are divided out has every multiplicity divisible
+    by p, so it is a polynomial in x^p: the p-th power of the polynomial
+    with the same coefficients."""
+    if len(f) == 1:
+        return f
+    df = _trim(F.mul(F.of(i), c) for i, c in enumerate(f))[1:]
+    if not df:
+        return _squarefree_part(F, f[::F.p])
+    g = _poly_gcd(F, f, df)
+    w = _poly_divmod(F, f, g)[0]
+    while len(h := _poly_gcd(F, g, w)) > 1:
+        g = _poly_divmod(F, g, h)[0]
+    return _poly_mul(F, w, _squarefree_part(F, g[::F.p])) if len(g) > 1 else w
+
+
+def _roots_mod_p(F, f):
+    """The distinct roots in GF(p) of the monic squarefree f.
+
+    When p exceeds the degree, g = gcd(f, x^p - x) is the product of the
+    linear factors, and g splits by gcd with (x + a)^((p-1)/2) - 1 for
+    a = 0, 1, ...: for two distinct roots some shift a has x + a a square
+    at one of them and not at the other."""
+    p = F.p
+    if p < len(f):
+        return [c for c in range(p) if _poly_eval(F, f, c) == 0]
+    xp = _poly_powmod(F, [0, 1], p, f) + [0, 0]
+    xp[1] = F.sub(xp[1], 1)
+    pending, roots = [_poly_gcd(F, f, _trim(xp))], []
+    while pending:
+        g = pending.pop()
+        if len(g) <= 2:
+            roots += [F.neg(g[0])] if len(g) == 2 else []
+            continue
+        for a in range(p):
+            h = _poly_powmod(F, [a, 1], (p - 1) // 2, g)
+            h = _poly_gcd(F, g, _trim([F.sub(h[0], 1)] + h[1:]))
+            if 1 < len(h) < len(g):
+                pending += [h, _poly_divmod(F, g, h)[0]]
+                break
+    return roots
+
+
+def _rational_roots(f):
+    """The distinct rational roots of the monic squarefree f over Q.
+
+    With d the common denominator of the coefficients, q(y) = d^n f(y/d) is
+    monic over Z and its rational roots are integers y with |y| below
+    Cauchy's bound b.  Each root of q modulo the least prime p that keeps q
+    squarefree lifts uniquely (Hensel, by Newton steps) modulo p^(2^k) > 2b,
+    and the symmetric residue is checked exactly, so no integer is
+    factored."""
+    n = len(f) - 1
+    d = 1
+    for c in f:
+        d = d * c.denominator // gcd(d, c.denominator)
+    q = [int(c * d ** (n - i)) for i, c in enumerate(f)]
+    dq = [i * c for i, c in enumerate(q)][1:]
+    bound = 1 + max((abs(c) for c in q[:-1]), default=0)
+    p = next(p for p in count(2) if _is_prime(p) and len(
+        _poly_gcd(GF(p), _mod(q, p), _mod(dq, p))) == 1)
+    roots = []
+    for y in _roots_mod_p(GF(p), _mod(q, p)):
+        mod = p
+        while mod <= 2 * bound:
+            mod *= mod
+            y = (y - _int_eval(q, y) * pow(_int_eval(dq, y), -1, mod)) % mod
+        y = y - mod if 2 * y > mod else y
+        if _int_eval(q, y) == 0:
+            roots.append(Fraction(y, d))
+    return roots
+
+
+def _mod(f, p):
+    return _trim(c % p for c in f)
+
+
+def _int_eval(f, y):
+    acc = 0
+    for a in reversed(f):
+        acc = acc * y + a
+    return acc
+
+
+def _roots_in_field(F, f):
+    """The roots of the monic f in k with their multiplicities, and the
+    monic cofactor of f that has no root in k: ([(c, mult)], rest).
+
+    The order of the roots fixes the order of the summands that
+    decompose_with_inclusions returns.  It is by multiplicity, then over Q
+    by the linear factor b·x - a with a, b coprime integers and b > 0 (by b,
+    then by -a), and over GF(p) by -c."""
+    sqf = _squarefree_part(F, f)
+    roots = _rational_roots(sqf) if F.is_rational else _roots_mod_p(F, sqf)
+    out = []
+    for c in roots:
+        mult = 0
+        while True:
+            q, r = _poly_divmod(F, f, [F.neg(c), F.one])
+            if r:
+                break
+            f, mult = q, mult + 1
+        out.append((c, mult))
+    if F.is_rational:
+        out.sort(key=lambda cm: (cm[1], cm[0].denominator, -cm[0].numerator))
+    else:
+        out.sort(key=lambda cm: (cm[1], F.neg(cm[0])))
+    return out, f
 
 
 def _poly_of_morphism(f, coeffs):
@@ -580,12 +734,25 @@ def _poly_of_morphism(f, coeffs):
 
 
 def _split_by_endo(m, f):
-    """Try to split m along the generalized eigenspaces of the endomorphism f."""
+    """Split m by Fitting's lemma along the endomorphism f.
+
+    The minimal polynomial of f is the product of (x - c)^mult over its roots
+    c in k and a cofactor with no root in k; m is the direct sum of the
+    kernels of these pairwise coprime factors evaluated at f.  Returns
+    (pieces, None) when there are two factors or more.  Otherwise returns
+    (None, None) when the cofactor is 1 or its squarefree part has degree
+    at most 3, so that it is a power of one irreducible polynomial, and
+    (None, cofactor) when it may be a product of several: then whether f
+    splits m is undecided."""
     F = m.algebra.field
     mp = minimal_polynomial(F, _total_matrix(f))
-    factors = _factor_min_poly(F, mp)
+    roots, rest = _roots_in_field(F, mp)
+    factors = [([F.neg(c), F.one], mult) for c, mult in roots]
+    if len(rest) > 1:
+        factors.append((rest, 1))
     if len(factors) < 2:
-        return None
+        undecided = len(rest) > 1 and len(_squarefree_part(F, rest)) > 4
+        return None, (rest if undecided else None)
     pieces = []
     for coeffs, mult in factors:
         g = _poly_of_morphism(f, coeffs)
@@ -593,7 +760,7 @@ def _split_by_endo(m, f):
         for _ in range(mult - 1):
             power = compose(power, g)
         pieces.append(kernel(power))
-    return pieces
+    return pieces, None
 
 
 def _split_candidates(endos, budget):
@@ -628,10 +795,14 @@ def decompose_with_inclusions(m, budget=300):
     A module with a simple top or a simple socle is indecomposable and is
     returned as it is, without computing End(m).  Otherwise the candidates of
     `_split_candidates` are tried one at a time; the first whose minimal
-    polynomial has two coprime factors splits m into its generalized
-    eigenspaces, and each piece is decomposed in turn.  The basis of End(m)
-    comes first, so when no candidate splits, no basis endomorphism has a
-    composite minimal polynomial and m is returned as indecomposable.
+    polynomial has two coprime factors over k splits m by Fitting's lemma,
+    and each piece is decomposed in turn.  The basis of End(m) comes first,
+    so when no candidate splits, no basis endomorphism has a minimal
+    polynomial with two coprime factors over k and m is returned as
+    indecomposable.  When no candidate splits but one had a minimal
+    polynomial factor that might be a product of irreducible polynomials of
+    degree 2 or more (see `_split_by_endo`), StratakitError is raised rather
+    than an answer.
     """
     if m.total_dim == 0:
         return []
@@ -640,9 +811,11 @@ def decompose_with_inclusions(m, budget=300):
     endos = hom_basis(m, m)
     if len(endos) == 1:
         return [(m, identity_morphism(m))]
+    undecided = None
     for f in _split_candidates(endos, budget):
-        pieces = _split_by_endo(m, f)
+        pieces, rest = _split_by_endo(m, f)
         if pieces is None:
+            undecided = undecided or rest
             continue
         out = []
         for piece in pieces:
@@ -650,7 +823,26 @@ def decompose_with_inclusions(m, budget=300):
             for part, part_incl in decompose_with_inclusions(sub, budget):
                 out.append((part, compose(incl, part_incl)))
         return out
+    if undecided is not None:
+        raise StratakitError(
+            f"cannot decide whether {m!r} is indecomposable: no endomorphism "
+            f"splits it, and {_poly_text(undecided)}, a factor of a minimal "
+            f"polynomial over {m.algebra.field}, has no root there and may "
+            "be a product of irreducible polynomials of degree 2 or more")
     return [(m, identity_morphism(m))]
+
+
+def _poly_text(f):
+    """f as text, highest power first, as in x^4 - 8."""
+    text = ""
+    for i in range(len(f) - 1, -1, -1):
+        if f[i] != 0:
+            power = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            coeff = "" if abs(f[i]) == 1 and i else str(abs(f[i]))
+            term = coeff + ("*" if coeff and power else "") + power
+            sign = "-" if f[i] < 0 else "+"
+            text = (f"{text} {sign} " if text else sign.strip("+")) + term
+    return text
 
 
 def decompose(m, budget=300):

@@ -3,7 +3,9 @@
 Everything here assumes the algebra is standardly stratified with respect to
 its declared vertex order; callers are gated through strat.classify.  The
 good filtration dimension is computed by the Ext scan against the standard
-modules, with proj_dim(T) supplying the finite scan bound.
+modules, with proj_dim(T) supplying the finite scan bound.  End(T(λ)) is
+local, so each endomorphism is c·id plus a nilpotent; c is read off its
+minimal polynomial (x - c)^m, and rad End(T(λ)) is spanned by the f - c·id.
 """
 
 from . import homology, linalg, reps, strat
@@ -13,8 +15,6 @@ from .linalg import Matrix
 from .quiver import QuiverSpec, build_algebra
 from .reps import (Morphism, Rep, compose, direct_sum, hom_basis,
                    identity_morphism)
-
-EXTENSION_BUDGET = 1000
 
 
 class CharTilting:
@@ -157,7 +157,8 @@ def _summand_with_delta(x, emb, lam):
 
 
 def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
-    """Build T(λ) for each λ by iterated universal extensions."""
+    """Build T(λ) for each λ by universal extensions of Delta(λ), one
+    descending sweep over the lower standard modules."""
     hit = a.cache.get("char_tilting")
     if hit is not None:
         return hit
@@ -171,20 +172,14 @@ def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
     for lam in range(a.n):
         x = deltas[lam]
         emb = identity_morphism(x)
-        budget = EXTENSION_BUDGET
-        changed = True
-        while changed:
-            changed = False
-            for mu in range(lam - 1, -1, -1):
-                while homology.ext_dim(1, deltas[mu], x, cap) != 0:
-                    budget -= 1
-                    if budget < 0:
-                        raise NonTerminating("extension budget exhausted "
-                                             f"building T({a.vertices[lam]})")
-                    z, incl, _ = homology.universal_extension(deltas[mu], x)
-                    emb = compose(incl, emb)
-                    x = z
-                    changed = True
+        # one descending sweep.  Ext^1(Delta(mu), Y) = 0 when Y has no
+        # composition factor above mu, as for Y = Delta(mu) or Delta(nu),
+        # nu < mu.  So one universal extension by Delta(mu) kills
+        # Ext^1(Delta(mu), -), and the later ones, by Delta(nu), keep it 0
+        for mu in range(lam - 1, -1, -1):
+            if homology.ext_dim(1, deltas[mu], x, cap) != 0:
+                x, incl, _ = homology.universal_extension(deltas[mu], x)
+                emb = compose(incl, emb)
         for nu in range(a.n):
             if homology.ext_dim(1, deltas[nu], x, cap) != 0:
                 raise StratakitError(
@@ -461,18 +456,26 @@ def gfd_algebra(a, cap=homology.DEFAULT_CAP):
 # -- Ringel dual --------------------------------------------------------------
 
 def _local_scalar(field, f):
-    """For f in a local algebra, the scalar c with f - c*id nilpotent."""
+    """For f in a local algebra, the scalar c with f - c*id nilpotent, or
+    None when there is none in k.
+
+    That c exists iff the minimal polynomial is (x - c)^m.  Its x^(m-1)
+    coefficient is then -m*c, which gives c unless the characteristic p
+    divides m; then p <= m and c is the only root of the polynomial in k.
+    The expansion of (x - c)^m is checked exactly."""
     poly = reps.minimal_polynomial(field, f)
-    factors = reps._factor_min_poly(field, poly)
-    roots = set()
-    for fac, _ in factors:
-        if len(fac) != 2:
+    m = len(poly) - 1
+    if field.is_rational or m % field.p:
+        c = field.mul(field.neg(poly[m - 1]), field.inv(field.of(m)))
+    else:
+        roots, _ = reps._roots_in_field(field, poly)
+        if len(roots) != 1:
             return None
-        # monic linear factor x + fac[0]
-        roots.add(field.neg(fac[0]))
-    if len(roots) != 1:
-        return None
-    return roots.pop()
+        c = roots[0][0]
+    power = [field.one]
+    for _ in range(m):
+        power = reps._poly_mul(field, power, [field.neg(c), field.one])
+    return c if power == poly else None
 
 
 def ringel_dual(a, cap=homology.DEFAULT_CAP):

@@ -1,6 +1,9 @@
 """Command-line driver: output formats, determinism, exit codes."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -161,3 +164,31 @@ def test_missing_tilting_certificate_is_an_error(monkeypatch):
     code, _, err = run_cli(["analyze", fixture_path("a3line.alg")])
     assert code == 2
     assert "no filtration certificate" in err
+
+
+GUARD = """
+import contextlib, io, os, sys
+import stratakit
+from stratakit.cli import main
+fixtures = sys.argv[1]
+runs = [[cmd, os.path.join(fixtures, name)] for name in sorted(os.listdir(fixtures))
+        if name.endswith(".alg") for cmd in ("analyze", "check")]
+runs.append(["check", os.path.join(fixtures, "borelA.alg"),
+             "--borel", os.path.join(fixtures, "borelB.alg")])
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+a = stratakit.parse("field Q\\nvertices 1 2\\n").build()
+assert len(stratakit.decompose(stratakit.regular_module(a))) == 2
+print(len(runs), "sympy" in sys.modules)
+"""
+
+
+def test_no_run_imports_sympy():
+    # polynomial roots are found in k by the package itself
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", GUARD, fixture_path("")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["15", "False"]

@@ -2,8 +2,8 @@
 
 import pytest
 
-from stratakit import reps
-from stratakit.errors import NotASubmodule
+from stratakit import parse, reps, strat, tilting
+from stratakit.errors import NotASubmodule, StratakitError
 from stratakit.linalg import Matrix
 from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
                             decompose, direct_sum, generated_submodule,
@@ -11,6 +11,7 @@ from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
                             is_isomorphic, kernel, projective, quotient,
                             radical_submodule, regular_module, simple,
                             socle_submodule, top)
+from stratakit.fields import QQ
 from stratakit.tilting import probe_modules
 
 from conftest import algebra
@@ -186,8 +187,8 @@ def test_a3line_projective_sum_splits_as_before():
                                   "loop2", "borelA", "borelB"])
 def test_simple_top_or_socle_modules_have_local_endomorphisms(name):
     # the shortcut answers "indecomposable" where the search would too:
-    # no basis endomorphism has a minimal polynomial with two distinct
-    # irreducible factors, so none of them splits the module
+    # every basis endomorphism has minimal polynomial (x - c)^m with c in k,
+    # so none of them splits the module
     a = algebra(name)
     F = a.field
     fired = [m for m in probe_modules(a) if reps._simple_top_or_socle(m)]
@@ -195,7 +196,9 @@ def test_simple_top_or_socle_modules_have_local_endomorphisms(name):
     for m in fired:
         for f in hom_basis(m, m):
             mp = reps.minimal_polynomial(F, reps._total_matrix(f))
-            assert len(reps._factor_min_poly(F, mp)) == 1
+            roots, rest = reps._roots_in_field(F, mp)
+            assert rest == [F.one]
+            assert [mult for _, mult in roots] == [len(mp) - 1]
 
 
 def test_hom_dimension_mismatch_settles_isomorphism_without_search(monkeypatch):
@@ -231,3 +234,71 @@ def test_simple_top_or_socle_settles_isomorphism_by_basis_scan(monkeypatch):
     for m, n in passing:
         assert reps._simple_top_or_socle(m) or reps._simple_top_or_socle(n)
         assert reps.find_isomorphism(m, n) is None
+
+
+# -- decompositions that split ------------------------------------------------
+
+@pytest.mark.parametrize("field", ["Q", "GF 2"])
+def test_loopa_tilting_extension_splits_off_delta(field, monkeypatch):
+    # the extension of Delta(2) by a k-basis of Ext^1 is T(2) + Delta(1)
+    a = parse(f"field {field}\nvertices 1 2\narrow x 1 1\narrow a 1 2\n"
+              "relation 1*x.x\n").build()
+    decompose = reps.decompose_with_inclusions
+    splits = []
+
+    def recording(m, *args):
+        parts = decompose(m, *args)
+        if len(parts) > 1:
+            splits.append(parts)
+        return parts
+
+    monkeypatch.setattr(reps, "decompose_with_inclusions", recording)
+    tilt = tilting.characteristic_tilting(a)
+    assert [t.dims for t in tilt.summands] == [(2, 0), (2, 1)]
+    [parts] = splits
+    assert [part.dims for part, _ in parts] == [(2, 1), (2, 0)]
+    assert is_isomorphic(parts[1][0], strat.standard_family(a)[0])
+    for part, incl in parts:
+        assert incl.is_valid() and incl.is_injective()
+
+
+def _kronecker(companions):
+    """The Kronecker module (k^n, k^n; I, B) with B block diagonal in the
+    companion matrices of the given monic polynomials (ascending, no lead)."""
+    a = parse("field Q\nvertices 1 2\narrow a 1 2\narrow b 1 2\n").build()
+    n = sum(len(low) for low in companions)
+    b = [[0] * n for _ in range(n)]
+    off = 0
+    for low in companions:
+        d = len(low)
+        for i in range(1, d):
+            b[off + i][off + i - 1] = 1
+        for i in range(d):
+            b[off + i][off + d - 1] = -low[i]
+        off += d
+    return Rep(a, (n, n), [Matrix.identity(QQ, n), Matrix.from_rows(QQ, b)])
+
+
+def test_kronecker_module_without_eigenvalue_in_q_is_indecomposable():
+    # End = Q[x]/(x^2 + 1) is a field: B = [[0, -1], [1, 0]] has no eigenvalue
+    m = _kronecker([[1, 0]])
+    assert m.action[1].to_rows() == [[0, -1], [1, 0]]
+    [(part, incl)] = reps.decompose_with_inclusions(m)
+    assert part is m and incl.is_isomorphism()
+
+
+def test_kronecker_modules_of_coprime_quadratics_split():
+    # K(x^2 - 2) + K(x^2 - 3): the idempotents of End split it in two
+    m = _kronecker([[-2, 0], [-3, 0]])
+    parts = reps.decompose(m)
+    assert [(part.dims, mult) for part, mult in parts] == [((2, 2), 1)] * 2
+    assert not is_isomorphic(parts[0][0], parts[1][0])
+
+
+def test_undecided_minimal_polynomial_is_an_error():
+    # End = Q[x]/(x^4 - 2) is a field, so nothing splits, but every
+    # non-scalar endomorphism has a rootless minimal polynomial of degree 4,
+    # which the roots in Q cannot show to be irreducible
+    m = _kronecker([[-2, 0, 0, 0]])
+    with pytest.raises(StratakitError, match=r"x\^4 - \d+, a factor"):
+        reps.decompose_with_inclusions(m, budget=5)
