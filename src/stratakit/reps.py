@@ -5,16 +5,18 @@ are columns and matrices act on the left.  A Morphism stores one matrix per
 vertex; composition `compose(g, f)` means "f first, then g".
 
 Decomposition splits a module by Fitting's lemma along endomorphisms whose
-minimal polynomial has coprime factors over k.  Those factors come from the
-roots in k, found exactly: rational roots by Hensel lifting from a small
-prime, roots in GF(p) by gcd with x^p - x.  No polynomial is factored
-beyond that.
+minimal polynomial has coprime factors over k.  Minimal polynomials are
+factored exactly: over GF(p) by Berlekamp's algorithm, over Q by
+Zassenhaus's, from a factorisation modulo a small prime lifted by Hensel's
+lemma.
 """
 
+import operator
 import random
 from fractions import Fraction
-from itertools import count
-from math import gcd
+from itertools import combinations, count
+from math import isqrt, lcm
+from types import SimpleNamespace
 
 from . import linalg
 from .errors import (AlgebraMismatch, NotASubmodule, StratakitError,
@@ -603,13 +605,6 @@ def _poly_powmod(F, f, e, g):
     return out
 
 
-def _poly_eval(F, f, c):
-    acc = F.zero
-    for a in reversed(f):
-        acc = F.add(F.mul(acc, c), a)
-    return acc
-
-
 def _squarefree_part(F, f):
     """The product of the distinct monic irreducible factors of the monic f.
 
@@ -630,98 +625,152 @@ def _squarefree_part(F, f):
     return _poly_mul(F, w, _squarefree_part(F, g[::F.p])) if len(g) > 1 else w
 
 
-def _roots_mod_p(F, f):
-    """The distinct roots in GF(p) of the monic squarefree f.
-
-    When p exceeds the degree, g = gcd(f, x^p - x) is the product of the
-    linear factors, and g splits by gcd with (x + a)^((p-1)/2) - 1 for
-    a = 0, 1, ...: for two distinct roots some shift a has x + a a square
-    at one of them and not at the other."""
-    p = F.p
-    if p < len(f):
-        return [c for c in range(p) if _poly_eval(F, f, c) == 0]
-    xp = _poly_powmod(F, [0, 1], p, f) + [0, 0]
-    xp[1] = F.sub(xp[1], 1)
-    pending, roots = [_poly_gcd(F, f, _trim(xp))], []
-    while pending:
-        g = pending.pop()
-        if len(g) <= 2:
-            roots += [F.neg(g[0])] if len(g) == 2 else []
-            continue
-        for a in range(p):
-            h = _poly_powmod(F, [a, 1], (p - 1) // 2, g)
-            h = _poly_gcd(F, g, _trim([F.sub(h[0], 1)] + h[1:]))
-            if 1 < len(h) < len(g):
-                pending += [h, _poly_divmod(F, g, h)[0]]
-                break
-    return roots
-
-
-def _rational_roots(f):
-    """The distinct rational roots of the monic squarefree f over Q.
-
-    With d the common denominator of the coefficients, q(y) = d^n f(y/d) is
-    monic over Z and its rational roots are integers y with |y| below
-    Cauchy's bound b.  Each root of q modulo the least prime p that keeps q
-    squarefree lifts uniquely (Hensel, by Newton steps) modulo p^(2^k) > 2b,
-    and the symmetric residue is checked exactly, so no integer is
-    factored."""
-    n = len(f) - 1
-    d = 1
-    for c in f:
-        d = d * c.denominator // gcd(d, c.denominator)
-    q = [int(c * d ** (n - i)) for i, c in enumerate(f)]
-    dq = [i * c for i, c in enumerate(q)][1:]
-    bound = 1 + max((abs(c) for c in q[:-1]), default=0)
-    p = next(p for p in count(2) if _is_prime(p) and len(
-        _poly_gcd(GF(p), _mod(q, p), _mod(dq, p))) == 1)
-    roots = []
-    for y in _roots_mod_p(GF(p), _mod(q, p)):
-        mod = p
-        while mod <= 2 * bound:
-            mod *= mod
-            y = (y - _int_eval(q, y) * pow(_int_eval(dq, y), -1, mod)) % mod
-        y = y - mod if 2 * y > mod else y
-        if _int_eval(q, y) == 0:
-            roots.append(Fraction(y, d))
-    return roots
+def _poly_add(F, f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    return _trim([F.add(a, g[i]) if i < len(g) else a for i, a in enumerate(f)])
 
 
 def _mod(f, p):
     return _trim(c % p for c in f)
 
 
-def _int_eval(f, y):
-    acc = 0
-    for a in reversed(f):
-        acc = acc * y + a
-    return acc
+# Z with the operations _poly_mul, _poly_add and _poly_divmod use; over Z
+# they divide only by monic polynomials, and 1 and -1 are their own inverses
+_ZZ = SimpleNamespace(zero=0, add=operator.add, sub=operator.sub,
+                      mul=operator.mul, inv=lambda unit: unit)
 
 
-def _roots_in_field(F, f):
-    """The roots of the monic f in k with their multiplicities, and the
-    monic cofactor of f that has no root in k: ([(c, mult)], rest).
+def _berlekamp(F, f):
+    """The monic irreducible factors of the monic squarefree f over GF(p).
 
-    The order of the roots fixes the order of the summands that
-    decompose_with_inclusions returns.  It is by multiplicity, then over Q
-    by the linear factor b·x - a with a, b coprime integers and b > 0 (by b,
-    then by -a), and over GF(p) by -c."""
-    sqf = _squarefree_part(F, f)
-    roots = _rational_roots(sqf) if F.is_rational else _roots_mod_p(F, sqf)
+    The v of degree below deg f with v^p = v modulo f are the polynomials
+    that are constant modulo each irreducible factor, so they form a space
+    whose dimension is the number of factors (Berlekamp).  For every two
+    factors some basis element v is a different constant modulo each, so
+    replacing each factor found so far by its gcds with v - s, s in GF(p),
+    for every basis element v separates all of them."""
+    n = len(f) - 1
+    xp = _poly_powmod(F, [0, 1], F.p, f)
+    power, cols = [F.one], []
+    for i in range(n):
+        # column i: x^(i p) - x^i modulo f
+        col = power + [F.zero] * (n - len(power))
+        col[i] = F.sub(col[i], F.one)
+        cols.append(col)
+        power = _poly_divmod(F, _poly_mul(F, power, xp), f)[1]
+    basis = linalg.kernel_basis(Matrix.from_columns(F, cols, rows=n))
+    factors = [f]
+    for v in basis:
+        if len(factors) == len(basis):
+            break
+        factors = [h for g in factors for s in range(F.p) if len(
+            h := _poly_gcd(F, g, _trim([F.sub(v[0], s)] + v[1:]))) > 1]
+    return factors
+
+
+def _hensel_lift(q, factors, p, mod):
+    """The monic lifts modulo mod, a power of p, of the irreducible monic
+    factors modulo p of the monic q over Z, which is squarefree modulo p.
+
+    Each factor g is lifted against the product h of the later ones, one
+    p-adic digit at a time.  With t = h^-1 modulo g, the next digit
+    e = (q - g h) / p^i modulo p is a h + b g for a = e t modulo g, and
+    g + p^i a, h + p^i b agree with q one digit further.  The lift of h is
+    then split in the same way."""
+    F = GF(p)
     out = []
-    for c in roots:
-        mult = 0
-        while True:
-            q, r = _poly_divmod(F, f, [F.neg(c), F.one])
-            if r:
+    for i, g in enumerate(factors[:-1]):
+        h = [F.one]
+        for later in factors[i + 1:]:
+            h = _poly_mul(F, h, later)
+        # g is irreducible, so k[x]/g is the field with p^deg(g) elements
+        t = _poly_powmod(F, _poly_divmod(F, h, g)[1], p ** (len(g) - 1) - 2, g)
+        digit = p
+        while digit < mod:
+            gh = _poly_mul(_ZZ, g, h)
+            e = _mod([(c - d) // digit for c, d in zip(q, gh)], p)
+            a = _poly_divmod(F, _poly_mul(F, e, t), g)[1]
+            ah = [F.neg(c) for c in _poly_mul(F, a, h)]
+            b = _poly_divmod(F, _poly_add(F, e, ah), g)[0]
+            g = _poly_add(_ZZ, g, [digit * c for c in a])
+            h = _poly_add(_ZZ, h, [digit * c for c in b])
+            digit *= p
+        out.append(g)
+        q = h
+    return out + [q]
+
+
+def _factor_rational(f):
+    """The monic irreducible factors over Q of the monic squarefree f.
+
+    With d the common denominator of the coefficients, q(y) = d^n f(y/d) is
+    monic over Z, and G(x) = d^-m g(dx) turns its monic factors g of degree
+    m into those of f.  q is factored modulo the least prime p that keeps it
+    squarefree, and the factors are lifted modulo p^k > 2B, where B =
+    2^n |q|_2 bounds the coefficients of every factor of q over Z
+    (Mignotte).  Products of lifted factors, fewest first, taken as
+    symmetric residues, are then tried as divisors of q (Zassenhaus)."""
+    n = len(f) - 1
+    d = lcm(*(c.denominator for c in f))
+    q = [int(c * d ** (n - i)) for i, c in enumerate(f)]
+    dq = [i * c for i, c in enumerate(q)][1:]
+    p = next(p for p in count(2) if _is_prime(p) and len(
+        _poly_gcd(GF(p), _mod(q, p), _mod(dq, p))) == 1)
+    mod, bound = p, 2 ** (n + 1) * (isqrt(sum(c * c for c in q)) + 1)
+    while mod <= bound:
+        mod *= p
+    lifted = _hensel_lift(q, _berlekamp(GF(p), _mod(q, p)), p, mod)
+    factors, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = [1]
+            for i in subset:
+                g = [c % mod for c in _poly_mul(_ZZ, g, lifted[i])]
+            g = [(c + mod // 2) % mod - mod // 2 for c in g]
+            quotient, rest = _poly_divmod(_ZZ, q, g)
+            if not rest:
+                factors.append(g)
+                q = quotient
+                lifted = [h for i, h in enumerate(lifted) if i not in subset]
                 break
-            f, mult = q, mult + 1
-        out.append((c, mult))
-    if F.is_rational:
-        out.sort(key=lambda cm: (cm[1], cm[0].denominator, -cm[0].numerator))
+        else:
+            size += 1
+    return [[Fraction(c, d ** (len(g) - 1 - i)) for i, c in enumerate(g)]
+            for g in factors + [q]]
+
+
+def _factor(F, f):
+    """The monic irreducible factors of the monic f over k, with their
+    multiplicities: [(g, mult)].
+
+    The order fixes the order of the summands that decompose_with_inclusions
+    returns: by degree, then by multiplicity, then by the coefficients of g
+    from the top, over GF(p) as residues 0, ..., p-1 and over Q those of the
+    primitive integer multiple of g."""
+    sqf = _squarefree_part(F, f)
+    if len(sqf) <= 2:
+        irreducibles = [sqf] if len(sqf) == 2 else []
+    elif F.is_rational:
+        irreducibles = _factor_rational(sqf)
     else:
-        out.sort(key=lambda cm: (cm[1], F.neg(cm[0])))
-    return out, f
+        irreducibles = _berlekamp(F, sqf)
+    out = []
+    for g in irreducibles:
+        mult = 0
+        while not (qr := _poly_divmod(F, f, g))[1]:
+            f, mult = qr[0], mult + 1
+        out.append((g, mult))
+
+    def top_first(g):
+        if not F.is_rational:
+            return g[::-1]
+        # d g is primitive for d the least common denominator of monic g
+        d = lcm(*(c.denominator for c in g))
+        return [int(c * d) for c in reversed(g)]
+
+    out.sort(key=lambda gm: (len(gm[0]), gm[1], top_first(gm[0])))
+    return out
 
 
 def _poly_of_morphism(f, coeffs):
@@ -734,25 +783,14 @@ def _poly_of_morphism(f, coeffs):
 
 
 def _split_by_endo(m, f):
-    """Split m by Fitting's lemma along the endomorphism f.
-
-    The minimal polynomial of f is the product of (x - c)^mult over its roots
-    c in k and a cofactor with no root in k; m is the direct sum of the
-    kernels of these pairwise coprime factors evaluated at f.  Returns
-    (pieces, None) when there are two factors or more.  Otherwise returns
-    (None, None) when the cofactor is 1 or its squarefree part has degree
-    at most 3, so that it is a power of one irreducible polynomial, and
-    (None, cofactor) when it may be a product of several: then whether f
-    splits m is undecided."""
+    """Split m by Fitting's lemma along the endomorphism f: m is the direct
+    sum of the kernels of g(f)^mult over the powers of irreducible
+    polynomials g^mult whose product is the minimal polynomial of f.  None
+    when that is a single power."""
     F = m.algebra.field
-    mp = minimal_polynomial(F, _total_matrix(f))
-    roots, rest = _roots_in_field(F, mp)
-    factors = [([F.neg(c), F.one], mult) for c, mult in roots]
-    if len(rest) > 1:
-        factors.append((rest, 1))
+    factors = _factor(F, minimal_polynomial(F, _total_matrix(f)))
     if len(factors) < 2:
-        undecided = len(rest) > 1 and len(_squarefree_part(F, rest)) > 4
-        return None, (rest if undecided else None)
+        return None
     pieces = []
     for coeffs, mult in factors:
         g = _poly_of_morphism(f, coeffs)
@@ -760,7 +798,7 @@ def _split_by_endo(m, f):
         for _ in range(mult - 1):
             power = compose(power, g)
         pieces.append(kernel(power))
-    return pieces, None
+    return pieces
 
 
 def _split_candidates(endos, budget):
@@ -799,10 +837,7 @@ def decompose_with_inclusions(m, budget=300):
     and each piece is decomposed in turn.  The basis of End(m) comes first,
     so when no candidate splits, no basis endomorphism has a minimal
     polynomial with two coprime factors over k and m is returned as
-    indecomposable.  When no candidate splits but one had a minimal
-    polynomial factor that might be a product of irreducible polynomials of
-    degree 2 or more (see `_split_by_endo`), StratakitError is raised rather
-    than an answer.
+    indecomposable.
     """
     if m.total_dim == 0:
         return []
@@ -811,11 +846,9 @@ def decompose_with_inclusions(m, budget=300):
     endos = hom_basis(m, m)
     if len(endos) == 1:
         return [(m, identity_morphism(m))]
-    undecided = None
     for f in _split_candidates(endos, budget):
-        pieces, rest = _split_by_endo(m, f)
+        pieces = _split_by_endo(m, f)
         if pieces is None:
-            undecided = undecided or rest
             continue
         out = []
         for piece in pieces:
@@ -823,26 +856,7 @@ def decompose_with_inclusions(m, budget=300):
             for part, part_incl in decompose_with_inclusions(sub, budget):
                 out.append((part, compose(incl, part_incl)))
         return out
-    if undecided is not None:
-        raise StratakitError(
-            f"cannot decide whether {m!r} is indecomposable: no endomorphism "
-            f"splits it, and {_poly_text(undecided)}, a factor of a minimal "
-            f"polynomial over {m.algebra.field}, has no root there and may "
-            "be a product of irreducible polynomials of degree 2 or more")
     return [(m, identity_morphism(m))]
-
-
-def _poly_text(f):
-    """f as text, highest power first, as in x^4 - 8."""
-    text = ""
-    for i in range(len(f) - 1, -1, -1):
-        if f[i] != 0:
-            power = "" if i == 0 else "x" if i == 1 else f"x^{i}"
-            coeff = "" if abs(f[i]) == 1 and i else str(abs(f[i]))
-            term = coeff + ("*" if coeff and power else "") + power
-            sign = "-" if f[i] < 0 else "+"
-            text = (f"{text} {sign} " if text else sign.strip("+")) + term
-    return text
 
 
 def decompose(m, budget=300):

@@ -457,25 +457,12 @@ def gfd_algebra(a, cap=homology.DEFAULT_CAP):
 
 def _local_scalar(field, f):
     """For f in a local algebra, the scalar c with f - c*id nilpotent, or
-    None when there is none in k.
-
-    That c exists iff the minimal polynomial is (x - c)^m.  Its x^(m-1)
-    coefficient is then -m*c, which gives c unless the characteristic p
-    divides m; then p <= m and c is the only root of the polynomial in k.
-    The expansion of (x - c)^m is checked exactly."""
-    poly = reps.minimal_polynomial(field, f)
-    m = len(poly) - 1
-    if field.is_rational or m % field.p:
-        c = field.mul(field.neg(poly[m - 1]), field.inv(field.of(m)))
-    else:
-        roots, _ = reps._roots_in_field(field, poly)
-        if len(roots) != 1:
-            return None
-        c = roots[0][0]
-    power = [field.one]
-    for _ in range(m):
-        power = reps._poly_mul(field, power, [field.neg(c), field.one])
-    return c if power == poly else None
+    None when there is none in k: c exists iff the minimal polynomial of f
+    is a power of x - c."""
+    factors = reps._factor(field, reps.minimal_polynomial(field, f))
+    if len(factors) == 1 and len(factors[0][0]) == 2:
+        return field.neg(factors[0][0][0])
+    return None
 
 
 def ringel_dual(a, cap=homology.DEFAULT_CAP):

@@ -1,15 +1,18 @@
-"""Roots of minimal polynomials in k, against brute force.
+"""Factoring minimal polynomials over k, against brute force.
 
-`reps._roots_in_field` splits a monic polynomial into its roots in k, with
-multiplicities, and a cofactor with no root in k.  `tilting._local_scalar`
-finds the scalar c with f - c*id nilpotent.  Over GF(p) every element is
-evaluated; over Q the polynomials are built from known roots and a rootless
-factor.
+`reps._factor` splits a monic polynomial into monic irreducible factors with
+multiplicities, by Berlekamp's algorithm over GF(p) and by Zassenhaus's over
+Q.  `tilting._local_scalar` finds the scalar c with f - c*id nilpotent.  Over
+GF(p) every element is evaluated and small degrees are checked by trial
+division; over Q the polynomials are built from known irreducible factors.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +31,31 @@ def _product(F, factors):
     return out
 
 
+def _expand(F, factors):
+    return _product(F, [g for g, mult in factors for _ in range(mult)])
+
+
 def _linear_power(F, c, e):
     return _product(F, [[F.neg(c), F.one]] * e)
+
+
+def _eval(F, f, c):
+    acc = F.zero
+    for a in reversed(f):
+        acc = F.add(F.mul(acc, c), a)
+    return acc
+
+
+def _monic(F, degree):
+    """Every monic polynomial of the given degree over GF(p)."""
+    for low in product(range(F.p), repeat=degree):
+        yield list(low) + [F.one]
+
+
+def _is_irreducible(F, g):
+    """Trial division by every monic polynomial of degree up to deg(g) / 2."""
+    return all(reps._poly_divmod(F, g, h)[1]
+               for d in range(1, (len(g) - 1) // 2 + 1) for h in _monic(F, d))
 
 
 @st.composite
@@ -47,17 +73,32 @@ def gf_polys(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(gf_polys())
-def test_gf_roots_match_evaluation_at_every_element(case):
+def test_gf_factors_match_evaluation_at_every_element(case):
     F, f = case
-    roots, rest = reps._roots_in_field(F, f)
-    expected = [c for c in range(F.p) if reps._poly_eval(F, f, c) == 0]
-    assert sorted(c for c, _ in roots) == expected
-    for c, mult in roots:
-        power = _linear_power(F, c, mult)
-        assert reps._poly_divmod(F, f, power)[1] == []
-        assert reps._poly_divmod(F, f, _linear_power(F, c, mult + 1))[1] != []
-    assert all(reps._poly_eval(F, rest, c) != 0 for c in range(F.p))
-    assert _product(F, [rest] + [_linear_power(F, c, m) for c, m in roots]) == f
+    factors = reps._factor(F, f)
+    assert _expand(F, factors) == f
+    assert len({tuple(g) for g, _ in factors}) == len(factors)
+    roots = [F.neg(g[0]) for g, _ in factors if len(g) == 2]
+    assert sorted(roots) == [c for c in range(F.p) if _eval(F, f, c) == 0]
+    # the random factors have degree at most 3, so a factor of degree 2 or
+    # 3 is irreducible iff it has no root
+    for g, _ in factors:
+        assert 2 <= len(g) <= 4
+        assert all(_eval(F, g, c) != 0 for c in range(F.p)) or len(g) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_gf_quartics_factor_into_irreducibles(p):
+    F = GF(p)
+    irreducible = 0
+    for f in _monic(F, 4):
+        factors = reps._factor(F, f)
+        assert _expand(F, factors) == f
+        assert all(_is_irreducible(F, g) for g, _ in factors)
+        irreducible += factors == [(f, 1)]
+        assert (factors == [(f, 1)]) == _is_irreducible(F, f)
+    # the number of monic irreducible quartics: (p^4 - p^2) / 4
+    assert irreducible == (p ** 4 - p ** 2) // 4
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,12 +120,13 @@ def _has_rational_root(f):
         return True
     divisors = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     divisors += [n // d for d in divisors]
-    return any(reps._int_eval(f, s * d) == 0 for d in divisors for s in (1, -1))
+    return any(_eval(QQ, f, s * d) == 0 for d in divisors for s in (1, -1))
 
 
 @st.composite
 def rootless(draw):
-    """A monic quadratic or cubic over Z with no rational root."""
+    """A monic quadratic or cubic over Z with no rational root, so
+    irreducible over Q."""
     low = draw(st.lists(st.integers(min_value=-6, max_value=6),
                         min_size=2, max_size=3).filter(
         lambda low: not _has_rational_root(low + [1])))
@@ -95,11 +137,11 @@ def rootless(draw):
 @given(st.dictionaries(st.fractions(min_value=-6, max_value=6,
                                     max_denominator=5),
                        st.integers(min_value=1, max_value=3), max_size=4),
-       st.lists(rootless(), max_size=2),
+       st.lists(rootless(), max_size=3),
        st.fractions(min_value=-3, max_value=3, max_denominator=3))
-def test_rational_roots_of_products(roots, extra, shift):
+def test_rational_factors_of_products(roots, extra, shift):
     # the rootless factors are shifted to x -> x - shift, which keeps them
-    # rootless and gives them non-integer coefficients
+    # irreducible and gives them non-integer coefficients
     F = QQ
     shifted = []
     for g in extra:
@@ -107,21 +149,42 @@ def test_rational_roots_of_products(roots, extra, shift):
         for c in reversed(g):
             h = reps._poly_mul(F, h, [F.neg(shift), F.one])
             h[0] += c
-        shifted.append(reps._trim(h))
-    f = _product(F, shifted + [_linear_power(F, c, e) for c, e in roots.items()])
-    got, rest = reps._roots_in_field(F, f)
-    assert dict(got) == roots
-    assert rest == _product(F, shifted)
+        shifted.append(tuple(reps._trim(h)))
+    expected = Counter(shifted)
+    expected.update({(F.neg(c), F.one): e for c, e in roots.items()})
+    f = _expand(F, [(list(g), e) for g, e in expected.items()])
+    assert {tuple(g): e for g, e in reps._factor(F, f)} == expected
 
 
-def test_rational_roots_with_large_coefficients():
+def _q(*coeffs):
+    return [Fraction(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("f, expected", [
+    # x^4 - 10x^2 + 1 is irreducible over Q but splits modulo every prime
+    (_q(1, 0, -10, 0, 1), [_q(1, 0, -10, 0, 1)]),
+    (_q(-2, 0, 0, 0, 1), [_q(-2, 0, 0, 0, 1)]),
+    (_q(6, 0, -5, 0, 1), [_q(-3, 0, 1), _q(-2, 0, 1)]),
+    # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2)
+    (_q(4, 0, 0, 0, 1), [_q(2, -2, 1), _q(2, 2, 1)]),
+    (_q(576, 0, -960, 0, 352, 0, -40, 0, 1),
+     [_q(576, 0, -960, 0, 352, 0, -40, 0, 1)]),
+    (_q(-1, 0, 0, 0, 0, 0, 1),
+     [_q(-1, 1), _q(1, 1), _q(1, -1, 1), _q(1, 1, 1)]),
+])
+def test_rational_factors_of_degree_four_and_more(f, expected):
+    assert reps._factor(QQ, f) == [(g, 1) for g in expected]
+
+
+def test_rational_factors_with_large_coefficients():
     F = QQ
     big = Fraction(10 ** 30 + 7, 3)
-    f = _product(F, [[F.neg(big), F.one], [Fraction(-2), F.zero, F.one],
+    f = _product(F, [[F.neg(big), F.one], _q(-2, 0, 1),
                      [Fraction(1, 10 ** 12), F.one]])
-    got, rest = reps._roots_in_field(F, f)
-    assert sorted(c for c, _ in got) == [Fraction(-1, 10 ** 12), big]
-    assert rest == [Fraction(-2), F.zero, F.one]
+    # 3x - (10^30 + 7) comes before 10^12 x + 1
+    assert reps._factor(F, f) == [([F.neg(big), F.one], 1),
+                                  ([Fraction(1, 10 ** 12), F.one], 1),
+                                  (_q(-2, 0, 1), 1)]
 
 
 @st.composite
@@ -177,14 +240,15 @@ def test_local_scalar_rejects_eigenvalues_outside_k():
     assert _local_scalar(F, block) is None
 
 
-def test_root_order():
-    # the order of the roots fixes the order of the summands of a split
+def test_factor_order():
+    # the order of the factors fixes the order of the summands of a split:
+    # by degree, then multiplicity, then the coefficients from the top
     F = GF(5)
-    f = _product(F, [_linear_power(F, c, e)
-                     for c, e in ((2, 2), (1, 1), (0, 1), (4, 1))])
-    assert reps._roots_in_field(F, f) == ([(0, 1), (4, 1), (1, 1), (2, 2)], [1])
+    factors = [([0, 1], 1), ([1, 1], 1), ([4, 1], 1), ([3, 1], 2),
+               ([2, 0, 1], 1), ([1, 1, 1], 1)]
+    assert reps._factor(F, _expand(F, factors[::-1])) == factors
     F = QQ
-    roots = [(Fraction(2), 1), (Fraction(0), 1), (Fraction(-1), 1),
-             (Fraction(1, 2), 1), (Fraction(3), 2)]
-    f = _product(F, [_linear_power(F, c, e) for c, e in reversed(roots)])
-    assert reps._roots_in_field(F, f) == (roots, [F.one])
+    factors = [(_q(-2, 1), 1), (_q(0, 1), 1), (_q(1, 1), 1),
+               ([Fraction(-1, 2), F.one], 1), (_q(-3, 1), 2),
+               ([Fraction(1, 2), F.zero, F.one], 1), (_q(-2, 0, 1), 2)]
+    assert reps._factor(F, _expand(F, factors[::-1])) == factors

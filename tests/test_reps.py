@@ -1,9 +1,11 @@
 """Representations: projectives, injectives, hom spaces, decomposition."""
 
+import random
+
 import pytest
 
-from stratakit import parse, reps, strat, tilting
-from stratakit.errors import NotASubmodule, StratakitError
+from stratakit import linalg, parse, reps, strat, tilting
+from stratakit.errors import NotASubmodule
 from stratakit.linalg import Matrix
 from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
                             decompose, direct_sum, generated_submodule,
@@ -11,7 +13,6 @@ from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
                             is_isomorphic, kernel, projective, quotient,
                             radical_submodule, regular_module, simple,
                             socle_submodule, top)
-from stratakit.fields import QQ
 from stratakit.tilting import probe_modules
 
 from conftest import algebra
@@ -196,9 +197,8 @@ def test_simple_top_or_socle_modules_have_local_endomorphisms(name):
     for m in fired:
         for f in hom_basis(m, m):
             mp = reps.minimal_polynomial(F, reps._total_matrix(f))
-            roots, rest = reps._roots_in_field(F, mp)
-            assert rest == [F.one]
-            assert [mult for _, mult in roots] == [len(mp) - 1]
+            [(g, mult)] = reps._factor(F, mp)
+            assert len(g) == 2 and mult == len(mp) - 1
 
 
 def test_hom_dimension_mismatch_settles_isomorphism_without_search(monkeypatch):
@@ -262,21 +262,35 @@ def test_loopa_tilting_extension_splits_off_delta(field, monkeypatch):
         assert incl.is_valid() and incl.is_injective()
 
 
-def _kronecker(companions):
+def _kronecker(companions, field="Q", seed=None):
     """The Kronecker module (k^n, k^n; I, B) with B block diagonal in the
-    companion matrices of the given monic polynomials (ascending, no lead)."""
-    a = parse("field Q\nvertices 1 2\narrow a 1 2\narrow b 1 2\n").build()
+    companion matrices of the given monic polynomials (ascending, no lead).
+    With a seed, both vector spaces get a random basis."""
+    a = parse(f"field {field}\nvertices 1 2\narrow a 1 2\narrow b 1 2\n").build()
+    F = a.field
     n = sum(len(low) for low in companions)
-    b = [[0] * n for _ in range(n)]
+    b = [[F.zero] * n for _ in range(n)]
     off = 0
     for low in companions:
         d = len(low)
         for i in range(1, d):
-            b[off + i][off + i - 1] = 1
+            b[off + i][off + i - 1] = F.one
         for i in range(d):
-            b[off + i][off + d - 1] = -low[i]
+            b[off + i][off + d - 1] = F.neg(F.of(low[i]))
         off += d
-    return Rep(a, (n, n), [Matrix.identity(QQ, n), Matrix.from_rows(QQ, b)])
+    action = [Matrix.identity(F, n), Matrix.from_rows(F, b)]
+    if seed is not None:
+        rng = random.Random(seed)
+        p, q = [_random_invertible(F, n, rng) for _ in range(2)]
+        action = [q.mul(x).mul(linalg.inverse(p)) for x in action]
+    return Rep(a, (n, n), action)
+
+
+def _random_invertible(F, n, rng):
+    while True:
+        m = Matrix(F, n, n, [F.of(rng.randint(-3, 3)) for _ in range(n * n)])
+        if linalg.is_invertible(m):
+            return m
 
 
 def test_kronecker_module_without_eigenvalue_in_q_is_indecomposable():
@@ -287,18 +301,27 @@ def test_kronecker_module_without_eigenvalue_in_q_is_indecomposable():
     assert part is m and incl.is_isomorphism()
 
 
-def test_kronecker_modules_of_coprime_quadratics_split():
-    # K(x^2 - 2) + K(x^2 - 3): the idempotents of End split it in two
-    m = _kronecker([[-2, 0], [-3, 0]])
+@pytest.mark.parametrize("companions", [[[-2, 0], [-3, 0]], [[6, 0, -5, 0]]])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_kronecker_modules_of_coprime_quadratics_split(companions, seed):
+    # K(x^2 - 2) + K(x^2 - 3) = K(x^4 - 5x^2 + 6), also in random bases: no
+    # endomorphism has an eigenvalue in Q, and the split needs the factors
+    # x^2 - 2 and x^2 - 3 of a minimal polynomial
+    m = _kronecker(companions, seed=seed)
     parts = reps.decompose(m)
     assert [(part.dims, mult) for part, mult in parts] == [((2, 2), 1)] * 2
     assert not is_isomorphic(parts[0][0], parts[1][0])
 
 
-def test_undecided_minimal_polynomial_is_an_error():
-    # End = Q[x]/(x^4 - 2) is a field, so nothing splits, but every
-    # non-scalar endomorphism has a rootless minimal polynomial of degree 4,
-    # which the roots in Q cannot show to be irreducible
-    m = _kronecker([[-2, 0, 0, 0]])
-    with pytest.raises(StratakitError, match=r"x\^4 - \d+, a factor"):
-        reps.decompose_with_inclusions(m, budget=5)
+@pytest.mark.parametrize("field, low", [
+    ("Q", [-2, 0, 0, 0]), ("Q", [1, 0, -10, 0]), ("GF 2", [1, 1, 0, 0]),
+    ("GF 3", [2, 1, 0, 0])])
+def test_kronecker_modules_of_irreducible_quartics_are_indecomposable(field,
+                                                                      low):
+    # End = k[x]/(f) is a field for f = x^4 - 2 and x^4 - 10x^2 + 1 over Q,
+    # x^4 + x + 1 over GF(2) and x^4 + x + 2 over GF(3), so in a random
+    # basis every non-scalar endomorphism has an irreducible quartic as its
+    # minimal polynomial and nothing splits
+    m = _kronecker([low], field, seed=3)
+    [(part, incl)] = reps.decompose_with_inclusions(m, budget=20)
+    assert part is m and incl.is_isomorphism()
