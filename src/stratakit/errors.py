@@ -53,7 +53,7 @@ class NotProperlyStratified(StratakitError):
 
 
 class NonTerminating(StratakitError):
-    """The add(T)-coresolution did not close within its step budget."""
+    """The add(T)-coresolution did not close within `cap` steps."""
 
 
 class NothingToExtend(StratakitError):

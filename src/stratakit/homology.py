@@ -296,12 +296,8 @@ class ExtClass:
             return m.total_dim == 0
         F = m.algebra.field
         # solve: sum c_i (proj . sigma_i) = id in Hom(m, m) coordinates
-        cols = []
-        for sig in homs:
-            comp = compose(self.proj, sig)
-            cols.append([e for b in comp.blocks for e in b.entries])
-        ident = reps.identity_morphism(m)
-        target = [e for b in ident.blocks for e in b.entries]
+        cols = [compose(self.proj, sig).flat() for sig in homs]
+        target = reps.identity_morphism(m).flat()
         mat = Matrix.from_columns(F, cols, rows=len(target))
         return linalg.solve(mat, target) is not None
 
@@ -321,12 +317,8 @@ def _cocycle_classes(m, n):
     # coboundaries: restrictions of Hom(P0, n) along the inclusion; keep
     # the cocycles independent modulo them
     vec_len = sum(b.rows * b.cols for b in cocycles[0].blocks)
-
-    def flat(f):
-        return [e for b in f.blocks for e in b.entries]
-
-    cob = [flat(compose(g, incl)) for g in hom_basis(P0, n)]
-    keep = linalg.pivot_columns(F, cob + [flat(c) for c in cocycles], vec_len)
+    cob = [compose(g, incl).flat() for g in hom_basis(P0, n)]
+    keep = linalg.pivot_columns(F, cob + [c.flat() for c in cocycles], vec_len)
     reps_out = [cocycles[k - len(cob)] for k in keep if k >= len(cob)]
     return reps_out, omega, incl, cover
 

@@ -8,7 +8,12 @@ Decomposition splits a module by Fitting's lemma along endomorphisms whose
 minimal polynomial has coprime factors over k.  Minimal polynomials are
 factored exactly: over GF(p) by Berlekamp's algorithm, over Q by
 Zassenhaus's, from a factorisation modulo a small prime lifted by Hensel's
-lemma.
+lemma.  An endomorphism whose minimal polynomial is a power of one
+irreducible and whose degree is dim End certifies the module indecomposable.
+
+Isomorphism is decided by Krull–Schmidt, without a coefficient search: a
+basis scan of Hom is exact between indecomposable modules, so two
+decomposable modules are compared part by part.
 """
 
 import operator
@@ -87,6 +92,10 @@ class Morphism:
 
     def is_zero(self):
         return all(b.is_zero() for b in self.blocks)
+
+    def flat(self):
+        """The entries of the blocks, row by row, as one vector."""
+        return [e for b in self.blocks for e in b.entries]
 
     def is_injective(self):
         return all(linalg.rank(b) == b.cols for b in self.blocks)
@@ -465,54 +474,43 @@ def generated_submodule(m, gens, sub=None):
 
 # -- isomorphism testing ----------------------------------------------------
 
-_ISO_SEED = 20240517
+def _iso_in_basis(homs):
+    """The first isomorphism in a basis of Hom(m, n), or None."""
+    return next((f for f in homs if f.is_isomorphism()), None)
 
 
-def _combo_search(homs, predicate, budget=400):
-    """Search the span of `homs`, beyond the basis itself, for a morphism
-    satisfying `predicate`."""
-    F = homs[0].source.algebra.field
-    r = len(homs)
-    if r >= 2:
-        rng = random.Random(_ISO_SEED)
-        small = r <= 6
-        if small:
-            # exhaustive over small coefficients first
-            def rec(i, acc):
-                if i == r:
-                    if any(c != 0 for c in acc):
-                        f = morphism_from_coeffs(homs, [F.of(c) for c in acc])
-                        if predicate(f):
-                            return f
-                    return None
-                for c in (0, 1, -1):
-                    got = rec(i + 1, acc + [c])
-                    if got is not None:
-                        return got
-                return None
-            got = rec(0, [])
-            if got is not None:
-                return got
-        for _ in range(budget):
-            if F.is_rational:
-                coeffs = [F.of(rng.randint(-5, 5)) for _ in range(r)]
-            else:
-                coeffs = [F.of(rng.randrange(F.p)) for _ in range(r)]
-            if all(F.is_zero(c) for c in coeffs):
-                continue
-            f = morphism_from_coeffs(homs, coeffs)
-            if predicate(f):
-                return f
-    return None
+def _projections(m, parts):
+    """The projections m -> part of a decomposition [(part, inclusion)] of m:
+    the rows of the inverse of the stacked inclusions, sliced per part."""
+    a = m.algebra
+    inv = [linalg.inverse(linalg.hstack([incl.blocks[v] for _, incl in parts]))
+           for v in range(a.n)]
+    offsets = [0] * a.n
+    out = []
+    for part, _ in parts:
+        blocks = []
+        for v, d in enumerate(m.dims):
+            lo, hi = offsets[v] * d, (offsets[v] + part.dims[v]) * d
+            blocks.append(Matrix(a.field, part.dims[v], d,
+                                 inv[v].entries[lo:hi]))
+            offsets[v] += part.dims[v]
+        out.append(Morphism(m, part, blocks))
+    return out
 
 
 def find_isomorphism(m, n):
-    """An isomorphism m -> n, or None.
+    """An isomorphism m -> n, or None, decided without a coefficient search.
 
     If m ≅ n then dim Hom(m, n) = dim End(m) = dim End(n), so a mismatch
-    settles the question before any search.  For indecomposable m ≅ n via φ
-    the non-isomorphisms form the proper subspace φ∘rad End(m), so a basis
-    scan decides when m or n has a simple top or socle."""
+    settles the question first.  For indecomposable m ≅ n via φ the
+    non-isomorphisms form the proper subspace φ∘rad End(m), so a basis scan
+    of Hom(m, n) finds an isomorphism; it decides when m or n has a simple
+    top or socle, or decomposes into a single part.  Otherwise, by
+    Krull–Schmidt, m ≅ n exactly when the indecomposable parts of m and n
+    match one-to-one up to isomorphism, each pair decided by a basis scan;
+    the sum of the matched isomorphisms, through the projections of m and
+    the inclusions into n, is an isomorphism m -> n.  The answer is exact
+    whenever decompose_with_inclusions is."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("iso test across algebras")
     if m.dims != n.dims:
@@ -522,15 +520,30 @@ def find_isomorphism(m, n):
     homs = hom_basis(m, n)
     if not homs or any(len(hom_basis(x, x)) != len(homs) for x in (m, n)):
         return None
-    for f in homs:
-        if f.is_isomorphism():
-            return f
+    iso = _iso_in_basis(homs)
+    if iso is not None:
+        return iso
     if _simple_top_or_socle(m) or _simple_top_or_socle(n):
         return None
-    return _combo_search(homs, lambda f: f.is_isomorphism())
+    m_parts = decompose_with_inclusions(m)
+    n_parts = decompose_with_inclusions(n)
+    if len(m_parts) == 1 or len(n_parts) == 1:
+        return None
+    iso = zero_morphism(m, n)
+    for (p, _), proj in zip(m_parts, _projections(m, m_parts)):
+        for k, (q, incl) in enumerate(n_parts):
+            phi = _iso_in_basis(hom_basis(p, q)) if p.dims == q.dims else None
+            if phi is not None:
+                iso = iso.add(compose(incl, compose(phi, proj)))
+                del n_parts[k]
+                break
+        else:
+            return None
+    return iso
 
 
 def is_isomorphic(m, n):
+    """Is m ≅ n?  Decided by find_isomorphism."""
     return find_isomorphism(m, n) is not None
 
 
@@ -782,15 +795,10 @@ def _poly_of_morphism(f, coeffs):
     return acc
 
 
-def _split_by_endo(m, f):
-    """Split m by Fitting's lemma along the endomorphism f: m is the direct
-    sum of the kernels of g(f)^mult over the powers of irreducible
-    polynomials g^mult whose product is the minimal polynomial of f.  None
-    when that is a single power."""
-    F = m.algebra.field
-    factors = _factor(F, minimal_polynomial(F, _total_matrix(f)))
-    if len(factors) < 2:
-        return None
+def _fitting_pieces(f, factors):
+    """The kernels of g(f)^mult over the factors (g, mult) of the minimal
+    polynomial of the endomorphism f: by Fitting's lemma, the module is
+    their direct sum."""
     pieces = []
     for coeffs, mult in factors:
         g = _poly_of_morphism(f, coeffs)
@@ -801,16 +809,21 @@ def _split_by_endo(m, f):
     return pieces
 
 
-def _split_candidates(endos, budget):
+_RANDOM_CANDIDATES = 300
+_SPLIT_SEED = 20240518
+
+
+def _split_candidates(endos):
     """Endomorphisms to try as splitters, generated lazily in a fixed order:
-    the basis, then pairwise sums, then `budget` seeded random combinations."""
+    the basis, then pairwise sums, then _RANDOM_CANDIDATES seeded random
+    combinations."""
     yield from endos
     for i in range(len(endos)):
         for j in range(i + 1, len(endos)):
             yield endos[i].add(endos[j])
-    rng = random.Random(_ISO_SEED + 1)
+    rng = random.Random(_SPLIT_SEED)
     F = endos[0].source.algebra.field
-    for _ in range(budget):
+    for _ in range(_RANDOM_CANDIDATES):
         if F.is_rational:
             coeffs = [F.of(rng.randint(-3, 3)) for _ in endos]
         else:
@@ -827,17 +840,19 @@ def _simple_top_or_socle(m):
             or socle_submodule(m).total_dim == 1)
 
 
-def decompose_with_inclusions(m, budget=300):
+def decompose_with_inclusions(m):
     """List of (indecomposable Rep, inclusion into m), in deterministic order.
 
     A module with a simple top or a simple socle is indecomposable and is
     returned as it is, without computing End(m).  Otherwise the candidates of
-    `_split_candidates` are tried one at a time; the first whose minimal
+    `_split_candidates` are tried one at a time.  The first whose minimal
     polynomial has two coprime factors over k splits m by Fitting's lemma,
-    and each piece is decomposed in turn.  The basis of End(m) comes first,
-    so when no candidate splits, no basis endomorphism has a minimal
-    polynomial with two coprime factors over k and m is returned as
-    indecomposable.
+    and each piece is decomposed in turn.  A candidate f whose minimal
+    polynomial is a power g^e of one irreducible g, of degree dim End(m),
+    certifies m indecomposable: End(m) = k[f] ≅ k[x]/(g^e) is local.  The
+    basis of End(m) comes first, so when no candidate splits, no basis
+    endomorphism has a minimal polynomial with two coprime factors over k
+    and m is returned as indecomposable.
     """
     if m.total_dim == 0:
         return []
@@ -846,22 +861,26 @@ def decompose_with_inclusions(m, budget=300):
     endos = hom_basis(m, m)
     if len(endos) == 1:
         return [(m, identity_morphism(m))]
-    for f in _split_candidates(endos, budget):
-        pieces = _split_by_endo(m, f)
-        if pieces is None:
+    F = m.algebra.field
+    for f in _split_candidates(endos):
+        factors = _factor(F, minimal_polynomial(F, _total_matrix(f)))
+        if len(factors) == 1:
+            [(g, mult)] = factors
+            if (len(g) - 1) * mult == len(endos):
+                break               # End(m) = k[f] is local
             continue
         out = []
-        for piece in pieces:
+        for piece in _fitting_pieces(f, factors):
             sub, incl = piece.as_rep()
-            for part, part_incl in decompose_with_inclusions(sub, budget):
+            for part, part_incl in decompose_with_inclusions(sub):
                 out.append((part, compose(incl, part_incl)))
         return out
     return [(m, identity_morphism(m))]
 
 
-def decompose(m, budget=300):
+def decompose(m):
     """Direct summands with multiplicities: [(Rep, multiplicity)]."""
-    parts = decompose_with_inclusions(m, budget)
+    parts = decompose_with_inclusions(m)
     out = []
     for rep, _ in parts:
         for k, (other, mult) in enumerate(out):

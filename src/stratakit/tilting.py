@@ -80,7 +80,7 @@ class CharTilting:
                 rad.append(f.add(ident.scale(F.neg(c))))
             dim = sum(d * d for d in self.summands[s].dims)
             rad = [rad[k] for k in linalg.pivot_columns(
-                F, [_flat(g) for g in rad], dim)]
+                F, [g.flat() for g in rad], dim)]
         self._radical[(s, t)] = rad
         return rad
 
@@ -109,51 +109,25 @@ class CharTilting:
         return self.is_basic()
 
 
-def _flat(f):
-    """The entries of a morphism's blocks as one vector."""
-    return [e for b in f.blocks for e in b.entries]
-
-
 def _summand_with_delta(x, emb, lam):
-    """Split x and pick the summand meeting the embedded Delta(λ) at vertex λ."""
-    a = x.algebra
+    """Split x and pick T(λ), the one summand with composition factor λ; the
+    others lie in add(T(μ)), μ < λ.  Returns it with the embedded Delta(λ)
+    projected onto it."""
     parts = reps.decompose_with_inclusions(x)
     if len(parts) == 1:
         return x, emb
-    F = a.field
-    # change of basis from ⊕parts to x
-    change = [linalg.hstack([incl.blocks[v] for _, incl in parts])
-              for v in range(a.n)]
-    inv = [linalg.inverse(c) for c in change]
-    offsets = [0] * a.n
-    chosen = None
-    for rep, incl in parts:
-        # does the summand meet the image of emb at vertex λ?
-        cols = incl.blocks[lam].cols
-        meet = False
-        if cols and emb.blocks[lam].cols:
-            combined = linalg.hstack([incl.blocks[lam], emb.blocks[lam]])
-            if linalg.rank(combined) < cols + linalg.rank(emb.blocks[lam]):
-                meet = True
-        proj_blocks = []
-        for v in range(a.n):
-            off = offsets[v]
-            w = rep.dims[v]
-            proj_blocks.append(Matrix(F, w, x.dims[v],
-                                      [inv[v][off + i, j]
-                                       for i in range(w)
-                                       for j in range(x.dims[v])]))
-        for v in range(a.n):
-            offsets[v] += rep.dims[v]
-        if meet:
-            comp = Morphism(emb.source, rep,
-                            [p.mul(e) for p, e in zip(proj_blocks, emb.blocks)])
-            if comp.is_injective():
-                chosen = (rep, comp)
-                break
-    if chosen is None:
-        raise StratakitError("no summand carries the embedded standard module")
-    return chosen
+    chosen = [(part, proj) for (part, _), proj
+              in zip(parts, reps._projections(x, parts)) if part.dims[lam]]
+    if len(chosen) != 1:
+        raise StratakitError(
+            f"{len(chosen)} summands have composition factor "
+            f"{x.algebra.vertices[lam]}, expected one")
+    [(part, proj)] = chosen
+    comp = compose(proj, emb)
+    if not comp.is_injective():
+        raise StratakitError("the embedded standard module does not embed in "
+                             "its summand")
+    return part, comp
 
 
 def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
@@ -327,7 +301,7 @@ def _left_approximation(m, tilt):
                for g in tilt.radical(mu, lam) for h in homs[mu]]
         dim = sum(dm * dt for dm, dt in zip(m.dims, t.dims))
         keep = linalg.pivot_columns(
-            a.field, [_flat(f) for f in rad + homs[lam]], dim)
+            a.field, [f.flat() for f in rad + homs[lam]], dim)
         chosen += [(t, homs[lam][k - len(rad)]) for k in keep if k >= len(rad)]
     if not chosen:
         return None
@@ -491,7 +465,7 @@ def ringel_dual(a, cap=homology.DEFAULT_CAP):
                 continue
             dim = sum(len(b.entries) for b in rad[0].blocks)
             keep = linalg.pivot_columns(
-                F, [_flat(f) for f in rad2 + rad], dim)
+                F, [f.flat() for f in rad2 + rad], dim)
             for k in keep:
                 if k >= len(rad2):
                     arrows.append((f"r{len(arrows)}", s, t, rad[k - len(rad2)]))
@@ -524,7 +498,7 @@ def ringel_dual(a, cap=homology.DEFAULT_CAP):
         length += 1
     relations = []
     for (s0, t0), items in groups.items():
-        vecs = [_flat(f) for _, f in items]
+        vecs = [f.flat() for _, f in items]
         sz = len(vecs[0])
         mat = Matrix.from_columns(F, vecs, rows=sz)
         for kvec in linalg.kernel_basis(mat):

@@ -131,3 +131,20 @@ def test_s_iso_t_agrees_with_the_totals(key, field):
     cot = tilting.characteristic_cotilting(a)
     tilt = tilting.characteristic_tilting(a)
     assert tilting.s_iso_t(a) == reps.is_isomorphic(cot.total, tilt.total)
+
+
+@pytest.mark.parametrize("key,field", [("a3/321", "Q"), ("bb/231", "GF 2")])
+def test_totals_are_matched_part_by_part(key, field, monkeypatch):
+    # no basis element of Hom(S, T) is an isomorphism, so the isomorphism
+    # comes from matching indecomposable parts, not from combining the basis
+    a = corpus_algebra(key, field)
+    s = tilting.characteristic_cotilting(a).total
+    t = tilting.characteristic_tilting(a).total
+    assert not any(f.is_isomorphism() for f in reps.hom_basis(s, t))
+
+    def no_combination(basis, coeffs):
+        raise AssertionError("morphism_from_coeffs called")
+
+    monkeypatch.setattr(reps, "morphism_from_coeffs", no_combination)
+    iso = reps.find_isomorphism(s, t)
+    assert iso is not None and iso.is_valid() and iso.is_isomorphism()

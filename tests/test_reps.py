@@ -209,10 +209,10 @@ def test_hom_dimension_mismatch_settles_isomorphism_without_search(monkeypatch):
                            len(reps.hom_basis(n, n))}) > 1]
     assert mismatched
 
-    def no_search(homs, predicate, budget=400):
-        raise AssertionError("_combo_search called")
+    def no_fallback(m):
+        raise AssertionError("decompose_with_inclusions called")
 
-    monkeypatch.setattr(reps, "_combo_search", no_search)
+    monkeypatch.setattr(reps, "decompose_with_inclusions", no_fallback)
     for m, n in mismatched:
         assert reps.find_isomorphism(m, n) is None
 
@@ -293,12 +293,29 @@ def _random_invertible(F, n, rng):
             return m
 
 
-def test_kronecker_module_without_eigenvalue_in_q_is_indecomposable():
-    # End = Q[x]/(x^2 + 1) is a field: B = [[0, -1], [1, 0]] has no eigenvalue
+def _count_minimal_polynomials(monkeypatch):
+    calls = []
+    real = reps.minimal_polynomial
+
+    def counting(F, mat):
+        calls.append(mat)
+        return real(F, mat)
+
+    monkeypatch.setattr(reps, "minimal_polynomial", counting)
+    return calls
+
+
+def test_kronecker_module_without_eigenvalue_in_q_is_indecomposable(
+        monkeypatch):
+    # End = Q[x]/(x^2 + 1) is a field: B = [[0, -1], [1, 0]] has no
+    # eigenvalue.  The first basis endomorphism has minimal polynomial of
+    # degree dim End, so End = Q[f] is local and no other candidate is tried
     m = _kronecker([[1, 0]])
     assert m.action[1].to_rows() == [[0, -1], [1, 0]]
+    calls = _count_minimal_polynomials(monkeypatch)
     [(part, incl)] = reps.decompose_with_inclusions(m)
     assert part is m and incl.is_isomorphism()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("companions", [[[-2, 0], [-3, 0]], [[6, 0, -5, 0]]])
@@ -316,12 +333,15 @@ def test_kronecker_modules_of_coprime_quadratics_split(companions, seed):
 @pytest.mark.parametrize("field, low", [
     ("Q", [-2, 0, 0, 0]), ("Q", [1, 0, -10, 0]), ("GF 2", [1, 1, 0, 0]),
     ("GF 3", [2, 1, 0, 0])])
-def test_kronecker_modules_of_irreducible_quartics_are_indecomposable(field,
-                                                                      low):
+def test_kronecker_modules_of_irreducible_quartics_are_indecomposable(
+        field, low, monkeypatch):
     # End = k[x]/(f) is a field for f = x^4 - 2 and x^4 - 10x^2 + 1 over Q,
     # x^4 + x + 1 over GF(2) and x^4 + x + 2 over GF(3), so in a random
     # basis every non-scalar endomorphism has an irreducible quartic as its
-    # minimal polynomial and nothing splits
+    # minimal polynomial and nothing splits; the first one certifies that
     m = _kronecker([low], field, seed=3)
-    [(part, incl)] = reps.decompose_with_inclusions(m, budget=20)
+    calls = _count_minimal_polynomials(monkeypatch)
+    [(part, incl)] = reps.decompose_with_inclusions(m)
     assert part is m and incl.is_isomorphism()
+    assert len(calls) == 1
+
