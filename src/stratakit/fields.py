@@ -32,6 +32,8 @@ class FieldSpec:
         if p is not None and not _is_prime(p):
             raise StratakitError(f"{p} is not prime")
         self.p = p
+        self.zero = Fraction(0) if p is None else 0
+        self.one = Fraction(1) if p is None else 1
 
     @property
     def is_rational(self):
@@ -55,14 +57,6 @@ class FieldSpec:
             raise ZeroDivisionError("denominator divisible by p")
         return n * pow(d, -1, self.p) % self.p
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
@@ -82,6 +76,8 @@ class FieldSpec:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
             return 1 / Fraction(a)
+        if a % self.p == 0:
+            raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
     def is_zero(self, a):

@@ -1,10 +1,14 @@
 """Exact dense linear algebra over a FieldSpec.
 
 Matrices are dense, row-major, immutable after construction.  RREF over the
-field is the reference semantics for everything (rank, kernels, solving);
-corpus matrices never exceed a few dozen rows so no fraction-free tricks are
-needed.
+field is the reference semantics for everything (rank, kernels, solving).
+The arithmetic is specialised per field: over GF(p) on int residues reduced
+inline, over Q by fraction-free elimination on integer rows.  The RREF is
+unique, so both give exactly the result of elimination on field scalars.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import StratakitError
 
@@ -114,28 +118,35 @@ class Matrix:
         if self.cols != other.rows:
             raise StratakitError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         F = self.field
+        p, zero, n, oc = F.p, F.zero, self.cols, other.cols
+        b_entries = other.entries
         out = []
         for i in range(self.rows):
-            ri = self.entries[i * self.cols:(i + 1) * self.cols]
-            for j in range(other.cols):
-                acc = F.zero
-                for k, a in enumerate(ri):
-                    if not F.is_zero(a):
-                        acc = F.add(acc, F.mul(a, other.entries[k * other.cols + j]))
-                out.append(acc)
-        return Matrix(F, self.rows, other.cols, out)
+            acc = [0] * oc
+            for k, a in enumerate(self.entries[i * n:(i + 1) * n]):
+                if a:
+                    for j in range(oc):
+                        b = b_entries[k * oc + j]
+                        if b:
+                            acc[j] += a * b
+            for x in acc:
+                out.append(x % p if p else x or zero)
+        return Matrix(F, self.rows, oc, out)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
         F = self.field
+        p, zero, n = F.p, F.zero, self.cols
+        nonzero = [(k, b) for k, b in enumerate(vec) if b]
         out = []
         for i in range(self.rows):
-            acc = F.zero
-            for k in range(self.cols):
-                a = self.entries[i * self.cols + k]
-                if not F.is_zero(a):
-                    acc = F.add(acc, F.mul(a, vec[k]))
-            out.append(acc)
+            row = self.entries[i * n:(i + 1) * n]
+            acc = 0
+            for k, b in nonzero:
+                a = row[k]
+                if a:
+                    acc += a * b
+            out.append(acc % p if p else acc or zero)
         return out
 
 
@@ -182,30 +193,86 @@ def block_diag(field, mats):
 
 def rref(m):
     """Reduced row echelon form.  Returns (Matrix, pivot column indices)."""
-    F = m.field
-    rows = [m.row(i) for i in range(m.rows)]
+    if m.rows == 0 or m.cols == 0:
+        return m, []
+    if m.field.p is None:
+        return _rref_rational(m)
+    return _rref_mod_p(m)
+
+
+def _rref_mod_p(m):
+    """Gauss-Jordan over GF(p) on int residues, reducing inline."""
+    p, n = m.field.p, m.cols
+    rows = [m.entries[i * n:(i + 1) * n] for i in range(m.rows)]
     pivots = []
     r = 0
-    for c in range(m.cols):
-        pivot_row = None
+    for c in range(n):
         for i in range(r, m.rows):
-            if not F.is_zero(rows[i][c]):
-                pivot_row = i
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        prow = rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
         if r == m.rows:
             break
-    return Matrix.from_rows(F, rows) if m.rows else m, pivots
+    return Matrix(m.field, m.rows, n, [x for row in rows for x in row]), pivots
+
+
+def _rref_rational(m):
+    """Fraction-free Gauss-Jordan over Q (cf. Bareiss 1968).
+
+    Each row is scaled by the lcm of its denominators, which leaves the RREF
+    unchanged.  Elimination runs on int rows, row := s*row - t*pivot_row,
+    and divides each updated row by its content to keep the entries small.
+    Fractions are built once, from the final pivot rows."""
+    F, n = m.field, m.cols
+    nums = [x.numerator for x in m.entries]
+    dens = [x.denominator for x in m.entries]
+    rows = []
+    for i in range(0, len(nums), n):
+        row, row_dens = nums[i:i + n], dens[i:i + n]
+        den = lcm(*row_dens)
+        if den > 1:
+            row = [x * (den // d) for x, d in zip(row, row_dens)]
+        rows.append(row)
+    pivots = []
+    r = 0
+    for c in range(n):
+        for i in range(r, m.rows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        a = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(a, f)
+                s, t = a // g, f // g
+                row = [s * x - t * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    zero, one = F.zero, F.one
+    out = []
+    for row, c in zip(rows, pivots):
+        d = row[c]
+        out.extend(zero if not x else one if x == d else Fraction(x, d) for x in row)
+    out.extend([zero] * ((m.rows - len(pivots)) * n))
+    return Matrix(F, m.rows, n, out), pivots
 
 
 def rank(m):
@@ -216,7 +283,8 @@ def kernel_basis(m):
     """Basis of the right null space, as a list of column vectors."""
     F = m.field
     R, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [F.zero] * m.cols

@@ -137,3 +137,140 @@ def test_stack_and_block_diag_shapes():
 def test_field_mismatch_guard():
     with pytest.raises(Exception):
         Matrix(QQ, 2, 2, [Fraction(1)] * 3)
+
+
+# -- field-specialised kernels against elimination on field scalars -----------
+
+def reference_rref(m):
+    """Reduced row echelon form.  Returns (Matrix, pivot column indices)."""
+    F = m.field
+    rows = [m.row(i) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = None
+        for i in range(r, m.rows):
+            if not F.is_zero(rows[i][c]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and not F.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix.from_rows(F, rows) if m.rows else m, pivots
+
+
+def _naive_mul(a, b):
+    F = a.field
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = F.zero
+            for k in range(a.cols):
+                acc = F.add(acc, F.mul(a[i, k], b[k, j]))
+            out.append(acc)
+    return Matrix(F, a.rows, b.cols, out)
+
+
+FIELDS = (QQ, GF(2), GF(3), GF(101))
+
+
+def _scalars(field):
+    """Mostly zeros and small values, so that ranks drop; over Q also
+    numerators up to 10^12 over denominators up to 10^6."""
+    if field.is_rational:
+        small = st.integers(-2, 2).map(Fraction)
+        large = st.builds(Fraction, st.integers(-10**12, 10**12),
+                          st.integers(1, 10**6))
+        return st.one_of(st.just(field.zero), small, large)
+    return st.one_of(st.just(0), st.integers(0, field.p - 1))
+
+
+@st.composite
+def _field_matrix(draw, field, rows=None, cols=None):
+    rows = draw(st.integers(0, 8)) if rows is None else rows
+    cols = draw(st.integers(0, 8)) if cols is None else cols
+    entries = draw(st.lists(_scalars(field), min_size=rows * cols,
+                            max_size=rows * cols))
+    return Matrix(field, rows, cols, entries)
+
+
+def _assert_same_entries(field, got, want):
+    assert got == want
+    for e in got.entries:
+        if field.is_rational:
+            assert type(e) is Fraction
+        else:
+            assert type(e) is int and 0 <= e < field.p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(_field_matrix))
+def test_rref_matches_reference(m):
+    got, got_pivots = linalg.rref(m)
+    want, want_pivots = reference_rref(m)
+    assert got_pivots == want_pivots
+    _assert_same_entries(m.field, got, want)
+
+
+@st.composite
+def _product_operands(draw):
+    field = draw(st.sampled_from(FIELDS))
+    r, k, c = (draw(st.integers(0, 8)) for _ in range(3))
+    return (field, draw(_field_matrix(field, r, k)),
+            draw(_field_matrix(field, k, c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_operands())
+def test_mul_and_apply_match_naive_loop(operands):
+    field, a, b = operands
+    _assert_same_entries(field, a.mul(b), _naive_mul(a, b))
+    for j in range(b.cols):
+        col = Matrix.from_columns(field, [b.column(j)], rows=b.rows)
+        got = a.apply(b.column(j))
+        assert len(got) == a.rows
+        _assert_same_entries(field, Matrix.from_columns(field, [got], rows=a.rows),
+                             _naive_mul(a, col))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "GF5"])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_zero_size_matrices(field, shape):
+    rows, cols = shape
+    m = Matrix(field, rows, cols, [])
+    R, pivots = linalg.rref(m)
+    assert R is m and pivots == []
+    assert linalg.rank(m) == 0
+    assert linalg.kernel_basis(m) == [
+        [field.one if i == j else field.zero for i in range(cols)]
+        for j in range(cols)]
+    assert linalg.solve(m, [field.zero] * rows) == [field.zero] * cols
+    if rows:
+        assert linalg.solve(m, [field.one] * rows) is None
+    if rows == cols:
+        assert linalg.inverse(m) == m
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "GF5"])
+def test_inverse_of_zero_raises_zero_division(field):
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        field.inv(field.zero)
+    assert field.mul(field.inv(field.of(2)), field.of(2)) == field.one
+
+
+def test_field_constants_are_shared():
+    for field in (QQ, F5):
+        assert field.zero is field.zero and field.one is field.one
+    assert type(QQ.zero) is Fraction and (QQ.zero, QQ.one) == (0, 1)
+    assert (F5.zero, F5.one) == (0, 1)
+    assert GF(5) == F5 and hash(GF(5)) == hash(F5) and QQ != F5
