@@ -210,7 +210,7 @@ class BorelReport:
         return f"BorelReport({self.verdict}, {self.clauses})"
 
 
-def is_exact_borel(e, cap=homology.DEFAULT_CAP):
+def is_exact_borel(e):
     """The three operative properties of an exact Borel subalgebra."""
     a, b = e.a, e.b
     clauses = []

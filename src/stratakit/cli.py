@@ -23,7 +23,7 @@ def _algebra_section(rep, f, a):
     rep.add("algebra", "dim", a.dim)
 
 
-def _classification_section(rep, a, cap):
+def _classification_section(rep, a):
     cls = strat.classify(a)
     rep.add("class", "kind", cls.kind())
     rep.add("class", "standardly_stratified", cls.standardly_stratified)
@@ -59,7 +59,7 @@ def cmd_analyze(args):
     f = parse_file(args.file)
     a = f.build()
     _algebra_section(rep, f, a)
-    cls = _classification_section(rep, a, args.cap)
+    cls = _classification_section(rep, a)
     _dimension_section(rep, a, cls, args.cap)
     return rep
 
@@ -69,7 +69,7 @@ def cmd_check(args):
     f = parse_file(args.file)
     a = f.build()
     _algebra_section(rep, f, a)
-    cls = _classification_section(rep, a, args.cap)
+    cls = _classification_section(rep, a)
     _dimension_section(rep, a, cls, args.cap)
     for result in tilting.verify_section2(a, args.cap):
         rep.add_check("checks", result.name, result.passed, result.detail)
@@ -89,7 +89,7 @@ def cmd_check(args):
         e = borel.check_embedding(borel.Embedding(b, a, images))
         rep.add("borel", "B_dim", b.dim)
         rep.add("borel", "B_gl_dim", homology.global_dim(b, args.cap))
-        br = borel.is_exact_borel(e, args.cap)
+        br = borel.is_exact_borel(e)
         rep.add_check("borel", "exact_borel", br.verdict,
                       "; ".join(f"{n}:{'ok' if okc else 'fail'}"
                                 for n, okc, _ in br.clauses))

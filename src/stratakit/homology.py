@@ -2,14 +2,20 @@
 
 Resolutions are memoized per algebra (keyed by the structural identity of the
 resolved module) and extended on demand, so repeated Ext queries against the
-same module reuse one resolution.
+same module reuse one resolution.  A resolution keeps its syzygies Ω^k M.
+
+Ext is computed by dimension shifting: Ext^i(M, N) ≅ Ext^1(Ω^{i-1}M, N), and
+0 -> Hom(Ω^{i-1}M, N) -> Hom(P_{i-1}, N) -> Hom(Ω^i M, N) -> Ext^i(M, N) -> 0
+is exact, so dim Ext^i is an alternating sum of Hom dimensions.  Those are
+memoised per resolution and target, so the consecutive degrees of a scan
+share one syzygy's Hom space.
 """
 
 from . import linalg, reps
 from .errors import NothingToExtend, StratakitError, Truncated, ZeroModule
 from .linalg import Matrix
 from .reps import (Morphism, compose, direct_sum, hom_basis, kernel,
-                   path_matrix, projective, quotient, radical_submodule)
+                   projective, quotient, radical_submodule)
 
 DEFAULT_CAP = 20
 
@@ -62,23 +68,13 @@ def injective_hull(m):
     return emb
 
 
-def _generator_offsets(a, summands):
-    """Per summand: (vertex, coordinate of the generator e_v inside that vertex block)."""
-    offs = [0] * a.n
-    out = []
-    for v in summands:
-        out.append((v, offs[v]))
-        for tv, paths in enumerate(a.projective_layout(v)):
-            offs[tv] += len(paths)
-    return out
-
-
 class Resolution:
     """A (partial) minimal projective resolution.
 
     terms[i] is the multiset of projective summand vertices of P_i;
     diffs[0]: P_0 -> m is the cover, diffs[i]: P_i -> P_{i-1} for i >= 1.
-    `complete` means the next syzygy is zero; `truncated` means the cap bit.
+    syzygies[k] is (Ω^k m, its inclusion into P_{k-1}), with Ω^0 = m and no
+    inclusion.  `complete` means the last syzygy is zero.
     """
 
     def __init__(self, module):
@@ -86,36 +82,29 @@ class Resolution:
         self.terms = []          # list of lists of vertex indices
         self.term_reps = []      # the assembled projective Reps
         self.diffs = []
-        self.syzygy = module     # current syzygy rep (to be covered next)
-        self.syzygy_incl = None  # inclusion of syzygy into previous term
+        self.syzygies = [(module, None)]
         self.complete = module.total_dim == 0
-        self.truncated = False
+        self._hom_dims = {}
 
-    @property
-    def length(self):
-        return len(self.terms) - 1
-
-    def extend_to(self, nterms, cap=None):
-        """Grow until there are nterms terms, the resolution completes, or cap bites."""
+    def extend_to(self, nterms):
+        """Grow until there are nterms terms or the resolution completes."""
         while not self.complete and len(self.terms) < nterms:
-            if cap is not None and len(self.terms) >= cap + 1:
-                self.truncated = True
-                return
-            cover = projective_cover(self.syzygy)
+            omega, incl = self.syzygies[-1]
+            cover = projective_cover(omega)
             P = cover.source
-            if self.syzygy_incl is None:
-                diff = cover
-            else:
-                diff = compose(self.syzygy_incl, cover)
             self.terms.append(P.cover_summands)
             self.term_reps.append(P)
-            self.diffs.append(diff)
-            ker = kernel(cover)
-            sub, incl = ker.as_rep()
-            self.syzygy = sub
-            self.syzygy_incl = incl
-            if sub.total_dim == 0:
-                self.complete = True
+            self.diffs.append(cover if incl is None else compose(incl, cover))
+            sub, sub_incl = kernel(cover).as_rep()
+            self.syzygies.append((sub, sub_incl))
+            self.complete = sub.total_dim == 0
+
+    def hom_dim(self, k, n):
+        """dim Hom(Ω^k m, n), memoised per degree and target."""
+        hit = self._hom_dims.get((k, n))
+        if hit is None:
+            hit = self._hom_dims[k, n] = reps.hom_dim(self.syzygies[k][0], n)
+        return hit
 
     def is_minimal(self):
         """Each differential lands in the radical of its target."""
@@ -140,7 +129,7 @@ def min_proj_resolution(m, cap=DEFAULT_CAP):
     if res is None:
         res = Resolution(m)
         table[m.key()] = res
-    res.extend_to(cap + 1, cap=cap)
+    res.extend_to(cap + 1)
     return res
 
 
@@ -180,62 +169,6 @@ def global_dim(a, cap=DEFAULT_CAP):
     return LowerBound(best) if capped else best
 
 
-def _ext_complex_diff(res, n, s):
-    """Matrix of Hom(P_s, n) -> Hom(P_{s+1}, n) in generator coordinates.
-
-    Hom(⊕P(v_t), n) = ⊕ e_{v_t}.n; the map sends the tuple of generator values
-    through the differential's path coefficients.
-    """
-    a = res.module.algebra
-    F = a.field
-    src_verts = res.terms[s]
-    tgt_verts = res.terms[s + 1]
-    src_dim = sum(n.dims[v] for v in src_verts)
-    tgt_dim = sum(n.dims[v] for v in tgt_verts)
-    if src_dim == 0 or tgt_dim == 0:
-        return Matrix.zero(F, tgt_dim, src_dim)
-    diff = res.diffs[s + 1]
-    tgt_offsets = _generator_offsets(a, tgt_verts)
-    # positions of each source summand's basis paths inside the vertex blocks of P_s
-    summand_paths = []   # per summand t: list of (vertex, offset_in_vertex, Path)
-    offs = [0] * a.n
-    for v in src_verts:
-        entry = []
-        for tv, paths in enumerate(a.projective_layout(v)):
-            for k, bi in enumerate(paths):
-                entry.append((tv, offs[tv] + k, a.basis[bi]))
-            offs[tv] += len(paths)
-        summand_paths.append(entry)
-    col_off = []
-    acc = 0
-    for v in src_verts:
-        col_off.append(acc)
-        acc += n.dims[v]
-    out = [[F.zero] * src_dim for _ in range(tgt_dim)]
-    row_acc = 0
-    for (vu, cu) in tgt_offsets:
-        # gen_u is the basis vector at vertex vu, coordinate cu of P_{s+1};
-        # its image under the differential stays in the vu-block of P_s
-        gen_img = diff.blocks[vu].column(cu)
-        for t, entry in enumerate(summand_paths):
-            vt = src_verts[t]
-            for (tv, pos, p) in entry:
-                if tv != vu:
-                    continue
-                c = gen_img[pos]
-                if F.is_zero(c):
-                    continue
-                # a morphism with generator value x at summand t sends gen_u
-                # through c * (action of path p on n) applied to x
-                act = path_matrix(n, p.src, p.arrs)   # n.dims[vu] x n.dims[vt]
-                for r in range(n.dims[vu]):
-                    for cc in range(n.dims[vt]):
-                        out[row_acc + r][col_off[t] + cc] = F.add(
-                            out[row_acc + r][col_off[t] + cc], F.mul(c, act[r, cc]))
-        row_acc += n.dims[vu]
-    return Matrix.from_rows(F, out) if tgt_dim else Matrix(F, 0, src_dim, [])
-
-
 def ext_dim(i, m, n, cap=DEFAULT_CAP):
     """dim Ext^i(m, n).  Raises Truncated when the capped resolution cannot decide."""
     if m.algebra is not n.algebra:
@@ -245,29 +178,15 @@ def ext_dim(i, m, n, cap=DEFAULT_CAP):
     if m.total_dim == 0 or n.total_dim == 0:
         return 0
     res = min_proj_resolution(m, max(cap, i + 1))
-    a = m.algebra
-    F = a.field
     nterms = len(res.terms)
     if not res.complete and nterms < i + 2:
         raise Truncated(f"resolution capped below degree {i}")
-
-    def cochain_dim(s):
-        if s >= nterms:
-            return 0
-        return sum(n.dims[v] for v in res.terms[s])
-
-    def delta(s):
-        """C^s -> C^{s+1}"""
-        if s + 1 >= nterms or s >= nterms:
-            return Matrix.zero(F, cochain_dim(s + 1), cochain_dim(s))
-        return _ext_complex_diff(res, n, s)
-
-    d_i = delta(i)
-    ker_dim = d_i.cols - linalg.rank(d_i)
     if i == 0:
-        return ker_dim
-    d_prev = delta(i - 1)
-    return ker_dim - linalg.rank(d_prev)
+        return res.hom_dim(0, n)
+    if i > nterms:              # past a complete resolution
+        return 0
+    return (res.hom_dim(i, n) - sum(n.dims[v] for v in res.terms[i - 1])
+            + res.hom_dim(i - 1, n))
 
 
 # -- realized extension classes ---------------------------------------------
@@ -305,11 +224,9 @@ class ExtClass:
 def _cocycle_classes(m, n):
     """Basis of Ext^1(m, n) as morphisms Omega(m) -> n, plus the syzygy data."""
     res = min_proj_resolution(m, 1)
-    res.extend_to(1)
     cover = res.diffs[0]
     P0 = res.term_reps[0]
-    ker = kernel(cover)
-    omega, incl = ker.as_rep()
+    omega, incl = res.syzygies[1]
     F = m.algebra.field
     cocycles = hom_basis(omega, n)
     if not cocycles:
@@ -369,12 +286,8 @@ def universal_extension(q, x):
         raise NothingToExtend("Ext^1(q, x) = 0")
     a = q.algebra
     F = a.field
-    qr = direct_sum([q] * r) if r > 1 else None
-    P0 = cover.source
-    if r == 1:
-        return_ext = _pushout_extension(x, incl, cover, cocycles[0])
-        return return_ext.middle, return_ext.incl, return_ext.proj
-    Pr = direct_sum([P0] * r)
+    qr = direct_sum([q] * r)
+    Pr = direct_sum([cover.source] * r)
     Or = direct_sum([omega] * r)
     # block-diagonal cover and inclusion, block-row cocycle
     cover_r = Morphism(Pr, qr, [linalg.block_diag(F, [cover.blocks[v]] * r)

@@ -15,8 +15,8 @@ Path syntax is `c.b.a`, meaning "a, then b, then c" — the rightmost factor
 acts first, matching how compositions are written multiplicatively.
 """
 
-from .errors import ParseError, StratakitError, UnknownVertex
-from .fields import GF, QQ, FieldSpec
+from .errors import ParseError, StratakitError
+from .fields import GF, QQ
 from .linalg import Matrix
 from .quiver import QuiverSpec, build_algebra
 from .reps import Rep

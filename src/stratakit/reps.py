@@ -280,8 +280,10 @@ def regular_module(a):
 
 # -- hom spaces --------------------------------------------------------------
 
-def hom_basis(m, n):
-    """Basis of Hom(m, n), by solving the intertwining linear system."""
+def _hom_system(m, n):
+    """The intertwining equations f_t·m(α) = n(α)·f_s of Hom(m, n), one row
+    per arrow α: s -> t and entry; unknowns are the blocks f_v, row-major,
+    at the returned offsets."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
     a = m.algebra
@@ -291,33 +293,38 @@ def hom_basis(m, n):
     for v in range(a.n):
         offs.append(total)
         total += n.dims[v] * m.dims[v]
-    if total == 0:
-        return []
-    rows = []
+    flat = []
     for ai, (_, s, t) in enumerate(a.arrows):
-        Ms, Nt = m.action[ai], n.action[ai]
-        # equation: f_t . Ms - Nt . f_s = 0, entrywise (r, c): r < n.dims[t], c < m.dims[s]
+        Ms, Nt = m.action[ai].entries, n.action[ai].entries
+        ms, mt, ns = m.dims[s], m.dims[t], n.dims[s]
+        # equation: f_t . Ms - Nt . f_s = 0, entrywise (r, c): r < n.dims[t],
+        # c < m.dims[s].  The f_t terms hit distinct unknowns; an f_s term
+        # can hit one of them only when the arrow is a loop
         for r in range(n.dims[t]):
-            for c in range(m.dims[s]):
+            for c in range(ms):
                 row = [F.zero] * total
-                for k in range(m.dims[t]):
-                    row[offs[t] + r * m.dims[t] + k] = F.add(
-                        row[offs[t] + r * m.dims[t] + k], Ms[k, c])
-                for k in range(n.dims[s]):
-                    row[offs[s] + k * m.dims[s] + c] = F.sub(
-                        row[offs[s] + k * m.dims[s] + c], Nt[r, k])
-                rows.append(row)
-    if rows:
-        mat = Matrix.from_rows(F, rows)
-        ker = linalg.kernel_basis(mat)
-    else:
-        ker = [[F.zero] * total for _ in range(total)]
-        for i in range(total):
-            ker[i][i] = F.one
+                for k in range(mt):
+                    x = Ms[k * ms + c]
+                    if x:
+                        row[offs[t] + r * mt + k] = x
+                for k in range(ns):
+                    x = Nt[r * ns + k]
+                    if x:
+                        j = offs[s] + k * ms + c
+                        row[j] = F.sub(row[j], x)
+                flat.extend(row)
+    eqs = sum(n.dims[t] * m.dims[s] for _, s, t in a.arrows)
+    return Matrix(F, eqs, total, flat), offs
+
+
+def hom_basis(m, n):
+    """Basis of Hom(m, n), by solving the intertwining linear system."""
+    mat, offs = _hom_system(m, n)
+    F = m.algebra.field
     out = []
-    for vec in ker:
+    for vec in linalg.kernel_basis(mat):
         blocks = []
-        for v in range(a.n):
+        for v in range(m.algebra.n):
             ent = vec[offs[v]:offs[v] + n.dims[v] * m.dims[v]]
             blocks.append(Matrix(F, n.dims[v], m.dims[v], ent))
         out.append(Morphism(m, n, blocks))
@@ -325,7 +332,9 @@ def hom_basis(m, n):
 
 
 def hom_dim(m, n):
-    return len(hom_basis(m, n))
+    """dim Hom(m, n): the unknowns less the rank of the intertwining system."""
+    mat, _ = _hom_system(m, n)
+    return mat.cols - linalg.rank(mat)
 
 
 def morphism_from_coeffs(basis, coeffs):

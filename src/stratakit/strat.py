@@ -153,9 +153,13 @@ def _top_kernel(f, mu):
     return f.algebra.cache[key]
 
 
-def _trace_chain(m, family, kernels):
-    """(chain, factor indices), both bottom-up, of a filtration of m whose
-    factor family[μ] is P(μ)/K(μ), kernels[μ] generating K(μ); or None."""
+def _trace_certificate(m, family):
+    """The certificate of the trace filtration of m whose factor family[μ]
+    is P(μ)/K(μ); None if some member has no simple top, or the chain does
+    not close."""
+    kernels = [_top_kernel(f, mu) for mu, f in enumerate(family)]
+    if None in kernels:
+        return None
     a = m.algebra
     U = [reps.zero_submodule(m)]        # U[μ] is generated by e_{>=μ}·m
     for mu in reversed(range(a.n)):
@@ -189,16 +193,20 @@ def _trace_chain(m, family, kernels):
             chain += reversed(steps[:-1])
             indices += [mu] * (len(steps) - 1)
             cur = steps[0]
-    return chain[::-1], indices[::-1]
+    return FiltrationCertificate(m, [s.bases for s in reversed(chain)],
+                                 indices[::-1])
 
 
-def _annihilator(m, sub):
-    """The submodule of m killed by sub, a submodule of D(m) over the
-    opposite algebra."""
+def dual_certificate(m, cert):
+    """A certificate of m from one of its dual D(m) over the opposite
+    algebra: the annihilators in m of the layers of D(m), in reverse order.
+    A factor of the dual chain is D of a factor of the new one, so the
+    indices are reversed alongside."""
     F = m.algebra.field
-    return Submodule(m, [Matrix.from_columns(
-        F, linalg.kernel_basis(b.transpose()), rows=d)
-        for b, d in zip(sub.bases, m.dims)], check=False)
+    layers = [[Matrix.from_columns(F, linalg.kernel_basis(b.transpose()),
+                                   rows=d) for b, d in zip(bases, m.dims)]
+              for bases in reversed(cert.layers)]
+    return FiltrationCertificate(m, layers, cert.factor_indices[::-1])
 
 
 def filtration_certificate(m, family):
@@ -217,21 +225,15 @@ def filtration_certificate(m, family):
     Delta(μ) to be free over End(Delta(μ)), so peeling loses nothing.
     Families with simple socles (Nabla, NablaBar), and families with simple
     tops that yield nothing, are handled over the opposite algebra and
-    mapped back by annihilators: Nabla can have simple tops.
+    mapped back by dual_certificate: Nabla can have simple tops.
     """
-    kernels = [_top_kernel(f, mu) for mu, f in enumerate(family)]
-    found = _trace_chain(m, family, kernels) if None not in kernels else None
-    if found is None:
-        dual = [reps.dual_to_opposite(f) for f in family]
-        kernels = [_top_kernel(f, mu) for mu, f in enumerate(dual)]
-        if None not in kernels:
-            found = _trace_chain(reps.dual_to_opposite(m), dual, kernels)
-        if found is None:
-            return None
-        chain, indices = found
-        found = [_annihilator(m, s) for s in reversed(chain)], indices[::-1]
-    chain, indices = found
-    return FiltrationCertificate(m, [s.bases for s in chain], indices)
+    cert = _trace_certificate(m, family)
+    if cert is None:
+        cert = _trace_certificate(reps.dual_to_opposite(m),
+                                  [reps.dual_to_opposite(f) for f in family])
+        if cert is not None:
+            cert = dual_certificate(m, cert)
+    return cert
 
 
 def in_filtration_class(m, family):

@@ -72,7 +72,7 @@ class CharTilting:
             ident = identity_morphism(self.summands[s])
             rad = []
             for f in homs:
-                c = _local_scalar(F, linalg.block_diag(F, f.blocks))
+                c = _local_scalar(F, reps._total_matrix(f))
                 if c is None:
                     raise PresentationFailed(
                         "endomorphism ring of a tilting summand is not "
@@ -204,22 +204,16 @@ def characteristic_cotilting(a, cap=homology.DEFAULT_CAP):
         raise NotProperlyStratified("cotilting needs a properly stratified "
                                     "algebra")
     op_tilt = characteristic_tilting(a.opposite(), cap)
-    summands = []
+    summands, nabla_certs, dbar_certs = [], [], []
+    # S(λ) = D(T^op(λ)), and D carries Delta^op to Nabla, NablaBar^op to
+    # DeltaBar: T^op(λ)'s certificates dualize to those of S(λ)
     for lam in range(a.n):
         s = reps.dual_to_opposite(op_tilt.summands[lam])
         s.label = f"S({a.vertices[lam]})"
         summands.append(s)
-    nablas = strat.costandard_family(a)
-    dbars = strat.proper_standard_family(a)
-    nabla_certs, dbar_certs = [], []
-    for s in summands:
-        nc = strat.filtration_certificate(s, nablas)
-        dc = strat.filtration_certificate(s, dbars)
-        if nc is None or dc is None:
-            raise StratakitError("cotilting summand has no filtration "
-                                 "certificate")
-        nabla_certs.append(nc)
-        dbar_certs.append(dc)
+        nabla_certs.append(strat.dual_certificate(s, op_tilt.delta_certs[lam]))
+        dbar_certs.append(
+            strat.dual_certificate(s, op_tilt.nabla_bar_certs[lam]))
     cotilt = Cotilting(a, summands, nabla_certs, dbar_certs)
     a.cache["char_cotilting"] = cotilt
     return cotilt

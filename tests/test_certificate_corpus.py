@@ -133,6 +133,17 @@ def test_s_iso_t_agrees_with_the_totals(key, field):
     assert tilting.s_iso_t(a) == reps.is_isomorphic(cot.total, tilt.total)
 
 
+@pytest.mark.parametrize("key,field", [
+    (key, field) for key, field in CORPUS
+    if PINNED[key][0] in ("quasi-hereditary", "properly stratified")])
+def test_cotilting_certificates_verify(key, field):
+    a = corpus_algebra(key, field)
+    cot = tilting.characteristic_cotilting(a)
+    for nc, dc in zip(cot.nabla_certs, cot.dbar_certs):
+        assert nc.verify(strat.costandard_family(a))
+        assert dc.verify(strat.proper_standard_family(a))
+
+
 @pytest.mark.parametrize("key,field", [("a3/321", "Q"), ("bb/231", "GF 2")])
 def test_totals_are_matched_part_by_part(key, field, monkeypatch):
     # no basis element of Hom(S, T) is an isomorphism, so the isomorphism

@@ -2,15 +2,130 @@
 
 import pytest
 
-from stratakit import homology, reps
-from stratakit.errors import NothingToExtend
-from stratakit.homology import (LowerBound, ext1_classes, ext_dim, global_dim,
-                                inj_dim, injective_hull, min_proj_resolution,
-                                proj_dim, projective_cover, universal_extension)
-from stratakit.reps import (injective, is_isomorphic, projective,
+from stratakit import homology, linalg, reps, tilting
+from stratakit.errors import NothingToExtend, StratakitError, Truncated
+from stratakit.homology import (DEFAULT_CAP, LowerBound, ext1_classes, ext_dim,
+                                global_dim, inj_dim, injective_hull,
+                                min_proj_resolution, proj_dim,
+                                projective_cover, universal_extension)
+from stratakit.linalg import Matrix
+from stratakit.reps import (injective, is_isomorphic, path_matrix, projective,
                             regular_module, simple)
 
 from conftest import algebra
+
+FIXTURES = ["point", "semisimple2", "a2", "a3line", "loop2", "borelA",
+            "borelB"]
+
+
+# -- reference: Ext as the cohomology of Hom(P_•, n), built scalar by scalar
+
+def _generator_offsets(a, summands):
+    """Per summand: (vertex, coordinate of the generator e_v inside that vertex block)."""
+    offs = [0] * a.n
+    out = []
+    for v in summands:
+        out.append((v, offs[v]))
+        for tv, paths in enumerate(a.projective_layout(v)):
+            offs[tv] += len(paths)
+    return out
+
+
+def _ext_complex_diff(res, n, s):
+    """Matrix of Hom(P_s, n) -> Hom(P_{s+1}, n) in generator coordinates.
+
+    Hom(⊕P(v_t), n) = ⊕ e_{v_t}.n; the map sends the tuple of generator values
+    through the differential's path coefficients.
+    """
+    a = res.module.algebra
+    F = a.field
+    src_verts = res.terms[s]
+    tgt_verts = res.terms[s + 1]
+    src_dim = sum(n.dims[v] for v in src_verts)
+    tgt_dim = sum(n.dims[v] for v in tgt_verts)
+    if src_dim == 0 or tgt_dim == 0:
+        return Matrix.zero(F, tgt_dim, src_dim)
+    diff = res.diffs[s + 1]
+    tgt_offsets = _generator_offsets(a, tgt_verts)
+    # positions of each source summand's basis paths inside the vertex blocks of P_s
+    summand_paths = []   # per summand t: list of (vertex, offset_in_vertex, Path)
+    offs = [0] * a.n
+    for v in src_verts:
+        entry = []
+        for tv, paths in enumerate(a.projective_layout(v)):
+            for k, bi in enumerate(paths):
+                entry.append((tv, offs[tv] + k, a.basis[bi]))
+            offs[tv] += len(paths)
+        summand_paths.append(entry)
+    col_off = []
+    acc = 0
+    for v in src_verts:
+        col_off.append(acc)
+        acc += n.dims[v]
+    out = [[F.zero] * src_dim for _ in range(tgt_dim)]
+    row_acc = 0
+    for (vu, cu) in tgt_offsets:
+        # gen_u is the basis vector at vertex vu, coordinate cu of P_{s+1};
+        # its image under the differential stays in the vu-block of P_s
+        gen_img = diff.blocks[vu].column(cu)
+        for t, entry in enumerate(summand_paths):
+            vt = src_verts[t]
+            for (tv, pos, p) in entry:
+                if tv != vu:
+                    continue
+                c = gen_img[pos]
+                if F.is_zero(c):
+                    continue
+                # a morphism with generator value x at summand t sends gen_u
+                # through c * (action of path p on n) applied to x
+                act = path_matrix(n, p.src, p.arrs)   # n.dims[vu] x n.dims[vt]
+                for r in range(n.dims[vu]):
+                    for cc in range(n.dims[vt]):
+                        out[row_acc + r][col_off[t] + cc] = F.add(
+                            out[row_acc + r][col_off[t] + cc], F.mul(c, act[r, cc]))
+        row_acc += n.dims[vu]
+    return Matrix.from_rows(F, out) if tgt_dim else Matrix(F, 0, src_dim, [])
+
+
+def reference_ext_dim(i, m, n, cap=DEFAULT_CAP):
+    """dim Ext^i(m, n).  Raises Truncated when the capped resolution cannot decide."""
+    if m.algebra is not n.algebra:
+        raise StratakitError("ext between modules over different algebras")
+    if i < 0:
+        return 0
+    if m.total_dim == 0 or n.total_dim == 0:
+        return 0
+    res = min_proj_resolution(m, max(cap, i + 1))
+    a = m.algebra
+    F = a.field
+    nterms = len(res.terms)
+    if not res.complete and nterms < i + 2:
+        raise Truncated(f"resolution capped below degree {i}")
+
+    def cochain_dim(s):
+        if s >= nterms:
+            return 0
+        return sum(n.dims[v] for v in res.terms[s])
+
+    def delta(s):
+        """C^s -> C^{s+1}"""
+        if s + 1 >= nterms or s >= nterms:
+            return Matrix.zero(F, cochain_dim(s + 1), cochain_dim(s))
+        return _ext_complex_diff(res, n, s)
+
+    d_i = delta(i)
+    ker_dim = d_i.cols - linalg.rank(d_i)
+    if i == 0:
+        return ker_dim
+    d_prev = delta(i - 1)
+    return ker_dim - linalg.rank(d_prev)
+
+
+def _modules(name):
+    """The probe modules of a fixture, with its characteristic tilting module."""
+    a = algebra(name)
+    return list(tilting.probe_modules(a)) + [
+        tilting.characteristic_tilting(a).total]
 
 
 def test_global_dimensions_of_corpus():
@@ -120,3 +235,60 @@ def test_resolution_cache_is_shared():
     r1 = min_proj_resolution(m, cap=6)
     r2 = min_proj_resolution(m, cap=6)
     assert r1 is r2
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_ext_by_dimension_shifting_matches_the_cochain_complex(name):
+    mods = _modules(name)
+    for m in mods:
+        for n in mods:
+            for i in range(4):
+                assert ext_dim(i, m, n) == reference_ext_dim(i, m, n), (
+                    name, m, n, i)
+
+
+def test_small_cap_on_loop2():
+    # the resolution of E is infinite: a capped projective dimension is a
+    # lower bound that finite_dim refuses, while ext_dim grows the
+    # resolution to the degree it is asked for
+    a = algebra("loop2")
+    e = simple(a, 0)
+    with pytest.raises(Truncated):
+        homology.finite_dim(proj_dim(e, cap=2), "projective dimension of E")
+    for i in range(6):
+        assert ext_dim(i, e, e, cap=2) == reference_ext_dim(i, e, e, cap=2) == 1
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_hom_dim_counts_the_hom_basis(name):
+    mods = _modules(name)
+    for m in mods:
+        for n in mods:
+            assert reps.hom_dim(m, n) == len(reps.hom_basis(m, n)), (name, m, n)
+
+
+def test_syzygies_are_kept_with_their_inclusions():
+    a = algebra("borelA")
+    res = min_proj_resolution(simple(a, 0), cap=10)
+    assert res.complete
+    assert len(res.syzygies) == len(res.terms) + 1
+    assert res.syzygies[0] == (res.module, None)
+    assert res.syzygies[-1][0].total_dim == 0
+    for k, (omega, incl) in enumerate(res.syzygies[1:]):
+        assert incl.source is omega and incl.is_injective()
+        assert incl.target is res.term_reps[k]
+
+
+def test_consecutive_degrees_share_a_syzygy_hom(monkeypatch):
+    # Ext^i needs hom(Ω^i M, N) and hom(Ω^{i-1} M, N): a scan over degrees
+    # 0..3 solves one Hom system per syzygy, not two per degree
+    a = algebra("borelB")
+    m, n = simple(a, 0), regular_module(a)
+    calls = []
+    real = reps.hom_dim
+    monkeypatch.setattr(reps, "hom_dim",
+                        lambda x, y: calls.append(x) or real(x, y))
+    got = [ext_dim(i, m, n) for i in range(4)]
+    assert got == [reference_ext_dim(i, m, n) for i in range(4)]
+    res = min_proj_resolution(m)
+    assert calls == [omega for omega, _ in res.syzygies[:4]]

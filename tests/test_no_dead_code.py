@@ -15,6 +15,10 @@ called.  Those still need a reader.
 The exception scan reads the `raise` statements under src/.  A class in
 errors.py is live when one of them raises it or a subclass of it, so the base
 classes of raised errors count as raised.
+
+The import scan reads each module of src/stratakit except __init__.py, whose
+imports are re-exports.  A name a module imports and never mentions as a
+`Name` is reported, unless its import statement carries `# noqa: F401`.
 """
 
 import ast
@@ -90,3 +94,28 @@ def test_every_exception_is_raised():
             pending += bases[name]
     dead = sorted(set(bases) - live)
     assert not dead, f"exception classes nothing raises: {dead}"
+
+
+def _unused_imports(path):
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in lines[i - 1]
+               for i in range(node.lineno, node.end_lineno + 1)):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    unused = [entry for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              for entry in _unused_imports(path)]
+    assert not unused, f"imported names the module never uses: {unused}"

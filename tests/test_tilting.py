@@ -144,6 +144,18 @@ def test_cotilting_dual_of_tilting():
     assert is_isomorphic(cot.total, tilt.total)   # quasi-hereditary: S = T here
 
 
+@pytest.mark.parametrize("name", STRATIFIED)
+def test_cotilting_certificates_verify(name):
+    # every fixture is properly stratified; S's certificates are the duals
+    # of those of the opposite algebra's tilting module
+    a = algebra(name)
+    cot = characteristic_cotilting(a)
+    for s, nc, dc in zip(cot.summands, cot.nabla_certs, cot.dbar_certs):
+        assert nc.module is s and dc.module is s
+        assert nc.verify(strat.costandard_family(a))
+        assert dc.verify(strat.proper_standard_family(a))
+
+
 def test_probe_modules_are_nonzero_and_distinct():
     a = algebra("borelA")
     probes = probe_modules(a)
