@@ -6,9 +6,11 @@ same module reuse one resolution.  A resolution keeps its syzygies Ω^k M.
 
 Ext is computed by dimension shifting: Ext^i(M, N) ≅ Ext^1(Ω^{i-1}M, N), and
 0 -> Hom(Ω^{i-1}M, N) -> Hom(P_{i-1}, N) -> Hom(Ω^i M, N) -> Ext^i(M, N) -> 0
-is exact, so dim Ext^i is an alternating sum of Hom dimensions.  Those are
-memoised per resolution and target, so the consecutive degrees of a scan
-share one syzygy's Hom space.
+is exact, so dim Ext^i is an alternating sum of Hom dimensions.  reps.hom_dim
+memoises those per algebra by the modules' structural identity, so the
+consecutive degrees of a scan share one syzygy's Hom space, and so do equal
+syzygies of different resolutions.  ext_dim resolves to `cap` + 1 terms at
+most and raises Truncated for a degree that needs more.
 """
 
 from . import linalg, reps
@@ -84,7 +86,6 @@ class Resolution:
         self.diffs = []
         self.syzygies = [(module, None)]
         self.complete = module.total_dim == 0
-        self._hom_dims = {}
 
     def extend_to(self, nterms):
         """Grow until there are nterms terms or the resolution completes."""
@@ -98,13 +99,6 @@ class Resolution:
             sub, sub_incl = kernel(cover).as_rep()
             self.syzygies.append((sub, sub_incl))
             self.complete = sub.total_dim == 0
-
-    def hom_dim(self, k, n):
-        """dim Hom(Ω^k m, n), memoised per degree and target."""
-        hit = self._hom_dims.get((k, n))
-        if hit is None:
-            hit = self._hom_dims[k, n] = reps.hom_dim(self.syzygies[k][0], n)
-        return hit
 
     def is_minimal(self):
         """Each differential lands in the radical of its target."""
@@ -170,23 +164,25 @@ def global_dim(a, cap=DEFAULT_CAP):
 
 
 def ext_dim(i, m, n, cap=DEFAULT_CAP):
-    """dim Ext^i(m, n).  Raises Truncated when the capped resolution cannot decide."""
+    """dim Ext^i(m, n).  The resolution of m is grown to cap + 1 terms at
+    most; raises Truncated when those cannot decide."""
     if m.algebra is not n.algebra:
         raise StratakitError("ext between modules over different algebras")
     if i < 0:
         return 0
     if m.total_dim == 0 or n.total_dim == 0:
         return 0
-    res = min_proj_resolution(m, max(cap, i + 1))
+    if i == 0:
+        return reps.hom_dim(m, n)
+    res = min_proj_resolution(m, cap)
     nterms = len(res.terms)
     if not res.complete and nterms < i + 2:
         raise Truncated(f"resolution capped below degree {i}")
-    if i == 0:
-        return res.hom_dim(0, n)
     if i > nterms:              # past a complete resolution
         return 0
-    return (res.hom_dim(i, n) - sum(n.dims[v] for v in res.terms[i - 1])
-            + res.hom_dim(i - 1, n))
+    syz = res.syzygies
+    return (reps.hom_dim(syz[i][0], n) - sum(n.dims[v] for v in res.terms[i - 1])
+            + reps.hom_dim(syz[i - 1][0], n))
 
 
 # -- realized extension classes ---------------------------------------------
@@ -218,7 +214,7 @@ class ExtClass:
         cols = [compose(self.proj, sig).flat() for sig in homs]
         target = reps.identity_morphism(m).flat()
         mat = Matrix.from_columns(F, cols, rows=len(target))
-        return linalg.solve(mat, target) is not None
+        return linalg.solve(mat, Matrix(F, len(target), 1, target)) is not None
 
 
 def _cocycle_classes(m, n):

@@ -302,16 +302,23 @@ def image_basis(m):
 
 
 def solve(m, b):
-    """Some x with m.x = b, or None if the system is inconsistent."""
+    """Some X with m.X = b, for b a block of right-hand sides (a Matrix with
+    m.rows rows), or None if the system is inconsistent for some column.
+
+    One rref of [m | b]: the columns of b are consistent exactly when no
+    pivot falls among them, and X holds, in the row of each pivot column of
+    m, the reduced row's entries under b."""
     F = m.field
-    aug = hstack([m, Matrix.from_columns(F, [list(b)], rows=m.rows)])
-    R, pivots = rref(aug)
-    if m.cols in pivots:
+    n, k = m.cols, b.cols
+    if k == 0:
+        return Matrix(F, n, 0, [])
+    R, pivots = rref(hstack([m, b]))
+    if pivots and pivots[-1] >= n:
         return None
-    x = [F.zero] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, m.cols]
-    return x
+    w = n + k
+    rows = {pc: R.entries[r * w + n:(r + 1) * w] for r, pc in enumerate(pivots)}
+    zeros = (F.zero,) * k
+    return Matrix(F, n, k, [x for c in range(n) for x in rows.get(c, zeros)])
 
 
 def pivot_columns(field, vectors, dim):
@@ -319,6 +326,8 @@ def pivot_columns(field, vectors, dim):
 
     These are the pivot columns of one rref, which is exactly what a greedy
     left-to-right rank test would keep."""
+    if not vectors or dim == 0:
+        return []
     return rref(Matrix.from_columns(field, vectors, rows=dim))[1]
 
 

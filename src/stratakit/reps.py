@@ -4,6 +4,15 @@ A Rep carries one exact matrix per arrow (target-dim x source-dim); vectors
 are columns and matrices act on the left.  A Morphism stores one matrix per
 vertex; composition `compose(g, f)` means "f first, then g".
 
+A quotient m/s takes one echelon form per vertex and no inverse.  Its basis
+is the greedy complement of s: the standard vectors e_c not in the span of
+s and the e_j before them.  Those are the non-pivots of the rref of the
+transposed basis of s with its coordinates reversed, since e_c is left out
+exactly when a vector of s has its last nonzero coordinate at c; the
+reduced rows give the projection.  Coordinates in a submodule (its actions,
+closure and containment) take one solve per arrow or vertex, for a whole
+block of right-hand sides.
+
 Decomposition splits a module by Fitting's lemma along endomorphisms whose
 minimal polynomial has coprime factors over k.  Minimal polynomials are
 factored exactly: over GF(p) by Berlekamp's algorithm, over Q by
@@ -16,6 +25,7 @@ basis scan of Hom is exact between indecomposable modules, so two
 decomposable modules are compared part by part.
 """
 
+import functools
 import operator
 import random
 from fractions import Fraction
@@ -31,13 +41,15 @@ from .linalg import Matrix
 
 
 class Rep:
-    """A representation of a bound quiver algebra."""
+    """A representation of a bound quiver algebra.  Its dims and action are
+    not changed after construction."""
 
     def __init__(self, algebra, dims, action, label=""):
         self.algebra = algebra
         self.dims = tuple(dims)
         self.action = list(action)          # one Matrix per arrow
         self.label = label
+        self._key = None
         for ai, (_, s, t) in enumerate(algebra.arrows):
             m = self.action[ai]
             if m.rows != dims[t] or m.cols != dims[s]:
@@ -52,8 +64,11 @@ class Rep:
         return self.total_dim == 0
 
     def key(self):
-        """Structural identity, used for memo tables."""
-        return (id(self.algebra), self.dims, tuple(m.entries for m in self.action))
+        """Structural identity, used for memo tables; computed once."""
+        if self._key is None:
+            self._key = (id(self.algebra), self.dims,
+                         tuple(m.entries for m in self.action))
+        return self._key
 
     def relations_hold(self):
         """Every defining relation of the algebra acts as zero."""
@@ -147,14 +162,16 @@ class Submodule:
         if check and not self._closed():
             raise NotASubmodule("subspace not closed under arrow actions")
 
+    def _arrow_coords(self, ai):
+        """The coordinates, in the basis at the target, of the images of the
+        basis at the source under arrow ai: one solve.  None if some image
+        leaves the subspace."""
+        _, s, t = self.ambient.algebra.arrows[ai]
+        return linalg.solve(self.bases[t], self.ambient.action[ai].mul(self.bases[s]))
+
     def _closed(self):
-        a = self.ambient.algebra
-        for ai, (_, s, t) in enumerate(a.arrows):
-            img = self.ambient.action[ai].mul(self.bases[s])
-            for j in range(img.cols):
-                if linalg.solve(self.bases[t], img.column(j)) is None:
-                    return False
-        return True
+        return all(self._arrow_coords(ai) is not None
+                   for ai in range(len(self.ambient.algebra.arrows)))
 
     def dims(self):
         return tuple(b.cols for b in self.bases)
@@ -166,26 +183,17 @@ class Submodule:
     def as_rep(self):
         """The submodule as a Rep, together with its inclusion morphism."""
         a = self.ambient.algebra
-        F = a.field
-        dims = self.dims()
-        action = []
-        for ai, (_, s, t) in enumerate(a.arrows):
-            img = self.ambient.action[ai].mul(self.bases[s])
-            cols = [linalg.solve(self.bases[t], img.column(j)) for j in range(img.cols)]
-            if any(c is None for c in cols):
-                raise NotASubmodule("subspace not closed under arrow actions")
-            action.append(Matrix.from_columns(F, cols, rows=dims[t]))
-        sub = Rep(a, dims, action)
+        action = [self._arrow_coords(ai) for ai in range(len(a.arrows))]
+        if any(c is None for c in action):
+            raise NotASubmodule("subspace not closed under arrow actions")
+        sub = Rep(a, self.dims(), action)
         incl = Morphism(sub, self.ambient, list(self.bases))
         return sub, incl
 
     def contains(self, other):
         """Does this submodule contain the other (same ambient)?"""
-        for b, o in zip(self.bases, other.bases):
-            for j in range(o.cols):
-                if linalg.solve(b, o.column(j)) is None:
-                    return False
-        return True
+        return all(linalg.solve(b, o) is not None
+                   for b, o in zip(self.bases, other.bases))
 
 
 def zero_submodule(m):
@@ -210,19 +218,32 @@ def zero_rep(a):
     return Rep(a, [0] * a.n, [Matrix.zero(F, 0, 0) for _ in a.arrows], label="0")
 
 
+def _built_once(build):
+    """build(a, i), built once per algebra and vertex and cached on the
+    algebra.  Callers share these modules: never relabel or change them."""
+    @functools.wraps(build)
+    def cached(a, i):
+        if not 0 <= i < a.n:
+            raise UnknownVertex(f"vertex index {i}")
+        key = (build.__name__, i)
+        hit = a.cache.get(key)
+        if hit is None:
+            hit = a.cache[key] = build(a, i)
+        return hit
+    return cached
+
+
+@_built_once
 def simple(a, i):
-    if not 0 <= i < a.n:
-        raise UnknownVertex(f"vertex index {i}")
     F = a.field
     dims = [1 if v == i else 0 for v in range(a.n)]
     action = [Matrix.zero(F, dims[t], dims[s]) for (_, s, t) in a.arrows]
     return Rep(a, dims, action, label=f"E({a.vertices[i]})")
 
 
+@_built_once
 def projective(a, i):
     """P(i) = A.e_i: basis the reduced paths with source i, graded by target."""
-    if not 0 <= i < a.n:
-        raise UnknownVertex(f"vertex index {i}")
     F = a.field
     by_target = a.projective_layout(i)
     pos = {}
@@ -250,6 +271,7 @@ def dual_to_opposite(m):
     return Rep(op, m.dims, action, label=f"D({m.label})" if m.label else "")
 
 
+@_built_once
 def injective(a, i):
     """I(i): the k-dual of the right projective e_i.A."""
     rep = dual_to_opposite(projective(a.opposite(), i))
@@ -332,9 +354,18 @@ def hom_basis(m, n):
 
 
 def hom_dim(m, n):
-    """dim Hom(m, n): the unknowns less the rank of the intertwining system."""
-    mat, _ = _hom_system(m, n)
-    return mat.cols - linalg.rank(mat)
+    """dim Hom(m, n): the unknowns less the rank of the intertwining system.
+
+    Memoised per algebra by the structural identity of m and n, so equal
+    modules built apart (the syzygies of two resolutions, say) share one
+    solve."""
+    memo = m.algebra.cache.setdefault("hom_dim", {})
+    key = (m.key(), n.key())
+    hit = memo.get(key)
+    if hit is None:
+        mat, _ = _hom_system(m, n)
+        hit = memo[key] = mat.cols - linalg.rank(mat)
+    return hit
 
 
 def morphism_from_coeffs(basis, coeffs):
@@ -366,37 +397,70 @@ def image(f):
     return Submodule(f.target, bases, check=False)
 
 
+def _complement(F, B, d):
+    """The complement of span(B) in k^d that quotient uses, with the
+    projection along span(B) onto it: (C, proj), C ascending.
+
+    C is the greedy complement, the e_c outside span(B, e_0, ..., e_{c-1}).
+    e_c is left out exactly when some vector of span(B) has its last nonzero
+    coordinate at c, so C is the set of non-pivots of the rref of B^T with
+    its coordinates reversed, and each reduced row w_r is a vector of span(B)
+    with a 1 at its pivot i_r and 0 at the other pivots.  The projection
+    with kernel span(B) that fixes each e_c is then x -> x_C - sum_r x_{i_r}
+    (w_r)_C: it kills every w_r and has rank |C|."""
+    b, e = B.cols, B.entries
+    pivots = []
+    if b and d:
+        R, reversed_pivots = linalg.rref(Matrix(F, b, d, [
+            e[i * b + j] for j in range(b) for i in range(d - 1, -1, -1)]))
+        pivots = [d - 1 - pc for pc in reversed_pivots]
+    piv = set(pivots)
+    C = [c for c in range(d) if c not in piv]
+    out = [F.zero] * (len(C) * d)
+    for j, c in enumerate(C):
+        out[j * d + c] = F.one
+    for r, i in enumerate(pivots):
+        for j, c in enumerate(C):
+            x = R.entries[r * d + d - 1 - c]
+            if x:
+                out[j * d + i] = F.neg(x)
+    return C, Matrix(F, len(C), d, out)
+
+
 def quotient(m, s):
-    """(m / s, projection).  The projection's kernel is exactly s."""
+    """(m / s, projection).  The projection's kernel is exactly s.
+
+    At each vertex the quotient has as basis the images of the standard
+    basis vectors e_c of the greedy complement of s (see _complement), and
+    the projection is the one with kernel s that fixes each e_c; its linear
+    sections, kept as `section_blocks`, are those e_c.  The action of an
+    arrow s -> t is proj_t applied to the columns C_s of the arrow's matrix.
+    """
     a = m.algebra
     F = a.field
     if s.ambient is not m and s.ambient.dims != m.dims:
         raise AlgebraMismatch("submodule of a different module")
-    projs, sections = [], []
-    qdims = []
-    for v in range(a.n):
-        B = s.bases[v]
-        d = m.dims[v]
-        # choose complementary standard basis vectors via column pivots of [B | I]
-        full = linalg.hstack([B, Matrix.identity(F, d)]) if d else Matrix(F, 0, B.cols, [])
-        _, pivots = linalg.rref(full)
-        comp_cols = [c - B.cols for c in pivots if c >= B.cols]
-        C = Matrix.from_columns(F, [[F.one if i == c else F.zero for i in range(d)]
-                                    for c in comp_cols], rows=d)
-        qdims.append(len(comp_cols))
-        # projection: coordinates on the complement part of the basis [B | C]
-        if d:
-            T = linalg.inverse(linalg.hstack([B, C]))
-            proj = Matrix(F, len(comp_cols), d,
-                          [T[B.cols + i, j] for i in range(len(comp_cols)) for j in range(d)])
-        else:
-            proj = Matrix(F, 0, 0, [])
+    comps, projs, sections = [], [], []
+    for v, d in enumerate(m.dims):
+        C, proj = _complement(F, s.bases[v], d)
+        comps.append(C)
         projs.append(proj)
-        sections.append(C)
+        q = len(C)
+        sec = [F.zero] * (d * q)
+        for j, c in enumerate(C):
+            sec[c * q + j] = F.one
+        sections.append(Matrix(F, d, q, sec))
     action = []
     for ai, (_, sv, tv) in enumerate(a.arrows):
-        action.append(projs[tv].mul(m.action[ai]).mul(sections[sv]))
-    q = Rep(a, qdims, action)
+        Cs, Ct = comps[sv], comps[tv]
+        if not (Cs and Ct):
+            action.append(Matrix(F, len(Ct), len(Cs), []))
+            continue
+        dt, ds, e = m.dims[tv], m.dims[sv], m.action[ai].entries
+        cols = Matrix(F, dt, len(Cs), [e[i * ds + c] for i in range(dt) for c in Cs])
+        # the projection at tv is the identity when s is zero there
+        action.append(cols if len(Ct) == dt else projs[tv].mul(cols))
+    q = Rep(a, [len(C) for C in comps], action)
     pi = Morphism(m, q, projs)
     pi.section_blocks = sections        # linear (not module) sections, used for lifts
     return q, pi
@@ -573,9 +637,9 @@ def minimal_polynomial(field, mat):
         cols = [list(p.entries) for p in powers]
         A = Matrix.from_columns(F, cols, rows=n * n)
         target = powers[-1].mul(mat)
-        sol = linalg.solve(A, list(target.entries))
+        sol = linalg.solve(A, Matrix(F, n * n, 1, target.entries))
         if sol is not None:
-            return [F.neg(c) for c in sol] + [F.one]
+            return [F.neg(c) for c in sol.entries] + [F.one]
         powers.append(target)
 
 

@@ -55,12 +55,13 @@ def test_kernel_vectors_are_killed(m):
 @settings(max_examples=60, deadline=None)
 @given(any_matrices, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
 def test_solve_is_exact_on_image(m, coeffs):
+    # one block of right-hand sides: an image and its double
     F = m.field
-    x = [F.of(coeffs[j]) for j in range(m.cols)]
-    b = m.apply(x)
+    x = Matrix(F, m.cols, 1, [F.of(coeffs[j]) for j in range(m.cols)])
+    b = m.mul(linalg.hstack([x, x.scale(F.of(2))]))
     y = linalg.solve(m, b)
-    assert y is not None
-    assert m.apply(y) == b
+    assert y is not None and (y.rows, y.cols) == (m.cols, 2)
+    assert m.mul(y) == b
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,9 +82,13 @@ def test_image_basis_spans_columns(m):
     for j in range(m.cols):
         col = m.column(j)
         if img:
-            assert linalg.solve(span, col) is not None
+            assert linalg.solve(span, _column(m.field, col)) is not None
         else:
             assert all(m.field.is_zero(e) for e in col)
+
+
+def _column(field, vec):
+    return Matrix(field, len(vec), 1, vec)
 
 
 def _greedy_independent(field, vectors, dim):
@@ -119,7 +124,9 @@ def test_inverse_exact():
 def test_singular_matrix_not_invertible():
     m = Matrix.from_rows(F5, [[1, 2], [2, 4]])
     assert not linalg.is_invertible(m)
-    assert linalg.solve(m, [1, 0]) is None
+    assert linalg.solve(m, _column(F5, [1, 0])) is None
+    # one inconsistent column makes the whole block inconsistent
+    assert linalg.solve(m, Matrix.from_rows(F5, [[1, 1], [2, 0]])) is None
 
 
 def test_stack_and_block_diag_shapes():
@@ -254,9 +261,10 @@ def test_zero_size_matrices(field, shape):
     assert linalg.kernel_basis(m) == [
         [field.one if i == j else field.zero for i in range(cols)]
         for j in range(cols)]
-    assert linalg.solve(m, [field.zero] * rows) == [field.zero] * cols
+    assert (linalg.solve(m, _column(field, [field.zero] * rows))
+            == _column(field, [field.zero] * cols))
     if rows:
-        assert linalg.solve(m, [field.one] * rows) is None
+        assert linalg.solve(m, _column(field, [field.one] * rows)) is None
     if rows == cols:
         assert linalg.inverse(m) == m
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratakit import linalg, parse, reps, strat, tilting
 from stratakit.errors import NotASubmodule
@@ -15,7 +17,7 @@ from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
                             socle_submodule, top)
 from stratakit.tilting import probe_modules
 
-from conftest import algebra
+from conftest import algebra, fixture_path
 
 
 @pytest.mark.parametrize("name", ["a2", "a3line", "loop2", "borelA", "borelB"])
@@ -345,3 +347,153 @@ def test_kronecker_modules_of_irreducible_quartics_are_indecomposable(
     assert part is m and incl.is_isomorphism()
     assert len(calls) == 1
 
+
+
+# -- quotients and submodule coordinates --------------------------------------
+
+def reference_quotient(m, s):
+    """(m / s, projection).  The projection's kernel is exactly s."""
+    a = m.algebra
+    F = a.field
+    if s.ambient is not m and s.ambient.dims != m.dims:
+        raise AssertionError("submodule of a different module")
+    projs, sections = [], []
+    qdims = []
+    for v in range(a.n):
+        B = s.bases[v]
+        d = m.dims[v]
+        # choose complementary standard basis vectors via column pivots of [B | I]
+        full = linalg.hstack([B, Matrix.identity(F, d)]) if d else Matrix(F, 0, B.cols, [])
+        _, pivots = linalg.rref(full)
+        comp_cols = [c - B.cols for c in pivots if c >= B.cols]
+        C = Matrix.from_columns(F, [[F.one if i == c else F.zero for i in range(d)]
+                                    for c in comp_cols], rows=d)
+        qdims.append(len(comp_cols))
+        # projection: coordinates on the complement part of the basis [B | C]
+        if d:
+            T = linalg.inverse(linalg.hstack([B, C]))
+            proj = Matrix(F, len(comp_cols), d,
+                          [T[B.cols + i, j] for i in range(len(comp_cols)) for j in range(d)])
+        else:
+            proj = Matrix(F, 0, 0, [])
+        projs.append(proj)
+        sections.append(C)
+    action = []
+    for ai, (_, sv, tv) in enumerate(a.arrows):
+        action.append(projs[tv].mul(m.action[ai]).mul(sections[sv]))
+    q = Rep(a, qdims, action)
+    pi = Morphism(m, q, projs)
+    pi.section_blocks = sections        # linear (not module) sections, used for lifts
+    return q, pi
+
+
+_QUOTIENT_ALGEBRAS = {}
+
+
+def _quotient_algebra(name, field):
+    """A fixture's quiver and relations over the given field."""
+    key = (name, field)
+    if key not in _QUOTIENT_ALGEBRAS:
+        with open(fixture_path(name + ".alg"), encoding="utf-8") as fh:
+            text = "".join(f"field {field}\n" if line.startswith("field ")
+                           else line for line in fh)
+        _QUOTIENT_ALGEBRAS[key] = parse(text).build()
+    return _QUOTIENT_ALGEBRAS[key]
+
+
+def _rebased(m, rng):
+    """m in a random basis at each vertex, so that submodule bases are dense."""
+    a, F = m.algebra, m.algebra.field
+    change = [_random_invertible(F, d, rng) for d in m.dims]
+    inv = [linalg.inverse(c) for c in change]
+    return Rep(a, m.dims, [change[t].mul(x).mul(inv[s]) for x, (_, s, t)
+                           in zip(m.action, a.arrows)])
+
+
+def _random_vector(F, d, rng):
+    return [F.of(rng.randint(-2, 2)) for _ in range(d)]
+
+
+def _random_submodule(m, kind, rng):
+    a, F = m.algebra, m.algebra.field
+    if kind == "radical":
+        return radical_submodule(m)
+    if kind == "generated":
+        gens = [(v, _random_vector(F, m.dims[v], rng))
+                for v in range(a.n) if m.dims[v] for _ in range(rng.randint(0, 1))]
+        return generated_submodule(m, gens)
+    endos = hom_basis(m, m)
+    f = reps.morphism_from_coeffs(endos, [F.of(rng.randint(-2, 2)) for _ in endos])
+    return kernel(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("borelA", "Q"), ("borelA", "GF 3"), ("a3line", "GF 101"),
+                        ("loop2", "Q"), ("borelB", "GF 2")]),
+       st.sampled_from(["radical", "generated", "kernel"]),
+       st.integers(0, 10 ** 6))
+def test_quotient_matches_reference(fixture, kind, seed):
+    # the echelon-form complement is the greedy one, and the projection
+    # with that kernel and those fixed vectors is unique: every block agrees
+    a = _quotient_algebra(*fixture)
+    rng = random.Random(seed)
+    parts = [rng.choice([projective, injective])(a, rng.randrange(a.n))
+             for _ in range(rng.randint(1, 2))]
+    m = _rebased(direct_sum(parts), rng)
+    sub = _random_submodule(m, kind, rng)
+    q, pi = quotient(m, sub)
+    want_q, want_pi = reference_quotient(m, sub)
+    assert q.dims == want_q.dims
+    assert q.action == want_q.action
+    assert pi.blocks == want_pi.blocks
+    assert pi.section_blocks == want_pi.section_blocks
+    assert pi.is_valid() and pi.is_surjective()
+
+
+@pytest.mark.parametrize("name", ["a3line", "loop2", "borelA", "borelB"])
+def test_as_rep_matches_solving_column_by_column(name):
+    a = algebra(name)
+    F = a.field
+    for m in probe_modules(a):
+        for sub in (radical_submodule(m), socle_submodule(m)):
+            rep, incl = sub.as_rep()
+            assert incl.is_valid() and incl.is_injective()
+            for ai, (_, s, t) in enumerate(a.arrows):
+                img = m.action[ai].mul(sub.bases[s])
+                cols = [linalg.solve(sub.bases[t], Matrix(F, img.rows, 1, img.column(j)))
+                        for j in range(img.cols)]
+                assert rep.action[ai] == Matrix.from_columns(
+                    F, [c.entries for c in cols], rows=sub.bases[t].cols)
+
+
+def test_simple_projective_and_injective_are_built_once():
+    a = algebra("borelA")
+    for build in (simple, projective, injective):
+        for i in range(a.n):
+            assert build(a, i) is build(a, i)
+    with pytest.raises(reps.UnknownVertex):
+        projective(a, a.n)
+
+
+def test_quotient_issues_one_rref_per_vertex_and_no_inverse(monkeypatch):
+    # a zero vertex and a vertex where the submodule is zero take no rref;
+    # the others take one each, and no vertex takes an inverse
+    a = algebra("a3line")
+    m = direct_sum([projective(a, 0), simple(a, 0)])     # dims (2, 0, 1)
+    sub = radical_submodule(m)
+    assert 0 in m.dims
+    assert any(d and not b.cols for d, b in zip(m.dims, sub.bases))
+    calls = {"rref": 0, "inverse": 0}
+    for name in calls:
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, _name=name, _real=real: (
+            calls.__setitem__(_name, calls[_name] + 1) or _real(*args)))
+    q, _ = quotient(m, sub)
+    assert calls["inverse"] == 0
+    assert 0 < calls["rref"] <= sum(1 for d, b in zip(m.dims, sub.bases)
+                                    if d and b.cols)
+    assert q.dims == tuple(d - b.cols for d, b in zip(m.dims, sub.bases))
+    # one solve, so one rref, per arrow
+    calls["rref"] = 0
+    sub.as_rep()
+    assert calls["rref"] <= len(a.arrows)
