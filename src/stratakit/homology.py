@@ -9,8 +9,9 @@ Ext is computed by dimension shifting: Ext^i(M, N) ≅ Ext^1(Ω^{i-1}M, N), and
 is exact, so dim Ext^i is an alternating sum of Hom dimensions.  reps.hom_dim
 memoises those per algebra by the modules' structural identity, so the
 consecutive degrees of a scan share one syzygy's Hom space, and so do equal
-syzygies of different resolutions.  ext_dim resolves to `cap` + 1 terms at
-most and raises Truncated for a degree that needs more.
+syzygies of different resolutions.  ext_dim and proj_dim decide from the
+first `cap` + 1 terms only, however far the shared resolution has grown, so
+their answers do not depend on earlier calls with a larger cap.
 """
 
 from . import linalg, reps
@@ -100,6 +101,11 @@ class Resolution:
             self.syzygies.append((sub, sub_incl))
             self.complete = sub.total_dim == 0
 
+    def completes_within(self, cap):
+        """Do the first cap + 1 terms complete the resolution?  The answer
+        does not depend on how far other callers have grown it."""
+        return self.complete and len(self.terms) <= cap + 1
+
     def is_minimal(self):
         """Each differential lands in the radical of its target."""
         for i in range(1, len(self.diffs)):
@@ -132,7 +138,7 @@ def proj_dim(m, cap=DEFAULT_CAP):
     if m.total_dim == 0:
         return 0
     res = min_proj_resolution(m, cap)
-    if res.complete:
+    if res.completes_within(cap):
         return len(res.terms) - 1
     return LowerBound(cap)
 
@@ -164,8 +170,9 @@ def global_dim(a, cap=DEFAULT_CAP):
 
 
 def ext_dim(i, m, n, cap=DEFAULT_CAP):
-    """dim Ext^i(m, n).  The resolution of m is grown to cap + 1 terms at
-    most; raises Truncated when those cannot decide."""
+    """dim Ext^i(m, n), read off the first cap + 1 terms of the resolution
+    of m: P_0, ..., P_cap and Ω^0, ..., Ω^{cap+1}.  Raises Truncated for a
+    degree above cap + 1 unless those terms complete the resolution."""
     if m.algebra is not n.algebra:
         raise StratakitError("ext between modules over different algebras")
     if i < 0:
@@ -175,11 +182,11 @@ def ext_dim(i, m, n, cap=DEFAULT_CAP):
     if i == 0:
         return reps.hom_dim(m, n)
     res = min_proj_resolution(m, cap)
-    nterms = len(res.terms)
-    if not res.complete and nterms < i + 2:
+    if res.completes_within(cap):
+        if i > len(res.terms):  # past the end of the resolution
+            return 0
+    elif i > cap + 1:
         raise Truncated(f"resolution capped below degree {i}")
-    if i > nterms:              # past a complete resolution
-        return 0
     syz = res.syzygies
     return (reps.hom_dim(syz[i][0], n) - sum(n.dims[v] for v in res.terms[i - 1])
             + reps.hom_dim(syz[i - 1][0], n))

@@ -218,32 +218,34 @@ def zero_rep(a):
     return Rep(a, [0] * a.n, [Matrix.zero(F, 0, 0) for _ in a.arrows], label="0")
 
 
-def _built_once(build):
-    """build(a, i), built once per algebra and vertex and cached on the
-    algebra.  Callers share these modules: never relabel or change them."""
+def built_once(build):
+    """build(a, *args), built once per algebra and arguments and cached on
+    the algebra.  Callers share what it returns: never relabel or change it."""
     @functools.wraps(build)
-    def cached(a, i):
-        if not 0 <= i < a.n:
-            raise UnknownVertex(f"vertex index {i}")
-        key = (build.__name__, i)
+    def cached(a, *args):
+        key = (build.__name__,) + args
         hit = a.cache.get(key)
         if hit is None:
-            hit = a.cache[key] = build(a, i)
+            hit = a.cache[key] = build(a, *args)
         return hit
     return cached
 
 
-@_built_once
+@built_once
 def simple(a, i):
+    if not 0 <= i < a.n:
+        raise UnknownVertex(f"vertex index {i}")
     F = a.field
     dims = [1 if v == i else 0 for v in range(a.n)]
     action = [Matrix.zero(F, dims[t], dims[s]) for (_, s, t) in a.arrows]
     return Rep(a, dims, action, label=f"E({a.vertices[i]})")
 
 
-@_built_once
+@built_once
 def projective(a, i):
     """P(i) = A.e_i: basis the reduced paths with source i, graded by target."""
+    if not 0 <= i < a.n:
+        raise UnknownVertex(f"vertex index {i}")
     F = a.field
     by_target = a.projective_layout(i)
     pos = {}
@@ -271,7 +273,7 @@ def dual_to_opposite(m):
     return Rep(op, m.dims, action, label=f"D({m.label})" if m.label else "")
 
 
-@_built_once
+@built_once
 def injective(a, i):
     """I(i): the k-dual of the right projective e_i.A."""
     rep = dual_to_opposite(projective(a.opposite(), i))

@@ -22,6 +22,7 @@ def _unit_gens(m, vertices):
             for x in Matrix.identity(F, m.dims[v]).columns()]
 
 
+@reps.built_once
 def standard(a, i):
     """Delta(i): P(i) modulo the submodule generated by its vectors at larger
     vertices, which is the trace of the projectives P(j), j > i."""
@@ -31,6 +32,7 @@ def standard(a, i):
     return q
 
 
+@reps.built_once
 def proper_standard(a, i):
     """Delta-bar(i): Delta(i) modulo the submodule generated by e_i·rad
     Delta(i), which is the trace of P(i) in its radical."""
@@ -41,6 +43,7 @@ def proper_standard(a, i):
     return q
 
 
+@reps.built_once
 def costandard(a, i):
     """Nabla(i): dual of the standard module over the opposite algebra."""
     q = reps.dual_to_opposite(standard(a.opposite(), i))
@@ -48,6 +51,7 @@ def costandard(a, i):
     return q
 
 
+@reps.built_once
 def proper_costandard(a, i):
     """Nabla-bar(i): dual of the proper standard module over the opposite algebra."""
     q = reps.dual_to_opposite(proper_standard(a.opposite(), i))
@@ -55,30 +59,24 @@ def proper_costandard(a, i):
     return q
 
 
-def _family(a, build):
-    """(build(a, 0), ..., build(a, n-1)), built once per algebra and cached
-    on it as a tuple.  Callers share these modules: never relabel them."""
-    key = ("family", build.__name__)
-    hit = a.cache.get(key)
-    if hit is None:
-        hit = a.cache[key] = tuple(build(a, i) for i in range(a.n))
-    return hit
-
-
+@reps.built_once
 def standard_family(a):
-    return _family(a, standard)
+    return tuple(standard(a, i) for i in range(a.n))
 
 
+@reps.built_once
 def proper_standard_family(a):
-    return _family(a, proper_standard)
+    return tuple(proper_standard(a, i) for i in range(a.n))
 
 
+@reps.built_once
 def costandard_family(a):
-    return _family(a, costandard)
+    return tuple(costandard(a, i) for i in range(a.n))
 
 
+@reps.built_once
 def proper_costandard_family(a):
-    return _family(a, proper_costandard)
+    return tuple(proper_costandard(a, i) for i in range(a.n))
 
 
 # -- filtration certificates -------------------------------------------------

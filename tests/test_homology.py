@@ -255,19 +255,53 @@ def test_ext_by_dimension_shifting_matches_the_cochain_complex(name):
 
 def test_small_cap_on_loop2():
     # the resolution of E is infinite: a capped projective dimension is a
-    # lower bound that finite_dim refuses, and ext_dim resolves to cap + 1
-    # terms only, so a degree that needs more raises Truncated.  A fresh
-    # algebra, so that no other test has grown E's memoised resolution
-    a = parse_file(fixture_path("loop2.alg")).build()
+    # lower bound that finite_dim refuses, and ext_dim reads the first
+    # cap + 1 terms only, which reach Ω^{cap+1}, so a degree above cap + 1
+    # raises Truncated
+    a = algebra("loop2")
     e = simple(a, 0)
     with pytest.raises(Truncated):
         homology.finite_dim(proj_dim(e, cap=2), "projective dimension of E")
-    for i in range(2):
+    for i in range(4):
         assert ext_dim(i, e, e, cap=2) == reference_ext_dim(i, e, e, cap=2) == 1
-    for i in range(2, 6):
+    for i in range(4, 6):
         with pytest.raises(Truncated):
             ext_dim(i, e, e, cap=2)
+
+
+def test_a_capped_ext_grows_the_resolution_to_cap_plus_one_terms():
+    e = simple(parse_file(fixture_path("loop2.alg")).build(), 0)
+    with pytest.raises(Truncated):
+        ext_dim(4, e, e, cap=2)
     assert len(min_proj_resolution(e, cap=0).terms) == 3
+
+
+def _capped(f, *args):
+    try:
+        return f(*args)
+    except Truncated:
+        return Truncated
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_capped_answers_do_not_depend_on_earlier_calls(name):
+    # the memoised resolutions only grow: after the session-shared algebra's
+    # resolutions have been grown past every cap below (as
+    # test_loop2_ext_is_periodic grows loop2's), ext_dim and proj_dim still
+    # answer as on a freshly parsed algebra, value or Truncated alike
+    shared = algebra(name)
+    for v in range(shared.n):
+        min_proj_resolution(simple(shared, v), cap=10)
+    fresh = parse_file(fixture_path(name + ".alg")).build()
+    for cap in range(4):            # the fresh resolutions grow with cap
+        for v in range(shared.n):
+            s, f = simple(shared, v), simple(fresh, v)
+            assert proj_dim(s, cap) == proj_dim(f, cap)
+            assert (type(proj_dim(s, cap)) is LowerBound) == \
+                (type(proj_dim(f, cap)) is LowerBound)
+            for i in range(cap + 4):
+                assert (_capped(ext_dim, i, s, s, cap)
+                        == _capped(ext_dim, i, f, f, cap))
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -24,6 +24,17 @@ def test_a3line_standard_dims():
 
 
 @pytest.mark.parametrize("name", CORPUS)
+def test_families_share_their_members(name):
+    # each member is built once per algebra, and its family is the tuple of
+    # those same objects
+    a = algebra(name)
+    for build in (standard, proper_standard, costandard, proper_costandard):
+        family = getattr(strat, build.__name__ + "_family")(a)
+        assert all(family[i] is build(a, i) is build(a, i)
+                   for i in range(a.n))
+
+
+@pytest.mark.parametrize("name", CORPUS)
 def test_top_standard_module_is_projective(name):
     a = algebra(name)
     top = a.n - 1
