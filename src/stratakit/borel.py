@@ -337,7 +337,7 @@ def twisted_dual(a, sigma_idx, m):
     return out
 
 
-def duality_check(a, sigma, cap=homology.DEFAULT_CAP):
+def duality_check(a, sigma):
     """Verify sigma gives a simple-preserving duality and its consequences.
 
     Returns (sigma_idx, clauses); raises NotAntiAutomorphism when sigma does
@@ -354,16 +354,15 @@ def duality_check(a, sigma, cap=homology.DEFAULT_CAP):
         reps.is_isomorphic(twisted_dual(a, sigma_idx, d), nb)
         for d, nb in zip(strat.standard_family(a), strat.costandard_family(a)))
     clauses.append(("delta_to_nabla", delta_ok))
-    cls = strat.strat_class(a)
-    if cls.standardly_stratified:
-        tilt = tilting.characteristic_tilting(a, cap)
+    if strat.classify(a).standardly_stratified:
+        tilt = tilting.characteristic_tilting(a)
         t_ok = all(reps.is_isomorphic(twisted_dual(a, sigma_idx, t), t)
                    for t in tilt.summands)
         clauses.append(("fixes_tilting", t_ok))
     return sigma_idx, clauses
 
 
-def find_duality(a, cap=homology.DEFAULT_CAP):
+def find_duality(a):
     """Exhaustive search for an arrow involution extending to a duality.
 
     Returns (sigma dict, clauses) or None.  Only for small quivers.
@@ -389,7 +388,7 @@ def find_duality(a, cap=homology.DEFAULT_CAP):
             continue
         sigma = {names[i]: names[perm[i]] for i in range(narr)}
         try:
-            sigma_idx, clauses = duality_check(a, sigma, cap)
+            sigma_idx, clauses = duality_check(a, sigma)
         except NotAntiAutomorphism:
             continue
         if all(flag for _, flag in clauses):

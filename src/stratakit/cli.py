@@ -1,8 +1,8 @@
 """Command-line driver: analyze / check / gfd over algebra description files.
 
-Exit codes: 0 all checks pass, 1 a theorem check failed, 2 input error,
-3 inconclusive (a resolution reached the cap, or a coresolution loop ran out
-of steps).
+Exit codes: 0 all checks pass, 1 a theorem check failed, 2 input error
+(including a negative --cap), 3 inconclusive (a resolution reached the cap,
+or a coresolution loop ran out of steps).
 """
 
 import argparse
@@ -37,7 +37,7 @@ def _dimension_section(rep, a, cls, cap):
     rep.add("dims", "gl_dim", gl)
     if not cls.standardly_stratified:
         return
-    tilt = tilting.characteristic_tilting(a, cap)
+    tilt = tilting.characteristic_tilting(a)
     for t in tilt.summands:
         rep.add("tilting", t.label, " ".join(str(d) for d in t.dims))
     pd_t = homology.proj_dim(tilt.total, cap)
@@ -49,9 +49,9 @@ def _dimension_section(rep, a, cls, cap):
     rep.add("dims", "t_codim_A", g.tcodim_regular)
     rep.add("dims", "gfd_probe_sup", g.probe_sup)
     if cls.properly_stratified:
-        cot = tilting.characteristic_cotilting(a, cap)
+        cot = tilting.characteristic_cotilting(a)
         rep.add("dims", "inj_S", homology.inj_dim(cot.total, cap))
-        rep.add("dims", "S_iso_T", tilting.s_iso_t(a, cap))
+        rep.add("dims", "S_iso_T", tilting.s_iso_t(a))
 
 
 def cmd_analyze(args):
@@ -100,7 +100,7 @@ def cmd_check(args):
                       f"{ga} <= 2*{gb}" + (", equality" if equality else ""))
         if f.duality:
             try:
-                _, clauses = borel.duality_check(a, f.duality, args.cap)
+                _, clauses = borel.duality_check(a, f.duality)
                 for cname, flag in clauses:
                     rep.add_check("duality", cname, flag)
             except StratakitError as err:
@@ -166,6 +166,8 @@ def main(argv=None):
 
     args = top.parse_args(argv)
     try:
+        if args.cap < 0:
+            raise ParseError(f"--cap must be at least 0, not {args.cap}")
         rep = args.fn(args)
     except ParseError as err:
         print(f"input error: {err}", file=sys.stderr)

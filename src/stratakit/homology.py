@@ -2,16 +2,22 @@
 
 Resolutions are memoized per algebra (keyed by the structural identity of the
 resolved module) and extended on demand, so repeated Ext queries against the
-same module reuse one resolution.  A resolution keeps its syzygies Ω^k M.
+same module reuse one resolution.  A resolution keeps its projective covers
+and its syzygies Ω^k M; a differential is composed only when asked for.
 
 Ext is computed by dimension shifting: Ext^i(M, N) ≅ Ext^1(Ω^{i-1}M, N), and
 0 -> Hom(Ω^{i-1}M, N) -> Hom(P_{i-1}, N) -> Hom(Ω^i M, N) -> Ext^i(M, N) -> 0
 is exact, so dim Ext^i is an alternating sum of Hom dimensions.  reps.hom_dim
 memoises those per algebra by the modules' structural identity, so the
 consecutive degrees of a scan share one syzygy's Hom space, and so do equal
-syzygies of different resolutions.  ext_dim and proj_dim decide from the
-first `cap` + 1 terms only, however far the shared resolution has grown, so
-their answers do not depend on earlier calls with a larger cap.
+syzygies of different resolutions.
+
+Depth rule: Ext^i reads P_{i-1}, Ω^{i-1} and Ω^i, so a degree i <= cap + 1
+grows the resolution to i terms only, and its answer does not depend on the
+cap.  The cap bounds only what needs the whole resolution: proj_dim and a
+degree above cap + 1, which are decided from the first cap + 1 terms however
+far the shared resolution has grown, so their answers do not depend on
+earlier calls with a larger cap.
 """
 
 from . import linalg, reps
@@ -74,29 +80,25 @@ def injective_hull(m):
 class Resolution:
     """A (partial) minimal projective resolution.
 
-    terms[i] is the multiset of projective summand vertices of P_i;
-    diffs[0]: P_0 -> m is the cover, diffs[i]: P_i -> P_{i-1} for i >= 1.
-    syzygies[k] is (Ω^k m, its inclusion into P_{k-1}), with Ω^0 = m and no
-    inclusion.  `complete` means the last syzygy is zero.
+    terms[i] is the multiset of projective summand vertices of P_i, and
+    covers[i]: P_i -> Ω^i m its projective cover.  syzygies[k] is
+    (Ω^k m, its inclusion into P_{k-1}), with Ω^0 = m and no inclusion.
+    `complete` means the last syzygy is zero.
     """
 
     def __init__(self, module):
         self.module = module
         self.terms = []          # list of lists of vertex indices
-        self.term_reps = []      # the assembled projective Reps
-        self.diffs = []
+        self.covers = []
         self.syzygies = [(module, None)]
         self.complete = module.total_dim == 0
 
     def extend_to(self, nterms):
         """Grow until there are nterms terms or the resolution completes."""
         while not self.complete and len(self.terms) < nterms:
-            omega, incl = self.syzygies[-1]
-            cover = projective_cover(omega)
-            P = cover.source
-            self.terms.append(P.cover_summands)
-            self.term_reps.append(P)
-            self.diffs.append(cover if incl is None else compose(incl, cover))
+            cover = projective_cover(self.syzygies[-1][0])
+            self.terms.append(cover.source.cover_summands)
+            self.covers.append(cover)
             sub, sub_incl = kernel(cover).as_rep()
             self.syzygies.append((sub, sub_incl))
             self.complete = sub.total_dim == 0
@@ -106,23 +108,29 @@ class Resolution:
         does not depend on how far other callers have grown it."""
         return self.complete and len(self.terms) <= cap + 1
 
+    def diff(self, i):
+        """The differential P_i -> P_{i-1}, or the cover P_0 -> m for i = 0."""
+        incl = self.syzygies[i][1]
+        return self.covers[i] if incl is None else compose(incl, self.covers[i])
+
     def is_minimal(self):
         """Each differential lands in the radical of its target."""
-        for i in range(1, len(self.diffs)):
-            rad = radical_submodule(self.term_reps[i - 1])
-            if not rad.contains(reps.image(self.diffs[i])):
+        for i in range(1, len(self.covers)):
+            rad = radical_submodule(self.covers[i - 1].source)
+            if not rad.contains(reps.image(self.diff(i))):
                 return False
         return True
 
     def composes_to_zero(self):
-        for i in range(1, len(self.diffs)):
-            if not all(b.is_zero() for b in compose(self.diffs[i - 1], self.diffs[i]).blocks):
+        for i in range(1, len(self.covers)):
+            if not all(b.is_zero() for b in compose(self.diff(i - 1), self.diff(i)).blocks):
                 return False
         return True
 
 
 def min_proj_resolution(m, cap=DEFAULT_CAP):
-    """Memoized minimal projective resolution, computed out to `cap` terms."""
+    """Memoized minimal projective resolution, grown to at least cap + 1
+    terms unless it completes sooner."""
     a = m.algebra
     table = a.cache.setdefault("resolutions", {})
     res = table.get(m.key())
@@ -170,9 +178,10 @@ def global_dim(a, cap=DEFAULT_CAP):
 
 
 def ext_dim(i, m, n, cap=DEFAULT_CAP):
-    """dim Ext^i(m, n), read off the first cap + 1 terms of the resolution
-    of m: P_0, ..., P_cap and Ω^0, ..., Ω^{cap+1}.  Raises Truncated for a
-    degree above cap + 1 unless those terms complete the resolution."""
+    """dim Ext^i(m, n).  A degree i <= cap + 1 grows the resolution of m to
+    i terms and reads P_{i-1}, Ω^{i-1} and Ω^i, whatever the cap.  A degree
+    above cap + 1 is 0 if the first cap + 1 terms complete the resolution,
+    and raises Truncated otherwise."""
     if m.algebra is not n.algebra:
         raise StratakitError("ext between modules over different algebras")
     if i < 0:
@@ -181,12 +190,13 @@ def ext_dim(i, m, n, cap=DEFAULT_CAP):
         return 0
     if i == 0:
         return reps.hom_dim(m, n)
-    res = min_proj_resolution(m, cap)
-    if res.completes_within(cap):
-        if i > len(res.terms):  # past the end of the resolution
-            return 0
-    elif i > cap + 1:
-        raise Truncated(f"resolution capped below degree {i}")
+    if i > cap + 1:
+        if not min_proj_resolution(m, cap).completes_within(cap):
+            raise Truncated(f"resolution capped below degree {i}")
+        return 0
+    res = min_proj_resolution(m, i - 1)
+    if i > len(res.terms):  # past the end of the resolution
+        return 0
     syz = res.syzygies
     return (reps.hom_dim(syz[i][0], n) - sum(n.dims[v] for v in res.terms[i - 1])
             + reps.hom_dim(syz[i - 1][0], n))
@@ -226,9 +236,9 @@ class ExtClass:
 
 def _cocycle_classes(m, n):
     """Basis of Ext^1(m, n) as morphisms Omega(m) -> n, plus the syzygy data."""
-    res = min_proj_resolution(m, 1)
-    cover = res.diffs[0]
-    P0 = res.term_reps[0]
+    res = min_proj_resolution(m, 0)
+    cover = res.covers[0]
+    P0 = cover.source
     omega, incl = res.syzygies[1]
     F = m.algebra.field
     cocycles = hom_basis(omega, n)

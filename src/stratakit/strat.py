@@ -271,6 +271,7 @@ class StratClass:
         return "not stratified"
 
 
+@reps.built_once
 def classify(a):
     """Classify the algebra with respect to its declared vertex order."""
     reg = reps.regular_module(a)
@@ -280,38 +281,28 @@ def classify(a):
     proper_cert = filtration_certificate(reg, proper) if delta_cert is not None else None
     # DeltaBar(i) is a quotient of Delta(i)
     eq = [d.total_dim == p.total_dim for d, p in zip(deltas, proper)]
-    result = StratClass(a, delta_cert, proper_cert, eq)
-    a.cache["strat_class"] = result
-    return result
-
-
-def strat_class(a):
-    hit = a.cache.get("strat_class")
-    return hit if hit is not None else classify(a)
+    return StratClass(a, delta_cert, proper_cert, eq)
 
 
 # -- Ext-vanishing membership criteria ----------------------------------------
 
-def in_F_delta_by_ext(m, cap=homology.DEFAULT_CAP):
+def in_F_delta_by_ext(m):
     """Ext^1-vanishing test for membership in F(Delta).
 
     Valid criterion only over a standardly stratified algebra; gated on that.
     """
     a = m.algebra
-    cls = strat_class(a)
-    if not cls.standardly_stratified:
+    if not classify(a).standardly_stratified:
         raise NotStratified("Ext criterion for F(Delta) needs a standardly "
                             "stratified algebra")
-    nabla_bars = proper_costandard_family(a)
-    return all(homology.ext_dim(1, m, nb, cap) == 0 for nb in nabla_bars)
+    return all(homology.ext_dim(1, m, nb) == 0
+               for nb in proper_costandard_family(a))
 
 
-def in_F_nabla_bar_by_ext(m, cap=homology.DEFAULT_CAP):
+def in_F_nabla_bar_by_ext(m):
     """Ext^1-vanishing test for membership in F(NablaBar)."""
     a = m.algebra
-    cls = strat_class(a)
-    if not cls.standardly_stratified:
+    if not classify(a).standardly_stratified:
         raise NotStratified("Ext criterion for F(NablaBar) needs a standardly "
                             "stratified algebra")
-    deltas = standard_family(a)
-    return all(homology.ext_dim(1, d, m, cap) == 0 for d in deltas)
+    return all(homology.ext_dim(1, d, m) == 0 for d in standard_family(a))

@@ -43,15 +43,14 @@ class CharTilting:
                     return False
         return True
 
-    def contains(self, m, cap=homology.DEFAULT_CAP):
+    def contains(self, m):
         """Is m in add(T)?
 
         Over a standardly stratified algebra add(T) = F(Delta) ∩ F(NablaBar),
         and both classes are decided by Ext^1-vanishing.  No decomposition
         is needed.
         """
-        return (strat.in_F_nabla_bar_by_ext(m, cap)
-                and strat.in_F_delta_by_ext(m, cap))
+        return strat.in_F_nabla_bar_by_ext(m) and strat.in_F_delta_by_ext(m)
 
     def radical(self, s, t):
         """Basis of rad(T(s), T(t)), as morphisms; computed once per pair.
@@ -130,14 +129,12 @@ def _summand_with_delta(x, emb, lam):
     return part, comp
 
 
-def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
+@reps.built_once
+def characteristic_tilting(a):
     """Build T(λ) for each λ by universal extensions of Delta(λ), one
-    descending sweep over the lower standard modules."""
-    hit = a.cache.get("char_tilting")
-    if hit is not None:
-        return hit
-    cls = strat.strat_class(a)
-    if not cls.standardly_stratified:
+    descending sweep over the lower standard modules.  Only Ext^1 is read,
+    so no resolution cap is involved."""
+    if not strat.classify(a).standardly_stratified:
         raise NotStratified("characteristic tilting needs a standardly "
                             "stratified algebra")
     deltas = strat.standard_family(a)
@@ -151,11 +148,11 @@ def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
         # nu < mu.  So one universal extension by Delta(mu) kills
         # Ext^1(Delta(mu), -), and the later ones, by Delta(nu), keep it 0
         for mu in range(lam - 1, -1, -1):
-            if homology.ext_dim(1, deltas[mu], x, cap) != 0:
+            if homology.ext_dim(1, deltas[mu], x) != 0:
                 x, incl, _ = homology.universal_extension(deltas[mu], x)
                 emb = compose(incl, emb)
         for nu in range(a.n):
-            if homology.ext_dim(1, deltas[nu], x, cap) != 0:
+            if homology.ext_dim(1, deltas[nu], x) != 0:
                 raise StratakitError(
                     f"Ext^1(Delta({a.vertices[nu]}), T({a.vertices[lam]})) "
                     "did not vanish after extension sweeps")
@@ -185,25 +182,21 @@ def characteristic_tilting(a, cap=homology.DEFAULT_CAP):
                        nb_certs)
     if not tilt.is_basic():
         raise StratakitError("characteristic tilting is not basic")
-    a.cache["char_tilting"] = tilt
     return tilt
 
 
-def characteristic_cotilting(a, cap=homology.DEFAULT_CAP):
+@reps.built_once
+def characteristic_cotilting(a):
     """The cotilting module S with add(S) = F(Nabla) ∩ F(DeltaBar).
 
     Computed as the dual of the characteristic tilting of the opposite
     algebra; valid because the opposite of a properly stratified algebra is
     standardly stratified for the same order.
     """
-    hit = a.cache.get("char_cotilting")
-    if hit is not None:
-        return hit
-    cls = strat.strat_class(a)
-    if not cls.properly_stratified:
+    if not strat.classify(a).properly_stratified:
         raise NotProperlyStratified("cotilting needs a properly stratified "
                                     "algebra")
-    op_tilt = characteristic_tilting(a.opposite(), cap)
+    op_tilt = characteristic_tilting(a.opposite())
     summands, nabla_certs, dbar_certs = [], [], []
     # S(λ) = D(T^op(λ)), and D carries Delta^op to Nabla, NablaBar^op to
     # DeltaBar: T^op(λ)'s certificates dualize to those of S(λ)
@@ -214,24 +207,19 @@ def characteristic_cotilting(a, cap=homology.DEFAULT_CAP):
         nabla_certs.append(strat.dual_certificate(s, op_tilt.delta_certs[lam]))
         dbar_certs.append(
             strat.dual_certificate(s, op_tilt.nabla_bar_certs[lam]))
-    cotilt = Cotilting(a, summands, nabla_certs, dbar_certs)
-    a.cache["char_cotilting"] = cotilt
-    return cotilt
+    return Cotilting(a, summands, nabla_certs, dbar_certs)
 
 
-def s_iso_t(a, cap=homology.DEFAULT_CAP):
+@reps.built_once
+def s_iso_t(a):
     """Is S ≅ T?  Exactly when S(λ) ≅ T(λ) for every λ, as λ is the largest
     composition factor of both.  T(λ) is indecomposable, so a basis scan of
-    Hom(S(λ), T(λ)) decides each λ (see reps.find_isomorphism).  Cached."""
-    hit = a.cache.get("s_iso_t")
-    if hit is None:
-        pairs = zip(characteristic_cotilting(a, cap).summands,
-                    characteristic_tilting(a, cap).summands)
-        hit = a.cache["s_iso_t"] = all(
-            s.dims == t.dims
-            and any(f.is_isomorphism() for f in hom_basis(s, t))
-            for s, t in pairs)
-    return hit
+    Hom(S(λ), T(λ)) decides each λ (see reps.find_isomorphism)."""
+    pairs = zip(characteristic_cotilting(a).summands,
+                characteristic_tilting(a).summands)
+    return all(s.dims == t.dims
+               and reps._iso_in_basis(hom_basis(s, t)) is not None
+               for s, t in pairs)
 
 
 class Cotilting:
@@ -248,23 +236,21 @@ class Cotilting:
 # -- good filtration dimensions ----------------------------------------------
 
 def _tilting_pd(a, cap):
-    tilt = characteristic_tilting(a, cap)
-    pd_t = homology.finite_dim(homology.proj_dim(tilt.total, cap),
-                               "projective dimension of T")
-    return pd_t, tilt
+    return homology.finite_dim(
+        homology.proj_dim(characteristic_tilting(a).total, cap),
+        "projective dimension of T")
 
 
 def gfd_nabla_bar(x, cap=homology.DEFAULT_CAP):
     """NablaBar-good filtration dimension: the top Ext degree against the
     standard modules, scanned up to proj_dim(T)."""
     a = x.algebra
-    cls = strat.strat_class(a)
-    if not cls.standardly_stratified:
+    if not strat.classify(a).standardly_stratified:
         raise NotStratified("good filtration dimension needs a standardly "
                             "stratified algebra")
     if x.total_dim == 0:
         return 0
-    bound, _ = _tilting_pd(a, cap)
+    bound = _tilting_pd(a, cap)
     deltas = strat.standard_family(a)
     best = 0
     for d in range(bound + 1):
@@ -304,7 +290,7 @@ def _left_approximation(m, tilt):
                      for v in range(a.n)])
 
 
-def t_codim(x, tilt=None, cap=homology.DEFAULT_CAP):
+def t_codim(x, cap=homology.DEFAULT_CAP):
     """Minimal length of an exact coresolution of x by add(T) modules.
 
     Each step maps cur into its minimal left add(T)-approximation.  Every
@@ -316,19 +302,19 @@ def t_codim(x, tilt=None, cap=homology.DEFAULT_CAP):
     Which admissible map is used does not change the count.  For M in
     F(Delta) and 0 -> M -> T_0 -> C -> 0 with T_0 in add(T) and C in
     F(Delta), Ext^i(Delta, C) ≅ Ext^{i+1}(Delta, M) for i >= 1, so every
-    step lowers the NablaBar-good filtration dimension by one.
+    step lowers the NablaBar-good filtration dimension by one.  The cap
+    bounds the number of steps.
     """
-    if tilt is None:
-        tilt = characteristic_tilting(x.algebra, cap)
+    tilt = characteristic_tilting(x.algebra)
     steps = 0
     cur = x
-    while not tilt.contains(cur, cap):
+    while not tilt.contains(cur):
         if steps > cap:
             raise NonTerminating("add(T)-coresolution did not close")
         f = _left_approximation(cur, tilt)
         coker = (reps.cokernel(f)[0] if f is not None and f.is_injective()
                  else None)
-        if coker is None or not strat.in_F_delta_by_ext(coker, cap):
+        if coker is None or not strat.in_F_delta_by_ext(coker):
             raise NoEmbedding("module has no injective add(T)-approximation "
                               "with a Delta-filtered cokernel")
         cur = coker
@@ -339,13 +325,10 @@ def t_codim(x, tilt=None, cap=homology.DEFAULT_CAP):
 def t_dim(x, cap=homology.DEFAULT_CAP):
     """Minimal length of a resolution of x by the dual tilting-type module,
     computed on the opposite side."""
-    a = x.algebra
-    op = a.opposite()
-    op_cls = strat.strat_class(op)
-    if not op_cls.standardly_stratified:
+    if not strat.classify(x.algebra.opposite()).standardly_stratified:
         raise NotStratified("T-dimension needs the opposite algebra to be "
                             "standardly stratified")
-    return t_codim(reps.dual_to_opposite(x), characteristic_tilting(op, cap), cap)
+    return t_codim(reps.dual_to_opposite(x), cap)
 
 
 class GfdReport:
@@ -370,14 +353,10 @@ class GfdReport:
         return self.probe_sup == self.pd_t
 
 
+@reps.built_once
 def probe_modules(a):
     """Finite probe corpus: simples, projectives, injectives, standards,
-    costandards, and the radicals and tops of all of those, up to iso.
-
-    Built once per algebra and cached on it as a tuple."""
-    hit = a.cache.get("probe_modules")
-    if hit is not None:
-        return hit
+    costandards, and the radicals and tops of all of those, up to iso."""
     deltas, nablas = strat.standard_family(a), strat.costandard_family(a)
     base = []
     for i in range(a.n):
@@ -397,28 +376,22 @@ def probe_modules(a):
                 continue
             seen.add(cand.key())
             out.append(cand)
-    out = a.cache["probe_modules"] = tuple(out)
-    return out
+    return tuple(out)
 
 
+@reps.built_once
 def gfd_algebra(a, cap=homology.DEFAULT_CAP):
     """Compute the four good-filtration-dimension quantities independently.
 
     The report is cached per algebra and cap, so repeated calls return the
     same object; a failed computation is not cached."""
-    key = ("gfd_report", cap)
-    hit = a.cache.get(key)
-    if hit is not None:
-        return hit
-    pd_t, tilt = _tilting_pd(a, cap)
+    pd_t = _tilting_pd(a, cap)
     reg = reps.regular_module(a)
     gfd_reg = gfd_nabla_bar(reg, cap)
-    tc = t_codim(reg, tilt, cap)
+    tc = t_codim(reg, cap)
     probes = probe_modules(a)
     sup = max((gfd_nabla_bar(m, cap) for m in probes), default=0)
-    report = GfdReport(a, pd_t, gfd_reg, tc, sup, len(probes))
-    a.cache[key] = report
-    return report
+    return GfdReport(a, pd_t, gfd_reg, tc, sup, len(probes))
 
 
 # -- Ringel dual --------------------------------------------------------------
@@ -433,9 +406,9 @@ def _local_scalar(field, f):
     return None
 
 
-def ringel_dual(a, cap=homology.DEFAULT_CAP):
+def ringel_dual(a):
     """End(T) presented as a bound quiver algebra, opposite vertex order."""
-    tilt = characteristic_tilting(a, cap)
+    tilt = characteristic_tilting(a)
     F = a.field
     n = a.n
     # order of the dual: reversed
@@ -525,13 +498,14 @@ class CheckResult:
 def verify_section2(a, cap=homology.DEFAULT_CAP):
     """Evaluate every testable numbered claim about tilting and dimensions."""
     out = []
-    cls = strat.strat_class(a)
+    cls = strat.classify(a)
     if not cls.standardly_stratified:
         out.append(CheckResult("stratified", None,
                                "algebra is not standardly stratified; "
                                "tilting checks skipped"))
         return out
-    pd_t, tilt = _tilting_pd(a, cap)
+    pd_t = _tilting_pd(a, cap)
+    tilt = characteristic_tilting(a)
     probes = probe_modules(a)
     reg = reps.regular_module(a)
 
@@ -577,14 +551,16 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
                            f"Ext^i(T,T) = 0 for 1 <= i <= {pd_t}"))
 
     # finitistic dimension bound for properly stratified algebras with S = T
+    iso = cls.properly_stratified and s_iso_t(a)
+    if iso or cls.quasi_hereditary:
+        inj_t = homology.finite_dim(homology.inj_dim(tilt.total, cap),
+                                    "injective dimension of T")
     if cls.properly_stratified:
-        iso = s_iso_t(a, cap)
         out.append(CheckResult("S_iso_T", None,
                                "S isomorphic to T" if iso
                                else "S not isomorphic to T"))
         if iso:
-            bound = pd_t + homology.finite_dim(
-                homology.inj_dim(tilt.total, cap), "injective dimension of T")
+            bound = pd_t + inj_t
             ok = True
             witness = ""
             for m in probes:
@@ -600,8 +576,6 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
                 witness or f"all finite-pd probes within pd T + inj T = {bound}"))
 
     if cls.quasi_hereditary:
-        inj_t = homology.finite_dim(homology.inj_dim(tilt.total, cap),
-                                    "injective dimension of T")
         gl = homology.finite_dim(homology.global_dim(a, cap), "global dimension")
         left = max(pd_t, inj_t) <= gl
         right = gl <= pd_t + inj_t
@@ -611,7 +585,7 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
         out.append(CheckResult(
             "gldim_sum_equality", None,
             "equality" if gl == pd_t + inj_t else "strict"))
-        dual = ringel_dual(a, cap)
+        dual = ringel_dual(a)
         gl_dual = homology.finite_dim(homology.global_dim(dual, cap),
                                       "global dimension of End(T)")
         out.append(CheckResult(

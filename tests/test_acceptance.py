@@ -44,7 +44,7 @@ def machine_dict(text):
 
 def _stratified_corpus():
     return [n for n in CORPUS
-            if strat.strat_class(algebra(n)).standardly_stratified]
+            if strat.classify(algebra(n)).standardly_stratified]
 
 
 def test_criterion_1_borel_pair_reproduction(capsys):
@@ -182,7 +182,7 @@ def test_criterion_8_ringel_double_dual(capsys):
     rows = []
     for name in CORPUS:
         a = algebra(name)
-        if not strat.strat_class(a).quasi_hereditary:
+        if not strat.classify(a).quasi_hereditary:
             continue
         double = tilting.ringel_dual(tilting.ringel_dual(a))
         pdims = sorted(projective(a, i).dims for i in range(a.n))

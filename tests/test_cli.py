@@ -136,6 +136,14 @@ def test_inconclusive_exit_code_on_tiny_cap(argv):
     assert out == ""
 
 
+def test_negative_cap_is_an_input_error():
+    code, out, err = run_cli(["analyze", fixture_path("point.alg"),
+                              "--cap", "-1"])
+    assert code == 2
+    assert "input error" in err and "--cap" in err
+    assert out == ""
+
+
 def test_text_format_has_section_headers():
     code, out, _ = run_cli(["analyze", fixture_path("a2.alg")])
     assert code == 0

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from stratakit import homology, linalg, reps, tilting
+from stratakit import homology, linalg, reps, strat, tilting
 from stratakit.cli import main
 from stratakit.errors import NothingToExtend, StratakitError, Truncated
 from stratakit.homology import (DEFAULT_CAP, LowerBound, ext1_classes, ext_dim,
@@ -51,7 +51,7 @@ def _ext_complex_diff(res, n, s):
     tgt_dim = sum(n.dims[v] for v in tgt_verts)
     if src_dim == 0 or tgt_dim == 0:
         return Matrix.zero(F, tgt_dim, src_dim)
-    diff = res.diffs[s + 1]
+    diff = res.diff(s + 1)
     tgt_offsets = _generator_offsets(a, tgt_verts)
     # positions of each source summand's basis paths inside the vertex blocks of P_s
     summand_paths = []   # per summand t: list of (vertex, offset_in_vertex, Path)
@@ -276,6 +276,17 @@ def test_a_capped_ext_grows_the_resolution_to_cap_plus_one_terms():
     assert len(min_proj_resolution(e, cap=0).terms) == 3
 
 
+@pytest.mark.parametrize("ask", [lambda e: ext_dim(1, e, e),
+                                 strat.in_F_delta_by_ext],
+                         ids=["ext_dim", "in_F_delta_by_ext"])
+def test_degree_one_resolves_one_term(ask):
+    # Ext^1 reads P_0, Ω^0 and Ω^1 only, so it builds one term of E's
+    # infinite resolution over a fresh loop2, not cap + 1
+    e = simple(parse_file(fixture_path("loop2.alg")).build(), 0)
+    ask(e)
+    assert len(min_proj_resolution(e, cap=0).terms) == 1
+
+
 def _capped(f, *args):
     try:
         return f(*args)
@@ -321,7 +332,7 @@ def test_syzygies_are_kept_with_their_inclusions():
     assert res.syzygies[-1][0].total_dim == 0
     for k, (omega, incl) in enumerate(res.syzygies[1:]):
         assert incl.source is omega and incl.is_injective()
-        assert incl.target is res.term_reps[k]
+        assert incl.target is res.covers[k].source
 
 
 def _count_hom_systems(monkeypatch):

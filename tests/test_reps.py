@@ -467,10 +467,15 @@ def test_as_rep_matches_solving_column_by_column(name):
 
 
 def test_simple_projective_and_injective_are_built_once():
+    # and so is every other result cached per algebra through built_once
     a = algebra("borelA")
     for build in (simple, projective, injective):
         for i in range(a.n):
             assert build(a, i) is build(a, i)
+    for build in (strat.classify, tilting.characteristic_tilting,
+                  tilting.characteristic_cotilting, tilting.s_iso_t,
+                  probe_modules, tilting.gfd_algebra):
+        assert build(a) is build(a)
     with pytest.raises(reps.UnknownVertex):
         projective(a, a.n)
 

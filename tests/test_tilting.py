@@ -88,8 +88,8 @@ def test_t_codim_zero_iff_in_add_T():
     a = algebra("a3line")
     tilt = characteristic_tilting(a)
     for t in tilt.summands:
-        assert t_codim(t, tilt) == 0
-    assert t_codim(reps.projective(a, 0), tilt) == 1
+        assert t_codim(t) == 0
+    assert t_codim(reps.projective(a, 0)) == 1
 
 
 def test_tilting_is_ext_orthogonal_family():
@@ -224,18 +224,17 @@ def test_add_T_by_ext_agrees_with_decomposition(name):
 @pytest.mark.parametrize("name", STRATIFIED)
 def test_t_codim_equals_gfd_on_F_delta(name):
     a = algebra(name)
-    tilt = characteristic_tilting(a)
     modules = [regular_module(a)] + [m for m in probe_modules(a)
                                      if strat.in_F_delta_by_ext(m)]
     for m in modules:
-        assert t_codim(m, tilt) == gfd_nabla_bar(m), m
+        assert t_codim(m) == gfd_nabla_bar(m), m
 
 
 @pytest.mark.parametrize("name", ["point", "semisimple2", "a2", "a3line",
                                   "borelA", "borelB"])
 def test_t_dim_of_injectives_equals_gfd_delta_bar(name):
     a = algebra(name)
-    assert strat.strat_class(a).quasi_hereditary
+    assert strat.classify(a).quasi_hereditary
     for i in range(a.n):
         m = injective(a, i)
         assert t_dim(m) == gfd_delta_bar(m), m
