@@ -1,14 +1,18 @@
 """Minimal projective resolutions, syzygies, Ext groups, extension classes.
 
-Resolutions are memoized per algebra (keyed by the structural identity of the
-resolved module) and extended on demand, so repeated Ext queries against the
-same module reuse one resolution.  A resolution keeps its projective covers
-and its syzygies Ω^k M; a differential is composed only when asked for.
+A resolution is a chain of shared steps.  syzygy_step(M) is the projective
+cover P -> M, Ω M and its inclusion into P, memoised per algebra by the
+structural key of M (reps.by_structure), so the resolution of Ω M reuses the
+steps of M's resolution, and resolutions whose syzygies are equal share
+their tails.  Resolutions are memoized the same way and extended on demand,
+so repeated Ext queries against the same module reuse one resolution.  A
+resolution keeps its projective covers and its syzygies Ω^k M; a
+differential is composed only when asked for.
 
 Ext is computed by dimension shifting: Ext^i(M, N) ≅ Ext^1(Ω^{i-1}M, N), and
 0 -> Hom(Ω^{i-1}M, N) -> Hom(P_{i-1}, N) -> Hom(Ω^i M, N) -> Ext^i(M, N) -> 0
 is exact, so dim Ext^i is an alternating sum of Hom dimensions.  reps.hom_dim
-memoises those per algebra by the modules' structural identity, so the
+memoises those per algebra by the modules' structural keys, so the
 consecutive degrees of a scan share one syzygy's Hom space, and so do equal
 syzygies of different resolutions.
 
@@ -77,6 +81,16 @@ def injective_hull(m):
     return emb
 
 
+@reps.by_structure
+def syzygy_step(m):
+    """(cover, Ω m, inclusion): the projective cover P -> m, its kernel Ω m
+    as a module, and the inclusion of Ω m into P.  One per structural key,
+    so resolutions whose syzygies are equal share their tails."""
+    cover = projective_cover(m)
+    omega, incl = kernel(cover).as_rep()
+    return cover, omega, incl
+
+
 class Resolution:
     """A (partial) minimal projective resolution.
 
@@ -96,12 +110,11 @@ class Resolution:
     def extend_to(self, nterms):
         """Grow until there are nterms terms or the resolution completes."""
         while not self.complete and len(self.terms) < nterms:
-            cover = projective_cover(self.syzygies[-1][0])
+            cover, omega, incl = syzygy_step(self.syzygies[-1][0])
             self.terms.append(cover.source.cover_summands)
             self.covers.append(cover)
-            sub, sub_incl = kernel(cover).as_rep()
-            self.syzygies.append((sub, sub_incl))
-            self.complete = sub.total_dim == 0
+            self.syzygies.append((omega, incl))
+            self.complete = omega.total_dim == 0
 
     def completes_within(self, cap):
         """Do the first cap + 1 terms complete the resolution?  The answer
@@ -128,15 +141,15 @@ class Resolution:
         return True
 
 
+@reps.by_structure
+def _resolution(m):
+    return Resolution(m)
+
+
 def min_proj_resolution(m, cap=DEFAULT_CAP):
     """Memoized minimal projective resolution, grown to at least cap + 1
     terms unless it completes sooner."""
-    a = m.algebra
-    table = a.cache.setdefault("resolutions", {})
-    res = table.get(m.key())
-    if res is None:
-        res = Resolution(m)
-        table[m.key()] = res
+    res = _resolution(m)
     res.extend_to(cap + 1)
     return res
 

@@ -275,14 +275,20 @@ def _rref_rational(m):
     return Matrix(F, m.rows, n, out), pivots
 
 
+def _echelon(m):
+    """rref(m), answered without elimination for a matrix with no rows or
+    no columns: it is its own reduced form and has no pivots."""
+    return rref(m) if m.rows and m.cols else (m, [])
+
+
 def rank(m):
-    return len(rref(m)[1])
+    return len(_echelon(m)[1])
 
 
 def kernel_basis(m):
     """Basis of the right null space, as a list of column vectors."""
     F = m.field
-    R, pivots = rref(m)
+    R, pivots = _echelon(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -297,7 +303,7 @@ def kernel_basis(m):
 
 def image_basis(m):
     """Basis of the column space: the pivot columns of m."""
-    _, pivots = rref(m)
+    _, pivots = _echelon(m)
     return [m.column(c) for c in pivots]
 
 
@@ -312,7 +318,9 @@ def solve(m, b):
     n, k = m.cols, b.cols
     if k == 0:
         return Matrix(F, n, 0, [])
-    R, pivots = rref(hstack([m, b]))
+    if n == 0:
+        return Matrix(F, 0, k, []) if b.is_zero() else None
+    R, pivots = _echelon(hstack([m, b]))
     if pivots and pivots[-1] >= n:
         return None
     w = n + k
@@ -326,9 +334,7 @@ def pivot_columns(field, vectors, dim):
 
     These are the pivot columns of one rref, which is exactly what a greedy
     left-to-right rank test would keep."""
-    if not vectors or dim == 0:
-        return []
-    return rref(Matrix.from_columns(field, vectors, rows=dim))[1]
+    return _echelon(Matrix.from_columns(field, vectors, rows=dim))[1]
 
 
 def column_reduce(field, vectors, dim):
@@ -345,7 +351,7 @@ def inverse(m):
     if m.rows != m.cols:
         raise StratakitError("inverse of non-square matrix")
     aug = hstack([m, Matrix.identity(F, m.rows)])
-    R, pivots = rref(aug)
+    R, pivots = _echelon(aug)
     if pivots[:m.rows] != list(range(m.rows)):
         raise StratakitError("matrix not invertible")
     return Matrix(F, m.rows, m.rows,

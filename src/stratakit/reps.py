@@ -23,6 +23,12 @@ irreducible and whose degree is dim End certifies the module indecomposable.
 Isomorphism is decided by Krull–Schmidt, without a coefficient search: a
 basis scan of Hom is exact between indecomposable modules, so two
 decomposable modules are compared part by part.
+
+Per-algebra results live in the algebra's cache and go through two helpers:
+built_once, keyed by a function's name and arguments, and by_structure,
+keyed by the structural keys of its module arguments.  Rep.key() is a small
+int, interned once per module, so equal modules built apart share one
+result and a lookup hashes ints.
 """
 
 import functools
@@ -64,10 +70,13 @@ class Rep:
         return self.total_dim == 0
 
     def key(self):
-        """Structural identity, used for memo tables; computed once."""
+        """Structural identity: a small int, the same for equal modules over
+        the same algebra.  Interned once per module in the algebra's cache,
+        so a memo lookup hashes an int and not the entries."""
         if self._key is None:
-            self._key = (id(self.algebra), self.dims,
-                         tuple(m.entries for m in self.action))
+            table = _interned(self.algebra)
+            self._key = table.setdefault(
+                (self.dims, tuple(m.entries for m in self.action)), len(table))
         return self._key
 
     def relations_hold(self):
@@ -220,7 +229,8 @@ def zero_rep(a):
 
 def built_once(build):
     """build(a, *args), built once per algebra and arguments and cached on
-    the algebra.  Callers share what it returns: never relabel or change it."""
+    the algebra under (build's name,) + args.  Callers share what it
+    returns: never relabel or change it."""
     @functools.wraps(build)
     def cached(a, *args):
         key = (build.__name__,) + args
@@ -229,6 +239,46 @@ def built_once(build):
             hit = a.cache[key] = build(a, *args)
         return hit
     return cached
+
+
+_MISSING = object()
+
+
+def by_structure(compute):
+    """compute(m, *args), memoised per algebra by structure: each module
+    among the arguments, alone or in a tuple or list, stands for its key(),
+    so equal modules built apart share one result.  The modules must lie
+    over one algebra, checked before the lookup (AlgebraMismatch).  Entries
+    sit in the algebra's cache under (compute's dotted name, *keys); a
+    built_once name has no dot, so the two never collide.  Callers share
+    what it returns: never relabel it, and change it only as a memoised
+    Resolution grows, by appending what equal modules would get anyway."""
+    name = f"{compute.__module__}.{compute.__name__}"
+
+    def structure(a, x):
+        if isinstance(x, Rep):
+            if x.algebra is not a:
+                raise AlgebraMismatch(f"{compute.__name__} across algebras")
+            return x.key()
+        if isinstance(x, (tuple, list)):
+            return tuple([structure(a, y) for y in x])
+        return x
+
+    @functools.wraps(compute)
+    def cached(m, *args):
+        a = m.algebra
+        key = (name, m.key(), *[structure(a, x) for x in args])
+        hit = a.cache.get(key, _MISSING)
+        if hit is _MISSING:
+            hit = a.cache[key] = compute(m, *args)
+        return hit
+    return cached
+
+
+@built_once
+def _interned(a):
+    """The algebra's table numbering module structures, for Rep.key."""
+    return {}
 
 
 @built_once
@@ -355,19 +405,14 @@ def hom_basis(m, n):
     return out
 
 
+@by_structure
 def hom_dim(m, n):
     """dim Hom(m, n): the unknowns less the rank of the intertwining system.
 
-    Memoised per algebra by the structural identity of m and n, so equal
-    modules built apart (the syzygies of two resolutions, say) share one
-    solve."""
-    memo = m.algebra.cache.setdefault("hom_dim", {})
-    key = (m.key(), n.key())
-    hit = memo.get(key)
-    if hit is None:
-        mat, _ = _hom_system(m, n)
-        hit = memo[key] = mat.cols - linalg.rank(mat)
-    return hit
+    Memoised per algebra by structure, so equal modules built apart (the
+    syzygies of two resolutions, say) share one solve."""
+    mat, _ = _hom_system(m, n)
+    return mat.cols - linalg.rank(mat)
 
 
 def morphism_from_coeffs(basis, coeffs):

@@ -136,21 +136,20 @@ def _top_lifts(m, sub, w, below=None):
         a.field, known + cols, m.dims[w]) if k >= len(known)]
 
 
+@reps.by_structure
 def _top_kernel(f, mu):
     """Generators (w, vector) of K(μ) = ker(P(μ) -> f) for a projective
     cover, in the coordinates of projective_layout(μ); None unless the top of
-    f is the simple module at μ.  Cached per module in the algebra's cache."""
-    key = ("top_kernel", mu, f.key())
-    if key not in f.algebra.cache:
-        cover = homology.projective_cover(f)
-        k = reps.kernel(cover)
-        f.algebra.cache[key] = (
-            [(w, g) for w in range(f.algebra.n)
-             for g in _top_lifts(cover.source, k, w)]
-            if cover.source.cover_summands == [mu] else None)
-    return f.algebra.cache[key]
+    f is the simple module at μ.  Read from f's syzygy step."""
+    cover, _, incl = homology.syzygy_step(f)
+    if cover.source.cover_summands != [mu]:
+        return None
+    k = Submodule(cover.source, incl.blocks, check=False)
+    return [(w, g) for w in range(f.algebra.n)
+            for g in _top_lifts(cover.source, k, w)]
 
 
+@reps.by_structure
 def _trace_certificate(m, family):
     """The certificate of the trace filtration of m whose factor family[μ]
     is P(μ)/K(μ); None if some member has no simple top, or the chain does
@@ -224,14 +223,19 @@ def filtration_certificate(m, family):
     Families with simple socles (Nabla, NablaBar), and families with simple
     tops that yield nothing, are handled over the opposite algebra and
     mapped back by dual_certificate: Nabla can have simple tops.
+
+    Trace certificates are memoised per algebra by the structural keys of m
+    and of the family (reps.by_structure), so equal modules built apart
+    share one construction; the certificate returned always names m itself.
     """
     cert = _trace_certificate(m, family)
     if cert is None:
         cert = _trace_certificate(reps.dual_to_opposite(m),
                                   [reps.dual_to_opposite(f) for f in family])
-        if cert is not None:
-            cert = dual_certificate(m, cert)
-    return cert
+        return None if cert is None else dual_certificate(m, cert)
+    # the memoised certificate may name an equal module built apart
+    return (cert if cert.module is m
+            else FiltrationCertificate(m, cert.layers, cert.factor_indices))
 
 
 def in_filtration_class(m, family):
@@ -278,9 +282,11 @@ def classify(a):
     deltas = standard_family(a)
     proper = proper_standard_family(a)
     delta_cert = filtration_certificate(reg, deltas)
-    proper_cert = filtration_certificate(reg, proper) if delta_cert is not None else None
-    # DeltaBar(i) is a quotient of Delta(i)
+    # DeltaBar(i) is a quotient of Delta(i), so equal dimensions mean equal
+    # modules, and then the Delta certificate is a DeltaBar certificate
     eq = [d.total_dim == p.total_dim for d, p in zip(deltas, proper)]
+    proper_cert = (None if delta_cert is None else delta_cert if all(eq)
+                   else filtration_certificate(reg, proper))
     return StratClass(a, delta_cert, proper_cert, eq)
 
 

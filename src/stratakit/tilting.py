@@ -380,11 +380,12 @@ def probe_modules(a):
 
 
 @reps.built_once
-def gfd_algebra(a, cap=homology.DEFAULT_CAP):
+def gfd_algebra(a, cap):
     """Compute the four good-filtration-dimension quantities independently.
 
     The report is cached per algebra and cap, so repeated calls return the
-    same object; a failed computation is not cached."""
+    same object; a failed computation is not cached.  The cap has no
+    default, so that one cap cannot be cached under two keys."""
     pd_t = _tilting_pd(a, cap)
     reg = reps.regular_module(a)
     gfd_reg = gfd_nabla_bar(reg, cap)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from stratakit.parser import parse_file
+from stratakit.parser import parse, parse_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "stratakit",
                         "fixtures")
@@ -21,6 +21,34 @@ def algebra(name):
         f = parse_file(fixture_path(name + ".alg"))
         _cache[name] = (f, f.build())
     return _cache[name][1]
+
+
+def auslander_text(n, p=101):
+    """The Auslander algebra of k[x]/(x^n) over GF(p), as a description file.
+
+    Vertex i stands for the module k[x]/(x^i); a_i is the inclusion
+    i -> i+1 (multiplication by x) and b_i the projection i+1 -> i.  On
+    k[x]/(x^i) both b_i a_i and a_{i-1} b_{i-1} act as multiplication by x,
+    so b_1 a_1 = 0 and a_{i-1} b_{i-1} = b_i a_i for 1 < i < n.  Vertices are
+    declared n, ..., 1.  The algebra has dimension sum_{i,j} min(i, j) =
+    n(n+1)(2n+1)/6 and is quasi-hereditary of global dimension 2."""
+    lines = [f"name aus{n}", f"field GF {p}",
+             "vertices " + " ".join(str(i) for i in range(n, 0, -1))]
+    for i in range(1, n):
+        lines += [f"arrow a{i} {i} {i + 1}", f"arrow b{i} {i + 1} {i}"]
+    lines.append("relation 1*b1.a1")
+    lines += [f"relation 1*a{i - 1}.b{i - 1} - 1*b{i}.a{i}"
+              for i in range(2, n)]
+    return "\n".join(lines) + "\n"
+
+
+def auslander(n):
+    """Session-cached Auslander algebra of k[x]/(x^n) over GF(101)."""
+    key = f"aus{n}"
+    if key not in _cache:
+        f = parse(auslander_text(n))
+        _cache[key] = (f, f.build())
+    return _cache[key][1]
 
 
 def algebra_file(name):

@@ -105,7 +105,7 @@ def test_criterion_4_four_way_equality_suite(capsys):
     rows = []
     ok = True
     for name in _stratified_corpus():
-        g = tilting.gfd_algebra(algebra(name))
+        g = tilting.gfd_algebra(algebra(name), homology.DEFAULT_CAP)
         same = (g.pd_t == g.gfd_regular == g.tcodim_regular
                 and g.probe_sup <= g.pd_t)
         ok = ok and same

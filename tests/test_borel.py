@@ -107,7 +107,7 @@ def test_directed_algebra_filtration_dimension_equals_gldim():
     # all standard modules of borelB are simple, so every module is
     # Delta-filtered and the filtration dimensions collapse to gl.dim
     b = algebra("borelB")
-    g = tilting.gfd_algebra(b)
+    g = tilting.gfd_algebra(b, homology.DEFAULT_CAP)
     assert g.pd_t == int(homology.global_dim(b)) == 2
     assert g.probe_sup_attained
 

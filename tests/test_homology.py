@@ -18,7 +18,7 @@ from stratakit.parser import parse_file
 from stratakit.reps import (injective, is_isomorphic, path_matrix, projective,
                             regular_module, simple)
 
-from conftest import algebra, fixture_path
+from conftest import algebra, auslander, fixture_path
 
 FIXTURES = ["point", "semisimple2", "a2", "a3line", "loop2", "borelA",
             "borelB"]
@@ -128,8 +128,9 @@ def reference_ext_dim(i, m, n, cap=DEFAULT_CAP):
 
 
 def _modules(name):
-    """The probe modules of a fixture, with its characteristic tilting module."""
-    a = algebra(name)
+    """The probe modules of a fixture (or of aus<n>, the Auslander algebra of
+    k[x]/(x^n)), with its characteristic tilting module."""
+    a = auslander(int(name[3:])) if name.startswith("aus") else algebra(name)
     return list(tilting.probe_modules(a)) + [
         tilting.characteristic_tilting(a).total]
 
@@ -243,7 +244,7 @@ def test_resolution_cache_is_shared():
     assert r1 is r2
 
 
-@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("name", FIXTURES + ["aus4"])
 def test_ext_by_dimension_shifting_matches_the_cochain_complex(name):
     mods = _modules(name)
     for m in mods:
@@ -333,6 +334,43 @@ def test_syzygies_are_kept_with_their_inclusions():
     for k, (omega, incl) in enumerate(res.syzygies[1:]):
         assert incl.source is omega and incl.is_injective()
         assert incl.target is res.covers[k].source
+
+
+def test_auslander_algebra_closed_form():
+    a = auslander(4)
+    assert a.dim == 4 * 5 * 9 // 6
+    assert strat.classify(a).quasi_hereditary
+    assert global_dim(a) == 2
+
+
+def test_the_resolution_of_a_syzygy_reuses_its_steps():
+    # one syzygy step per structural key: the resolution of Ω M is the tail
+    # of M's, object for object, and an equal module built apart gets it too
+    a = algebra("borelA")
+    res = min_proj_resolution(simple(a, 0), cap=10)
+    omega = res.syzygies[1][0]
+    tail = min_proj_resolution(omega, cap=10)
+    assert len(tail.covers) == len(res.covers) - 1 > 0
+    assert all(x is y for x, y in zip(tail.covers, res.covers[1:]))
+    assert tail.syzygies[1:] == res.syzygies[2:]        # Rep: == is `is`
+    twin = reps.Rep(a, omega.dims, omega.action)
+    assert homology.syzygy_step(twin) is homology.syzygy_step(omega)
+    assert min_proj_resolution(twin, cap=10) is tail
+
+
+def test_one_projective_cover_per_structural_key(monkeypatch):
+    # on the paper's Borel pair, each module is covered once: 55 covers,
+    # where the resolutions and trace filtrations built 115 on their own
+    covered = []
+    real = homology.projective_cover
+    monkeypatch.setattr(homology, "projective_cover",
+                        lambda m: covered.append(m) or real(m))
+    argv = ["check", fixture_path("borelA.alg"),
+            "--borel", fixture_path("borelB.alg"), "--format", "machine"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    keys = [(id(m.algebra), m.key()) for m in covered]
+    assert len(keys) == len(set(keys)) == 55
 
 
 def _count_hom_systems(monkeypatch):

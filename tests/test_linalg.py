@@ -1,5 +1,7 @@
 """Property tests for the exact dense linear algebra layer."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratakit import linalg
+from stratakit.cli import main
 from stratakit.fields import GF, QQ
 from stratakit.linalg import Matrix
+
+from conftest import fixture_path
 
 F5 = GF(5)
 
@@ -267,6 +272,45 @@ def test_zero_size_matrices(field, shape):
         assert linalg.solve(m, _column(field, [field.one] * rows)) is None
     if rows == cols:
         assert linalg.inverse(m) == m
+
+
+def _count_rref(monkeypatch):
+    """The shapes of the matrices linalg.rref gets from now on."""
+    shapes = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: (
+        shapes.append((m.rows, m.cols)) or real(m)))
+    return shapes
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "GF5"])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_matrices_take_no_rref(monkeypatch, field, shape):
+    # a matrix with no rows or no columns is its own reduced form
+    rows, cols = shape
+    m = Matrix(field, rows, cols, [])
+    shapes = _count_rref(monkeypatch)
+    linalg.rank(m)
+    linalg.kernel_basis(m)
+    linalg.image_basis(m)
+    linalg.pivot_columns(field, m.columns(), rows)
+    linalg.solve(m, _column(field, [field.one] * rows))
+    linalg.solve(m, _column(field, [field.zero] * rows))
+    linalg.is_invertible(m)
+    if rows == cols:
+        linalg.inverse(m)
+    assert shapes == []
+
+
+def test_a_check_issues_no_empty_rref(monkeypatch):
+    # on the paper's Borel pair, 267 of 2 609 rref calls used to get a
+    # matrix with no rows or no columns
+    shapes = _count_rref(monkeypatch)
+    argv = ["check", fixture_path("borelA.alg"),
+            "--borel", fixture_path("borelB.alg"), "--format", "machine"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert shapes and all(rows and cols for rows, cols in shapes)
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "GF5"])

@@ -16,6 +16,12 @@ The exception scan reads the `raise` statements under src/.  A class in
 errors.py is live when one of them raises it or a subclass of it, so the base
 classes of raised errors count as raised.
 
+The cache scan reads every module of src/stratakit.  Per-algebra results go
+through one of two helpers in reps.py, `built_once` and `by_structure`; any
+other read of an attribute named `cache` (a subscript, a `get`, a
+`setdefault`, an `in` test) is reported.  Assigning it, as PathAlgebra does
+once, is allowed.
+
 The import scan reads each module of src/stratakit except __init__.py, whose
 imports are re-exports.  A name a module imports and never mentions as a
 `Name` is reported, unless its import statement carries `# noqa: F401`.
@@ -119,3 +125,42 @@ def test_no_unused_imports():
               if path.name != "__init__.py"
               for entry in _unused_imports(path)]
     assert not unused, f"imported names the module never uses: {unused}"
+
+
+CACHE_HELPERS = ("built_once", "by_structure")
+
+
+def _cache_reads(source, filename):
+    """Reads of an attribute named `cache` outside the cache helpers of
+    reps.py, as "file:line"."""
+    lines = []
+    for top in ast.parse(source).body:
+        if (filename == "reps.py" and isinstance(top, ast.FunctionDef)
+                and top.name in CACHE_HELPERS):
+            continue
+        lines += [node.lineno for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute) and node.attr == "cache"
+                  and isinstance(node.ctx, ast.Load)]
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_one_cache_idiom():
+    reads = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in _cache_reads(path.read_text(encoding="utf-8"),
+                                     path.name)]
+    assert not reads, f"algebra cache used outside {CACHE_HELPERS}: {reads}"
+
+
+def test_cache_scan_sees_hand_written_tables():
+    source = """
+def f(a, k):
+    table = a.cache.setdefault("t", {})
+    if k not in a.algebra.cache:
+        a.cache[k] = 1
+    return table
+"""
+    assert _cache_reads(source, "strat.py") == [
+        "strat.py:3", "strat.py:4", "strat.py:5"]
+    helper = "def built_once(build):\n    return build.cache[0]\n"
+    assert _cache_reads(helper, "reps.py") == []
+    assert _cache_reads(helper, "strat.py") == ["strat.py:2"]

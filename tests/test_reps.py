@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratakit import linalg, parse, reps, strat, tilting
-from stratakit.errors import NotASubmodule
+from stratakit.errors import AlgebraMismatch, NotASubmodule
 from stratakit.linalg import Matrix
+from stratakit.parser import parse_file
 from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
                             decompose, direct_sum, generated_submodule,
                             hom_basis, hom_dim, image, injective,
@@ -474,10 +475,48 @@ def test_simple_projective_and_injective_are_built_once():
             assert build(a, i) is build(a, i)
     for build in (strat.classify, tilting.characteristic_tilting,
                   tilting.characteristic_cotilting, tilting.s_iso_t,
-                  probe_modules, tilting.gfd_algebra):
+                  probe_modules):
         assert build(a) is build(a)
+    assert tilting.gfd_algebra(a, 20) is tilting.gfd_algebra(a, 20)
     with pytest.raises(reps.UnknownVertex):
         projective(a, a.n)
+
+
+def test_keys_are_interned_per_algebra():
+    # equal modules built apart share one small int; different ones do not
+    a = parse_file(fixture_path("a3line.alg")).build()
+    reg, twin = regular_module(a), regular_module(a)
+    assert reg is not twin and reg.key() == twin.key()
+    assert type(reg.key()) is int
+    assert len({simple(a, i).key() for i in range(a.n)} | {reg.key()}) == a.n + 1
+
+
+def test_structural_memo_checks_the_algebra_first():
+    # interned keys do not name their algebra, so two algebras number their
+    # first modules alike; a memo hit must not hide the mismatch
+    a = parse_file(fixture_path("a3line.alg")).build()
+    b = parse_file(fixture_path("a3line.alg")).build()
+    m, n = simple(a, 0), simple(b, 0)
+    assert hom_dim(m, m) == 1
+    assert m.key() == n.key()
+    for x, y in ((m, n), (n, m)):
+        with pytest.raises(AlgebraMismatch):
+            hom_dim(x, y)
+    with pytest.raises(AlgebraMismatch):
+        strat.filtration_certificate(m, strat.standard_family(b))
+
+
+def test_cache_keys_are_namespaced():
+    # built_once keys start with a bare function name, by_structure keys
+    # with a dotted one, so an interned int never meets a built_once key
+    a = parse_file(fixture_path("borelB.alg")).build()
+    tilting.gfd_algebra(a, 20)
+    names = {key[0] for key in a.cache}
+    assert all(type(key) is tuple and type(key[0]) is str for key in a.cache)
+    assert {"simple", "classify", "gfd_algebra"} <= names
+    assert {"stratakit.reps.hom_dim", "stratakit.homology.syzygy_step",
+            "stratakit.strat._top_kernel",
+            "stratakit.strat._trace_certificate"} <= names
 
 
 def test_quotient_issues_one_rref_per_vertex_and_no_inverse(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from stratakit import reps, strat
+from stratakit import reps, strat, tilting
 from stratakit.reps import is_isomorphic, projective, regular_module, simple
 from stratakit.strat import (classify, costandard, filtration_certificate,
                              in_F_delta_by_ext, in_F_nabla_bar_by_ext,
@@ -77,6 +77,35 @@ def test_loop2_standard_is_projective_proper_is_simple():
 def test_classification(name, kind):
     cls = classify(algebra(name))
     assert cls.kind() == kind
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS if n != "loop2"])
+def test_quasi_hereditary_reuses_the_delta_certificate(name):
+    # every DeltaBar(i) is Delta(i), so the Delta certificate serves both
+    cls = classify(algebra(name))
+    assert cls.quasi_hereditary
+    assert cls.proper_delta_cert is cls.delta_cert
+
+
+def test_a_memoised_certificate_names_the_callers_module():
+    # certificates are memoised by structure; an equal module built apart
+    # gets the same layers, bound to itself.  T lies in F(Delta) and in
+    # F(Nabla), whose certificates come from the opposite algebra
+    a = algebra("borelA")
+    m = tilting.characteristic_tilting(a).total
+    twin = reps.Rep(a, m.dims, m.action)
+    assert twin is not m and twin.key() == m.key()
+    for family in (strat.standard_family(a), strat.costandard_family(a)):
+        first = filtration_certificate(m, family)
+        again = filtration_certificate(twin, family)
+        assert first.module is m and again.module is twin
+        assert again.layers == first.layers
+        assert again.verify(family)
+    reg, twin = regular_module(a), regular_module(a)
+    family = strat.standard_family(a)
+    first, again = (filtration_certificate(x, family) for x in (reg, twin))
+    assert first.module is reg and again.module is twin
+    assert again.layers is first.layers
 
 
 def test_loop2_not_quasi_hereditary():

@@ -63,13 +63,13 @@ def test_loop2_tilting_is_regular_module():
     assert is_isomorphic(tilt.total, regular_module(a))
     cot = characteristic_cotilting(a)
     assert is_isomorphic(cot.total, tilt.total)
-    g = gfd_algebra(a)
+    g = gfd_algebra(a, homology.DEFAULT_CAP)
     assert (g.pd_t, g.gfd_regular, g.tcodim_regular, g.probe_sup) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("name", STRATIFIED)
 def test_four_way_equality(name):
-    g = gfd_algebra(algebra(name))
+    g = gfd_algebra(algebra(name), homology.DEFAULT_CAP)
     assert g.consistent
     assert g.pd_t == g.gfd_regular == g.tcodim_regular
 
@@ -195,6 +195,19 @@ def test_gfd_report_is_cached_per_cap():
     report = gfd_algebra(a, 20)
     assert gfd_algebra(a, 20) is report
     assert report.consistent
+
+
+def test_one_report_leaves_one_gfd_entry():
+    # gfd_algebra has no default cap, so a report and the verifier built on
+    # it share one cache entry and cannot be cached under a second key
+    a = _fresh("a3line")
+    report = gfd_algebra(a, homology.DEFAULT_CAP)
+    tilting.verify_section2(a)
+    assert [key for key in a.cache if key[0] == "gfd_algebra"] == [
+        ("gfd_algebra", homology.DEFAULT_CAP)]
+    assert gfd_algebra(a, homology.DEFAULT_CAP) is report
+    with pytest.raises(TypeError):
+        gfd_algebra(a)
 
 
 def test_gfd_report_small_cap_still_truncates():
