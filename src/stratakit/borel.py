@@ -9,9 +9,9 @@ anti-automorphism of the algebra.
 from itertools import permutations
 
 from . import homology, linalg, reps, strat, tilting
-from .errors import (EmbeddingError, IdempotentMismatch, NotAntiAutomorphism,
-                     NotInjective, NotMultiplicative, NotUnital,
-                     StratakitError)
+from .errors import (AlgebraMismatch, EmbeddingError, IdempotentMismatch,
+                     NotAntiAutomorphism, NotInjective, NotMultiplicative,
+                     NotUnital, StratakitError)
 from .linalg import Matrix
 from .quiver import Path
 from .reps import Rep, direct_sum, projective, quotient
@@ -152,7 +152,7 @@ def induce(e, m):
     a, b = e.a, e.b
     F = a.field
     if m.algebra is not b:
-        raise StratakitError("induction of a module over the wrong algebra")
+        raise AlgebraMismatch("induction of a module over the wrong algebra")
     summands = []            # (vertex of B, coordinate in m)
     for i in range(b.n):
         for c in range(m.dims[i]):

@@ -1,19 +1,21 @@
 """Command-line driver: analyze / check / gfd over algebra description files.
 
 Exit codes: 0 all checks pass, 1 a theorem check failed, 2 input error
-(including a negative --cap), 3 inconclusive (a resolution reached the cap,
-or a coresolution loop ran out of steps).
+(including a negative --cap and a field GF(p) with p too large), 3
+inconclusive (a resolution reached the cap, a coresolution loop ran out of
+steps, or a module's decomposition could not be decided).
 """
 
 import argparse
 import sys
 
 from . import borel, homology, reps, strat, tilting
-from .errors import NonTerminating, ParseError, StratakitError, Truncated
+from .errors import (NonTerminating, ParseError, StratakitError, Truncated,
+                     UndecidedDecomposition)
 from .parser import parse_file
 from .report import Report
 
-INCONCLUSIVE = (NonTerminating, Truncated)
+INCONCLUSIVE = (NonTerminating, Truncated, UndecidedDecomposition)
 
 
 def _algebra_section(rep, f, a):

@@ -44,6 +44,12 @@ class Truncated(StratakitError):
     """A resolution was capped before the requested degree; the answer is unknown."""
 
 
+class UndecidedDecomposition(StratakitError):
+    """No endomorphism split the module, yet End(m) is not shown local: the
+    nilpotent parts of its basis generate a nilpotent S, but some basis
+    element is not a scalar plus an element of S."""
+
+
 class NotStratified(StratakitError):
     """An operation assuming a standardly stratified algebra was called on one that is not."""
 

@@ -9,6 +9,11 @@ from fractions import Fraction
 
 from .errors import StratakitError
 
+# The parser refuses GF(p) for p at or above this bound: primality is tested
+# by trial division and Berlekamp's algorithm takes one gcd per element of
+# GF(p), so both grow with p.
+MAX_PRIME = 2 ** 16
+
 
 def _is_prime(n):
     if n < 2:

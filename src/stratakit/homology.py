@@ -25,7 +25,8 @@ earlier calls with a larger cap.
 """
 
 from . import linalg, reps
-from .errors import NothingToExtend, StratakitError, Truncated, ZeroModule
+from .errors import (AlgebraMismatch, NothingToExtend, StratakitError,
+                     Truncated, ZeroModule)
 from .linalg import Matrix
 from .reps import (Morphism, compose, direct_sum, hom_basis, kernel,
                    projective, quotient, radical_submodule)
@@ -196,7 +197,7 @@ def ext_dim(i, m, n, cap=DEFAULT_CAP):
     above cap + 1 is 0 if the first cap + 1 terms complete the resolution,
     and raises Truncated otherwise."""
     if m.algebra is not n.algebra:
-        raise StratakitError("ext between modules over different algebras")
+        raise AlgebraMismatch("ext between modules over different algebras")
     if i < 0:
         return 0
     if m.total_dim == 0 or n.total_dim == 0:

@@ -3,7 +3,7 @@
 Grammar (one directive per line, `#` comments, blank lines ignored):
 
     name <word>
-    field Q | field GF <p>
+    field Q | field GF <p>          # p prime, p < MAX_PRIME = 2^16
     vertices <v1> <v2> ...          # order = stratifying order
     arrow <name> <source> <target>
     relation <coeff>*<path> [+|- <coeff>*<path> ...]
@@ -16,7 +16,7 @@ acts first, matching how compositions are written multiplicatively.
 """
 
 from .errors import ParseError, StratakitError
-from .fields import GF, QQ
+from .fields import GF, MAX_PRIME, QQ
 from .linalg import Matrix
 from .quiver import QuiverSpec, build_algebra
 from .reps import Rep
@@ -139,6 +139,7 @@ def parse(text):
     relations = []
     relation_lines = []
     module_lines = {}
+    map_lines = {}
     modules = {}
     embedding = {}
     duality = {}
@@ -167,9 +168,13 @@ def parse(text):
                 field = QQ
             elif len(words) == 3 and words[1] == "GF":
                 try:
-                    field = GF(int(words[2]))
+                    p = int(words[2])
+                    field = GF(p) if p < MAX_PRIME else None
                 except (ValueError, StratakitError):
                     raise ParseError(f"bad prime {words[2]!r}", line_no)
+                if field is None:
+                    raise ParseError(f"prime {p} is not below the bound 2^16 "
+                                     f"= {MAX_PRIME}", line_no)
             else:
                 raise ParseError("usage: field Q | field GF <p>", line_no)
         elif head == "vertices":
@@ -191,6 +196,8 @@ def parse(text):
             if len(words) != 2:
                 raise ParseError("usage: module <name>", line_no)
             mname = words[1]
+            if mname in modules:
+                raise ParseError(f"second module named {mname!r}", line_no)
             dims = None
             maps = {}
             closed = False
@@ -205,13 +212,22 @@ def parse(text):
                     closed = True
                     break
                 if sw[0] == "dims":
+                    if dims is not None:
+                        raise ParseError(f"second dims line in module {mname!r}",
+                                         sub_no)
                     try:
                         dims = [int(x) for x in sw[1:]]
                     except ValueError:
                         raise ParseError("dims must be integers", sub_no)
+                    if any(d < 0 for d in dims):
+                        raise ParseError("dims must not be negative", sub_no)
                 elif sw[0] == "map":
                     if len(sw) < 2:
                         raise ParseError("usage: map <arrow> <entries>", sub_no)
+                    if sw[1] in maps:
+                        raise ParseError(f"second map for arrow {sw[1]!r} in "
+                                         f"module {mname!r}", sub_no)
+                    map_lines[mname, sw[1]] = sub_no
                     body = sub.split(None, 2)[2] if len(sw) > 2 else ""
                     rows = []
                     for chunk in body.split(";"):
@@ -284,6 +300,10 @@ def parse(text):
             raise ParseError(f"module {mname!r}: dims has {len(lit.dims)} "
                              f"entries for {len(vertices)} vertices",
                              module_lines.get(mname))
+        for aname in lit.maps:
+            if aname not in arrow_map:
+                raise ParseError(f"module {mname!r}: map for unknown arrow "
+                                 f"{aname!r}", map_lines[mname, aname])
     return f
 
 

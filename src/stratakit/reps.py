@@ -13,12 +13,13 @@ reduced rows give the projection.  Coordinates in a submodule (its actions,
 closure and containment) take one solve per arrow or vertex, for a whole
 block of right-hand sides.
 
-Decomposition splits a module by Fitting's lemma along endomorphisms whose
-minimal polynomial has coprime factors over k.  Minimal polynomials are
-factored exactly: over GF(p) by Berlekamp's algorithm, over Q by
-Zassenhaus's, from a factorisation modulo a small prime lifted by Hensel's
-lemma.  An endomorphism whose minimal polynomial is a power of one
-irreducible and whose degree is dim End certifies the module indecomposable.
+Decomposition is exact and makes no search.  It splits a module by
+Fitting's lemma along an endomorphism whose minimal polynomial has coprime
+factors over k, taken from a basis of End or from the algebra S that the
+nilpotent parts of that basis generate; with none, End is local once 1 and
+S span it.  Minimal polynomials are factored exactly: over GF(p) by
+Berlekamp's algorithm, over Q by Zassenhaus's, from a factorisation modulo
+a small prime lifted by Hensel's lemma.
 
 Isomorphism is decided by Krull–Schmidt, without a coefficient search: a
 basis scan of Hom is exact between indecomposable modules, so two
@@ -33,7 +34,6 @@ result and a lookup hashes ints.
 
 import functools
 import operator
-import random
 from fractions import Fraction
 from itertools import combinations, count
 from math import isqrt, lcm
@@ -41,7 +41,7 @@ from types import SimpleNamespace
 
 from . import linalg
 from .errors import (AlgebraMismatch, NotASubmodule, StratakitError,
-                     UnknownVertex)
+                     UndecidedDecomposition, UnknownVertex)
 from .fields import GF, _is_prime
 from .linalg import Matrix
 
@@ -212,9 +212,7 @@ def zero_submodule(m):
 
 def path_matrix(m, src, arrs):
     """The matrix by which the path (src, arrs) acts: dims[target] x dims[src]."""
-    a = m.algebra
-    F = a.field
-    cur = Matrix.identity(F, m.dims[src])
+    cur = Matrix.identity(m.algebra.field, m.dims[src])
     for ai in arrs:
         cur = m.action[ai].mul(cur)
     return cur
@@ -413,15 +411,6 @@ def hom_dim(m, n):
     syzygies of two resolutions, say) share one solve."""
     mat, _ = _hom_system(m, n)
     return mat.cols - linalg.rank(mat)
-
-
-def morphism_from_coeffs(basis, coeffs):
-    F = basis[0].source.algebra.field
-    out = zero_morphism(basis[0].source, basis[0].target)
-    for f, c in zip(basis, coeffs):
-        if not F.is_zero(c):
-            out = out.add(f.scale(c))
-    return out
 
 
 # -- kernels, images, quotients ---------------------------------------------
@@ -908,47 +897,27 @@ def _factor(F, f):
 
 def _poly_of_morphism(f, coeffs):
     """Evaluate a polynomial (ascending coeffs) at an endomorphism."""
-    F = f.source.algebra.field
     acc = identity_morphism(f.source).scale(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = compose(acc, f).add(identity_morphism(f.source).scale(c))
     return acc
 
 
-def _fitting_pieces(f, factors):
-    """The kernels of g(f)^mult over the factors (g, mult) of the minimal
-    polynomial of the endomorphism f: by Fitting's lemma, the module is
-    their direct sum."""
-    pieces = []
+def _split(f, factors):
+    """The parts of f's module along the endomorphism f, whose minimal
+    polynomial has the coprime factors [(g, mult)]: by Fitting's lemma the
+    module is the direct sum of the kernels of g(f)^mult, and each kernel
+    is decomposed in turn."""
+    out = []
     for coeffs, mult in factors:
         g = _poly_of_morphism(f, coeffs)
         power = g
         for _ in range(mult - 1):
             power = compose(power, g)
-        pieces.append(kernel(power))
-    return pieces
-
-
-_RANDOM_CANDIDATES = 300
-_SPLIT_SEED = 20240518
-
-
-def _split_candidates(endos):
-    """Endomorphisms to try as splitters, generated lazily in a fixed order:
-    the basis, then pairwise sums, then _RANDOM_CANDIDATES seeded random
-    combinations."""
-    yield from endos
-    for i in range(len(endos)):
-        for j in range(i + 1, len(endos)):
-            yield endos[i].add(endos[j])
-    rng = random.Random(_SPLIT_SEED)
-    F = endos[0].source.algebra.field
-    for _ in range(_RANDOM_CANDIDATES):
-        if F.is_rational:
-            coeffs = [F.of(rng.randint(-3, 3)) for _ in endos]
-        else:
-            coeffs = [F.of(rng.randrange(F.p)) for _ in endos]
-        yield morphism_from_coeffs(endos, coeffs)
+        sub, incl = kernel(power).as_rep()
+        for part, part_incl in decompose_with_inclusions(sub):
+            out.append((part, compose(incl, part_incl)))
+    return out
 
 
 def _simple_top_or_socle(m):
@@ -963,16 +932,26 @@ def _simple_top_or_socle(m):
 def decompose_with_inclusions(m):
     """List of (indecomposable Rep, inclusion into m), in deterministic order.
 
-    A module with a simple top or a simple socle is indecomposable and is
-    returned as it is, without computing End(m).  Otherwise the candidates of
-    `_split_candidates` are tried one at a time.  The first whose minimal
-    polynomial has two coprime factors over k splits m by Fitting's lemma,
-    and each piece is decomposed in turn.  A candidate f whose minimal
-    polynomial is a power g^e of one irreducible g, of degree dim End(m),
-    certifies m indecomposable: End(m) = k[f] ≅ k[x]/(g^e) is local.  The
-    basis of End(m) comes first, so when no candidate splits, no basis
-    endomorphism has a minimal polynomial with two coprime factors over k
-    and m is returned as indecomposable.
+    m is returned as it is when its top or socle is simple or dim End(m) = 1.
+    Otherwise the basis of End(m) is scanned in order.  The first f whose
+    minimal polynomial has coprime factors over k splits m by Fitting's lemma
+    (_split); an f whose minimal polynomial g^e has deg g · e = dim End(m)
+    proves m indecomposable, as End(m) = k[f] ≅ k[x]/(g^e) is local.
+
+    If the scan settles nothing, one exact step decides.  Each basis f has
+    minimal polynomial g_f^e, so g_f(f) is nilpotent.  The span of these
+    nilpotent parts is closed under composition a level at a time: a product
+    n∘w of a nilpotent part after an element kept at the last level is kept
+    if it is independent of the span so far.  The span is then the algebra S
+    they generate.  A kept product is not invertible, as a factor is
+    nilpotent, so if it is not nilpotent its minimal polynomial has x and a
+    coprime factor, and it splits m.  Otherwise S is spanned by nilpotents,
+    hence nilpotent: in a simple quotient M_n(D) of S modulo its radical
+    they would span a space where the reduced trace vanishes, yet it takes
+    e_11 to deg D ≠ 0 (D is a field when k is finite; Q has characteristic
+    0).  If every g_f is linear, each f is c·1 + g_f(f), so End(m) = k·1 + S
+    with S a nilpotent ideal, and End(m) is local.  If not,
+    UndecidedDecomposition is raised rather than an answer guessed.
     """
     if m.total_dim == 0:
         return []
@@ -982,27 +961,47 @@ def decompose_with_inclusions(m):
     if len(endos) == 1:
         return [(m, identity_morphism(m))]
     F = m.algebra.field
-    for f in _split_candidates(endos):
+    nilpotent, linear = [], True
+    for f in endos:
         factors = _factor(F, minimal_polynomial(F, _total_matrix(f)))
-        if len(factors) == 1:
-            [(g, mult)] = factors
-            if (len(g) - 1) * mult == len(endos):
-                break               # End(m) = k[f] is local
-            continue
-        out = []
-        for piece in _fitting_pieces(f, factors):
-            sub, incl = piece.as_rep()
-            for part, part_incl in decompose_with_inclusions(sub):
-                out.append((part, compose(incl, part_incl)))
-        return out
-    return [(m, identity_morphism(m))]
+        if len(factors) > 1:
+            return _split(f, factors)
+        [(g, mult)] = factors
+        if (len(g) - 1) * mult == len(endos):
+            return [(m, identity_morphism(m))]      # End(m) = k[f] is local
+        nilpotent.append(_poly_of_morphism(f, g))
+        linear = linear and len(g) == 2
+    span = []
+
+    def extends_span(h):
+        v = h.flat()
+        if len(linalg.pivot_columns(F, span + [v], len(v))) == len(span):
+            return False
+        span.append(v)
+        return True
+
+    gens = level = [n for n in nilpotent if extends_span(n)]
+    while level:
+        kept = []
+        for w in level:
+            for n in gens:
+                h = compose(n, w)
+                if extends_span(h):
+                    factors = _factor(F, minimal_polynomial(F, _total_matrix(h)))
+                    if len(factors) > 1:
+                        return _split(h, factors)
+                    kept.append(h)
+        level = kept
+    if not linear:
+        raise UndecidedDecomposition(f"End({m!r}): no split, and a basis "
+                                     "element is not scalar modulo S")
+    return [(m, identity_morphism(m))]     # End(m) = k·1 + S is local
 
 
 def decompose(m):
     """Direct summands with multiplicities: [(Rep, multiplicity)]."""
-    parts = decompose_with_inclusions(m)
     out = []
-    for rep, _ in parts:
+    for rep, _ in decompose_with_inclusions(m):
         for k, (other, mult) in enumerate(out):
             if is_isomorphic(rep, other):
                 out[k] = (other, mult + 1)

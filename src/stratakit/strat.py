@@ -194,6 +194,13 @@ def _trace_certificate(m, family):
                                  indices[::-1])
 
 
+@reps.by_structure
+def _dual(m):
+    """D(m) over the opposite algebra, built once per structure.  Shared by
+    every caller, so it is never relabelled."""
+    return reps.dual_to_opposite(m)
+
+
 def dual_certificate(m, cert):
     """A certificate of m from one of its dual D(m) over the opposite
     algebra: the annihilators in m of the layers of D(m), in reverse order.
@@ -224,14 +231,14 @@ def filtration_certificate(m, family):
     tops that yield nothing, are handled over the opposite algebra and
     mapped back by dual_certificate: Nabla can have simple tops.
 
-    Trace certificates are memoised per algebra by the structural keys of m
-    and of the family (reps.by_structure), so equal modules built apart
-    share one construction; the certificate returned always names m itself.
+    Trace certificates, and the duals of m and of the family's members, are
+    memoised per algebra by structural keys (reps.by_structure), so equal
+    modules built apart share one construction; the certificate returned
+    always names m itself.
     """
     cert = _trace_certificate(m, family)
     if cert is None:
-        cert = _trace_certificate(reps.dual_to_opposite(m),
-                                  [reps.dual_to_opposite(f) for f in family])
+        cert = _trace_certificate(_dual(m), [_dual(f) for f in family])
         return None if cert is None else dual_certificate(m, cert)
     # the memoised certificate may name an equal module built apart
     return (cert if cert.module is m

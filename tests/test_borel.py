@@ -8,8 +8,9 @@ from stratakit.borel import (Embedding, check_embedding, duality_check,
                              right_module_structure, twisted_dual,
                              verify_gldim_doubling,
                              verify_lemma_induction_bounds)
-from stratakit.errors import (IdempotentMismatch, NotAntiAutomorphism,
-                              NotInjective, NotMultiplicative)
+from stratakit.errors import (AlgebraMismatch, IdempotentMismatch,
+                              NotAntiAutomorphism, NotInjective,
+                              NotMultiplicative)
 from stratakit.fields import QQ
 from stratakit.parser import parse_file
 from stratakit.quiver import QuiverSpec, build_algebra
@@ -71,6 +72,12 @@ def test_induce_simples_to_standards():
         assert reps.is_isomorphic(strat.standard(b, i), reps.simple(b, i))
         ind = induce(e, reps.simple(b, i))
         assert reps.is_isomorphic(ind, strat.standard(a, i))
+
+
+def test_induction_of_a_module_over_another_algebra_is_a_mismatch():
+    e = _borel_embedding()
+    with pytest.raises(AlgebraMismatch):
+        induce(e, reps.simple(e.a, 0))
 
 
 def test_induce_projective_is_projective():

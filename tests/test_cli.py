@@ -10,7 +10,7 @@ import pytest
 
 from stratakit import reps, strat
 from stratakit.cli import main
-from stratakit.errors import NonTerminating
+from stratakit.errors import NonTerminating, UndecidedDecomposition
 
 from conftest import fixture_path
 
@@ -158,6 +158,38 @@ def test_non_terminating_is_inconclusive(monkeypatch):
     code, _, err = run_cli(["analyze", fixture_path("a3line.alg")])
     assert code == 3
     assert "inconclusive" in err
+
+
+def test_undecided_decomposition_is_inconclusive(monkeypatch):
+    def fail(*args, **kwargs):
+        raise UndecidedDecomposition("End(M) not shown local")
+
+    monkeypatch.setattr(reps, "decompose_with_inclusions", fail)
+    code, out, err = run_cli(["analyze", fixture_path("a3line.alg")])
+    assert code == 3
+    assert "inconclusive" in err and out == ""
+
+
+@pytest.mark.parametrize("text,fragment", [
+    # before, the map for b was dropped and M read as the module with a = 0
+    ("module M\n dims 1 1\n map b 1\nend\n", "unknown arrow 'b'"),
+    ("module M\n dims 1 1\n map a 1\n map a 0\nend\n", "second map"),
+    ("module M\n dims 1 -1\nend\n", "negative"),
+], ids=["unknown_arrow", "second_map", "negative_dims"])
+def test_bad_module_blocks_are_input_errors(tmp_path, text, fragment):
+    path = tmp_path / "m.alg"
+    path.write_text("field Q\nvertices 1 2\narrow a 1 2\n" + text)
+    code, out, err = run_cli(["gfd", str(path), "--module", "M"])
+    assert code == 2
+    assert "input error" in err and fragment in err and out == ""
+
+
+def test_large_prime_is_an_input_error(tmp_path):
+    path = tmp_path / "big.alg"
+    path.write_text("field GF 2305843009213693951\nvertices 1\n")
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 2
+    assert "input error" in err and "2^16" in err and out == ""
 
 
 def test_missing_tilting_certificate_is_an_error(monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 
 from stratakit import homology, linalg, reps, strat, tilting
 from stratakit.cli import main
-from stratakit.errors import NothingToExtend, StratakitError, Truncated
+from stratakit.errors import (AlgebraMismatch, NothingToExtend, StratakitError,
+                              Truncated)
 from stratakit.homology import (DEFAULT_CAP, LowerBound, ext1_classes, ext_dim,
                                 global_dim, inj_dim, injective_hull,
                                 min_proj_resolution, proj_dim,
@@ -408,3 +409,10 @@ def test_equal_syzygies_share_a_hom_system(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert 0 < len(solved) <= 149
+
+
+def test_ext_across_algebras_is_a_mismatch():
+    m, n = simple(algebra("a2"), 0), simple(algebra("a3line"), 0)
+    for i in (0, 1):
+        with pytest.raises(AlgebraMismatch):
+            ext_dim(i, m, n)

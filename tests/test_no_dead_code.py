@@ -1,5 +1,6 @@
 """Dead-code gates: every public function and method in src/stratakit has a
-use, and every exception class in errors.py is raised.
+use, every private module-level name there has a use in the package, and
+every exception class in errors.py is raised.
 
 The function scan is by name.  It collects the public module-level functions
 and the public methods of module-level classes in src/stratakit/*.py, then
@@ -11,6 +12,12 @@ Because it matches names, not bindings, the gate misses a dead method whose
 name is also used for something else: a `Matrix.pow` next to the builtin
 `pow`, or a second `contains` method while another class's `contains` is
 called.  Those still need a reader.
+
+The private-name scan reads every module under src/.  A private module-level
+function, class or `_CONSTANT` (an upper-case name assigned at module level)
+of src/stratakit is reported when no code under src/ mentions it outside its
+own definition, so a function that only calls itself is dead too.  Tests and
+bench/ do not count: a private helper that only a test uses is dead code.
 
 The exception scan reads the `raise` statements under src/.  A class in
 errors.py is live when one of them raises it or a subclass of it, so the base
@@ -72,6 +79,75 @@ def test_every_public_function_is_used():
     dead = [f"{mod}.{qual}" for mod, qual, name in _definitions()
             if name not in used]
     assert not dead, f"public functions nothing refers to: {dead}"
+
+
+def _private_definitions(top):
+    """The private names a top-level statement defines: a function or class,
+    or `_CONSTANT`s assigned."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [top.name]
+    elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)
+                 and t.id.lstrip("_").isupper()]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _unused_private_names(sources, defining):
+    """The private names that the files in `defining` define at module level
+    and no top-level statement of `sources` ({filename: text}) mentions,
+    other than the one defining them, as "file:name"."""
+    statements = []
+    for filename, text in sources.items():
+        for top in ast.parse(text).body:
+            mentioned = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    mentioned.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    mentioned.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    mentioned.add(node.name.rsplit(".", 1)[-1])
+            statements.append((filename, top, mentioned))
+    return [f"{filename}:{name}" for filename, top, _ in statements
+            if filename in defining for name in _private_definitions(top)
+            if not any(name in mentioned for _, other, mentioned in statements
+                       if other is not top)]
+
+
+def test_every_private_name_is_used():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    package = {name for name in sources
+               if Path(name).parent == PACKAGE.relative_to(ROOT)}
+    dead = _unused_private_names(sources, package)
+    assert not dead, f"private names nothing in src/ refers to: {dead}"
+
+
+def test_private_name_scan_sees_leftovers():
+    source = """
+import random
+_SPLIT_SEED = 20240518
+_USED = 1
+_lower = 2
+
+
+def _split_candidates(endos):
+    yield from _split_candidates(endos[1:])
+
+
+class _Used:
+    pass
+
+
+def public():
+    return _USED, _Used, _helper
+"""
+    other = "from .m import _helper\n"
+    assert _unused_private_names({"m.py": source, "o.py": other}, {"m.py"}) \
+        == ["m.py:_SPLIT_SEED", "m.py:_split_candidates"]
 
 
 def _raised_names():

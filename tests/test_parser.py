@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from stratakit import fields
 from stratakit.errors import ParseError
 from stratakit.parser import parse, parse_file, serialize
 
@@ -79,6 +80,38 @@ def test_parse_errors(text, fragment):
         f = parse(text)
         f.build()
     assert fragment.lower() in str(err.value).lower()
+
+
+@pytest.mark.parametrize("body,fragment,line", [
+    (" dims -1 1\nend\n", "must not be negative", 5),
+    (" dims 1 1\n map b 1\nend\n", "unknown arrow 'b'", 6),
+    (" dims 1 1\n map a 1\n map a 0\nend\n", "second map for arrow 'a'", 7),
+    (" dims 1 1\n dims 1 0\nend\n", "second dims line", 6),
+    (" dims 1 1\nend\nmodule M\n dims 1 1\nend\n", "second module named", 7),
+], ids=["negative_dims", "unknown_arrow", "second_map", "second_dims",
+        "second_module"])
+def test_module_blocks_drop_or_overwrite_nothing(body, fragment, line):
+    with pytest.raises(ParseError) as err:
+        parse("field Q\nvertices 1 2\narrow a 1 2\nmodule M\n" + body)
+    assert fragment in str(err.value)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("p", [65537, 2 ** 61 - 1, 2 ** 16])
+def test_large_primes_are_refused_before_any_primality_test(p, monkeypatch):
+    # trial division up to sqrt(2^61 - 1) takes over a billion steps
+    def no_test(n):
+        raise AssertionError("primality tested")
+
+    monkeypatch.setattr(fields, "_is_prime", no_test)
+    with pytest.raises(ParseError) as err:
+        parse(f"field GF {p}\nvertices 1\n")
+    assert "2^16" in str(err.value) and err.value.line == 1
+
+
+def test_the_largest_prime_below_the_bound_is_accepted():
+    assert fields.MAX_PRIME == 2 ** 16
+    assert parse("field GF 65521\nvertices 1\n").field.p == 65521
 
 
 def test_parse_error_carries_line_number():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratakit import linalg, parse, reps, strat, tilting
-from stratakit.errors import AlgebraMismatch, NotASubmodule
+from stratakit.errors import (AlgebraMismatch, NotASubmodule,
+                              UndecidedDecomposition)
 from stratakit.linalg import Matrix
 from stratakit.parser import parse_file
 from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
@@ -222,7 +223,7 @@ def test_hom_dimension_mismatch_settles_isomorphism_without_search(monkeypatch):
 
 def test_simple_top_or_socle_settles_isomorphism_by_basis_scan(monkeypatch):
     # non-isomorphic pairs that pass the Hom-dimension filter: the basis
-    # scan must settle them, without trying combinations of the basis
+    # scan must settle them, without decomposing either module
     probes = probe_modules(algebra("borelA"))
     passing = [(m, n) for m in probes for n in probes
                if m is not n and m.dims == n.dims and reps.hom_basis(m, n)
@@ -230,10 +231,10 @@ def test_simple_top_or_socle_settles_isomorphism_by_basis_scan(monkeypatch):
                         len(reps.hom_basis(n, n))}) == 1]
     assert any(len(reps.hom_basis(m, n)) > 1 for m, n in passing)
 
-    def no_combination(basis, coeffs):
-        raise AssertionError("morphism_from_coeffs called")
+    def no_decomposition(m):
+        raise AssertionError("decompose_with_inclusions called")
 
-    monkeypatch.setattr(reps, "morphism_from_coeffs", no_combination)
+    monkeypatch.setattr(reps, "decompose_with_inclusions", no_decomposition)
     for m, n in passing:
         assert reps._simple_top_or_socle(m) or reps._simple_top_or_socle(n)
         assert reps.find_isomorphism(m, n) is None
@@ -349,6 +350,91 @@ def test_kronecker_modules_of_irreducible_quartics_are_indecomposable(
     assert len(calls) == 1
 
 
+def _with_end_basis(monkeypatch, m, basis):
+    """Make hom_basis(m, m) return the given basis; other calls go through."""
+    real = reps.hom_basis
+    monkeypatch.setattr(reps, "hom_basis", lambda x, y: basis if x is m and
+                        y is m else real(x, y))
+
+
+@pytest.mark.parametrize("field", ["Q", "GF 3"])
+def test_matrix_algebra_splits_by_the_closure_of_nilpotent_parts(
+        field, monkeypatch):
+    # End(E + E) = M_2(k) in the basis I, e12, e21, [[1, 1], [-1, -1]]: every
+    # minimal polynomial is a prime power, so the scan splits nothing; the
+    # product e21·e12 = e22 is not nilpotent and splits m
+    a = parse(f"field {field}\nvertices 1\n").build()
+    e = simple(a, 0)
+    m = direct_sum([e, e])
+    F = a.field
+    one, zero, neg = F.one, F.zero, F.neg(F.one)
+    basis = [Morphism(m, m, [Matrix.from_rows(F, rows)]) for rows in (
+        [[one, zero], [zero, one]], [[zero, one], [zero, zero]],
+        [[zero, zero], [one, zero]], [[one, one], [neg, neg]])]
+    assert linalg.rank(Matrix.from_rows(F, [f.flat() for f in basis])) == 4
+    for f in basis:
+        mp = reps.minimal_polynomial(F, reps._total_matrix(f))
+        assert len(reps._factor(F, mp)) == 1
+    _with_end_basis(monkeypatch, m, basis)
+    calls = _count_minimal_polynomials(monkeypatch)
+    parts = reps.decompose_with_inclusions(m)
+    assert len(calls) == 5              # the basis, then e22
+    assert [part.dims for part, _ in parts] == [(1,), (1,)]
+    assert all(is_isomorphic(part, e) for part, _ in parts)
+    assert all(incl.is_valid() and incl.is_injective() for _, incl in parts)
+    assert linalg.is_invertible(linalg.hstack([i.blocks[0] for _, i in parts]))
+
+
+def test_ringel_dual_module_is_indecomposable_in_dim_end_minimal_polynomials(
+        monkeypatch):
+    # characteristic_tilting of borelA's Ringel dual decomposes a (2, 2, 1)
+    # module whose End is local of dimension 3 but not k[f] for any basis f
+    seen = []
+    real = reps.decompose_with_inclusions
+
+    def recording(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(reps, "decompose_with_inclusions", recording)
+    b = tilting.ringel_dual(algebra("borelA"))
+    tilting.characteristic_tilting(b)
+    monkeypatch.setattr(reps, "decompose_with_inclusions", real)
+    [m] = {x.key(): x for x in seen if x.dims == (2, 2, 1)
+           and not reps._simple_top_or_socle(x)}.values()
+    F = b.field
+    endos = hom_basis(m, m)
+    assert len(endos) == 3
+    for f in endos:
+        [(g, mult)] = reps._factor(F, reps.minimal_polynomial(
+            F, reps._total_matrix(f)))
+        assert (len(g) - 1) * mult < 3
+    calls = _count_minimal_polynomials(monkeypatch)
+    [(part, incl)] = reps.decompose_with_inclusions(m)
+    assert part is m and incl.is_isomorphism()
+    assert len(calls) <= 3
+
+
+def test_undecided_decomposition_is_an_error_not_an_answer(monkeypatch):
+    # the Kronecker module (I, B), B = S + N with S = diag(J, J), J^2 = -1,
+    # and N^2 = 0 above the diagonal, has End = Q[B] = Q(i)[t]/(t^2).  In
+    # the basis 1, S, N, SN no element certifies End local and the nilpotent
+    # parts 0, 0, N, SN close at once, but S is not a scalar modulo them
+    a = parse("field Q\nvertices 1 2\narrow a 1 2\narrow b 1 2\n").build()
+    F = a.field
+    identity = Matrix.identity(F, 4)
+    s = Matrix.from_rows(F, [[0, -1, 0, 0], [1, 0, 0, 0],
+                             [0, 0, 0, -1], [0, 0, 1, 0]])
+    n = Matrix.from_rows(F, [[0, 0, 1, 0], [0, 0, 0, 1],
+                             [0, 0, 0, 0], [0, 0, 0, 0]])
+    m = Rep(a, (4, 4), [identity, s.add(n)])
+    basis = [Morphism(m, m, [x, x]) for x in (identity, s, n, s.mul(n))]
+    assert all(f.is_valid() for f in basis)
+    assert len(hom_basis(m, m)) == 4
+    _with_end_basis(monkeypatch, m, basis)
+    with pytest.raises(UndecidedDecomposition):
+        reps.decompose_with_inclusions(m)
+
 
 # -- quotients and submodule coordinates --------------------------------------
 
@@ -423,8 +509,9 @@ def _random_submodule(m, kind, rng):
         gens = [(v, _random_vector(F, m.dims[v], rng))
                 for v in range(a.n) if m.dims[v] for _ in range(rng.randint(0, 1))]
         return generated_submodule(m, gens)
-    endos = hom_basis(m, m)
-    f = reps.morphism_from_coeffs(endos, [F.of(rng.randint(-2, 2)) for _ in endos])
+    f = reps.zero_morphism(m, m)
+    for e in hom_basis(m, m):
+        f = f.add(e.scale(F.of(rng.randint(-2, 2))))
     return kernel(f)
 
 

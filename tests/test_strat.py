@@ -3,13 +3,14 @@
 import pytest
 
 from stratakit import reps, strat, tilting
+from stratakit.parser import parse_file
 from stratakit.reps import is_isomorphic, projective, regular_module, simple
 from stratakit.strat import (classify, costandard, filtration_certificate,
                              in_F_delta_by_ext, in_F_nabla_bar_by_ext,
                              in_filtration_class, proper_costandard,
                              proper_standard, standard, standard_family)
 
-from conftest import algebra
+from conftest import algebra, fixture_path
 
 CORPUS = ["point", "semisimple2", "a2", "a3line", "loop2", "borelA", "borelB"]
 
@@ -106,6 +107,29 @@ def test_a_memoised_certificate_names_the_callers_module():
     first, again = (filtration_certificate(x, family) for x in (reg, twin))
     assert first.module is reg and again.module is twin
     assert again.layers is first.layers
+
+
+def test_a_repeated_dual_certificate_builds_no_dual(monkeypatch):
+    # F(Nabla) certificates come from the opposite algebra; the duals of the
+    # module and of the family are built once per algebra, not per call
+    a = parse_file(fixture_path("borelA.alg")).build()
+    family = strat.costandard_family(a)
+    m = tilting.characteristic_tilting(a).total
+    built = []
+    real = reps.dual_to_opposite
+
+    def counting(x):
+        built.append(x)
+        return real(x)
+
+    monkeypatch.setattr(reps, "dual_to_opposite", counting)
+    first = filtration_certificate(m, family)
+    assert first is not None and first.verify(family)
+    assert built                        # the certificate is the dual one
+    built.clear()
+    again = filtration_certificate(m, family)
+    assert built == []
+    assert again.module is m and again.layers == first.layers
 
 
 def test_loop2_not_quasi_hereditary():
