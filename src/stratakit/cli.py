@@ -105,6 +105,8 @@ def cmd_check(args):
                 _, clauses = borel.duality_check(a, f.duality)
                 for cname, flag in clauses:
                     rep.add_check("duality", cname, flag)
+            except INCONCLUSIVE:
+                raise
             except StratakitError as err:
                 rep.add_check("duality", "anti_automorphism", False, str(err))
     return rep
@@ -121,6 +123,8 @@ def cmd_gfd(args):
     rep.add("gfd", "nabla_bar", tilting.gfd_nabla_bar(m, args.cap))
     try:
         rep.add("gfd", "delta_bar", tilting.gfd_delta_bar(m, args.cap))
+    except INCONCLUSIVE:
+        raise
     except StratakitError as err:
         rep.add("gfd", "delta_bar", f"undefined ({err})")
     return rep

@@ -46,8 +46,9 @@ class Truncated(StratakitError):
 
 class UndecidedDecomposition(StratakitError):
     """No endomorphism split the module, yet End(m) is not shown local: the
-    nilpotent parts of its basis generate a nilpotent S, but some basis
-    element is not a scalar plus an element of S."""
+    nilpotent parts of its basis generate a nilpotent S, some basis element
+    is not a scalar plus an element of S, and no element of the basis or
+    pairwise sum of two generates End(m)."""
 
 
 class NotStratified(StratakitError):

@@ -15,11 +15,11 @@ block of right-hand sides.
 
 Decomposition is exact and makes no search.  It splits a module by
 Fitting's lemma along an endomorphism whose minimal polynomial has coprime
-factors over k, taken from a basis of End or from the algebra S that the
-nilpotent parts of that basis generate; with none, End is local once 1 and
-S span it.  Minimal polynomials are factored exactly: over GF(p) by
-Berlekamp's algorithm, over Q by Zassenhaus's, from a factorisation modulo
-a small prime lifted by Hensel's lemma.
+factors over k: from a basis of End, the algebra S its nilpotent parts
+generate, or its pairwise sums.  With none, End is local if 1 and S, or
+one element's powers, span it.  Minimal polynomials are factored exactly:
+over GF(p) by Berlekamp's algorithm, over Q by Zassenhaus's, from a
+factorisation modulo a small prime lifted by Hensel's lemma.
 
 Isomorphism is decided by Krull–Schmidt, without a coefficient search: a
 basis scan of Hom is exact between indecomposable modules, so two
@@ -929,46 +929,49 @@ def _simple_top_or_socle(m):
             or socle_submodule(m).total_dim == 1)
 
 
+def _decided_by(f, dim_end):
+    """(parts, g): m's decomposition if the minimal polynomial of f ∈ End(m)
+    decides it, else None, and its irreducible factor g if it has one.
+    Coprime factors split m (_split); g^e with deg g · e = dim_end = dim
+    End(m) proves m indecomposable: End(m) = k[f] ≅ k[x]/(g^e) is local."""
+    F = f.source.algebra.field
+    factors = _factor(F, minimal_polynomial(F, _total_matrix(f)))
+    if len(factors) > 1:
+        return _split(f, factors), None
+    [(g, mult)] = factors
+    if (len(g) - 1) * mult == dim_end:
+        return [(f.source, identity_morphism(f.source))], g
+    return None, g
+
+
 def decompose_with_inclusions(m):
     """List of (indecomposable Rep, inclusion into m), in deterministic order.
 
-    m is returned as it is when its top or socle is simple or dim End(m) = 1.
-    Otherwise the basis of End(m) is scanned in order.  The first f whose
-    minimal polynomial has coprime factors over k splits m by Fitting's lemma
-    (_split); an f whose minimal polynomial g^e has deg g · e = dim End(m)
-    proves m indecomposable, as End(m) = k[f] ≅ k[x]/(g^e) is local.
-
-    If the scan settles nothing, one exact step decides.  Each basis f has
-    minimal polynomial g_f^e, so g_f(f) is nilpotent.  The span of these
-    nilpotent parts is closed under composition a level at a time: a product
-    n∘w of a nilpotent part after an element kept at the last level is kept
-    if it is independent of the span so far.  The span is then the algebra S
-    they generate.  A kept product is not invertible, as a factor is
-    nilpotent, so if it is not nilpotent its minimal polynomial has x and a
-    coprime factor, and it splits m.  Otherwise S is spanned by nilpotents,
-    hence nilpotent: in a simple quotient M_n(D) of S modulo its radical
-    they would span a space where the reduced trace vanishes, yet it takes
-    e_11 to deg D ≠ 0 (D is a field when k is finite; Q has characteristic
-    0).  If every g_f is linear, each f is c·1 + g_f(f), so End(m) = k·1 + S
-    with S a nilpotent ideal, and End(m) is local.  If not,
-    UndecidedDecomposition is raised rather than an answer guessed.
-    """
+    m itself is returned when its top or socle is simple or dim End(m) = 1;
+    else the first basis element of End(m) that decides m (_decided_by)
+    settles it.  If none does, each basis f has minimal polynomial g_f^e,
+    so g_f(f) is nilpotent.  The span of these nilpotent parts is closed
+    under composition a level at a time: a product n∘w of a nilpotent part
+    after an element kept at the last level is kept if it is independent of
+    the span so far, which ends as the algebra S they generate.  A kept
+    product is not invertible, as a factor is nilpotent, so if it is not
+    nilpotent it splits m.  Otherwise S is spanned by nilpotents, hence
+    nilpotent: in a simple quotient M_n(D) of S modulo its radical they
+    would span a space where the reduced trace vanishes, yet it takes e_11
+    to deg D ≠ 0 (D is a field when k is finite; Q has characteristic 0).
+    If every g_f is linear, each f is c·1 + g_f(f), so End(m) = k·1 + S is
+    local, S being a nilpotent ideal.  If not, the first pairwise sum f + f'
+    of the basis that decides m settles it, else UndecidedDecomposition."""
     if m.total_dim == 0:
         return []
-    if _simple_top_or_socle(m):
-        return [(m, identity_morphism(m))]
-    endos = hom_basis(m, m)
-    if len(endos) == 1:
+    if _simple_top_or_socle(m) or len(endos := hom_basis(m, m)) == 1:
         return [(m, identity_morphism(m))]
     F = m.algebra.field
     nilpotent, linear = [], True
     for f in endos:
-        factors = _factor(F, minimal_polynomial(F, _total_matrix(f)))
-        if len(factors) > 1:
-            return _split(f, factors)
-        [(g, mult)] = factors
-        if (len(g) - 1) * mult == len(endos):
-            return [(m, identity_morphism(m))]      # End(m) = k[f] is local
+        parts, g = _decided_by(f, len(endos))
+        if parts:
+            return parts
         nilpotent.append(_poly_of_morphism(f, g))
         linear = linear and len(g) == 2
     span = []
@@ -982,20 +985,18 @@ def decompose_with_inclusions(m):
 
     gens = level = [n for n in nilpotent if extends_span(n)]
     while level:
-        kept = []
-        for w in level:
-            for n in gens:
-                h = compose(n, w)
-                if extends_span(h):
-                    factors = _factor(F, minimal_polynomial(F, _total_matrix(h)))
-                    if len(factors) > 1:
-                        return _split(h, factors)
-                    kept.append(h)
-        level = kept
-    if not linear:
-        raise UndecidedDecomposition(f"End({m!r}): no split, and a basis "
-                                     "element is not scalar modulo S")
-    return [(m, identity_morphism(m))]     # End(m) = k·1 + S is local
+        level = [h for w in level for n in gens
+                 if extends_span(h := compose(n, w))]
+        for h in level:
+            if parts := _decided_by(h, len(endos))[0]:
+                return parts
+    if linear:
+        return [(m, identity_morphism(m))]     # End(m) = k·1 + S is local
+    for f, h in combinations(endos, 2):
+        if parts := _decided_by(f.add(h), len(endos))[0]:
+            return parts
+    raise UndecidedDecomposition(f"End({m!r}) is neither split nor shown "
+                                 "local by its basis or their pairwise sums")
 
 
 def decompose(m):

@@ -8,9 +8,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from stratakit import reps, strat
+from stratakit import borel, reps, strat, tilting
 from stratakit.cli import main
-from stratakit.errors import NonTerminating, UndecidedDecomposition
+from stratakit.errors import (NonTerminating, NotAntiAutomorphism,
+                              NotStratified, UndecidedDecomposition)
 
 from conftest import fixture_path
 
@@ -168,6 +169,47 @@ def test_undecided_decomposition_is_inconclusive(monkeypatch):
     code, out, err = run_cli(["analyze", fixture_path("a3line.alg")])
     assert code == 3
     assert "inconclusive" in err and out == ""
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error(error.__name__)
+    return fail
+
+
+@pytest.mark.parametrize("error,expected", [
+    (UndecidedDecomposition, 3), (NotAntiAutomorphism, 1)],
+    ids=["undecided", "not_anti_automorphism"])
+def test_only_definite_duality_errors_fail_the_check(monkeypatch, error,
+                                                     expected):
+    # the duality check reaches decompositions through is_isomorphic: an
+    # undecided one is inconclusive, not a failed anti_automorphism check
+    monkeypatch.setattr(borel, "duality_check", _raising(error))
+    code, out, err = run_cli(["check", fixture_path("borelA.alg"),
+                              "--borel", fixture_path("borelB.alg"),
+                              "--format", "machine"])
+    assert code == expected
+    if expected == 3:
+        assert "inconclusive" in err and out == ""
+    else:
+        assert machine_dict(out)["duality.anti_automorphism"].startswith("fail")
+
+
+@pytest.mark.parametrize("error,expected", [
+    (UndecidedDecomposition, 3), (NotStratified, 0)],
+    ids=["undecided", "not_stratified"])
+def test_only_definite_delta_bar_errors_read_undefined(monkeypatch, error,
+                                                       expected):
+    # delta_bar builds the opposite algebra's tilting module, which
+    # decomposes modules: an undecided one is inconclusive, not "undefined"
+    monkeypatch.setattr(tilting, "gfd_delta_bar", _raising(error))
+    code, out, err = run_cli(["gfd", fixture_path("a3line.alg"),
+                              "--module", "E(3)", "--format", "machine"])
+    assert code == expected
+    if expected == 3:
+        assert "inconclusive" in err and out == ""
+    else:
+        assert machine_dict(out)["gfd.delta_bar"].startswith("undefined")
 
 
 @pytest.mark.parametrize("text,fragment", [

@@ -415,23 +415,72 @@ def test_ringel_dual_module_is_indecomposable_in_dim_end_minimal_polynomials(
     assert len(calls) <= 3
 
 
-def test_undecided_decomposition_is_an_error_not_an_answer(monkeypatch):
-    # the Kronecker module (I, B), B = S + N with S = diag(J, J), J^2 = -1,
-    # and N^2 = 0 above the diagonal, has End = Q[B] = Q(i)[t]/(t^2).  In
-    # the basis 1, S, N, SN no element certifies End local and the nilpotent
-    # parts 0, 0, N, SN close at once, but S is not a scalar modulo them
-    a = parse("field Q\nvertices 1 2\narrow a 1 2\narrow b 1 2\n").build()
+def _field_module(quiver, mult):
+    """The module (I, X, ...) over the Kronecker quiver with one arrow
+    1 -> 2 for the identity and one for each given matrix X.  Its End is
+    the centraliser of the X's: E itself when they generate the
+    multiplications of a commutative algebra E on itself."""
+    a = parse("field Q\nvertices 1 2\n" + "".join(
+        f"arrow {name} 1 2\n" for name in quiver)).build()
     F = a.field
-    identity = Matrix.identity(F, 4)
-    s = Matrix.from_rows(F, [[0, -1, 0, 0], [1, 0, 0, 0],
-                             [0, 0, 0, -1], [0, 0, 1, 0]])
-    n = Matrix.from_rows(F, [[0, 0, 1, 0], [0, 0, 0, 1],
-                             [0, 0, 0, 0], [0, 0, 0, 0]])
-    m = Rep(a, (4, 4), [identity, s.add(n)])
-    basis = [Morphism(m, m, [x, x]) for x in (identity, s, n, s.mul(n))]
+    mats = [Matrix.from_rows(F, rows) for rows in mult]
+    identity = Matrix.identity(F, mats[0].rows)
+    return Rep(a, (identity.rows, identity.rows), [identity] + mats)
+
+
+def _kronecker_quadratic_nilpotent():
+    # (I, B), B = S + N with S = diag(J, J), J^2 = -1, and N^2 = 0 above
+    # the diagonal: End = Q[B] = Q(i)[t]/(t^2), in the basis 1, S, N, SN
+    s = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    n = [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+    m = _field_module("ab", [[[x + y for x, y in zip(rs, rn)]
+                              for rs, rn in zip(s, n)]])
+    F = m.algebra.field
+    s, n = Matrix.from_rows(F, s), Matrix.from_rows(F, n)
+    return m, [Matrix.identity(F, 4), s, n, s.mul(n)]
+
+
+def _biquadratic():
+    # E = Q(√2, √3) in the basis 1, √2, √3, √6, multiplied by √2 and √3
+    r2 = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+    r3 = [[0, 0, 3, 0], [0, 0, 0, 3], [1, 0, 0, 0], [0, 1, 0, 0]]
+    m = _field_module("abc", [r2, r3])
+    F = m.algebra.field
+    r2, r3 = Matrix.from_rows(F, r2), Matrix.from_rows(F, r3)
+    return m, [Matrix.identity(F, 4), r2, r3, r2.mul(r3)]
+
+
+@pytest.mark.parametrize("build", [_kronecker_quadratic_nilpotent,
+                                   _biquadratic],
+                         ids=["quadratic_nilpotent", "biquadratic"])
+def test_pairwise_sums_decide_what_the_closure_leaves(build, monkeypatch):
+    # no basis element certifies End local, and the nilpotent parts (0, 0,
+    # N, SN, or all 0) close at once, but the basis is not scalar modulo
+    # them.  The fourth pairwise sum, S + N = B or √2 + √3, has a minimal
+    # polynomial of degree 4 = dim End, so End is local
+    m, mats = build()
+    basis = [Morphism(m, m, [x, x]) for x in mats]
     assert all(f.is_valid() for f in basis)
     assert len(hom_basis(m, m)) == 4
     _with_end_basis(monkeypatch, m, basis)
+    calls = _count_minimal_polynomials(monkeypatch)
+    [(part, incl)] = reps.decompose_with_inclusions(m)
+    assert part is m and incl.is_isomorphism()
+    assert len(calls) == 8              # the basis, then four sums
+
+
+def test_undecided_decomposition_is_an_error_not_an_answer():
+    # multiplications by i, s and t on E = Q(i)[s, t]/(s, t)^2 in the basis
+    # 1, i, s, is, t, it.  End = E is local of dimension 6, but each element
+    # a + n (a in Q(i), n^2 = 0) has a minimal polynomial of degree at most
+    # 4, so no element or sum certifies it, and End is not Q + S
+    z = [0] * 6
+    li = [[0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, -1, 0, 0],
+          [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 1, 0]]
+    ls = [z, z, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], z, z]
+    lt = [z, z, z, z, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
+    m = _field_module("abcd", [li, ls, lt])
+    assert len(hom_basis(m, m)) == 6
     with pytest.raises(UndecidedDecomposition):
         reps.decompose_with_inclusions(m)
 
