@@ -248,8 +248,10 @@ class ExtClass:
         return linalg.solve(mat, Matrix(F, len(target), 1, target)) is not None
 
 
-def _cocycle_classes(m, n):
-    """Basis of Ext^1(m, n) as morphisms Omega(m) -> n, plus the syzygy data."""
+def _cocycle_classes(m, n, radical=False):
+    """Cocycles Omega(m) -> n whose classes are a basis of Ext^1(m, n), plus
+    the syzygy data; with radical=True, of Ext^1(m, n)/Ext^1(m, n)·rad End(m)
+    for m with a simple top (see universal_extension)."""
     res = min_proj_resolution(m, 0)
     cover = res.covers[0]
     P0 = cover.source
@@ -261,9 +263,23 @@ def _cocycle_classes(m, n):
     # coboundaries: restrictions of Hom(P0, n) along the inclusion; keep
     # the cocycles independent modulo them
     vec_len = sum(b.rows * b.cols for b in cocycles[0].blocks)
-    cob = [compose(g, incl).flat() for g in hom_basis(P0, n)]
-    keep = linalg.pivot_columns(F, cob + [c.flat() for c in cocycles], vec_len)
-    reps_out = [cocycles[k - len(cob)] for k in keep if k >= len(cob)]
+    known = [compose(g, incl).flat() for g in hom_basis(P0, n)]
+    if radical:
+        [mu] = P0.cover_summands
+        # and modulo c∘(r|Omega), r: e_μ -> y over a basis of rad P(μ) at μ;
+        # if dim e_μ m = 1, r maps P(μ) into Omega: c∘r is a coboundary
+        for y in (radical_submodule(P0).bases[mu].columns()
+                  if m.dims[mu] > 1 else []):
+            # r|Omega at each vertex: the s with incl·s = r·incl
+            r = [linalg.solve(i, Matrix.from_columns(F, cols, rows=i.rows).mul(i))
+                 for i, cols in zip(incl.blocks, reps.path_images(P0, mu, y))]
+            if None in r:
+                raise StratakitError("an endomorphism of P(μ) leaves Omega")
+            known += [compose(c, Morphism(omega, omega, r)).flat()
+                      for c in cocycles]
+    keep = linalg.pivot_columns(F, known + [c.flat() for c in cocycles],
+                                vec_len)
+    reps_out = [cocycles[k - len(known)] for k in keep if k >= len(known)]
     return reps_out, omega, incl, cover
 
 
@@ -303,11 +319,26 @@ def ext1_classes(m, n):
 
 
 def universal_extension(q, x):
-    """0 -> x -> Z -> q^r -> 0 realizing a basis of Ext^1(q, x) at once.
+    """0 -> x -> Z -> q^r -> 0 for r minimal generators of Ext^1(q, x) as a
+    right module over E = End(q), q with a simple top at μ: a basis of
+    Ext^1 modulo Ext^1·rad E (Nakayama), so Hom(q, q^r) -> Ext^1 is onto.
+    The one caller passes q = Delta(μ).  Pulling c: Omega -> x back along
+    φ ∈ E gives c∘(φ'|Omega), φ' a lift of φ to P(μ).  Each r ∈ End(P(μ))
+    keeps Omega, the trace of the P(ν), ν > μ, and End(P(μ)) -> E is onto,
+    so Ext^1·rad E is spanned by the c∘(r|Omega), r over a basis of
+    Hom(P(μ), rad P(μ)); none is needed if dim e_μ Delta(μ) = dim E = 1.
+
+    Z is indecomposable when x is and x is filtered by Delta(ν), ν > μ:
+    Hom(x, Delta(μ)) = 0, so each endomorphism of Z keeps x, and an
+    idempotent e ∈ End(Z) is 0 or 1 on x as End(x) is local.  Up to 1 - e,
+    e kills x and factors as g∘π through π: Z -> Delta(μ)^r.  The columns
+    of the idempotent π∘g = (φ_ji) ∈ M_r(E) lift to Z, so Σ_j ξ_j φ_ji = 0
+    over the generators ξ_j.  If e ≠ 0, some φ_ji is a unit, E being local,
+    and ξ_j is redundant, against minimality.
 
     Returns (middle, embedding of x, projection onto q^r).
     """
-    cocycles, omega, incl, cover = _cocycle_classes(q, x)
+    cocycles, omega, incl, cover = _cocycle_classes(q, x, radical=True)
     r = len(cocycles)
     if r == 0:
         raise NothingToExtend("Ext^1(q, x) = 0")

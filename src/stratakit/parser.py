@@ -164,6 +164,8 @@ def parse(text):
                 raise ParseError("usage: name <word>", line_no)
             name = words[1]
         elif head == "field":
+            if field is not None:
+                raise ParseError("second `field` line", line_no)
             if words[1:] == ["Q"]:
                 field = QQ
             elif len(words) == 3 and words[1] == "GF":
@@ -178,6 +180,8 @@ def parse(text):
             else:
                 raise ParseError("usage: field Q | field GF <p>", line_no)
         elif head == "vertices":
+            if vertices is not None:
+                raise ParseError("second `vertices` line", line_no)
             if len(words) < 2:
                 raise ParseError("at least one vertex required", line_no)
             if len(set(words[1:])) != len(words[1:]):
@@ -267,6 +271,8 @@ def parse(text):
                 if "=" not in rest:
                     raise ParseError("missing `=` in image line", sub_no)
                 arrow_name, rhs = [x.strip() for x in rest.split("=", 1)]
+                if arrow_name in embedding:
+                    raise ParseError(f"second image for arrow {arrow_name!r}", sub_no)
                 embedding[arrow_name] = _parse_terms(field, rhs, sub_no)
             if not closed:
                 raise ParseError("embedding block not closed with `end`", line_no)
@@ -275,8 +281,9 @@ def parse(text):
                 if "=" not in pair:
                     raise ParseError("duality entries are <a>=<b>", line_no)
                 lhs, rhs = pair.split("=", 1)
-                duality[lhs] = rhs
-                duality[rhs] = lhs
+                for x, y in ((lhs, rhs), (rhs, lhs)):
+                    if duality.setdefault(x, y) != y:
+                        raise ParseError(f"duality pairs arrow {x!r} twice", line_no)
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
     if field is None:

@@ -1,11 +1,13 @@
 """Characteristic tilting module, good filtration dimensions, Ringel duals.
 
 Everything here assumes the algebra is standardly stratified with respect to
-its declared vertex order; callers are gated through strat.classify.  The
-good filtration dimension is computed by the Ext scan against the standard
-modules, with proj_dim(T) supplying the finite scan bound.  End(T(λ)) is
-local, so each endomorphism is c·id plus a nilpotent; c is read off its
-minimal polynomial (x - c)^m, and rad End(T(λ)) is spanned by the f - c·id.
+its declared vertex order; callers are gated through strat.classify.  T(λ)
+is Delta(λ) extended by Delta(μ), μ < λ descending, along minimal
+generators of Ext^1 over End(Delta(μ)) (homology.universal_extension).  The
+good filtration dimension is the top degree of a nonzero Ext against the
+standard modules, scanned down from proj_dim(T).  End(T(λ)) is local, so each
+endomorphism is c·id plus a nilpotent; c is read off its minimal polynomial
+(x - c)^m, and rad End(T(λ)) is spanned by the f - c·id.
 """
 
 from . import homology, linalg, reps, strat
@@ -20,17 +22,15 @@ from .reps import (Morphism, Rep, compose, direct_sum, hom_basis,
 class CharTilting:
     """The basic characteristic tilting module T = ⊕ T(λ).
 
-    Carries, per summand: the embedding of Delta(λ), the cokernel M(λ) with
-    its filtration by lower standard modules, and T(λ)'s own Delta- and
-    proper-costandard filtration certificates.
+    Carries, per summand: the embedding of Delta(λ), and T(λ)'s own Delta-
+    and proper-costandard filtration certificates.
     """
 
-    def __init__(self, algebra, summands, delta_embeddings, coker_certs,
-                 delta_certs, nabla_bar_certs):
+    def __init__(self, algebra, summands, delta_embeddings, delta_certs,
+                 nabla_bar_certs):
         self.algebra = algebra
         self.summands = summands                  # T(λ), by vertex index
         self.delta_embeddings = delta_embeddings  # Delta(λ) -> T(λ)
-        self.coker_certs = coker_certs            # M(λ) ∈ F(Delta_{<λ})
         self.delta_certs = delta_certs            # T(λ) ∈ F(Delta)
         self.nabla_bar_certs = nabla_bar_certs    # T(λ) ∈ F(NablaBar)
         self.total = direct_sum(summands)
@@ -84,49 +84,25 @@ class CharTilting:
         return rad
 
     def verify(self):
-        """Re-verify every stored certificate and the defining sequences."""
+        """Re-verify every certificate and the defining sequences: T(λ)'s
+        Delta certificate starts at Delta(λ)'s image, so it filters M(λ) too."""
         a = self.algebra
         deltas = strat.standard_family(a)
         nbars = strat.proper_costandard_family(a)
         for lam in range(a.n):
-            emb = self.delta_embeddings[lam]
-            if not (emb.is_injective()
-                    and reps.is_isomorphic(emb.source, deltas[lam])):
+            emb, cert = self.delta_embeddings[lam], self.delta_certs[lam]
+            if not (cert.module is emb.target and emb.is_injective()
+                    and cert.factor_indices[:1] == [lam]
+                    and all(mu < lam for mu in cert.factor_indices[1:])
+                    and cert.verify(deltas)):
                 return False
-            coker, _ = reps.cokernel(emb)
-            cert = self.coker_certs[lam]
-            if cert is None:
-                if coker.total_dim != 0:
-                    return False
-            elif not (cert.verify(deltas[:lam])
-                      and cert.module.dims == coker.dims):
-                return False
-            if not self.delta_certs[lam].verify(deltas):
-                return False
-            if not self.nabla_bar_certs[lam].verify(nbars):
+            # the bottom factor is Delta(λ), so emb's source is Delta(λ) too
+            bottom = reps.Submodule(cert.module, cert.layers[1], check=False)
+            image = reps.image(emb)
+            if not (bottom.contains(image) and image.contains(bottom)
+                    and self.nabla_bar_certs[lam].verify(nbars)):
                 return False
         return self.is_basic()
-
-
-def _summand_with_delta(x, emb, lam):
-    """Split x and pick T(λ), the one summand with composition factor λ; the
-    others lie in add(T(μ)), μ < λ.  Returns it with the embedded Delta(λ)
-    projected onto it."""
-    parts = reps.decompose_with_inclusions(x)
-    if len(parts) == 1:
-        return x, emb
-    chosen = [(part, proj) for (part, _), proj
-              in zip(parts, reps._projections(x, parts)) if part.dims[lam]]
-    if len(chosen) != 1:
-        raise StratakitError(
-            f"{len(chosen)} summands have composition factor "
-            f"{x.algebra.vertices[lam]}, expected one")
-    [(part, proj)] = chosen
-    comp = compose(proj, emb)
-    if not comp.is_injective():
-        raise StratakitError("the embedded standard module does not embed in "
-                             "its summand")
-    return part, comp
 
 
 @reps.built_once
@@ -139,7 +115,7 @@ def characteristic_tilting(a):
                             "stratified algebra")
     deltas = strat.standard_family(a)
     nbars = strat.proper_costandard_family(a)
-    summands, embeddings, coker_certs, delta_certs, nb_certs = [], [], [], [], []
+    summands, embeddings, delta_certs, nb_certs = [], [], [], []
     for lam in range(a.n):
         x = deltas[lam]
         emb = identity_morphism(x)
@@ -151,38 +127,23 @@ def characteristic_tilting(a):
             if homology.ext_dim(1, deltas[mu], x) != 0:
                 x, incl, _ = homology.universal_extension(deltas[mu], x)
                 emb = compose(incl, emb)
-        for nu in range(a.n):
-            if homology.ext_dim(1, deltas[nu], x) != 0:
-                raise StratakitError(
-                    f"Ext^1(Delta({a.vertices[nu]}), T({a.vertices[lam]})) "
-                    "did not vanish after extension sweeps")
-        t_lam, emb_lam = _summand_with_delta(x, emb, lam)
-        # a Rep of its own: t_lam may be the shared Delta(λ) itself
-        t_lam = Rep(a, t_lam.dims, t_lam.action, label=f"T({a.vertices[lam]})")
-        emb_lam = Morphism(emb_lam.source, t_lam, emb_lam.blocks)
-        coker, _ = reps.cokernel(emb_lam)
-        if coker.total_dim == 0:
-            ccert = None
-        else:
-            ccert = strat.filtration_certificate(coker, deltas[:lam])
-            if ccert is None:
-                raise StratakitError("cokernel of Delta-embedding has no "
-                                     "filtration by lower standard modules")
+        # extended by generators of Ext^1, x is T(λ): one part certifies it
+        if len(reps.decompose_with_inclusions(x)) != 1:
+            raise StratakitError(f"T({a.vertices[lam]}) is decomposable")
+        # a Rep of its own: x may be the shared Delta(λ) itself
+        t_lam = Rep(a, x.dims, x.action, label=f"T({a.vertices[lam]})")
+        # the NablaBar certificate shows Ext^1(Delta, T(λ)) = 0
         dcert = strat.filtration_certificate(t_lam, deltas)
         ncert = strat.filtration_certificate(t_lam, nbars)
         if dcert is None or ncert is None:
             raise StratakitError("tilting summand has no filtration "
                                  "certificate")
         summands.append(t_lam)
-        embeddings.append(emb_lam)
-        coker_certs.append(ccert)
+        embeddings.append(Morphism(emb.source, t_lam, emb.blocks))
         delta_certs.append(dcert)
         nb_certs.append(ncert)
-    tilt = CharTilting(a, summands, embeddings, coker_certs, delta_certs,
-                       nb_certs)
-    if not tilt.is_basic():
-        raise StratakitError("characteristic tilting is not basic")
-    return tilt
+    # basic: T(λ) has λ as its largest composition factor
+    return CharTilting(a, summands, embeddings, delta_certs, nb_certs)
 
 
 @reps.built_once
@@ -241,22 +202,24 @@ def _tilting_pd(a, cap):
         "projective dimension of T")
 
 
+def _ext_top(sources, m, bound, cap):
+    """The top d <= bound with Ext^d(X, m) != 0 for an X in sources, or 0."""
+    for d in range(bound, 0, -1):
+        if any(homology.ext_dim(d, x, m, cap) != 0 for x in sources):
+            return d
+    return 0
+
+
 def gfd_nabla_bar(x, cap=homology.DEFAULT_CAP):
     """NablaBar-good filtration dimension: the top Ext degree against the
-    standard modules, scanned up to proj_dim(T)."""
+    standard modules, at most proj_dim(T)."""
     a = x.algebra
     if not strat.classify(a).standardly_stratified:
         raise NotStratified("good filtration dimension needs a standardly "
                             "stratified algebra")
     if x.total_dim == 0:
         return 0
-    bound = _tilting_pd(a, cap)
-    deltas = strat.standard_family(a)
-    best = 0
-    for d in range(bound + 1):
-        if any(homology.ext_dim(d, dl, x, cap) != 0 for dl in deltas):
-            best = d
-    return best
+    return _ext_top(strat.standard_family(a), x, _tilting_pd(a, cap), cap)
 
 
 def gfd_delta_bar(x, cap=homology.DEFAULT_CAP):
@@ -514,10 +477,7 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
     ok = True
     witness = ""
     for m in probes:
-        top = 0
-        for i in range(pd_t + 1):
-            if homology.ext_dim(i, tilt.total, m, cap) != 0:
-                top = i
+        top = _ext_top([tilt.total], m, pd_t, cap)
         g = gfd_nabla_bar(m, cap)
         if top != g:
             ok = False

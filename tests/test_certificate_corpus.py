@@ -70,6 +70,33 @@ PINNED = {
     "cyc3/321": ("not stratified", "100101", "110110"),
 }
 
+# quiver/vertex order: dimension vectors of T(λ) and of S(λ), λ in vertex
+# order, one digit per vertex; S only where the algebra is properly
+# stratified.  Both fields give the same vectors.
+TILTING_DIMS = {
+    "a2/12": ("10 11", "10 11"),
+    "a2/21": ("10 11", "10 11"),
+    "cyc2/21": ("10 21", "10 21"),
+    "loopx/12": ("10 12", None),
+    "loopx/21": ("20 21", "20 11"),
+    "loopa/12": ("20 21", "20 21"),
+    "loopa/21": ("10 22", "10 22"),
+    "a3/123": ("100 110 111", "100 110 111"),
+    "a3/132": ("100 010 111", "100 010 111"),
+    "a3/213": ("100 110 111", "100 110 111"),
+    "a3/231": ("100 110 111", "100 110 111"),
+    "a3/312": ("100 010 111", "100 010 111"),
+    "a3/321": ("100 110 111", "100 110 111"),
+    "a3r/123": ("100 110 011", "100 110 011"),
+    "a3r/213": ("100 110 101", "100 110 101"),
+    "a3r/231": ("100 110 101", "100 110 101"),
+    "a3r/321": ("100 110 011", "100 110 011"),
+    "bb/123": ("100 110 111", "100 110 111"),
+    "bb/213": ("100 110 211", "100 110 211"),
+    "bb/231": ("100 110 211", "100 110 211"),
+    "bb/321": ("100 110 111", "100 110 111"),
+}
+
 CORPUS = [(f"{name}/{''.join(order)}", field)
           for name, (vertices, _) in QUIVERS.items()
           for order in itertools.permutations(vertices.split())
@@ -154,3 +181,24 @@ def test_totals_are_matched_part_by_part(key, field):
     assert not any(f.is_isomorphism() for f in reps.hom_basis(s, t))
     iso = reps.find_isomorphism(s, t)
     assert iso is not None and iso.is_valid() and iso.is_isomorphism()
+
+
+def _digits(summands):
+    return " ".join("".join(map(str, m.dims)) for m in summands)
+
+
+def test_tilting_pins_cover_the_stratified_corpus():
+    assert sorted(TILTING_DIMS) == sorted(
+        key for key, (kind, _, _) in PINNED.items() if kind != "not stratified")
+
+
+@pytest.mark.parametrize("key,field", [
+    (key, field) for key, field in CORPUS if key in TILTING_DIMS])
+def test_tilting_dimension_vectors_are_pinned(key, field):
+    a = corpus_algebra(key, field)
+    t_dims, s_dims = TILTING_DIMS[key]
+    tilt = tilting.characteristic_tilting(a)
+    assert _digits(tilt.summands) == t_dims
+    assert tilt.verify()
+    if s_dims is not None:
+        assert _digits(tilting.characteristic_cotilting(a).summands) == s_dims

@@ -226,6 +226,21 @@ def test_bad_module_blocks_are_input_errors(tmp_path, text, fragment):
     assert "input error" in err and fragment in err and out == ""
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("field Q\nvertices 1 2 3\narrow a 1 2\narrow b 2 3\n"
+     "relation 1/2*b.a\nfield GF 5\n", "second `field` line"),
+    ("field Q\nvertices 1 2\nvertices 2 1\n", "second `vertices` line"),
+    ("field Q\nvertices 1 2\narrow a 1 2\narrow b 1 2\narrow c 1 2\n"
+     "duality a=b a=c\n", "duality pairs arrow 'a'"),
+], ids=["second_field", "second_vertices", "duality_remap"])
+def test_repeated_directives_are_input_errors(tmp_path, text, fragment):
+    path = tmp_path / "r.alg"
+    path.write_text(text)
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 2
+    assert "input error" in err and fragment in err and out == ""
+
+
 def test_large_prime_is_an_input_error(tmp_path):
     path = tmp_path / "big.alg"
     path.write_text("field GF 2305843009213693951\nvertices 1\n")

@@ -129,3 +129,32 @@ def test_gf_scalars_parse_to_residues():
     f = parse("field GF 5\nvertices 1\nmodule M\n dims 2\nend\n")
     assert f.field.parse_scalar("7") == 2
     assert f.field.parse_scalar("1/2") == 3
+
+
+@pytest.mark.parametrize("text,fragment,line", [
+    # before, the relation's 1/2 stayed a Fraction and GF(5) raised TypeError
+    ("field Q\nvertices 1 2 3\narrow a 1 2\narrow b 2 3\n"
+     "relation 1/2*b.a\nfield GF 5\n", "second `field` line", 6),
+    # before, the second line replaced the stratifying order
+    ("field Q\nvertices 1 2\nvertices 2 1\n", "second `vertices` line", 3),
+    # before, the second image overwrote the first
+    ("field Q\nvertices 1 2\narrow a 1 2\nembedding\n image a = 1*a\n"
+     " image a = 2*a\nend\n", "second image for arrow 'a'", 6),
+    # before, a=b a=c gave {a: c, b: a, c: a}
+    ("field Q\nvertices 1\narrow a 1 1\narrow b 1 1\narrow c 1 1\n"
+     "duality a=b a=c\n", "duality pairs arrow 'a'", 6),
+    ("field Q\nvertices 1\narrow a 1 1\narrow b 1 1\narrow c 1 1\n"
+     "duality a=b\nduality c=b\n", "duality pairs arrow 'b'", 7),
+], ids=["second_field", "second_vertices", "second_image", "duality_remap",
+        "duality_remap_across_lines"])
+def test_repeated_directives_are_refused(text, fragment, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert fragment in str(err.value)
+    assert err.value.line == line
+
+
+def test_a_repeated_or_fixed_duality_pair_is_accepted():
+    f = parse("field Q\nvertices 1\narrow a 1 1\narrow b 1 1\narrow c 1 1\n"
+              "duality a=b b=a c=c\n")
+    assert f.duality == {"a": "b", "b": "a", "c": "c"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratakit import linalg, parse, reps, strat, tilting
+from stratakit import homology, linalg, parse, reps, strat, tilting
 from stratakit.errors import (AlgebraMismatch, NotASubmodule,
                               UndecidedDecomposition)
 from stratakit.linalg import Matrix
@@ -240,31 +240,41 @@ def test_simple_top_or_socle_settles_isomorphism_by_basis_scan(monkeypatch):
         assert reps.find_isomorphism(m, n) is None
 
 
-# -- decompositions that split ------------------------------------------------
+def _loopa(field, power):
+    """k[x]/(x^power) at vertex 1 with an arrow a: 1 -> 2, order 1 < 2."""
+    loop = ".".join(["x"] * power)
+    return parse(f"field {field}\nvertices 1 2\narrow x 1 1\narrow a 1 2\n"
+                 f"relation 1*{loop}\n").build()
 
+
+@pytest.mark.parametrize("power,ext1,t2", [(2, 2, (2, 1)), (3, 3, (3, 1))],
+                         ids=["x2", "x3"])
 @pytest.mark.parametrize("field", ["Q", "GF 2"])
-def test_loopa_tilting_extension_splits_off_delta(field, monkeypatch):
-    # the extension of Delta(2) by a k-basis of Ext^1 is T(2) + Delta(1)
-    a = parse(f"field {field}\nvertices 1 2\narrow x 1 1\narrow a 1 2\n"
-              "relation 1*x.x\n").build()
+def test_loopa_tilting_extends_by_generators(field, power, ext1, t2,
+                                             monkeypatch):
+    # End(Delta(1)) = k[x]/(x^power) is not k, and Ext^1(Delta(1), Delta(2))
+    # is free of rank 1 over it: one generator, where a k-basis extension
+    # would add a copy of Delta(1) per basis element and split
+    a = _loopa(field, power)
+    d1, d2 = strat.standard_family(a)
+    assert homology.ext_dim(1, d1, d2) == ext1
+    middle, _, _ = homology.universal_extension(d1, d2)
+    assert middle.dims == t2
     decompose = reps.decompose_with_inclusions
-    splits = []
+    calls = []
 
     def recording(m, *args):
-        parts = decompose(m, *args)
-        if len(parts) > 1:
-            splits.append(parts)
-        return parts
+        calls.append(decompose(m, *args))
+        return calls[-1]
 
     monkeypatch.setattr(reps, "decompose_with_inclusions", recording)
     tilt = tilting.characteristic_tilting(a)
-    assert [t.dims for t in tilt.summands] == [(2, 0), (2, 1)]
-    [parts] = splits
-    assert [part.dims for part, _ in parts] == [(2, 1), (2, 0)]
-    assert is_isomorphic(parts[1][0], strat.standard_family(a)[0])
-    for part, incl in parts:
-        assert incl.is_valid() and incl.is_injective()
+    assert [t.dims for t in tilt.summands] == [(power, 0), t2]
+    assert calls and all(len(parts) == 1 for parts in calls)
+    assert tilt.verify()
 
+
+# -- decompositions that split ------------------------------------------------
 
 def _kronecker(companions, field="Q", seed=None):
     """The Kronecker module (k^n, k^n; I, B) with B block diagonal in the

@@ -1,5 +1,7 @@
 """Characteristic tilting modules, filtration dimensions, Ringel duals."""
 
+import copy
+
 import pytest
 
 from stratakit import homology, reps, strat, tilting
@@ -26,6 +28,58 @@ def test_a3line_tilting_summands():
     dims = sorted(t.dims for t in tilt.summands)
     assert dims == [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
     assert any(is_isomorphic(t, simple(a, 0)) for t in tilt.summands)
+
+
+def _count_certificates(monkeypatch):
+    calls = []
+    real = strat.filtration_certificate
+
+    def counting(m, family):
+        calls.append(m)
+        return real(m, family)
+
+    monkeypatch.setattr(strat, "filtration_certificate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", STRATIFIED)
+def test_two_certificates_per_tilting_summand(name, monkeypatch):
+    # T(λ)'s Delta certificate also certifies its cokernel M(λ): no third
+    # search per summand
+    a = _fresh(name)
+    strat.classify(a)
+    calls = _count_certificates(monkeypatch)
+    tilt = characteristic_tilting(a)
+    assert len(calls) == 2 * a.n
+    assert all(m in tilt.summands for m in calls)
+
+
+@pytest.mark.parametrize("name", ["a3line", "borelA"])
+def test_verify_rejects_a_swapped_bottom_layer(name):
+    # the bottom layer of T(λ)'s Delta certificate must be the image of the
+    # embedded Delta(λ): swap in the image of another standard module
+    a = _fresh(name)
+    tilt = characteristic_tilting(a)
+    assert tilt.verify()
+    deltas = strat.standard_family(a)
+    swapped = []
+    for lam, t in enumerate(tilt.summands):
+        bottom = reps.image(tilt.delta_embeddings[lam])
+        for nu in range(lam):
+            for f in reps.hom_basis(deltas[nu], t):
+                im = reps.image(f)
+                if f.is_injective() and not im.contains(bottom):
+                    swapped.append((lam, nu, im))
+    assert swapped
+    for lam, nu, im in swapped:
+        cert = tilt.delta_certs[lam]
+        bad = copy.copy(tilt)
+        bad.delta_certs = list(tilt.delta_certs)
+        bad.delta_certs[lam] = strat.FiltrationCertificate(
+            cert.module, [cert.layers[0], im.bases] + cert.layers[2:],
+            [nu] + cert.factor_indices[1:])
+        assert not bad.verify()
+    assert tilt.verify()
 
 
 def test_a3line_strict_upper_bound():
