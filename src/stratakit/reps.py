@@ -974,13 +974,20 @@ def decompose_with_inclusions(m):
             return parts
         nilpotent.append(_poly_of_morphism(f, g))
         linear = linear and len(g) == 2
+    # the span in echelon form: rows (pivot, row) with row[pivot] = 1, each
+    # 0 at the pivots of the rows before it, so one pass reduces a product
     span = []
 
     def extends_span(h):
         v = h.flat()
-        if len(linalg.pivot_columns(F, span + [v], len(v))) == len(span):
+        for p, row in span:
+            if not F.is_zero(c := v[p]):
+                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+        p = next((i for i, x in enumerate(v) if not F.is_zero(x)), None)
+        if p is None:
             return False
-        span.append(v)
+        inv = F.inv(v[p])
+        span.append((p, [F.mul(inv, x) for x in v]))
         return True
 
     gens = level = [n for n in nilpotent if extends_span(n)]

@@ -7,7 +7,8 @@ generators of Ext^1 over End(Delta(μ)) (homology.universal_extension).  The
 good filtration dimension is the top degree of a nonzero Ext against the
 standard modules, scanned down from proj_dim(T).  End(T(λ)) is local, so each
 endomorphism is c·id plus a nilpotent; c is read off its minimal polynomial
-(x - c)^m, and rad End(T(λ)) is spanned by the f - c·id.
+(x - c)^m, and rad End(T(λ)) is spanned by the f - c·id.  The Ringel dual
+End(T) is presented by the reduced Groebner basis of its relations.
 """
 
 from . import homology, linalg, reps, strat
@@ -371,7 +372,14 @@ def _local_scalar(field, f):
 
 
 def ringel_dual(a):
-    """End(T) presented as a bound quiver algebra, opposite vertex order."""
+    """End(T) presented as a bound quiver algebra, opposite vertex order.
+
+    The relations are the reduced Groebner basis of ker(kQ -> End T) in
+    build_algebra's path order, read off in one walk over that order that
+    extends only normal paths.  Non-tips are closed under subpaths, so a
+    candidate whose suffix (minus its first arrow) is not normal is skipped;
+    any other is a tip exactly when its value is in the span of the earlier
+    normal paths q with its ends, and then path - Σ c·q is recorded."""
     tilt = characteristic_tilting(a)
     F = a.field
     n = a.n
@@ -400,43 +408,35 @@ def ringel_dual(a):
             for k in keep:
                 if k >= len(rad2):
                     arrows.append((f"r{len(arrows)}", s, t, rad[k - len(rad2)]))
-    # relation recovery: generate paths length by length, dropping any path
-    # that already evaluates to zero (its extensions are ideal consequences);
-    # the relations are the kernel of evaluation on all surviving paths,
-    # computed per (source, target) pair once generation closes.  End(T) need
-    # not be graded, so the kernel mixes path lengths.
-    deg_cap = end_dim
     vertices = [a.vertices[i] for i in order]
     arrow_decls = [(nm, vertices[s], vertices[t]) for (nm, s, t, _) in arrows]
-    groups = {}        # (source, target) -> list of (arrow index tuple, morphism)
-    frontier = [(s, (j,), f) for j, (nm, s, t, f) in enumerate(arrows)]
-    end_targets = {j: t for j, (nm, s, t, f) in enumerate(arrows)}
-    length = 1
-    while frontier:
-        if length >= deg_cap:
-            raise PresentationFailed("relation recovery exceeded the degree cap")
-        nxt = []
-        for (s0, arrs, f) in frontier:
-            t0 = end_targets[arrs[-1]]
-            for j, (nm, s, t, g) in enumerate(arrows):
-                if s != t0:
-                    continue
-                comp = compose(g, f)
-                nxt.append((s0, arrs + (j,), comp))
-                groups.setdefault((s0, t), []).append((arrs + (j,), comp))
-        frontier = [(s0, arrs, f) for (s0, arrs, f) in nxt
-                    if not all(b.is_zero() for b in f.blocks)]
-        length += 1
-    relations = []
-    for (s0, t0), items in groups.items():
-        vecs = [f.flat() for _, f in items]
-        sz = len(vecs[0])
-        mat = Matrix.from_columns(F, vecs, rows=sz)
-        for kvec in linalg.kernel_basis(mat):
-            rel = [(c, tuple(arrows[j][0] for j in items[i][0]))
-                   for i, c in enumerate(kvec) if not F.is_zero(c)]
-            if rel:
-                relations.append(rel)
+
+    # paths are tuples of arrow names; normal path -> value, and
+    # (source, target) -> [(normal path, flat value)] in walk order
+    ends = {nm: (s, t) for nm, s, t, _ in arrows}
+    normal, by_ends, relations = {}, {}, []
+    for nm, s, t, f in arrows:
+        normal[(nm,)] = f
+        by_ends.setdefault((s, t), []).append(((nm,), f.flat()))
+    walk = list(normal)    # grows in walk order while it is read
+    for arrs in walk:
+        for nm, s, t, g in arrows:
+            if s != ends[arrs[-1]][1] or arrs[1:] + (nm,) not in normal:
+                continue
+            path, value = arrs + (nm,), compose(g, normal[arrs])
+            group = by_ends.setdefault((ends[arrs[0]][0], t), [])
+            v = value.flat()
+            x = linalg.solve(
+                Matrix.from_columns(F, [q for _, q in group], rows=len(v)),
+                Matrix.from_columns(F, [v]))
+            if x is None:
+                normal[path] = value
+                group.append((path, v))
+                walk.append(path)
+            else:
+                relations.append([(F.one, path)] + [
+                    (F.neg(c), q) for (q, _), c in zip(group, x.entries)
+                    if not F.is_zero(c)])
     spec = QuiverSpec(vertices, arrow_decls, relations, F,
                       name=(a.spec.name + "_ringel") if a.spec.name else "ringel")
     dual = build_algebra(spec)

@@ -1,6 +1,7 @@
 """Representations: projectives, injectives, hom spaces, decomposition."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -423,6 +424,39 @@ def test_ringel_dual_module_is_indecomposable_in_dim_end_minimal_polynomials(
     [(part, incl)] = reps.decompose_with_inclusions(m)
     assert part is m and incl.is_isomorphism()
     assert len(calls) <= 3
+
+
+# dim 14 over GF(3): loops x0, x3 at 2 and two arrows 2 -> 1.  Confirming
+# that T(1) = (21, 1) is indecomposable closes about 2 000 products of
+# nilpotent parts, each reduced against the span built so far
+LOOPS_GF3 = "".join(
+    ["field GF 3\nvertices 2 1\n", "arrow x0 2 2\narrow x3 2 2\n",
+     "arrow x1 2 1\narrow x2 2 1\n"]
+    + [f"relation 1*{r}\n" for r in (
+        "x0.x3", "x1.x3.x3", "x0.x0.x0", "x2.x0.x0", "x3.x0.x3", "x1.x3",
+        "x1.x0.x3", "x3.x3.x3", "x3.x3.x0", "x2.x3.x0", "x2.x3.x3")])
+
+
+def test_nilpotent_closure_reduces_each_product_once(monkeypatch):
+    # the closure keeps its span in echelon form: no rref of the whole span
+    # per candidate product
+    closure = reps.decompose_with_inclusions.__code__
+    frames = {closure} | {c for c in closure.co_consts
+                          if isinstance(c, type(closure))}
+    callers = []
+    real = linalg.pivot_columns
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "pivot_columns", recording)
+    a = parse(LOOPS_GF3).build()
+    assert a.dim == 14
+    tilt = tilting.characteristic_tilting(a)
+    assert [t.dims for t in tilt.summands] == [(7, 0), (21, 1)]
+    assert tilt.verify()
+    assert not frames.intersection(callers)
 
 
 def _field_module(quiver, mult):
