@@ -16,6 +16,12 @@ memoises those per algebra by the modules' structural keys, so the
 consecutive degrees of a scan share one syzygy's Hom space, and so do equal
 syzygies of different resolutions.
 
+A direct sum is resolved, Hom-solved and certified summand by summand.
+Minimal resolutions of a sum are the sums of those of its summands and Ext
+is bilinear, so for a module built by reps.direct_sum, ext_dim adds up the
+pairs of summands, and proj_dim and inj_dim take the largest over them.
+min_proj_resolution itself is never split.
+
 Depth rule: Ext^i reads P_{i-1}, Ω^{i-1} and Ω^i, so a degree i <= cap + 1
 grows the resolution to i terms only, and its answer does not depend on the
 cap.  The cap bounds only what needs the whole resolution: proj_dim and a
@@ -48,20 +54,16 @@ def projective_cover(m):
     if m.total_dim == 0:
         raise ZeroModule("projective cover of the zero module")
     a = m.algebra
-    tdims, pi = reps.top_multiplicities(m)
-    # lifts of a basis of the top: columns of the linear sections of pi;
-    # the top of a nonzero module is nonzero, so there is at least one
-    summands = []
-    lifts = []
-    for v in range(a.n):
-        sec = pi.section_blocks[v]
-        for k in range(tdims[v]):
-            summands.append(v)
-            lifts.append((v, sec.column(k)))
+    F = a.field
+    # lifts of a basis of the top: the e_c of its greedy complement; the top
+    # of a nonzero module is nonzero, so there is at least one
+    lifts = [(v, [F.one if i == c else F.zero for i in range(m.dims[v])])
+             for v, C in enumerate(reps.top_basis(m)) for c in C]
+    summands = [v for v, _ in lifts]
     P = direct_sum([projective(a, v) for v in summands])
     images = [reps.path_images(m, v, x) for v, x in lifts]
     cover = Morphism(P, m, [Matrix.from_columns(
-        a.field, [c for img in images for c in img[tv]], rows=m.dims[tv])
+        F, [c for img in images for c in img[tv]], rows=m.dims[tv])
         for tv in range(a.n)])
     P.cover_summands = summands
     if not cover.is_surjective():
@@ -155,10 +157,23 @@ def min_proj_resolution(m, cap=DEFAULT_CAP):
     return res
 
 
+def _sup(dims):
+    """The largest of the dimensions, 0 for none; a LowerBound if one of
+    them is."""
+    dims = list(dims)
+    best = int(max(dims, default=0))
+    return (LowerBound(best) if any(isinstance(d, LowerBound) for d in dims)
+            else best)
+
+
 def proj_dim(m, cap=DEFAULT_CAP):
-    """Projective dimension, or LowerBound(cap) when the resolution was capped."""
+    """Projective dimension, or LowerBound(cap) when the resolution was
+    capped.  A direct sum takes the largest over its summands."""
     if m.total_dim == 0:
         return 0
+    parts = reps.summands(m)
+    if len(parts) > 1:
+        return _sup(proj_dim(x, cap) for x in parts)
     res = min_proj_resolution(m, cap)
     if res.completes_within(cap):
         return len(res.terms) - 1
@@ -166,7 +181,10 @@ def proj_dim(m, cap=DEFAULT_CAP):
 
 
 def inj_dim(m, cap=DEFAULT_CAP):
-    """Injective dimension via the opposite algebra."""
+    """Injective dimension via the opposite algebra, summand by summand."""
+    parts = reps.summands(m)
+    if len(parts) > 1:
+        return _sup(inj_dim(x, cap) for x in parts)
     return proj_dim(reps.dual_to_opposite(m), cap)
 
 
@@ -181,25 +199,27 @@ def finite_dim(d, what):
 
 
 def global_dim(a, cap=DEFAULT_CAP):
-    best = 0
-    capped = False
-    for i in range(a.n):
-        d = proj_dim(reps.simple(a, i), cap)
-        if isinstance(d, LowerBound):
-            capped = True
-        best = max(best, int(d))
-    return LowerBound(best) if capped else best
+    return _sup(proj_dim(reps.simple(a, i), cap) for i in range(a.n))
 
 
 def ext_dim(i, m, n, cap=DEFAULT_CAP):
     """dim Ext^i(m, n).  A degree i <= cap + 1 grows the resolution of m to
     i terms and reads P_{i-1}, Ω^{i-1} and Ω^i, whatever the cap.  A degree
     above cap + 1 is 0 if the first cap + 1 terms complete the resolution,
-    and raises Truncated otherwise."""
+    and raises Truncated otherwise.  Ext is bilinear: direct sums are split
+    into their summands, and Truncated is raised if any pair raises it."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("ext between modules over different algebras")
     if i < 0:
         return 0
+    ms, ns = reps.summands(m), reps.summands(n)
+    if len(ms) == len(ns) == 1:
+        return _ext_dim(i, m, n, cap)
+    return sum(_ext_dim(i, x, y, cap) for x in ms for y in ns)
+
+
+def _ext_dim(i, m, n, cap):
+    """ext_dim for i >= 0 on modules that are not split further."""
     if m.total_dim == 0 or n.total_dim == 0:
         return 0
     if i == 0:
@@ -262,7 +282,6 @@ def _cocycle_classes(m, n, radical=False):
         return [], omega, incl, cover
     # coboundaries: restrictions of Hom(P0, n) along the inclusion; keep
     # the cocycles independent modulo them
-    vec_len = sum(b.rows * b.cols for b in cocycles[0].blocks)
     known = [compose(g, incl).flat() for g in hom_basis(P0, n)]
     if radical:
         [mu] = P0.cover_summands
@@ -277,8 +296,7 @@ def _cocycle_classes(m, n, radical=False):
                 raise StratakitError("an endomorphism of P(μ) leaves Omega")
             known += [compose(c, Morphism(omega, omega, r)).flat()
                       for c in cocycles]
-    keep = linalg.pivot_columns(F, known + [c.flat() for c in cocycles],
-                                vec_len)
+    keep = linalg.pivot_columns(F, known + [c.flat() for c in cocycles])
     reps_out = [cocycles[k - len(known)] for k in keep if k >= len(known)]
     return reps_out, omega, incl, cover
 

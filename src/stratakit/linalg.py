@@ -5,6 +5,8 @@ field is the reference semantics for everything (rank, kernels, solving).
 The arithmetic is specialised per field: over GF(p) on int residues reduced
 inline, over Q by fraction-free elimination on integer rows.  The RREF is
 unique, so both give exactly the result of elimination on field scalars.
+pivot_columns reduces one vector at a time against the rows kept so far,
+with the same arithmetic, and builds no matrix.
 """
 
 from fractions import Fraction
@@ -329,17 +331,61 @@ def solve(m, b):
     return Matrix(F, n, k, [x for c in range(n) for x in rows.get(c, zeros)])
 
 
-def pivot_columns(field, vectors, dim):
-    """Indices of the vectors not in the span of the vectors before them.
+def _greedy_pivots(field, vectors):
+    """(index, pivot) for each vector not in the span of those before it,
+    with pivot its first nonzero coordinate once reduced.
 
-    These are the pivot columns of one rref, which is exactly what a greedy
-    left-to-right rank test would keep."""
-    return _echelon(Matrix.from_columns(field, vectors, rows=dim))[1]
+    Each vector is reduced against the rows kept so far, (pivot, row) with
+    the row 0 at every earlier pivot, so one pass in order clears every kept
+    pivot and the vector is kept when something is left.  Over GF(p) the
+    rows are residues scaled to 1 at the pivot; over Q, integer rows divided
+    by their content, as in _rref_rational."""
+    p = field.p
+    rows = []
+    for i, v in enumerate(vectors):
+        if p is None:
+            den = lcm(*(x.denominator for x in v))
+            v = [x.numerator * (den // x.denominator) for x in v]
+        for c, row in rows:
+            f = v[c]
+            if not f:
+                continue
+            if p is not None:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+                continue
+            g = gcd(row[c], f)
+            s, t = row[c] // g, f // g
+            v = [s * x - t * y for x, y in zip(v, row)]
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        if p is not None:
+            inv = pow(v[c], -1, p)
+            v = [x * inv % p for x in v]
+        rows.append((c, v))
+        yield i, c
 
 
-def column_reduce(field, vectors, dim):
-    """Reduce a list of vectors to a basis of their span (deterministic)."""
-    return [list(vectors[i]) for i in pivot_columns(field, vectors, dim)]
+def pivot_columns(field, vectors):
+    """Indices of the vectors not in the span of the vectors before them, as
+    a greedy left-to-right rank test keeps them: the pivot columns of the
+    rref of the matrix with these columns, found without building it."""
+    return [i for i, _ in _greedy_pivots(field, vectors)]
+
+
+def leading_positions(field, vectors):
+    """The first nonzero coordinates of the nonzero vectors in their span:
+    one per echelon row, so as many as the span's dimension."""
+    return {c for _, c in _greedy_pivots(field, vectors)}
+
+
+def column_reduce(field, vectors):
+    """Reduce a list of vectors to a basis of their span: those that
+    pivot_columns keeps."""
+    return [list(vectors[i]) for i in pivot_columns(field, vectors)]
 
 
 def is_invertible(m):

@@ -9,9 +9,11 @@ is the greedy complement of s: the standard vectors e_c not in the span of
 s and the e_j before them.  Those are the non-pivots of the rref of the
 transposed basis of s with its coordinates reversed, since e_c is left out
 exactly when a vector of s has its last nonzero coordinate at c; the
-reduced rows give the projection.  Coordinates in a submodule (its actions,
-closure and containment) take one solve per arrow or vertex, for a whole
-block of right-hand sides.
+reduced rows give the projection.  The top m/rad(m) needs no quotient:
+one echelon form per vertex of the arrow images gives its greedy
+complement.  Coordinates in a submodule (its actions, closure and
+containment) take one solve per arrow or vertex, for a whole block of
+right-hand sides.
 
 Decomposition is exact and makes no search.  It splits a module by
 Fitting's lemma along an endomorphism whose minimal polynomial has coprime
@@ -29,7 +31,9 @@ Per-algebra results live in the algebra's cache and go through two helpers:
 built_once, keyed by a function's name and arguments, and by_structure,
 keyed by the structural keys of its module arguments.  Rep.key() is a small
 int, interned once per module, so equal modules built apart share one
-result and a lookup hashes ints.
+result and a lookup hashes ints.  direct_sum records the summands of each
+sum it builds under the sum's key, and summands(m) reads them back, so
+additive invariants of a sum are computed summand by summand.
 """
 
 import functools
@@ -329,7 +333,24 @@ def injective(a, i):
     return rep
 
 
+@built_once
+def _split_table(a):
+    """The algebra's table of direct sums: structural key -> the nonzero
+    summands direct_sum put together, flattened."""
+    return {}
+
+
+def summands(m):
+    """The nonzero summands m was built from by direct_sum, flattened, or
+    (m,).  Read by structural key, so an equal module built apart splits the
+    same way; the first sum recorded under a key is kept."""
+    return _split_table(m.algebra).get(m.key(), (m,))
+
+
 def direct_sum(reps):
+    """The block-diagonal sum of the modules, in order.  Its summands are
+    recorded (see summands), so that additive invariants of the sum are
+    computed summand by summand."""
     reps = [r for r in reps]
     if not reps:
         raise StratakitError("empty direct sum; use zero_rep")
@@ -341,7 +362,11 @@ def direct_sum(reps):
     action = []
     for ai in range(len(a.arrows)):
         action.append(linalg.block_diag(F, [r.action[ai] for r in reps]))
-    return Rep(a, dims, action)
+    out = Rep(a, dims, action)
+    parts = tuple(x for r in reps if r.total_dim for x in summands(r))
+    if len(parts) > 1:
+        _split_table(a).setdefault(out.key(), parts)
+    return out
 
 
 def regular_module(a):
@@ -508,26 +533,44 @@ def cokernel(f):
 
 # -- radical, top, socle, generated submodules --------------------------------
 
-def radical_submodule(m):
+def _arrow_images(m):
+    """Per vertex, the columns of the arrows into it: they span rad(m)."""
     a = m.algebra
-    F = a.field
     vecs = [[] for _ in range(a.n)]
     for ai, (_, s, t) in enumerate(a.arrows):
         vecs[t].extend(m.action[ai].columns())
-    bases = [Matrix.from_columns(F, linalg.column_reduce(F, vecs[v], m.dims[v]),
-                                 rows=m.dims[v]) for v in range(a.n)]
-    return Submodule(m, bases, check=False)
+    return vecs
+
+
+def radical_submodule(m):
+    F = m.algebra.field
+    return Submodule(m, [Matrix.from_columns(
+        F, linalg.column_reduce(F, vecs), rows=d)
+        for vecs, d in zip(_arrow_images(m), m.dims)], check=False)
+
+
+def top_basis(m):
+    """Per vertex v, the greedy complement C_v of rad(m) at v (as quotient
+    takes it, see _complement): the e_c, c ascending, outside the span of
+    rad(m) and e_0, ..., e_{c-1}.  Their images are a basis of top(m), so
+    the e_c are the lifts a projective cover sends its generators to.  e_c
+    is left out exactly when a vector of rad(m) has its last nonzero
+    coordinate at c: one echelon form of the reversed arrow images."""
+    F = m.algebra.field
+    out = []
+    for vecs, d in zip(_arrow_images(m), m.dims):
+        rad = linalg.leading_positions(F, [v[::-1] for v in vecs])
+        out.append([c for c in range(d) if d - 1 - c not in rad])
+    return out
 
 
 def top(m):
-    q, _ = quotient(m, radical_submodule(m))
-    return q
-
-
-def top_multiplicities(m):
-    """Multiplicity of each simple in the top of m."""
-    q, pi = quotient(m, radical_submodule(m))
-    return q.dims, pi
+    """m / rad(m), on the basis top_basis(m): semisimple, so every arrow
+    acts as zero."""
+    a = m.algebra
+    dims = [len(C) for C in top_basis(m)]
+    return Rep(a, dims, [Matrix.zero(a.field, dims[t], dims[s])
+                         for _, s, t in a.arrows])
 
 
 def socle_submodule(m):
@@ -549,16 +592,14 @@ def path_images(m, v, x):
     """The columns p·x, per target w in the order of projective_layout(v), of
     the map P(v) -> m sending e_v to the vector x of m at v."""
     a = m.algebra
-    out = []
-    for paths in a.projective_layout(v):
-        cols = []
-        for bi in paths:
-            y = x
-            for ai in a.basis[bi].arrs:
-                y = m.action[ai].apply(y)
-            cols.append(y)
-        out.append(cols)
-    return out
+    layout = a.projective_layout(v)
+    # basis order puts a path after its prefix, which is a basis path too:
+    # tip reduction keeps normal paths closed under prefixes
+    image = {}
+    for bi in sorted(bi for paths in layout for bi in paths):
+        arrs = a.basis[bi].arrs
+        image[arrs] = m.action[arrs[-1]].apply(image[arrs[:-1]]) if arrs else x
+    return [[image[a.basis[bi].arrs] for bi in paths] for paths in layout]
 
 
 def generated_submodule(m, gens, sub=None):
@@ -576,7 +617,7 @@ def generated_submodule(m, gens, sub=None):
         b = sub.bases[w] if sub is not None else Matrix.zero(F, d, 0)
         if new[w]:
             b = Matrix.from_columns(
-                F, linalg.column_reduce(F, b.columns() + new[w], d), rows=d)
+                F, linalg.column_reduce(F, b.columns() + new[w]), rows=d)
         bases.append(b)
     return Submodule(m, bases, check=False)
 
@@ -925,7 +966,7 @@ def _simple_top_or_socle(m):
 
     Top and socle are additive over direct sums and nonzero on every nonzero
     summand, so a yes certifies that m is indecomposable."""
-    return (m.total_dim - radical_submodule(m).total_dim == 1
+    return (sum(map(len, top_basis(m))) == 1
             or socle_submodule(m).total_dim == 1)
 
 

@@ -133,7 +133,7 @@ def _top_lifts(m, sub, w, below=None):
     known += below.bases[w].columns() if below is not None else []
     cols = sub.bases[w].columns()
     return [cols[k - len(known)] for k in linalg.pivot_columns(
-        a.field, known + cols, m.dims[w]) if k >= len(known)]
+        a.field, known + cols) if k >= len(known)]
 
 
 @reps.by_structure
@@ -231,18 +231,47 @@ def filtration_certificate(m, family):
     tops that yield nothing, are handled over the opposite algebra and
     mapped back by dual_certificate: Nabla can have simple tops.
 
-    Trace certificates, and the duals of m and of the family's members, are
-    memoised per algebra by structural keys (reps.by_structure), so equal
-    modules built apart share one construction; the certificate returned
-    always names m itself.
+    A direct sum is certified summand by summand (_stacked_certificate).
+    Trace and stacked certificates, and the duals of m and of the family's
+    members, are memoised per algebra by structural keys (reps.by_structure),
+    so equal modules built apart share one construction; the certificate
+    returned always names m itself.
     """
-    cert = _trace_certificate(m, family)
-    if cert is None:
-        cert = _trace_certificate(_dual(m), [_dual(f) for f in family])
-        return None if cert is None else dual_certificate(m, cert)
+    if len(reps.summands(m)) > 1:
+        cert = _stacked_certificate(m, family)
+    else:
+        cert = _trace_certificate(m, family)
+        if cert is None:
+            cert = _trace_certificate(_dual(m), [_dual(f) for f in family])
+            return None if cert is None else dual_certificate(m, cert)
     # the memoised certificate may name an equal module built apart
-    return (cert if cert.module is m
+    return (cert if cert is None or cert.module is m
             else FiltrationCertificate(m, cert.layers, cert.factor_indices))
+
+
+@reps.by_structure
+def _stacked_certificate(m, family):
+    """The certificate of the direct sum m that stacks each summand's chain
+    on top of the full summands before it; None if a summand has none.  At
+    each vertex the coordinates of m are those of its summands in turn, so a
+    layer is the identity on the summands before, the summand's layer, and
+    nothing after; its factors are the summand's."""
+    F = m.algebra.field
+    layers = [[Matrix.zero(F, d, 0) for d in m.dims]]
+    indices = []
+    before = [0] * len(m.dims)
+    for x in reps.summands(m):
+        cert = filtration_certificate(x, family)
+        if cert is None:
+            return None
+        layers += [[linalg.vstack([
+            linalg.block_diag(F, [Matrix.identity(F, lo), b]),
+            Matrix.zero(F, d - lo - b.rows, lo + b.cols)])
+            for b, lo, d in zip(bases, before, m.dims)]
+            for bases in cert.layers[1:]]
+        indices += cert.factor_indices
+        before = [lo + d for lo, d in zip(before, x.dims)]
+    return FiltrationCertificate(m, layers, indices)
 
 
 def in_filtration_class(m, family):

@@ -78,9 +78,8 @@ class CharTilting:
                         "endomorphism ring of a tilting summand is not "
                         "split local over the base field")
                 rad.append(f.add(ident.scale(F.neg(c))))
-            dim = sum(d * d for d in self.summands[s].dims)
             rad = [rad[k] for k in linalg.pivot_columns(
-                F, [g.flat() for g in rad], dim)]
+                F, [g.flat() for g in rad])]
         self._radical[(s, t)] = rad
         return rad
 
@@ -197,6 +196,7 @@ class Cotilting:
 
 # -- good filtration dimensions ----------------------------------------------
 
+@reps.built_once
 def _tilting_pd(a, cap):
     return homology.finite_dim(
         homology.proj_dim(characteristic_tilting(a).total, cap),
@@ -204,9 +204,13 @@ def _tilting_pd(a, cap):
 
 
 def _ext_top(sources, m, bound, cap):
-    """The top d <= bound with Ext^d(X, m) != 0 for an X in sources, or 0."""
+    """The top d <= bound with Ext^d(X, m) != 0 for an X in sources, or 0.
+    Only whether Ext vanishes matters, so direct sums are scanned summand
+    pair by summand pair, stopping at the first nonzero one."""
+    pairs = [(x, y) for s in sources for x in reps.summands(s)
+             for y in reps.summands(m)]
     for d in range(bound, 0, -1):
-        if any(homology.ext_dim(d, x, m, cap) != 0 for x in sources):
+        if any(homology.ext_dim(d, x, y, cap) != 0 for x, y in pairs):
             return d
     return 0
 
@@ -243,9 +247,8 @@ def _left_approximation(m, tilt):
     for lam, t in enumerate(tilt.summands):
         rad = [compose(g, h) for mu in range(a.n)
                for g in tilt.radical(mu, lam) for h in homs[mu]]
-        dim = sum(dm * dt for dm, dt in zip(m.dims, t.dims))
         keep = linalg.pivot_columns(
-            a.field, [f.flat() for f in rad + homs[lam]], dim)
+            a.field, [f.flat() for f in rad + homs[lam]])
         chosen += [(t, homs[lam][k - len(rad)]) for k in keep if k >= len(rad)]
     if not chosen:
         return None
@@ -268,7 +271,14 @@ def t_codim(x, cap=homology.DEFAULT_CAP):
     F(Delta), Ext^i(Delta, C) ≅ Ext^{i+1}(Delta, M) for i >= 1, so every
     step lowers the NablaBar-good filtration dimension by one.  The cap
     bounds the number of steps.
+
+    Minimal approximations and cokernels of a direct sum are the sums of
+    those of its summands, so a direct sum takes the largest T-codimension
+    of its summands, and NoEmbedding if a summand raises it.
     """
+    parts = reps.summands(x)
+    if len(parts) > 1:
+        return max(t_codim(p, cap) for p in parts)
     tilt = characteristic_tilting(x.algebra)
     steps = 0
     cur = x
@@ -298,14 +308,14 @@ def t_dim(x, cap=homology.DEFAULT_CAP):
 class GfdReport:
     """The four quantities of the good-filtration-dimension theorem."""
 
-    def __init__(self, algebra, pd_t, gfd_regular, tcodim_regular, probe_sup,
-                 probe_count):
+    def __init__(self, algebra, pd_t, gfd_regular, tcodim_regular,
+                 probe_gfds):
         self.algebra = algebra
         self.pd_t = pd_t
         self.gfd_regular = gfd_regular
         self.tcodim_regular = tcodim_regular
-        self.probe_sup = probe_sup
-        self.probe_count = probe_count
+        self.probe_gfds = probe_gfds      # gfd_nabla_bar of each probe module
+        self.probe_sup = max(probe_gfds, default=0)
 
     @property
     def consistent(self):
@@ -355,8 +365,8 @@ def gfd_algebra(a, cap):
     gfd_reg = gfd_nabla_bar(reg, cap)
     tc = t_codim(reg, cap)
     probes = probe_modules(a)
-    sup = max((gfd_nabla_bar(m, cap) for m in probes), default=0)
-    return GfdReport(a, pd_t, gfd_reg, tc, sup, len(probes))
+    return GfdReport(a, pd_t, gfd_reg, tc,
+                     tuple(gfd_nabla_bar(m, cap) for m in probes))
 
 
 # -- Ringel dual --------------------------------------------------------------
@@ -402,9 +412,7 @@ def ringel_dual(a):
             rad = rad_basis(s, t)
             if not rad:
                 continue
-            dim = sum(len(b.entries) for b in rad[0].blocks)
-            keep = linalg.pivot_columns(
-                F, [f.flat() for f in rad2 + rad], dim)
+            keep = linalg.pivot_columns(F, [f.flat() for f in rad2 + rad])
             for k in keep:
                 if k >= len(rad2):
                     arrows.append((f"r{len(arrows)}", s, t, rad[k - len(rad2)]))
@@ -472,13 +480,13 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
     tilt = characteristic_tilting(a)
     probes = probe_modules(a)
     reg = reps.regular_module(a)
+    report = gfd_algebra(a, cap)
 
     # top nonvanishing Ext(T, X) equals the good filtration dimension
     ok = True
     witness = ""
-    for m in probes:
+    for m, g in zip(probes, report.probe_gfds):
         top = _ext_top([tilt.total], m, pd_t, cap)
-        g = gfd_nabla_bar(m, cap)
         if top != g:
             ok = False
             witness = f"{m.label or m.dims}: ext-top {top} != gfd {g}"
@@ -494,7 +502,6 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
                            f"pd T = {pd_t}; vanishing above, attained at top"))
 
     # pd T equals the T-codimension of the regular module
-    report = gfd_algebra(a, cap)
     tc = report.tcodim_regular
     out.append(CheckResult("pdT_equals_tcodim", pd_t == tc,
                            f"pd T = {pd_t}, T-codim(A) = {tc}"))

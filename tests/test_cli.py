@@ -13,7 +13,7 @@ from stratakit.cli import main
 from stratakit.errors import (NonTerminating, NotAntiAutomorphism,
                               NotStratified, UndecidedDecomposition)
 
-from conftest import fixture_path
+from conftest import auslander_text, fixture_path
 
 
 def run_cli(argv):
@@ -289,3 +289,29 @@ def test_no_run_imports_sympy():
     done = subprocess.run([sys.executable, "-c", GUARD, fixture_path("")],
                           capture_output=True, text=True, env=env, check=True)
     assert done.stdout.split() == ["15", "False"]
+
+
+def test_check_aus6_stays_small(monkeypatch, tmp_path):
+    # a scale guard that counts instead of timing.  On the Auslander algebra
+    # of k[x]/(x^6), T = ⊕ T(j) and A are resolved and Hom-solved summand by
+    # summand, so the largest Hom system is End(T(1)) for T(1) = P(1) =
+    # (6, 5, 4, 3, 2, 1): sum_j j^2 = 91 unknowns.  Solved whole, T ⊕ A took
+    # 1176
+    n = 6
+    path = tmp_path / "aus6.alg"
+    path.write_text(auslander_text(n))
+    unknowns = []
+    real = reps._hom_system
+    monkeypatch.setattr(reps, "_hom_system", lambda m, k: (
+        unknowns.append(sum(x * y for x, y in zip(m.dims, k.dims)))
+        or real(m, k)))
+    code, out, _ = run_cli(["check", str(path), "--format", "machine"])
+    assert code == 0
+    got = machine_dict(out)
+    assert (got["dims.gl_dim"], got["dims.pd_T"], got["dims.inj_T"]) == (
+        "2", "1", "1")
+    # vertices are declared n, ..., 1, and T(j) = (n-j+1, n-j, ..., 1, 0, ...)
+    for j in range(1, n + 1):
+        assert got[f"tilting.T({j})"] == " ".join(
+            str(max(n - j + 1 - k, 0)) for k in range(n))
+    assert max(unknowns) <= 91

@@ -360,8 +360,14 @@ def test_the_resolution_of_a_syzygy_reuses_its_steps():
 
 
 def test_one_projective_cover_per_structural_key(monkeypatch):
-    # on the paper's Borel pair, each module is covered once: 55 covers,
-    # where the resolutions and trace filtrations built 115 on their own
+    # on the paper's Borel pair, each module is covered once: 57 covers,
+    # where the resolutions and trace filtrations built 115 on their own.
+    # T = (5,3,1) and S are resolved summand by summand, not whole.  That
+    # drops 6 covers: T and its syzygies (2,0,0) and (2,2,0), and over the
+    # opposite algebra D(T), D(S) and their syzygy (3,3,2).  It adds 8:
+    # T(2), T(3) and a syzygy (1,1,0), and over the opposite algebra D(T(2)),
+    # D(T(3)), D(S(2)), D(S(3)) and a syzygy (2,2,1).  T(1) = S(1) is a
+    # standard module covered before.  55 - 6 + 8 = 57
     covered = []
     real = homology.projective_cover
     monkeypatch.setattr(homology, "projective_cover",
@@ -371,31 +377,36 @@ def test_one_projective_cover_per_structural_key(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     keys = [(id(m.algebra), m.key()) for m in covered]
-    assert len(keys) == len(set(keys)) == 55
+    assert len(keys) == len(set(keys)) == 57
 
 
 def _count_hom_systems(monkeypatch):
-    """The sources of the Hom systems that reps.hom_dim solves from now on."""
+    """The (source, target) pairs of the Hom systems that reps.hom_dim
+    solves from now on."""
     solved = []
     real = reps._hom_system
     monkeypatch.setattr(reps, "_hom_system", lambda x, y: (
-        solved.append(x) if sys._getframe(1).f_code.co_name == "hom_dim"
+        solved.append((x, y)) if sys._getframe(1).f_code.co_name == "hom_dim"
         else None) or real(x, y))
     return solved
 
 
 def test_consecutive_degrees_share_a_syzygy_hom(monkeypatch):
     # Ext^i needs hom(Ω^i M, N) and hom(Ω^{i-1} M, N): a scan over degrees
-    # 0..3 solves one Hom system per syzygy, not two per degree.  A fresh
-    # algebra, so that the Hom-dimension memo starts empty
+    # 0..3 solves one Hom system per syzygy, not two per degree.  N = A is
+    # split into its summands P(j), so that is one system per (syzygy,
+    # summand), degree by degree.  A fresh algebra, so that the
+    # Hom-dimension memo starts empty
     a = parse_file(fixture_path("borelB.alg")).build()
     m, n = simple(a, 0), regular_module(a)
     solved = _count_hom_systems(monkeypatch)
     got = [ext_dim(i, m, n) for i in range(4)]
-    keys = [x.key() for x in solved]
+    keys = [(x.key(), y.key()) for x, y in solved]
     assert got == [reference_ext_dim(i, m, n) for i in range(4)]
     res = min_proj_resolution(m)
-    assert keys == [omega.key() for omega, _ in res.syzygies[:4]]
+    assert reps.summands(n) == tuple(projective(a, j) for j in range(a.n))
+    assert keys == [(omega.key(), y.key()) for omega, _ in res.syzygies[:4]
+                    for y in reps.summands(n)]
 
 
 def test_equal_syzygies_share_a_hom_system(monkeypatch):
@@ -409,6 +420,69 @@ def test_equal_syzygies_share_a_hom_system(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert 0 < len(solved) <= 149
+
+
+# -- direct sums are split: the answers of the whole sum, summand by summand
+
+SPLIT_CASES = FIXTURES + ["aus3", "aus4", "aus5"]
+
+
+def _sums(name):
+    """A, and T and S where they exist, of a fixture or of aus<n>."""
+    a = auslander(int(name[3:])) if name.startswith("aus") else algebra(name)
+    cls = strat.classify(a)
+    sums = [regular_module(a)]
+    if cls.standardly_stratified:
+        sums.append(tilting.characteristic_tilting(a).total)
+    if cls.properly_stratified:
+        sums.append(tilting.characteristic_cotilting(a).total)
+    return a, sums
+
+
+def _whole_dim(res):
+    """The projective dimension that the whole resolution shows."""
+    if res.completes_within(DEFAULT_CAP):
+        return len(res.terms) - 1
+    return LowerBound(DEFAULT_CAP)
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_split_dimensions_match_the_whole_sum(name):
+    # proj_dim and inj_dim of T, S and A are the largest over their n
+    # summands; min_proj_resolution is never split, so the resolution of
+    # the whole sum, or of its dual, is an independent reference
+    a, sums = _sums(name)
+    for m in sums:
+        assert len(reps.summands(m)) == a.n
+        for got, module in ((proj_dim(m), m),
+                            (inj_dim(m), reps.dual_to_opposite(m))):
+            want = _whole_dim(min_proj_resolution(module))
+            assert (got, type(got)) == (want, type(want))
+
+
+def test_split_ext_matches_the_reference_on_aus4():
+    # Ext is bilinear; reference_ext_dim reads the cochain complex of the
+    # whole resolution of T or S
+    a, (reg, t, s) = _sums("aus4")
+    for m, n in ((t, reg), (t, t), (s, reg), (reg, t)):
+        for i in range(4):
+            assert ext_dim(i, m, n) == reference_ext_dim(i, m, n)
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_stacked_delta_certificate_of_a_verifies(name):
+    # A's Delta certificate stacks those of the P(i), each on the full
+    # projectives before it; it passes the from-scratch check
+    a, (reg, *_) = _sums(name)
+    family = strat.standard_family(a)
+    cert = strat.filtration_certificate(reg, family)
+    if not strat.classify(a).standardly_stratified:
+        assert cert is None
+        return
+    parts = [strat.filtration_certificate(p, family)
+             for p in reps.summands(reg)]
+    assert cert.factor_indices == [i for c in parts for i in c.factor_indices]
+    assert cert.verify(family)
 
 
 def test_ext_across_algebras_is_a_mismatch():

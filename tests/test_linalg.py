@@ -114,7 +114,7 @@ def test_pivot_columns_match_greedy_rank_loop(m, repeats):
     F = m.field
     cols = m.columns()
     vectors = [[F.zero] * m.rows] + cols + [cols[i % len(cols)] for i in repeats]
-    assert (linalg.pivot_columns(F, vectors, m.rows)
+    assert (linalg.pivot_columns(F, vectors)
             == _greedy_independent(F, vectors, m.rows))
 
 
@@ -293,7 +293,7 @@ def test_empty_matrices_take_no_rref(monkeypatch, field, shape):
     linalg.rank(m)
     linalg.kernel_basis(m)
     linalg.image_basis(m)
-    linalg.pivot_columns(field, m.columns(), rows)
+    linalg.pivot_columns(field, m.columns())
     linalg.solve(m, _column(field, [field.one] * rows))
     linalg.solve(m, _column(field, [field.zero] * rows))
     linalg.is_invertible(m)

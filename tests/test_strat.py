@@ -111,10 +111,14 @@ def test_a_memoised_certificate_names_the_callers_module():
 
 def test_a_repeated_dual_certificate_builds_no_dual(monkeypatch):
     # F(Nabla) certificates come from the opposite algebra; the duals of the
-    # module and of the family are built once per algebra, not per call
+    # module and of the family are built once per algebra, not per call.
+    # A direct sum is certified summand by summand, so m must have parts not
+    # certified yet: the summands of T are, against NablaBar, which on this
+    # quasi-hereditary algebra is Nabla.  Those of S are certified in
+    # F(Nabla) only by dual_certificate, so their certificates start here
     a = parse_file(fixture_path("borelA.alg")).build()
     family = strat.costandard_family(a)
-    m = tilting.characteristic_tilting(a).total
+    m = tilting.characteristic_cotilting(a).total
     built = []
     real = reps.dual_to_opposite
 

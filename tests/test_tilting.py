@@ -1,6 +1,7 @@
 """Characteristic tilting modules, filtration dimensions, Ringel duals."""
 
 import copy
+import sys
 
 import pytest
 
@@ -229,11 +230,17 @@ def _fresh(name):
 
 
 def test_check_computes_t_codim_and_probes_once(monkeypatch):
+    # t_codim(A) recurses into A's summands P(i); only top-level calls,
+    # with no t_codim below them on the stack, count
     t_codims, probe_lists = [], []
     real_t_codim, real_probes = tilting.t_codim, tilting.probe_modules
 
     def counting_t_codim(*args, **kwargs):
-        t_codims.append(args)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not real_t_codim.__code__:
+            frame = frame.f_back
+        if frame is None:
+            t_codims.append(args)
         return real_t_codim(*args, **kwargs)
 
     def recording_probes(a):
@@ -374,9 +381,7 @@ def reference_ringel_relations(a):
             rad = rad_basis(s, t)
             if not rad:
                 continue
-            dim = sum(len(b.entries) for b in rad[0].blocks)
-            keep = linalg.pivot_columns(
-                F, [f.flat() for f in rad2 + rad], dim)
+            keep = linalg.pivot_columns(F, [f.flat() for f in rad2 + rad])
             for k in keep:
                 if k >= len(rad2):
                     arrows.append((f"r{len(arrows)}", s, t, rad[k - len(rad2)]))
