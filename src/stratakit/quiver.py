@@ -23,6 +23,11 @@ from .fields import FieldSpec
 # src: source vertex index; arrs: tuple of arrow indices in traversal order.
 Path = namedtuple("Path", ["src", "arrs"])
 
+_ALIVE = ("paths of length {} still alive; ideal not admissible "
+          "(or raise the degree cap)")
+_NOT_NILPOTENT = ("the arrow ideal is not nilpotent modulo the relations; "
+                  "ideal not admissible")
+
 
 class QuiverSpec:
     """Quiver + relations + field; the raw description of an algebra.
@@ -187,10 +192,6 @@ class PathAlgebra:
             self._opposite = op
         return self._opposite
 
-    def structurally_equal(self, other):
-        return (self.vertices == other.vertices and self.arrows == other.arrows
-                and self.basis == other.basis and self.field == other.field)
-
     def __repr__(self):
         name = self.spec.name or "algebra"
         return f"PathAlgebra({name}, dim={self.dim})"
@@ -315,9 +316,7 @@ def _sweep(field, arrows, nverts, relations, degree_cap):
         by_len.append(normal_d)
         d += 1
         if d > degree_cap:
-            raise NotAdmissible(
-                f"paths of length {degree_cap} still alive; ideal not admissible "
-                "(or raise the degree cap)")
+            raise NotAdmissible(_ALIVE.format(degree_cap))
 
 
 def _unreduced(a, relations):
@@ -338,12 +337,63 @@ def _unreduced(a, relations):
     return None
 
 
+def _unbounded(arrows, nverts, words):
+    """Whether paths containing none of `words` exist in every length.
+
+    They do exactly when the graph of such paths has a cycle (V. Ufnarovski,
+    "A growth criterion for graphs and algebras defined by words", 1982),
+    here the Aho-Corasick automaton of the words.  A state is a vertex and
+    the longest suffix of the path read so far that is a proper prefix of a
+    word, so there are at most nverts + sum(len(w) - 1) of them, and the
+    roots are the vertices with the empty suffix.  Reading an arrow is dead
+    when some suffix of the state's suffix extended by it is a word: all but
+    the last arrow of a word ending there is a suffix of the path read that
+    is a proper prefix of a word, so it lies inside the state's suffix.
+    Paths are walks from a root, so without a reachable cycle none is as
+    long as the number of states.
+    """
+    prefixes = {w[:i] for w in words for i in range(1, len(w))}
+    out_of = [[i for i, (_, s, _) in enumerate(arrows) if s == v]
+              for v in range(nverts)]
+
+    def successors(state):
+        v, suffix = state
+        for i in out_of[v]:
+            read = suffix + (i,)
+            tails = [read[k:] for k in range(len(read))]
+            if not any(t in words for t in tails):
+                yield arrows[i][2], next((t for t in tails if t in prefixes), ())
+
+    done, on_stack = set(), set()
+    for root in [(v, ()) for v in range(nverts)]:
+        if root in done:
+            continue
+        on_stack.add(root)
+        stack = [(root, successors(root))]
+        while stack:
+            state, pending = stack[-1]
+            for nxt in pending:
+                if nxt in on_stack:
+                    return True
+                if nxt not in done:
+                    on_stack.add(nxt)
+                    stack.append((nxt, successors(nxt)))
+                    break
+            else:
+                stack.pop()
+                on_stack.discard(state)
+                done.add(state)
+    return False
+
+
 def _check_nilpotent(a):
     """Raise NotAdmissible unless the arrows generate a nilpotent ideal of kQ/I.
 
     rad^(k+1) = rad^k . arrows, taken as spans, shrinks at every step until
     it is 0; a nonzero span that stops shrinking is a power of the radical
-    that never vanishes.
+    that never vanishes.  build_algebra needs this only when some relation
+    mixes terms of different lengths; a graded quotient is certified from
+    its top degree instead.
     """
     F = a.field
     span = [{p: F.one} for p in a.basis if p.arrs]
@@ -359,8 +409,7 @@ def _check_nilpotent(a):
                         F, a._red, a.basis_index,
                         {Path(q.src, q.arrs + (ai,)): c for q, c in x.items()}))
         if len(echelon) == len(span):
-            raise NotAdmissible("the arrow ideal is not nilpotent modulo the "
-                                "relations; ideal not admissible")
+            raise NotAdmissible(_NOT_NILPOTENT)
         span = list(echelon.values())
 
 
@@ -372,9 +421,18 @@ def build_algebra(spec, degree_cap=64):
     lengths) is added to the relations and the sweep starts again; so is any
     n.r that the finished tables do not reduce to 0.
 
-    Raises NotAdmissible when some cycle survives past the degree cap or the
-    arrow ideal is not nilpotent in the quotient, and MalformedRelation for
-    non-parallel or too-short relation terms.
+    Admissibility is decided without sweeping to the cap where a cheap
+    invariant decides it.  When every relation is a single path, kQ/I is
+    infinite dimensional exactly when _unbounded finds a cycle, and that is
+    raised before any sweep.  When every relation is homogeneous, kQ/I is
+    graded and A_d = A_(d-1) A_1, so the arrow ideal is nilpotent once each
+    top-length basis path times each arrow reduces to 0; only mixed-length
+    relations need _check_nilpotent.
+
+    Raises NotAdmissible when some path survives past the degree cap (for a
+    monomial ideal with an infinite quotient, normal paths reach any cap),
+    or the arrow ideal is not nilpotent in the quotient, and
+    MalformedRelation for non-parallel or too-short relation terms.
     """
     F = spec.field
     if not isinstance(F, FieldSpec):
@@ -416,6 +474,10 @@ def build_algebra(spec, degree_cap=64):
         if terms:
             relations.append((endpoints[0], max(map(len, terms)), terms))
 
+    if all(len(terms) == 1 for _, _, terms in relations) and _unbounded(
+            arrows, nverts, {w for _, _, terms in relations for w in terms}):
+        raise NotAdmissible(_ALIVE.format(degree_cap))
+
     while True:
         red, by_len, missed = _sweep(F, arrows, nverts, relations, degree_cap)
         if missed is None:
@@ -432,5 +494,9 @@ def build_algebra(spec, degree_cap=64):
     for lead in red:
         if len(lead.arrs) < 2:
             raise NotAdmissible("ideal reduction produced an element of degree < 2")
-    _check_nilpotent(a)
+    if any(len(set(map(len, terms))) > 1 for _, _, terms in relations):
+        _check_nilpotent(a)
+    elif any(a.nf_path(p.src, p.arrs + (i,)) for p in a.basis
+             if len(p.arrs) == a.max_len for i in range(len(arrows))):
+        raise NotAdmissible(_NOT_NILPOTENT)
     return a

@@ -11,7 +11,7 @@ endomorphism is c·id plus a nilpotent; c is read off its minimal polynomial
 End(T) is presented by the reduced Groebner basis of its relations.
 """
 
-from . import homology, linalg, reps, strat
+from . import homology, linalg, poly, reps, strat
 from .errors import (NonTerminating, NoEmbedding, NotProperlyStratified,
                      NotStratified, PresentationFailed, StratakitError)
 from .linalg import Matrix
@@ -375,7 +375,7 @@ def _local_scalar(field, f):
     """For f in a local algebra, the scalar c with f - c*id nilpotent, or
     None when there is none in k: c exists iff the minimal polynomial of f
     is a power of x - c."""
-    factors = reps._factor(field, reps.minimal_polynomial(field, f))
+    factors = poly._factor(field, reps.minimal_polynomial(field, f))
     if len(factors) == 1 and len(factors[0][0]) == 2:
         return field.neg(factors[0][0][0])
     return None

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from stratakit import borel, reps, strat, tilting
+from stratakit import borel, quiver, reps, strat, tilting
 from stratakit.cli import main
 from stratakit.errors import (NonTerminating, NotAntiAutomorphism,
                               NotStratified, UndecidedDecomposition)
@@ -143,6 +143,16 @@ def test_negative_cap_is_an_input_error():
     assert code == 2
     assert "input error" in err and "--cap" in err
     assert out == ""
+
+
+def test_free_loops_are_an_input_error(tmp_path, monkeypatch):
+    # k<x,y> has 2^d paths of length d: refused without sweeping to the cap
+    monkeypatch.setattr(quiver, "_sweep", _raising(AssertionError))
+    path = tmp_path / "free.alg"
+    path.write_text("field Q\nvertices 1\narrow x 1 1\narrow y 1 1\n")
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert "still alive" in err
 
 
 def test_text_format_has_section_headers():

@@ -1,6 +1,6 @@
 """Factoring minimal polynomials over k, against brute force.
 
-`reps._factor` splits a monic polynomial into monic irreducible factors with
+`poly._factor` splits a monic polynomial into monic irreducible factors with
 multiplicities, by Berlekamp's algorithm over GF(p) and by Zassenhaus's over
 Q.  `tilting._local_scalar` finds the scalar c with f - c*id nilpotent.  Over
 GF(p) every element is evaluated and small degrees are checked by trial
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratakit import linalg, reps
+from stratakit import linalg, poly, reps
 from stratakit.fields import GF, QQ
 from stratakit.linalg import Matrix
 from stratakit.tilting import _local_scalar
@@ -27,7 +27,7 @@ PRIMES = (2, 3, 5, 101)
 def _product(F, factors):
     out = [F.one]
     for f in factors:
-        out = reps._poly_mul(F, out, f)
+        out = poly._poly_mul(F, out, f)
     return out
 
 
@@ -54,7 +54,7 @@ def _monic(F, degree):
 
 def _is_irreducible(F, g):
     """Trial division by every monic polynomial of degree up to deg(g) / 2."""
-    return all(reps._poly_divmod(F, g, h)[1]
+    return all(poly._poly_divmod(F, g, h)[1]
                for d in range(1, (len(g) - 1) // 2 + 1) for h in _monic(F, d))
 
 
@@ -75,7 +75,7 @@ def gf_polys(draw):
 @given(gf_polys())
 def test_gf_factors_match_evaluation_at_every_element(case):
     F, f = case
-    factors = reps._factor(F, f)
+    factors = poly._factor(F, f)
     assert _expand(F, factors) == f
     assert len({tuple(g) for g, _ in factors}) == len(factors)
     roots = [F.neg(g[0]) for g, _ in factors if len(g) == 2]
@@ -92,7 +92,7 @@ def test_gf_quartics_factor_into_irreducibles(p):
     F = GF(p)
     irreducible = 0
     for f in _monic(F, 4):
-        factors = reps._factor(F, f)
+        factors = poly._factor(F, f)
         assert _expand(F, factors) == f
         assert all(_is_irreducible(F, g) for g, _ in factors)
         irreducible += factors == [(f, 1)]
@@ -105,12 +105,12 @@ def test_gf_quartics_factor_into_irreducibles(p):
 @given(gf_polys())
 def test_gf_squarefree_part_keeps_each_factor_once(case):
     F, f = case
-    sqf = reps._squarefree_part(F, f)
+    sqf = poly._squarefree_part(F, f)
     # sqf divides f, f divides a power of sqf, and sqf has no repeated factor
-    assert reps._poly_divmod(F, f, sqf)[1] == []
-    assert reps._poly_powmod(F, sqf, len(f), f) == []
-    deriv = reps._trim(F.mul(F.of(i), c) for i, c in enumerate(sqf))[1:]
-    assert reps._poly_gcd(F, sqf, deriv) == [F.one]
+    assert poly._poly_divmod(F, f, sqf)[1] == []
+    assert poly._poly_powmod(F, sqf, len(f), f) == []
+    deriv = poly._trim(F.mul(F.of(i), c) for i, c in enumerate(sqf))[1:]
+    assert poly._poly_gcd(F, sqf, deriv) == [F.one]
 
 
 def _has_rational_root(f):
@@ -147,13 +147,13 @@ def test_rational_factors_of_products(roots, extra, shift):
     for g in extra:
         h = [F.zero]
         for c in reversed(g):
-            h = reps._poly_mul(F, h, [F.neg(shift), F.one])
+            h = poly._poly_mul(F, h, [F.neg(shift), F.one])
             h[0] += c
-        shifted.append(tuple(reps._trim(h)))
+        shifted.append(tuple(poly._trim(h)))
     expected = Counter(shifted)
     expected.update({(F.neg(c), F.one): e for c, e in roots.items()})
     f = _expand(F, [(list(g), e) for g, e in expected.items()])
-    assert {tuple(g): e for g, e in reps._factor(F, f)} == expected
+    assert {tuple(g): e for g, e in poly._factor(F, f)} == expected
 
 
 def _q(*coeffs):
@@ -173,7 +173,7 @@ def _q(*coeffs):
      [_q(-1, 1), _q(1, 1), _q(1, -1, 1), _q(1, 1, 1)]),
 ])
 def test_rational_factors_of_degree_four_and_more(f, expected):
-    assert reps._factor(QQ, f) == [(g, 1) for g in expected]
+    assert poly._factor(QQ, f) == [(g, 1) for g in expected]
 
 
 def test_rational_factors_with_large_coefficients():
@@ -182,7 +182,7 @@ def test_rational_factors_with_large_coefficients():
     f = _product(F, [[F.neg(big), F.one], _q(-2, 0, 1),
                      [Fraction(1, 10 ** 12), F.one]])
     # 3x - (10^30 + 7) comes before 10^12 x + 1
-    assert reps._factor(F, f) == [([F.neg(big), F.one], 1),
+    assert poly._factor(F, f) == [([F.neg(big), F.one], 1),
                                   ([Fraction(1, 10 ** 12), F.one], 1),
                                   (_q(-2, 0, 1), 1)]
 
@@ -246,9 +246,9 @@ def test_factor_order():
     F = GF(5)
     factors = [([0, 1], 1), ([1, 1], 1), ([4, 1], 1), ([3, 1], 2),
                ([2, 0, 1], 1), ([1, 1, 1], 1)]
-    assert reps._factor(F, _expand(F, factors[::-1])) == factors
+    assert poly._factor(F, _expand(F, factors[::-1])) == factors
     F = QQ
     factors = [(_q(-2, 1), 1), (_q(0, 1), 1), (_q(1, 1), 1),
                ([Fraction(-1, 2), F.one], 1), (_q(-3, 1), 2),
                ([Fraction(1, 2), F.zero, F.one], 1), (_q(-2, 0, 1), 2)]
-    assert reps._factor(F, _expand(F, factors[::-1])) == factors
+    assert poly._factor(F, _expand(F, factors[::-1])) == factors

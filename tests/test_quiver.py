@@ -1,20 +1,25 @@
 """Path algebra construction: bases, multiplication, opposites, bad input."""
 
 import itertools
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratakit import quiver
 from stratakit.borel import Embedding, check_embedding
 from stratakit.errors import (MalformedRelation, NotAdmissible, NotInjective,
                               StratakitError, UnknownVertex)
 from stratakit.fields import GF, QQ, FieldSpec
-from stratakit.parser import parse
+from stratakit.parser import parse, parse_file
 from stratakit.quiver import (Path, PathAlgebra, QuiverSpec, _insert_row,
                               _path_key, build_algebra)
 
-from conftest import algebra
+from stratakit.tilting import ringel_dual
+
+from conftest import algebra, fixture_path
+from test_certificate_corpus import CORPUS, QUIVERS
 from test_cli import machine_dict, run_cli
 
 
@@ -487,3 +492,123 @@ def test_non_nilpotent_arrow_ideal_is_not_admissible(tmp_path):
     code, out, err = run_cli(["analyze", str(path)])
     assert code == 2 and out == ""
     assert "not nilpotent" in err
+
+
+# -- admissibility decided without a sweep to the cap -------------------------
+
+def _fail(*args, **kwargs):
+    raise AssertionError("not expected to run")
+
+
+def _states(spec):
+    """nverts + sum(len(w) - 1): the bound on the states of the automaton
+    of a monomial spec, and so on the length of its longest normal path."""
+    return len(spec.vertices) + sum(len(t) - 1 for rel in spec.relations
+                                    for _, t in rel)
+
+
+def _free2(*relations):
+    """k<x,y> modulo the given paths."""
+    return QuiverSpec(["1"], [("x", "1", "1"), ("y", "1", "1")],
+                      [[(1, w)] for w in relations], QQ)
+
+
+@pytest.mark.parametrize("spec", [_free2(), _loop(QQ), _xy(0),
+                                  _free2(("x",) * 30)],
+                         ids=["k<x,y>", "k[x]", "xy0", "k<x,y>/(x^30)"])
+def test_infinite_monomial_quotient_is_refused_without_a_sweep(monkeypatch,
+                                                               spec):
+    monkeypatch.setattr(quiver, "_sweep", _fail)
+    with pytest.raises(NotAdmissible, match="length 64 still alive"):
+        build_algebra(spec)
+
+
+def test_long_monomial_relation_builds():
+    # the automaton of x^40 is a chain of 40 states with no cycle
+    a = build_algebra(_loop(QQ, [(1, 40)]))
+    assert (a.dim, a.max_len) == (40, 39)
+
+
+@st.composite
+def monomial_specs(draw):
+    """Quivers with 1-3 vertices and 1-4 arrows and 0-5 relations, each a
+    single path of length 2-5 (shorter where the quiver stops it)."""
+    field = draw(st.sampled_from([QQ, GF(2)]))
+    vertices = [str(v) for v in range(draw(st.integers(1, 3)))]
+    ends = st.sampled_from(vertices)
+    arrows = [(f"a{i}", draw(ends), draw(ends))
+              for i in range(draw(st.integers(1, 4)))]
+    relations = []
+    for _ in range(draw(st.integers(0, 5))):
+        word = [draw(st.sampled_from(arrows))]
+        for _ in range(draw(st.integers(1, 4))):
+            onward = [a for a in arrows if a[1] == word[-1][2]]
+            if not onward:
+                break
+            word.append(draw(st.sampled_from(onward)))
+        if len(word) > 1:
+            relations.append([(1, tuple(a[0] for a in word))])
+    return QuiverSpec(vertices, arrows, relations, field)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monomial_specs())
+def test_monomial_admissibility_matches_the_sweep(spec):
+    try:
+        a = build_algebra(spec)
+    except NotAdmissible as err:
+        assert "length 64 still alive" in str(err)
+        # the sweep finds normal paths longer than any relation; it goes no
+        # further, since the quotient may grow exponentially
+        with patch.object(quiver, "_unbounded", return_value=False), \
+                pytest.raises(NotAdmissible, match="length 7 still alive"):
+            build_algebra(spec, degree_cap=7)
+        return
+    # a finite quotient has no normal path as long as the automaton's states
+    assert a.max_len < _states(spec)
+    _assert_same_algebra(spec, _states(spec) + 1)
+
+
+FIXTURES = ["point", "semisimple2", "loop2", "a2", "a3line", "borelA",
+            "borelB"]
+
+
+def test_graded_quotients_are_certified_from_the_top_degree(monkeypatch):
+    fixtures = [parse_file(fixture_path(f"{name}.alg")).to_spec()
+                for name in FIXTURES] + [parse(AUSLANDER3).to_spec()]
+    corpus = [parse("\n".join([f"field {field}", "vertices " + " ".join(order)]
+                              + QUIVERS[name][1])).to_spec()
+              for key, field in CORPUS
+              for name, order in [key.split("/")]]
+    # 2 = 0 in GF(2) drops the x^4 term: the relation is x^2, graded
+    gf2 = parse("field GF 2\nvertices 1\narrow x 1 1\n"
+                "relation 2*x.x.x.x + 1*x.x\n").to_spec()
+    monkeypatch.setattr(quiver, "_check_nilpotent", _fail)
+    for spec in fixtures:
+        ringel_dual(build_algebra(spec))
+    for spec in fixtures + corpus + [gf2]:
+        build_algebra(spec)
+        build_algebra(spec.opposite())
+
+
+@pytest.mark.parametrize("spec,raises", [
+    (parse(NOT_NILPOTENT).to_spec(), True),
+    (_loop(QQ, [(1, 4), (1, 2)], [(1, 4)]), False),
+    (_loop(QQ, [(1, 3)], [(1, 5), (1, 2)]), False),
+], ids=["notnil", "x4+x2,x4", "x3,x5+x2"])
+def test_mixed_length_relations_take_the_radical_powers(monkeypatch, spec,
+                                                        raises):
+    calls = []
+
+    def spy(a):
+        calls.append(a)
+        real(a)
+
+    real = quiver._check_nilpotent
+    monkeypatch.setattr(quiver, "_check_nilpotent", spy)
+    if raises:
+        with pytest.raises(NotAdmissible, match="not nilpotent"):
+            build_algebra(spec)
+    else:
+        build_algebra(spec)
+    assert len(calls) == 1

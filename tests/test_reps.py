@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratakit import homology, linalg, parse, reps, strat, tilting
+from stratakit import homology, linalg, parse, poly, reps, strat, tilting
 from stratakit.errors import (AlgebraMismatch, NotASubmodule,
                               UndecidedDecomposition)
 from stratakit.linalg import Matrix
@@ -202,7 +202,7 @@ def test_simple_top_or_socle_modules_have_local_endomorphisms(name):
     for m in fired:
         for f in hom_basis(m, m):
             mp = reps.minimal_polynomial(F, reps._total_matrix(f))
-            [(g, mult)] = reps._factor(F, mp)
+            [(g, mult)] = poly._factor(F, mp)
             assert len(g) == 2 and mult == len(mp) - 1
 
 
@@ -385,7 +385,7 @@ def test_matrix_algebra_splits_by_the_closure_of_nilpotent_parts(
     assert linalg.rank(Matrix.from_rows(F, [f.flat() for f in basis])) == 4
     for f in basis:
         mp = reps.minimal_polynomial(F, reps._total_matrix(f))
-        assert len(reps._factor(F, mp)) == 1
+        assert len(poly._factor(F, mp)) == 1
     _with_end_basis(monkeypatch, m, basis)
     calls = _count_minimal_polynomials(monkeypatch)
     parts = reps.decompose_with_inclusions(m)
@@ -417,7 +417,7 @@ def test_ringel_dual_module_is_indecomposable_in_dim_end_minimal_polynomials(
     endos = hom_basis(m, m)
     assert len(endos) == 3
     for f in endos:
-        [(g, mult)] = reps._factor(F, reps.minimal_polynomial(
+        [(g, mult)] = poly._factor(F, reps.minimal_polynomial(
             F, reps._total_matrix(f)))
         assert (len(g) - 1) * mult < 3
     calls = _count_minimal_polynomials(monkeypatch)
