@@ -1,7 +1,8 @@
 """Command-line driver: analyze / check / gfd over algebra description files.
 
 Exit codes: 0 all checks pass, 1 a theorem check failed, 2 input error
-(including a negative --cap and a field GF(p) with p too large), 3
+(including a negative --cap, --embedding without --borel and a field GF(p)
+with p too large), 3
 inconclusive (a resolution reached the cap, a coresolution loop ran out of
 steps, or a module's decomposition could not be decided).
 """
@@ -67,6 +68,8 @@ def cmd_analyze(args):
 
 
 def cmd_check(args):
+    if args.embedding and not args.borel:
+        raise ParseError("--embedding needs --borel")
     rep = Report()
     f = parse_file(args.file)
     a = f.build()

@@ -25,8 +25,6 @@ Path = namedtuple("Path", ["src", "arrs"])
 
 _ALIVE = ("paths of length {} still alive; ideal not admissible "
           "(or raise the degree cap)")
-_NOT_NILPOTENT = ("the arrow ideal is not nilpotent modulo the relations; "
-                  "ideal not admissible")
 
 
 class QuiverSpec:
@@ -76,7 +74,6 @@ class PathAlgebra:
         self._red = red                         # tip Path -> {basis Path: coeff}
         self.max_len = max_len                  # no basis path is longer
         self.idempotent_index = [self.basis_index[Path(v, ())] for v in range(self.n)]
-        self.nilpotency = max((len(p.arrs) for p in basis), default=0) + 1
         self._mult = {}
         self._layouts = {}
         self._opposite = None
@@ -265,12 +262,15 @@ def _sweep(field, arrows, nverts, relations, degree_cap):
     At degree d the candidates are the normal paths of length d - 1 extended
     by one arrow; no other path of length d can be normal.  The rows are the
     normal forms of n.r (n a normal path of length d - L, r a relation of top
-    length L), with the candidates kept as they are; an ideal element u.r.v
-    with v non-empty needs no row, since its normal form is 0 modulo the
-    lower degrees.  The pivots of the rows are the new tips, the other
-    candidates the normal paths of length d.  When a row reduces to a lead
-    shorter than d, the lower degrees missed an ideal element: the sweep
-    stops and returns (None, None, element).
+    length L), with the candidates kept as they are; every other u.r.v of
+    degree d reduces to 0 modulo these rows and the lower degrees.  The
+    pivots of the rows are the new tips, the other candidates the normal
+    paths of length d.  A row whose lead is shorter than d is an ideal
+    element that the lower degrees missed: the sweep stops and returns
+    (None, None, element).  A homogeneous row reduces to paths of its own
+    length, so only mixed-length relations can miss.  The sweep ends at the
+    first degree d with no normal path; for homogeneous relations A_d' =
+    A_(d'-1).A_1 = 0 for all d' >= d, so the arrow ideal is nilpotent.
     """
     F = field
     out_of = [[i for i, (_, s, _) in enumerate(arrows) if s == v]
@@ -391,9 +391,7 @@ def _check_nilpotent(a):
 
     rad^(k+1) = rad^k . arrows, taken as spans, shrinks at every step until
     it is 0; a nonzero span that stops shrinking is a power of the radical
-    that never vanishes.  build_algebra needs this only when some relation
-    mixes terms of different lengths; a graded quotient is certified from
-    its top degree instead.
+    that never vanishes.  build_algebra calls it on mixed-length relations.
     """
     F = a.field
     span = [{p: F.one} for p in a.basis if p.arrs]
@@ -409,25 +407,27 @@ def _check_nilpotent(a):
                         F, a._red, a.basis_index,
                         {Path(q.src, q.arrs + (ai,)): c for q, c in x.items()}))
         if len(echelon) == len(span):
-            raise NotAdmissible(_NOT_NILPOTENT)
+            raise NotAdmissible("the arrow ideal is not nilpotent modulo the "
+                                "relations; ideal not admissible")
         span = list(echelon.values())
 
 
 def build_algebra(spec, degree_cap=64):
     """Build kQ/I by tip reduction (Green 1999), degree by degree.
 
-    Only paths that contain no tip are ever listed.  A relation element that
-    a degree missed (possible when the terms of a relation have different
-    lengths) is added to the relations and the sweep starts again; so is any
-    n.r that the finished tables do not reduce to 0.
-
-    Admissibility is decided without sweeping to the cap where a cheap
-    invariant decides it.  When every relation is a single path, kQ/I is
+    Only paths that contain no tip are ever listed, and the class of the
+    ideal chooses the work.  When every relation is a single path, kQ/I is
     infinite dimensional exactly when _unbounded finds a cycle, and that is
-    raised before any sweep.  When every relation is homogeneous, kQ/I is
-    graded and A_d = A_(d-1) A_1, so the arrow ideal is nilpotent once each
-    top-length basis path times each arrow reduces to 0; only mixed-length
-    relations need _check_nilpotent.
+    raised before any sweep.  When every relation is homogeneous, one _sweep
+    is exact: a homogeneous row n.r reduces to paths of its own length, so
+    no element is missed; every u.r.v of degree d reduces to 0 modulo the
+    rows n.r and the lower degrees, so _unreduced would find nothing; and
+    the sweep stops at the first empty degree d, where A_d' = A_(d'-1).A_1
+    gives A_d' = 0 for all d' >= d, so the arrow ideal is nilpotent.  Only
+    mixed-length relations take the completion: a missed element, or an n.r
+    that the finished tables do not reduce to 0, joins the relations and the
+    sweep restarts; then no tip may be shorter than 2, and _check_nilpotent
+    decides nilpotency.
 
     Raises NotAdmissible when some path survives past the degree cap (for a
     monomial ideal with an infinite quotient, normal paths reach any cap),
@@ -478,11 +478,14 @@ def build_algebra(spec, degree_cap=64):
             arrows, nverts, {w for _, _, terms in relations for w in terms}):
         raise NotAdmissible(_ALIVE.format(degree_cap))
 
+    graded = all(len(set(map(len, terms))) == 1 for _, _, terms in relations)
     while True:
         red, by_len, missed = _sweep(F, arrows, nverts, relations, degree_cap)
         if missed is None:
             basis = sorted((p for ps in by_len for p in ps), key=_path_key)
             a = PathAlgebra(spec, basis, red, len(by_len) - 1)
+            if graded:
+                return a
             missed = _unreduced(a, relations)
             if missed is None:
                 break
@@ -490,13 +493,8 @@ def build_algebra(spec, degree_cap=64):
         relations.append((lead.src, len(lead.arrs),
                           {p.arrs: c for p, c in missed.items()}))
 
-    # sanity: no tip of length < 2 (the ideal must sit inside the arrow radical squared)
-    for lead in red:
-        if len(lead.arrs) < 2:
-            raise NotAdmissible("ideal reduction produced an element of degree < 2")
-    if any(len(set(map(len, terms))) > 1 for _, _, terms in relations):
-        _check_nilpotent(a)
-    elif any(a.nf_path(p.src, p.arrs + (i,)) for p in a.basis
-             if len(p.arrs) == a.max_len for i in range(len(arrows))):
-        raise NotAdmissible(_NOT_NILPOTENT)
+    # the ideal must sit inside the arrow radical squared
+    if any(len(lead.arrs) < 2 for lead in red):
+        raise NotAdmissible("ideal reduction produced an element of degree < 2")
+    _check_nilpotent(a)
     return a

@@ -1,8 +1,13 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from stratakit.parser import parse, parse_file
+
+# every run draws the same examples, and no example is timed out
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "stratakit",
                         "fixtures")

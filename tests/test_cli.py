@@ -79,6 +79,15 @@ def test_check_with_standalone_embedding_file():
     assert machine_dict(out)["borel.exact_borel"].startswith("pass")
 
 
+def test_embedding_without_borel_is_an_input_error():
+    # the embedding maps the subalgebra given by --borel into the algebra,
+    # so it means nothing alone
+    code, out, err = run_cli(["check", fixture_path("borelA.alg"),
+                              "--embedding", fixture_path("borelAB.emb")])
+    assert code == 2 and out == ""
+    assert "input error" in err and "--borel" in err
+
+
 def test_embedding_word_that_does_not_compose_is_an_input_error(tmp_path):
     # "delta.beta" is beta then delta, which do not compose in borelA: the
     # image of dbeta is 0, so the embedding is not injective

@@ -71,7 +71,7 @@ def gf_polys(draw):
                            for _ in range(e)])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(gf_polys())
 def test_gf_factors_match_evaluation_at_every_element(case):
     F, f = case
@@ -101,7 +101,7 @@ def test_gf_quartics_factor_into_irreducibles(p):
     assert irreducible == (p ** 4 - p ** 2) // 4
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(gf_polys())
 def test_gf_squarefree_part_keeps_each_factor_once(case):
     F, f = case
@@ -133,7 +133,7 @@ def rootless(draw):
     return [Fraction(c) for c in low] + [Fraction(1)]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.dictionaries(st.fractions(min_value=-6, max_value=6,
                                     max_denominator=5),
                        st.integers(min_value=1, max_value=3), max_size=4),
@@ -203,14 +203,14 @@ def local_matrices(draw):
     return F, c, lower.mul(m.add(upper)).mul(linalg.inverse(lower))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(local_matrices())
 def test_local_scalar_of_scalar_plus_nilpotent(case):
     F, c, m = case
     assert _local_scalar(F, m) == c
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from([QQ] + [GF(p) for p in PRIMES]),
        st.integers(min_value=-3, max_value=3),
        st.integers(min_value=1, max_value=3),

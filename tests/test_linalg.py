@@ -35,7 +35,7 @@ gf_matrices = _matrix_strategy(F5)
 any_matrices = st.one_of(qq_matrices, gf_matrices)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(any_matrices)
 def test_rref_idempotent(m):
     r1, p1 = linalg.rref(m)
@@ -43,13 +43,13 @@ def test_rref_idempotent(m):
     assert r1 == r2 and p1 == p2
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(any_matrices)
 def test_rank_nullity(m):
     assert linalg.rank(m) + len(linalg.kernel_basis(m)) == m.cols
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(any_matrices)
 def test_kernel_vectors_are_killed(m):
     F = m.field
@@ -57,7 +57,7 @@ def test_kernel_vectors_are_killed(m):
         assert all(F.is_zero(e) for e in m.apply(v))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(any_matrices, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
 def test_solve_is_exact_on_image(m, coeffs):
     # one block of right-hand sides: an image and its double
@@ -69,7 +69,7 @@ def test_solve_is_exact_on_image(m, coeffs):
     assert m.mul(y) == b
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(gf_matrices)
 def test_gf_entries_are_canonical_residues(m):
     r, _ = linalg.rref(m)
@@ -77,7 +77,7 @@ def test_gf_entries_are_canonical_residues(m):
         assert isinstance(e, int) and 0 <= e < 5
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(any_matrices)
 def test_image_basis_spans_columns(m):
     img = linalg.image_basis(m)
@@ -107,7 +107,7 @@ def _greedy_independent(field, vectors, dim):
     return keep
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(any_matrices, st.lists(st.integers(0, 4), max_size=4))
 def test_pivot_columns_match_greedy_rank_loop(m, repeats):
     # repeated and zero columns make dependent vectors
@@ -225,7 +225,7 @@ def _assert_same_entries(field, got, want):
             assert type(e) is int and 0 <= e < field.p
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.sampled_from(FIELDS).flatmap(_field_matrix))
 def test_rref_matches_reference(m):
     got, got_pivots = linalg.rref(m)
@@ -242,7 +242,7 @@ def _product_operands(draw):
             draw(_field_matrix(field, k, c)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_product_operands())
 def test_mul_and_apply_match_naive_loop(operands):
     field, a, b = operands

@@ -1,6 +1,7 @@
 """Path algebra construction: bases, multiplication, opposites, bad input."""
 
 import itertools
+from contextlib import contextmanager, suppress
 from unittest.mock import patch
 
 import pytest
@@ -18,7 +19,7 @@ from stratakit.quiver import (Path, PathAlgebra, QuiverSpec, _insert_row,
 
 from stratakit.tilting import ringel_dual
 
-from conftest import algebra, fixture_path
+from conftest import algebra, auslander_text, fixture_path
 from test_certificate_corpus import CORPUS, QUIVERS
 from test_cli import machine_dict, run_cli
 
@@ -416,10 +417,12 @@ def graded_specs(draw):
     return QuiverSpec(vertices, arrows, relations, field)
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250)
 @given(graded_specs(), st.integers(2, 7))
 def test_tip_reduction_matches_enumeration(spec, degree_cap):
-    _assert_same_algebra(spec, degree_cap)
+    with _graded_path() as sweeps:
+        _assert_same_algebra(spec, degree_cap)
+    assert len(sweeps) <= 1
 
 
 @pytest.mark.parametrize("name", ["point", "semisimple2", "loop2", "a2",
@@ -500,6 +503,22 @@ def _fail(*args, **kwargs):
     raise AssertionError("not expected to run")
 
 
+@contextmanager
+def _graded_path():
+    """Fail on the completion and the radical powers; list each sweep."""
+    sweeps = []
+
+    def spy(*args):
+        sweeps.append(args)
+        return real(*args)
+
+    real = quiver._sweep
+    with patch.object(quiver, "_sweep", spy), \
+            patch.object(quiver, "_unreduced", _fail), \
+            patch.object(quiver, "_check_nilpotent", _fail):
+        yield sweeps
+
+
 def _states(spec):
     """nverts + sum(len(w) - 1): the bound on the states of the automaton
     of a monomial spec, and so on the length of its longest normal path."""
@@ -551,7 +570,7 @@ def monomial_specs(draw):
     return QuiverSpec(vertices, arrows, relations, field)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(monomial_specs())
 def test_monomial_admissibility_matches_the_sweep(spec):
     try:
@@ -573,9 +592,10 @@ FIXTURES = ["point", "semisimple2", "loop2", "a2", "a3line", "borelA",
             "borelB"]
 
 
-def test_graded_quotients_are_certified_from_the_top_degree(monkeypatch):
+def test_graded_quotients_take_one_sweep():
     fixtures = [parse_file(fixture_path(f"{name}.alg")).to_spec()
                 for name in FIXTURES] + [parse(AUSLANDER3).to_spec()]
+    auslander = [parse(auslander_text(n)).to_spec() for n in (4, 5)]
     corpus = [parse("\n".join([f"field {field}", "vertices " + " ".join(order)]
                               + QUIVERS[name][1])).to_spec()
               for key, field in CORPUS
@@ -583,12 +603,13 @@ def test_graded_quotients_are_certified_from_the_top_degree(monkeypatch):
     # 2 = 0 in GF(2) drops the x^4 term: the relation is x^2, graded
     gf2 = parse("field GF 2\nvertices 1\narrow x 1 1\n"
                 "relation 2*x.x.x.x + 1*x.x\n").to_spec()
-    monkeypatch.setattr(quiver, "_check_nilpotent", _fail)
-    for spec in fixtures:
-        ringel_dual(build_algebra(spec))
-    for spec in fixtures + corpus + [gf2]:
-        build_algebra(spec)
-        build_algebra(spec.opposite())
+    with _graded_path() as sweeps:
+        duals = [ringel_dual(build_algebra(spec)).spec for spec in fixtures]
+        for spec in fixtures + auslander + corpus + [gf2] + duals:
+            for s in (spec, spec.opposite()):
+                sweeps.clear()
+                build_algebra(s)
+                assert len(sweeps) == 1
 
 
 @pytest.mark.parametrize("spec,raises", [
@@ -612,3 +633,23 @@ def test_mixed_length_relations_take_the_radical_powers(monkeypatch, spec,
     else:
         build_algebra(spec)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec,unreduced", [
+    (parse(NOT_NILPOTENT).to_spec(), [None]),
+    # the sweep meets x^2 at degree 4, so the finished tables are exact
+    (_loop(QQ, [(1, 4), (1, 2)], [(1, 4)]), [None]),
+    # only the finished tables see x^2, and the sweep starts again
+    (_loop(QQ, [(1, 3)], [(1, 5), (1, 2)]), [{Path(0, (0, 0)): QQ.one}, None]),
+], ids=["notnil", "x4+x2,x4", "x3,x5+x2"])
+def test_mixed_length_relations_take_the_completion(spec, unreduced):
+    found = []
+
+    def spy(a, relations):
+        found.append(real(a, relations))
+        return found[-1]
+
+    real = quiver._unreduced
+    with patch.object(quiver, "_unreduced", spy), suppress(NotAdmissible):
+        build_algebra(spec)
+    assert found == unreduced

@@ -608,7 +608,7 @@ def _random_submodule(m, kind, rng):
     return kernel(f)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from([("borelA", "Q"), ("borelA", "GF 3"), ("a3line", "GF 101"),
                         ("loop2", "Q"), ("borelB", "GF 2")]),
        st.sampled_from(["radical", "generated", "kernel"]),
