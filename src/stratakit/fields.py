@@ -1,8 +1,11 @@
 """Exact scalar fields: the rationals and prime fields GF(p).
 
-Rational scalars are `fractions.Fraction` (always in lowest terms with a
-positive denominator, so equality is structural).  GF(p) scalars are plain
-ints in [0, p).  No floating point anywhere.
+A rational scalar is canonical: an integral value is a Python int, any other
+value a `fractions.Fraction` in lowest terms with denominator > 1.  Each value
+has one form, so equality and hashing are structural, and the integral
+values, nearly all of them in practice, take int arithmetic.  GF(p) scalars
+are plain ints in [0, p).  Of the arithmetic operations only FieldSpec.inv
+divides.  No floating point anywhere.
 """
 
 from fractions import Fraction
@@ -13,6 +16,11 @@ from .errors import StratakitError
 # by trial division and Berlekamp's algorithm takes one gcd per element of
 # GF(p), so both grow with p.
 MAX_PRIME = 2 ** 16
+
+
+def _q(x):
+    """The canonical form of the rational x: an int when x is integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 def _is_prime(n):
@@ -29,16 +37,17 @@ def _is_prime(n):
 class FieldSpec:
     """Exact field: either the rationals or GF(p).
 
-    Provides the scalar operations; elements are Fraction (rationals) or
-    canonical int residues (prime fields).
+    Provides the scalar operations; elements are canonical rationals (int,
+    or Fraction with denominator > 1) or canonical int residues (prime
+    fields).  Every operation returns a canonical element.
     """
 
     def __init__(self, p=None):
         if p is not None and not _is_prime(p):
             raise StratakitError(f"{p} is not prime")
         self.p = p
-        self.zero = Fraction(0) if p is None else 0
-        self.one = Fraction(1) if p is None else 1
+        self.zero = 0
+        self.one = 1
 
     @property
     def is_rational(self):
@@ -57,7 +66,7 @@ class FieldSpec:
 
     def of(self, n, d=1):
         if self.p is None:
-            return Fraction(n, d)
+            return _q(Fraction(n, d))
         if d % self.p == 0:
             raise ZeroDivisionError("denominator divisible by p")
         return n * pow(d, -1, self.p) % self.p
@@ -65,13 +74,13 @@ class FieldSpec:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _q(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return _q(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return _q(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
@@ -80,7 +89,7 @@ class FieldSpec:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+            return _q(1 / Fraction(a))
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)

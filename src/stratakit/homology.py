@@ -185,7 +185,7 @@ def inj_dim(m, cap=DEFAULT_CAP):
     parts = reps.summands(m)
     if len(parts) > 1:
         return _sup(inj_dim(x, cap) for x in parts)
-    return proj_dim(reps.dual_to_opposite(m), cap)
+    return proj_dim(reps.dual(m), cap)
 
 
 def finite_dim(d, what):

@@ -1,18 +1,22 @@
 """Exact dense linear algebra over a FieldSpec.
 
-Matrices are dense, row-major, immutable after construction.  RREF over the
-field is the reference semantics for everything (rank, kernels, solving).
-The arithmetic is specialised per field: over GF(p) on int residues reduced
-inline, over Q by fraction-free elimination on integer rows.  The RREF is
-unique, so both give exactly the result of elimination on field scalars.
-pivot_columns reduces one vector at a time against the rows kept so far,
-with the same arithmetic, and builds no matrix.
+Matrices are dense, row-major, immutable after construction, and hold the
+field's canonical scalars (fields): over Q an int for every integral entry
+and a Fraction with denominator > 1 for the rest.  RREF over the field is
+the reference semantics for everything (rank, kernels, solving).  The
+arithmetic is specialised per field: over GF(p) on int residues reduced
+inline, over Q by fraction-free elimination on integer rows, which divides
+only to write out the reduced rows.  The RREF is unique, so both give
+exactly the result of elimination on field scalars.  pivot_columns reduces
+one vector at a time against the rows kept so far, with the same arithmetic,
+and builds no matrix.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import StratakitError
+from .fields import _q
 
 
 class Matrix:
@@ -120,7 +124,7 @@ class Matrix:
         if self.cols != other.rows:
             raise StratakitError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         F = self.field
-        p, zero, n, oc = F.p, F.zero, self.cols, other.cols
+        p, n, oc = F.p, self.cols, other.cols
         b_entries = other.entries
         out = []
         for i in range(self.rows):
@@ -131,14 +135,13 @@ class Matrix:
                         b = b_entries[k * oc + j]
                         if b:
                             acc[j] += a * b
-            for x in acc:
-                out.append(x % p if p else x or zero)
+            out.extend([x % p for x in acc] if p else map(_q, acc))
         return Matrix(F, self.rows, oc, out)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
         F = self.field
-        p, zero, n = F.p, F.zero, self.cols
+        p, n = F.p, self.cols
         nonzero = [(k, b) for k, b in enumerate(vec) if b]
         out = []
         for i in range(self.rows):
@@ -148,7 +151,7 @@ class Matrix:
                 a = row[k]
                 if a:
                     acc += a * b
-            out.append(acc % p if p else acc or zero)
+            out.append(acc % p if p else _q(acc))
         return out
 
 
@@ -228,23 +231,27 @@ def _rref_mod_p(m):
     return Matrix(m.field, m.rows, n, [x for row in rows for x in row]), pivots
 
 
+def _integral(row):
+    """row as ints, scaled by the lcm of its denominators when some entry
+    is a Fraction; the scaled row spans the same line.  An int plus a
+    Fraction is a Fraction, so the row is all ints exactly when its sum is
+    an int."""
+    if type(sum(row)) is int:
+        return row
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def _rref_rational(m):
     """Fraction-free Gauss-Jordan over Q (cf. Bareiss 1968).
 
-    Each row is scaled by the lcm of its denominators, which leaves the RREF
-    unchanged.  Elimination runs on int rows, row := s*row - t*pivot_row,
-    and divides each updated row by its content to keep the entries small.
-    Fractions are built once, from the final pivot rows."""
+    Each row is made integral by _integral, which leaves the RREF unchanged.
+    Elimination runs on int rows, row := s*row - t*pivot_row, and divides
+    each updated row by its content to keep the entries small.  The final
+    pivot rows are divided by their pivots once: x // d where d divides x,
+    a Fraction otherwise."""
     F, n = m.field, m.cols
-    nums = [x.numerator for x in m.entries]
-    dens = [x.denominator for x in m.entries]
-    rows = []
-    for i in range(0, len(nums), n):
-        row, row_dens = nums[i:i + n], dens[i:i + n]
-        den = lcm(*row_dens)
-        if den > 1:
-            row = [x * (den // d) for x, d in zip(row, row_dens)]
-        rows.append(row)
+    rows = [_integral(m.entries[i:i + n]) for i in range(0, m.rows * n, n)]
     pivots = []
     r = 0
     for c in range(n):
@@ -268,12 +275,11 @@ def _rref_rational(m):
         r += 1
         if r == m.rows:
             break
-    zero, one = F.zero, F.one
     out = []
     for row, c in zip(rows, pivots):
         d = row[c]
-        out.extend(zero if not x else one if x == d else Fraction(x, d) for x in row)
-    out.extend([zero] * ((m.rows - len(pivots)) * n))
+        out.extend([x // d if not x % d else Fraction(x, d) for x in row])
+    out.extend([F.zero] * ((m.rows - len(pivots)) * n))
     return Matrix(F, m.rows, n, out), pivots
 
 
@@ -344,8 +350,7 @@ def _greedy_pivots(field, vectors):
     rows = []
     for i, v in enumerate(vectors):
         if p is None:
-            den = lcm(*(x.denominator for x in v))
-            v = [x.numerator * (den // x.denominator) for x in v]
+            v = _integral(v)
         for c, row in rows:
             f = v[c]
             if not f:

@@ -8,13 +8,12 @@ endomorphisms with it to split modules by Fitting's lemma.
 """
 
 import operator
-from fractions import Fraction
 from itertools import combinations, count
 from math import isqrt, lcm
 from types import SimpleNamespace
 
 from . import linalg
-from .fields import GF, _is_prime
+from .fields import GF, QQ, _is_prime
 from .linalg import Matrix
 
 
@@ -195,7 +194,7 @@ def _factor_rational(f):
                 break
         else:
             size += 1
-    return [[Fraction(c, d ** (len(g) - 1 - i)) for i, c in enumerate(g)]
+    return [[QQ.of(c, d ** (len(g) - 1 - i)) for i, c in enumerate(g)]
             for g in factors + [q]]
 
 

@@ -319,6 +319,14 @@ def dual_to_opposite(m):
     return Rep(op, m.dims, action, label=f"D({m.label})" if m.label else "")
 
 
+@by_structure
+def dual(m):
+    """dual_to_opposite(m), built once per structure and shared by every
+    caller, so never relabelled; the modules relabelled as Nabla, I(i) or
+    S(λ) are built by dual_to_opposite itself."""
+    return dual_to_opposite(m)
+
+
 @built_once
 def injective(a, i):
     """I(i): the k-dual of the right projective e_i.A."""

@@ -194,13 +194,6 @@ def _trace_certificate(m, family):
                                  indices[::-1])
 
 
-@reps.by_structure
-def _dual(m):
-    """D(m) over the opposite algebra, built once per structure.  Shared by
-    every caller, so it is never relabelled."""
-    return reps.dual_to_opposite(m)
-
-
 def dual_certificate(m, cert):
     """A certificate of m from one of its dual D(m) over the opposite
     algebra: the annihilators in m of the layers of D(m), in reverse order.
@@ -242,7 +235,8 @@ def filtration_certificate(m, family):
     else:
         cert = _trace_certificate(m, family)
         if cert is None:
-            cert = _trace_certificate(_dual(m), [_dual(f) for f in family])
+            cert = _trace_certificate(reps.dual(m),
+                                      [reps.dual(f) for f in family])
             return None if cert is None else dual_certificate(m, cert)
     # the memoised certificate may name an equal module built apart
     return (cert if cert is None or cert.module is m

@@ -229,7 +229,7 @@ def gfd_nabla_bar(x, cap=homology.DEFAULT_CAP):
 
 def gfd_delta_bar(x, cap=homology.DEFAULT_CAP):
     """DeltaBar-good filtration dimension, via the opposite algebra."""
-    return gfd_nabla_bar(reps.dual_to_opposite(x), cap)
+    return gfd_nabla_bar(reps.dual(x), cap)
 
 
 # -- T-(co)dimension ----------------------------------------------------------
@@ -302,7 +302,7 @@ def t_dim(x, cap=homology.DEFAULT_CAP):
     if not strat.classify(x.algebra.opposite()).standardly_stratified:
         raise NotStratified("T-dimension needs the opposite algebra to be "
                             "standardly stratified")
-    return t_codim(reps.dual_to_opposite(x), cap)
+    return t_codim(reps.dual(x), cap)
 
 
 class GfdReport:

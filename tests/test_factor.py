@@ -130,15 +130,15 @@ def rootless(draw):
     low = draw(st.lists(st.integers(min_value=-6, max_value=6),
                         min_size=2, max_size=3).filter(
         lambda low: not _has_rational_root(low + [1])))
-    return [Fraction(c) for c in low] + [Fraction(1)]
+    return [QQ.of(c) for c in low] + [QQ.one]
 
 
 @settings(max_examples=200)
 @given(st.dictionaries(st.fractions(min_value=-6, max_value=6,
-                                    max_denominator=5),
+                                    max_denominator=5).map(QQ.of),
                        st.integers(min_value=1, max_value=3), max_size=4),
        st.lists(rootless(), max_size=3),
-       st.fractions(min_value=-3, max_value=3, max_denominator=3))
+       st.fractions(min_value=-3, max_value=3, max_denominator=3).map(QQ.of))
 def test_rational_factors_of_products(roots, extra, shift):
     # the rootless factors are shifted to x -> x - shift, which keeps them
     # irreducible and gives them non-integer coefficients
@@ -148,16 +148,26 @@ def test_rational_factors_of_products(roots, extra, shift):
         h = [F.zero]
         for c in reversed(g):
             h = poly._poly_mul(F, h, [F.neg(shift), F.one])
-            h[0] += c
+            h[0] = F.add(h[0], c)
         shifted.append(tuple(poly._trim(h)))
     expected = Counter(shifted)
     expected.update({(F.neg(c), F.one): e for c, e in roots.items()})
     f = _expand(F, [(list(g), e) for g, e in expected.items()])
-    assert {tuple(g): e for g, e in poly._factor(F, f)} == expected
+    factors = poly._factor(F, f)
+    assert {tuple(g): e for g, e in factors} == expected
+    _assert_canonical(factors)
 
 
 def _q(*coeffs):
-    return [Fraction(c) for c in coeffs]
+    return [QQ.of(c) for c in coeffs]
+
+
+def _assert_canonical(factors):
+    """Coefficients over Q are ints, or Fractions with denominator > 1."""
+    for g, _ in factors:
+        for c in g:
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator > 1), repr(c)
 
 
 @pytest.mark.parametrize("f, expected", [
@@ -173,18 +183,21 @@ def _q(*coeffs):
      [_q(-1, 1), _q(1, 1), _q(1, -1, 1), _q(1, 1, 1)]),
 ])
 def test_rational_factors_of_degree_four_and_more(f, expected):
-    assert poly._factor(QQ, f) == [(g, 1) for g in expected]
+    factors = poly._factor(QQ, f)
+    assert factors == [(g, 1) for g in expected]
+    _assert_canonical(factors)
 
 
 def test_rational_factors_with_large_coefficients():
     F = QQ
-    big = Fraction(10 ** 30 + 7, 3)
+    big = QQ.of(10 ** 30 + 7, 3)
     f = _product(F, [[F.neg(big), F.one], _q(-2, 0, 1),
-                     [Fraction(1, 10 ** 12), F.one]])
+                     [QQ.of(1, 10 ** 12), F.one]])
     # 3x - (10^30 + 7) comes before 10^12 x + 1
-    assert poly._factor(F, f) == [([F.neg(big), F.one], 1),
-                                  ([Fraction(1, 10 ** 12), F.one], 1),
-                                  (_q(-2, 0, 1), 1)]
+    factors = poly._factor(F, f)
+    assert factors == [([F.neg(big), F.one], 1),
+                       ([QQ.of(1, 10 ** 12), F.one], 1), (_q(-2, 0, 1), 1)]
+    _assert_canonical(factors)
 
 
 @st.composite
@@ -249,6 +262,8 @@ def test_factor_order():
     assert poly._factor(F, _expand(F, factors[::-1])) == factors
     F = QQ
     factors = [(_q(-2, 1), 1), (_q(0, 1), 1), (_q(1, 1), 1),
-               ([Fraction(-1, 2), F.one], 1), (_q(-3, 1), 2),
-               ([Fraction(1, 2), F.zero, F.one], 1), (_q(-2, 0, 1), 2)]
-    assert poly._factor(F, _expand(F, factors[::-1])) == factors
+               ([QQ.of(-1, 2), F.one], 1), (_q(-3, 1), 2),
+               ([QQ.of(1, 2), F.zero, F.one], 1), (_q(-2, 0, 1), 2)]
+    got = poly._factor(F, _expand(F, factors[::-1]))
+    assert got == factors
+    _assert_canonical(got)

@@ -490,3 +490,25 @@ def test_ext_across_algebras_is_a_mismatch():
     for i in (0, 1):
         with pytest.raises(AlgebraMismatch):
             ext_dim(i, m, n)
+
+
+def test_inj_dim_builds_each_dual_once(monkeypatch):
+    # inj_dim resolves D(m) over the opposite algebra; reps.dual builds it
+    # once per structure, shared with the F(Nabla) certificates of strat
+    a = parse_file(fixture_path("borelA.alg")).build()
+    built = []
+    real = reps.dual_to_opposite
+
+    def counting(x):
+        built.append(x)
+        return real(x)
+
+    monkeypatch.setattr(reps, "dual_to_opposite", counting)
+    first = [inj_dim(m) for m in (regular_module(a), simple(a, 0))]
+    assert len(built) == a.n + 1        # the n summands of A, and E(1)
+    built.clear()
+    again = [inj_dim(m) for m in (regular_module(a), simple(a, 0))]
+    assert again == first and built == []
+    # a module built apart with the same structure shares the dual
+    twin = reps.Rep(a, simple(a, 0).dims, simple(a, 0).action)
+    assert reps.dual(twin) is reps.dual(simple(a, 0)) and built == []

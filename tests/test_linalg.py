@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from stratakit import linalg
 from stratakit.cli import main
 from stratakit.fields import GF, QQ
 from stratakit.linalg import Matrix
+from stratakit.parser import parse
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 F5 = GF(5)
 
@@ -21,7 +23,7 @@ F5 = GF(5)
 def _matrix_strategy(field):
     if field.is_rational:
         scalars = st.fractions(min_value=-5, max_value=5,
-                               max_denominator=4)
+                               max_denominator=4).map(QQ.of)
     else:
         scalars = st.integers(min_value=0, max_value=field.p - 1)
     return st.integers(min_value=1, max_value=5).flatmap(
@@ -119,9 +121,10 @@ def test_pivot_columns_match_greedy_rank_loop(m, repeats):
 
 
 def test_inverse_exact():
-    m = Matrix.from_rows(QQ, [[Fraction(1), Fraction(2)],
-                              [Fraction(3), Fraction(5)]])
+    m = Matrix.from_rows(QQ, [[1, 2], [3, 5]])
     inv = linalg.inverse(m)
+    assert inv.entries == (-5, 2, 3, -1)
+    _assert_canonical(QQ, inv.entries)
     assert m.mul(inv) == Matrix.identity(QQ, 2)
     assert inv.mul(m) == Matrix.identity(QQ, 2)
 
@@ -148,7 +151,7 @@ def test_stack_and_block_diag_shapes():
 
 def test_field_mismatch_guard():
     with pytest.raises(Exception):
-        Matrix(QQ, 2, 2, [Fraction(1)] * 3)
+        Matrix(QQ, 2, 2, [QQ.one] * 3)
 
 
 # -- field-specialised kernels against elimination on field scalars -----------
@@ -198,10 +201,10 @@ FIELDS = (QQ, GF(2), GF(3), GF(101))
 
 def _scalars(field):
     """Mostly zeros and small values, so that ranks drop; over Q also
-    numerators up to 10^12 over denominators up to 10^6."""
+    numerators up to 10^12 over denominators up to 10^6, in canonical form."""
     if field.is_rational:
-        small = st.integers(-2, 2).map(Fraction)
-        large = st.builds(Fraction, st.integers(-10**12, 10**12),
+        small = st.integers(-2, 2).map(QQ.of)
+        large = st.builds(QQ.of, st.integers(-10**12, 10**12),
                           st.integers(1, 10**6))
         return st.one_of(st.just(field.zero), small, large)
     return st.one_of(st.just(0), st.integers(0, field.p - 1))
@@ -216,13 +219,20 @@ def _field_matrix(draw, field, rows=None, cols=None):
     return Matrix(field, rows, cols, entries)
 
 
-def _assert_same_entries(field, got, want):
-    assert got == want
-    for e in got.entries:
+def _assert_canonical(field, entries):
+    """Over Q an int, or a Fraction with denominator > 1, never a float;
+    over GF(p) an int residue in [0, p)."""
+    for e in entries:
         if field.is_rational:
-            assert type(e) is Fraction
+            assert type(e) is int or (type(e) is Fraction
+                                      and e.denominator > 1), repr(e)
         else:
             assert type(e) is int and 0 <= e < field.p
+
+
+def _assert_same_entries(field, got, want):
+    assert got == want
+    _assert_canonical(field, got.entries)
 
 
 @settings(max_examples=300)
@@ -323,6 +333,98 @@ def test_inverse_of_zero_raises_zero_division(field):
 def test_field_constants_are_shared():
     for field in (QQ, F5):
         assert field.zero is field.zero and field.one is field.one
-    assert type(QQ.zero) is Fraction and (QQ.zero, QQ.one) == (0, 1)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert (QQ.zero, QQ.one) == (0, 1)
     assert (F5.zero, F5.one) == (0, 1)
     assert GF(5) == F5 and hash(GF(5)) == hash(F5) and QQ != F5
+
+
+# -- canonical rationals -------------------------------------------------------
+
+def test_rational_constructors_are_canonical():
+    assert QQ.of(4, 2) == 2 and type(QQ.of(4, 2)) is int
+    assert QQ.of(-6, -3) == 2 and type(QQ.of(-6, -3)) is int
+    assert QQ.of(1, 2) == Fraction(1, 2) and type(QQ.of(1, 2)) is Fraction
+    assert QQ.of(Fraction(6, 3)) == 2 and type(QQ.of(Fraction(6, 3))) is int
+    assert type(QQ.parse_scalar("4/2")) is int
+    assert type(QQ.parse_scalar("-3/4")) is Fraction
+    _assert_canonical(QQ, [QQ.of(n, d) for n in range(-6, 7)
+                           for d in (-3, -2, -1, 1, 2, 3)])
+
+
+def test_rational_arithmetic_is_canonical():
+    half, third = QQ.of(1, 2), QQ.of(1, 3)
+    assert QQ.inv(third) == 3 and type(QQ.inv(third)) is int
+    assert QQ.inv(QQ.of(-1, 3)) == -3 and type(QQ.inv(QQ.of(-1, 3))) is int
+    assert QQ.inv(2) == half and type(QQ.inv(2)) is Fraction
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.add(half, half) == 1 and type(QQ.add(half, half)) is int
+    assert type(QQ.sub(QQ.of(3, 2), half)) is int
+    assert type(QQ.mul(QQ.of(2, 3), QQ.of(3, 2))) is int
+    assert type(QQ.mul(half, 4)) is int
+    assert type(QQ.neg(half)) is Fraction and type(QQ.neg(3)) is int
+    values = [QQ.of(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
+    _assert_canonical(QQ, [op(a, b) for a in values for b in values
+                           for op in (QQ.add, QQ.sub, QQ.mul)])
+    _assert_canonical(QQ, [QQ.inv(a) for a in values if a])
+
+
+def test_matrix_results_are_canonical_over_q():
+    # proper fractions in, integral values out of every kernel
+    half, third = QQ.of(1, 2), QQ.of(1, 3)
+    m = Matrix.from_rows(QQ, [[half, third, 1], [2, QQ.of(2, 3), 2],
+                              [QQ.of(3, 2), 1, 3]])
+    R, pivots = linalg.rref(m)
+    assert pivots == [0, 1] and R.entries == (1, 0, 0, 0, 1, 3, 0, 0, 0)
+    _assert_canonical(QQ, R.entries)
+    kernel = linalg.kernel_basis(m)
+    assert kernel == [[0, -3, 1]]
+    _assert_canonical(QQ, kernel[0])
+    b = Matrix.from_rows(QQ, [[half, half], [2, 1], [QQ.of(3, 2), QQ.of(3, 2)]])
+    x = linalg.solve(m, b)
+    assert x.entries == (1, 0, 0, QQ.of(3, 2), 0, 0) and m.mul(x) == b
+    _assert_canonical(QQ, x.entries)
+    square = Matrix.from_rows(QQ, [[half, third], [QQ.of(1, 4), QQ.of(1, 5)]])
+    for out in (square.mul(linalg.inverse(square)), square.mul(square),
+                square.scale(6), square.add(square), square.sub(square),
+                square.neg(), Matrix.from_columns(QQ, [square.apply([2, 3])])):
+        _assert_canonical(QQ, out.entries)
+    assert square.mul(linalg.inverse(square)) == Matrix.identity(QQ, 2)
+    assert square.scale(6).entries == (3, 2, QQ.of(3, 2), QQ.of(6, 5))
+    assert square.apply([2, 3]) == [2, QQ.of(11, 10)]
+
+
+def _xy_text(m):
+    """k<x,y>/(x^2, y^2, (xy)^m, (yx)^m) over Q, as a description file."""
+    return "\n".join(["field Q", "vertices 1", "arrow x 1 1", "arrow y 1 1",
+                      "relation 1*x.x", "relation 1*y.y",
+                      "relation 1*" + ".".join(["x", "y"] * m),
+                      "relation 1*" + ".".join(["y", "x"] * m)]) + "\n"
+
+
+def test_every_rational_entry_built_is_canonical(monkeypatch):
+    # every matrix over Q that the analyses and the graded builds construct
+    # holds ints and proper Fractions only, and no float anywhere
+    entries, real = [], Matrix.__init__
+
+    def recording(self, field, rows, cols, values):
+        real(self, field, rows, cols, values)
+        if field.is_rational:
+            entries.extend(self.entries)
+
+    monkeypatch.setattr(Matrix, "__init__", recording)
+    rational = [fixture_path(name) for name in sorted(os.listdir(FIXTURES))
+                if name.endswith(".alg")
+                and "field Q\n" in open(fixture_path(name)).read()]
+    assert len(rational) == 6
+    runs = [[cmd, path, "--format", "machine"]
+            for path in rational for cmd in ("analyze", "check")]
+    runs.append(["check", fixture_path("borelA.alg"),
+                 "--borel", fixture_path("borelB.alg"), "--format", "machine"])
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    for m in range(4, 8):
+        assert parse(_xy_text(m)).build().dim == 4 * m - 1
+    assert entries
+    _assert_canonical(QQ, entries)
