@@ -1,9 +1,12 @@
 """Subalgebra embeddings, induction, exact-Borel checks, and dualities.
 
-An Embedding carries B -> A on the level of basis elements; induction
-A ⊗_B M is computed as an explicit cokernel presentation by projectives.
-The duality functor is built from an arrow involution extending to an
-anti-automorphism of the algebra.
+An Embedding φ: B -> A sends each arrow β: s -> t of B to an element of
+e_t A e_s, and is used through restriction: an A-module becomes a B-module
+on which β acts as φ(β) does.  The embedding is checked on the restricted
+indecomposable projectives of A, A as a right B-module is the restricted
+regular module of A^op, and induction A ⊗_B M is computed as an explicit
+cokernel presentation by projectives.  The duality functor is built from
+an arrow involution extending to an anti-automorphism of the algebra.
 """
 
 from itertools import permutations
@@ -11,10 +14,10 @@ from itertools import permutations
 from . import homology, linalg, reps, strat, tilting
 from .errors import (AlgebraMismatch, EmbeddingError, IdempotentMismatch,
                      NotAntiAutomorphism, NotInjective, NotMultiplicative,
-                     NotUnital, StratakitError)
+                     StratakitError)
 from .linalg import Matrix
 from .quiver import Path
-from .reps import Rep, direct_sum, projective, quotient
+from .reps import Rep, direct_sum, path_matrix, projective, quotient
 
 
 class Embedding:
@@ -22,7 +25,8 @@ class Embedding:
 
     arrow_images: arrow name of B -> coefficient vector over the basis of A
     (or a list of (coeff, tuple of A-arrow names in traversal order), which
-    is converted).  Idempotents map to idempotents positionally.
+    is converted).  The vertices correspond positionally, e_v -> e_v, so the
+    image of an arrow s -> t must lie in e_t A e_s (NotMultiplicative).
     """
 
     def __init__(self, b, a, arrow_images):
@@ -54,148 +58,110 @@ class Embedding:
         if missing:
             names = [b.arrow_names[i] for i in sorted(missing)]
             raise EmbeddingError(f"no image supplied for arrows {names}")
+        for bi, (name, s, t) in enumerate(b.arrows):
+            for k, c in enumerate(imgs[bi]):
+                p = a.basis[k]
+                if not F.is_zero(c) and (p.src, a.path_target(p)) != (s, t):
+                    raise NotMultiplicative(
+                        f"image of arrow {name} has a path from "
+                        f"{a.vertices[p.src]} to {a.vertices[a.path_target(p)]}"
+                        f", not from {b.vertices[s]} to {b.vertices[t]}")
         self.arrow_imgs = imgs
-        # extend multiplicatively to the whole basis of B
-        self.images = []
-        for p in b.basis:
-            acc = a.idempotent(p.src)
-            for ai in p.arrs:
-                acc = a.multiply(imgs[ai], acc)
-            self.images.append(acc)
 
-    def image_of(self, coeffs):
-        """Image of a B-element given by coefficients over the basis of B."""
-        F = self.a.field
-        out = [F.zero] * self.a.dim
-        for i, c in enumerate(coeffs):
-            if F.is_zero(c):
-                continue
-            for k, v in enumerate(self.images[i]):
-                out[k] = F.add(out[k], F.mul(c, v))
-        return out
+    def restrict(self, m):
+        """The A-module m as a B-module: each arrow β of B acts as its image
+        φ(β) = Σ c_k p_k does, by Σ c_k times the matrix of p_k on m."""
+        a, F = self.a, self.a.field
+        action = []
+        for bi, (_, s, t) in enumerate(self.b.arrows):
+            mat = Matrix.zero(F, m.dims[t], m.dims[s])
+            for k, c in enumerate(self.arrow_imgs[bi]):
+                if not F.is_zero(c):
+                    p = a.basis[k]
+                    mat = mat.add(path_matrix(m, p.src, p.arrs).scale(c))
+            action.append(mat)
+        return Rep(self.b, m.dims, action)
 
 
 def check_embedding(e):
-    """Verify linearity/multiplicativity/unitality/injectivity by brute force."""
+    """Verify that e is an injective algebra map, on the restrictions of the
+    projectives P_A(v) = A·e_v.
+
+    Multiplicative: e extends to an algebra map kQ_B -> A, which factors
+    through B exactly when it kills the ideal I_B, that is when every
+    relation of B acts as zero on the restriction of the faithful module
+    A = ⊕ P_A(v).  This is the test φ(p)φ(q) = φ(nf(pq)) over all pairs of
+    basis paths of B: each pq - nf(pq) lies in I_B, and the reduced Gröbner
+    elements t - nf(t), whose tips t = α·p are a basis path p followed by an
+    arrow α, are among them and generate I_B.
+
+    Injective: φ maps B·e_v into A·e_v = P_A(v), and the image of a basis
+    path of B from v to w is its action on e_v in the restriction of P_A(v),
+    at w; φ is injective when these images are linearly independent for
+    each v and w."""
     a, b = e.a, e.b
     F = a.field
-    # idempotents correspond positionally
     for v in range(b.n):
-        img = e.images[b.idempotent_index[v]]
-        if img != a.idempotent(v):
-            raise IdempotentMismatch(
-                f"idempotent at vertex {b.vertices[v]} does not map to its "
-                "counterpart")
-    unit_img = e.image_of(b.unit())
-    if unit_img != a.unit():
-        raise NotUnital("the unit of B does not map to the unit of A")
-    # multiplicative on all basis pairs
-    for i in range(b.dim):
-        for j in range(b.dim):
-            prod_b = b.mult_basis(i, j)
-            lhs = a.multiply(e.images[i], e.images[j])
-            rhs = [F.zero] * a.dim
-            for k, c in prod_b.items():
-                for t, v in enumerate(e.images[k]):
-                    rhs[t] = F.add(rhs[t], F.mul(c, v))
-            if lhs != rhs:
-                raise NotMultiplicative(
-                    f"images of {b.basis[i]} and {b.basis[j]} do not multiply "
-                    "compatibly")
-    mat = Matrix.from_columns(F, [e.images[i] for i in range(b.dim)],
-                              rows=a.dim)
-    if linalg.rank(mat) != b.dim:
-        raise NotInjective("the embedding is not injective as a linear map")
+        res = e.restrict(projective(a, v))
+        if not res.relations_hold():
+            raise NotMultiplicative(
+                f"a relation of B does not act as zero on P({a.vertices[v]})")
+        e_v = [F.one] + [F.zero] * (res.dims[v] - 1)
+        for w, cols in enumerate(reps.path_images(res, v, e_v)):
+            mat = Matrix.from_columns(F, cols, rows=res.dims[w])
+            if linalg.rank(mat) != len(cols):
+                raise NotInjective(
+                    "the embedding is not injective on the paths from "
+                    f"{b.vertices[v]} to {b.vertices[w]}")
     return e
 
 
 def right_module_structure(e):
-    """A as a right B-module, i.e. a left module over B^op.
-
-    The component at vertex v is A·e_v (paths of A with source v); the
-    arrows of B^op act by right multiplication with their images.
-    """
+    """A as a right B-module, i.e. a left module over B^op: the regular
+    module of A^op restricted along B^op -> A^op, whose arrow images are
+    those of e read backwards.  Needs a checked embedding, whose images hold
+    no trivial path."""
     a, b = e.a, e.b
-    bop = b.opposite()
     F = a.field
-    blocks = [a.basis_with_source(v) for v in range(b.n)]
-    pos = {}
-    for v, idxs in enumerate(blocks):
-        for k, bi in enumerate(idxs):
-            pos[bi] = k
-    dims = [len(idxs) for idxs in blocks]
-    action = []
-    for (name, s_op, t_op) in bop.arrows:
-        # the B-arrow runs t_op -> s_op; right multiplication by its image
-        # sends A·e_{s_op} into A·e_{t_op}
-        img = e.arrow_imgs[b.arrow_index(name)]
-        mat = [[F.zero] * dims[s_op] for _ in range(dims[t_op])]
-        for col, bi in enumerate(blocks[s_op]):
-            x = [F.zero] * a.dim
-            x[bi] = F.one
-            prod = a.multiply(x, img)
-            for k, c in enumerate(prod):
-                if not F.is_zero(c):
-                    mat[pos[k]][col] = c
-        action.append(Matrix.from_rows(F, mat) if dims[t_op]
-                      else Matrix(F, 0, dims[s_op], []))
-    rep = Rep(bop, tuple(dims), action, label="A as right B-module")
-    return rep
+    images = {b.arrow_names[bi]: [
+        (c, tuple(a.arrow_names[i] for i in reversed(a.basis[k].arrs)))
+        for k, c in enumerate(vec) if not F.is_zero(c)]
+        for bi, vec in e.arrow_imgs.items()}
+    op = Embedding(b.opposite(), a.opposite(), images)
+    right = op.restrict(reps.regular_module(a.opposite()))
+    right.label = "A as right B-module"
+    return right
 
 
 def induce(e, m):
     """A ⊗_B m as a left A-module, via the cokernel presentation.
 
-    The free cover is ⊕_i P_A(i) ⊗ m_i; the relation submodule is generated
-    by φ(β) ⊗ x − e_t ⊗ (β·x) over the arrows β: s -> t of B and x in m_s.
-    """
+    The free cover is ⊕_i P_A(i) ⊗ m_i, one copy of P_A(i) per coordinate
+    of m_i; the relation submodule is generated by φ(β) ⊗ x − e_t ⊗ (β·x)
+    over the arrows β: s -> t of B and x in m_s.  Its vertex-t part in the
+    copy of P_A(i) has the coordinates of the paths from i to t."""
     a, b = e.a, e.b
     F = a.field
     if m.algebra is not b:
         raise AlgebraMismatch("induction of a module over the wrong algebra")
-    summands = []            # (vertex of B, coordinate in m)
-    for i in range(b.n):
-        for c in range(m.dims[i]):
-            summands.append((i, c))
-    if not summands:
+    if not m.total_dim:
         return reps.zero_rep(a)
-    free = direct_sum([projective(a, i) for (i, c) in summands])
-    # vertex-block offsets of each summand copy inside `free`
-    offsets = []
-    acc = [0] * a.n
-    for (i, c) in summands:
-        offsets.append(list(acc))
-        for v, paths in enumerate(a.projective_layout(i)):
-            acc[v] += len(paths)
-    copy_index = {sm: k for k, sm in enumerate(summands)}
-    # position (target vertex, coordinate) of each basis path inside P(i)
-    pos_cache = {i: {bi: (tv, k)
-                     for tv, paths in enumerate(a.projective_layout(i))
-                     for k, bi in enumerate(paths)}
-                 for i in range(b.n)}
-
-    def place(vecs, copy, element_coeffs):
-        """Add an element of A·e_i (copy at (i, c)) into per-vertex vectors."""
-        i, _ = summands[copy]
-        pos = pos_cache[i]
-        for bi, cf in enumerate(element_coeffs):
-            if F.is_zero(cf):
-                continue
-            tv, k = pos[bi]
-            vecs[tv][offsets[copy][tv] + k] = F.add(
-                vecs[tv][offsets[copy][tv] + k], cf)
-
+    free = direct_sum([projective(a, i)
+                       for i in range(b.n) for _ in range(m.dims[i])])
     gens = []
-    for bi_arrow, (name, src, tgt) in enumerate(b.arrows):
-        act = m.action[bi_arrow]                 # m_src -> m_tgt
-        for c in range(m.dims[src]):
-            vecs = [[F.zero] * free.dims[v] for v in range(a.n)]
-            place(vecs, copy_index[(src, c)], e.arrow_imgs[bi_arrow])
-            for d in range(m.dims[tgt]):
-                unit = [F.zero] * a.dim
-                unit[a.idempotent_index[tgt]] = F.neg(act[d, c])
-                place(vecs, copy_index[(tgt, d)], unit)
-            gens.append((tgt, vecs[tgt]))
+    for bi, (_, s, t) in enumerate(b.arrows):
+        act, img = m.action[bi], e.arrow_imgs[bi]       # act: m_s -> m_t
+        for j in range(m.dims[s]):
+            vec = []
+            for i in range(b.n):
+                paths = a.projective_layout(i)[t]
+                for c in range(m.dims[i]):
+                    part = [img[k] if (i, c) == (s, j) else F.zero
+                            for k in paths]
+                    if i == t:              # e_t is the first path from t
+                        part[0] = F.sub(part[0], act[c, j])
+                    vec += part
+            gens.append((t, vec))
     ind, _ = quotient(free, reps.generated_submodule(free, gens))
     ind.label = f"A(x){m.label}" if m.label else "induced"
     return ind

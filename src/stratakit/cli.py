@@ -58,9 +58,11 @@ def _dimension_section(rep, a, cls, cap):
 
 
 def cmd_analyze(args):
+    """The analysis report; the parsed file and the algebra are kept on
+    args for the commands that go on from it."""
     rep = Report()
-    f = parse_file(args.file)
-    a = f.build()
+    f = args.parsed = parse_file(args.file)
+    a = args.algebra = f.build()
     _algebra_section(rep, f, a)
     cls = _classification_section(rep, a)
     _dimension_section(rep, a, cls, args.cap)
@@ -70,12 +72,8 @@ def cmd_analyze(args):
 def cmd_check(args):
     if args.embedding and not args.borel:
         raise ParseError("--embedding needs --borel")
-    rep = Report()
-    f = parse_file(args.file)
-    a = f.build()
-    _algebra_section(rep, f, a)
-    cls = _classification_section(rep, a)
-    _dimension_section(rep, a, cls, args.cap)
+    rep = cmd_analyze(args)
+    f, a = args.parsed, args.algebra
     for result in tilting.verify_section2(a, args.cap):
         rep.add_check("checks", result.name, result.passed, result.detail)
     if args.borel:

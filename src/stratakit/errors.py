@@ -83,10 +83,6 @@ class NotMultiplicative(EmbeddingError):
     pass
 
 
-class NotUnital(EmbeddingError):
-    pass
-
-
 class NotInjective(EmbeddingError):
     pass
 

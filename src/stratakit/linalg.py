@@ -183,17 +183,19 @@ def vstack(mats):
 
 
 def block_diag(field, mats):
-    rows = sum(m.rows for m in mats)
+    """The block-diagonal matrix of mats, each row a slice of its block
+    padded with zeros."""
     cols = sum(m.cols for m in mats)
-    out = [[field.zero] * cols for _ in range(rows)]
-    r = c = 0
+    flat = []
+    c = 0
     for m in mats:
+        left, right = [field.zero] * c, [field.zero] * (cols - c - m.cols)
         for i in range(m.rows):
-            for j in range(m.cols):
-                out[r + i][c + j] = m[i, j]
-        r += m.rows
+            flat += left
+            flat += m.entries[i * m.cols:(i + 1) * m.cols]
+            flat += right
         c += m.cols
-    return Matrix.from_rows(field, out) if rows else Matrix(field, 0, cols, [])
+    return Matrix(field, sum(m.rows for m in mats), cols, flat)
 
 
 def rref(m):

@@ -73,8 +73,6 @@ class PathAlgebra:
         self.basis_index = {p: i for i, p in enumerate(basis)}
         self._red = red                         # tip Path -> {basis Path: coeff}
         self.max_len = max_len                  # no basis path is longer
-        self.idempotent_index = [self.basis_index[Path(v, ())] for v in range(self.n)]
-        self._mult = {}
         self._layouts = {}
         self._opposite = None
         # assorted caches used by higher layers, keyed per algebra
@@ -139,48 +137,6 @@ class PathAlgebra:
             cur = t
         return _normal_form(self.field, self._red, self.basis_index,
                             Path(src, tuple(arrs)))
-
-    def mult_basis(self, i, j):
-        """Product basis[i] . basis[j] (j acts first) as {basis index: coeff}."""
-        key = (i, j)
-        hit = self._mult.get(key)
-        if hit is not None:
-            return hit
-        p, q = self.basis[i], self.basis[j]
-        if self.path_target(q) != p.src:
-            result = {}
-        else:
-            nf = self.nf_path(q.src, q.arrs + p.arrs)
-            result = {self.basis_index[r]: c for r, c in nf.items()}
-        self._mult[key] = result
-        return result
-
-    def multiply(self, x, y):
-        """Bilinear product of coefficient vectors over the basis (y acts first)."""
-        F = self.field
-        out = [F.zero] * self.dim
-        for i, ci in enumerate(x):
-            if F.is_zero(ci):
-                continue
-            for j, cj in enumerate(y):
-                if F.is_zero(cj):
-                    continue
-                for k, c in self.mult_basis(i, j).items():
-                    out[k] = F.add(out[k], F.mul(F.mul(ci, cj), c))
-        return out
-
-    def unit(self):
-        F = self.field
-        e = [F.zero] * self.dim
-        for i in self.idempotent_index:
-            e[i] = F.one
-        return e
-
-    def idempotent(self, v):
-        F = self.field
-        e = [F.zero] * self.dim
-        e[self.idempotent_index[v]] = F.one
-        return e
 
     def opposite(self):
         if self._opposite is None:

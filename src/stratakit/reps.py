@@ -670,7 +670,7 @@ def find_isomorphism(m, n):
     if m.total_dim == 0:
         return zero_morphism(m, n)
     homs = hom_basis(m, n)
-    if not homs or any(len(hom_basis(x, x)) != len(homs) for x in (m, n)):
+    if not homs or any(hom_dim(x, x) != len(homs) for x in (m, n)):
         return None
     iso = _iso_in_basis(homs)
     if iso is not None:

@@ -36,6 +36,24 @@ def test_embedding_verifies():
     assert a.basis[nonzero[0]].arrs == (d, bt)
 
 
+def test_relations_of_b_hold_on_restricted_projectives():
+    e = _borel_embedding()
+    for v in range(e.a.n):
+        res = e.restrict(reps.projective(e.a, v))
+        assert res.algebra is e.b
+        assert res.dims == reps.projective(e.a, v).dims
+        assert res.relations_hold()
+
+
+def test_non_parallel_arrow_image_rejected():
+    # be runs 1 -> 2, but ga runs 2 -> 1, so al + ga is not in e_2 A e_1
+    a = build_algebra(QuiverSpec(["1", "2"], [("al", "1", "2"), ("ga", "2", "1")],
+                                 [[(1, ("al", "ga"))], [(1, ("ga", "al"))]], QQ))
+    b = build_algebra(QuiverSpec(["1", "2"], [("be", "1", "2")], [], QQ))
+    with pytest.raises(NotMultiplicative):
+        Embedding(b, a, {"be": [(1, ("al",)), (1, ("ga",))]})
+
+
 def test_right_module_is_projective_over_b():
     e = _borel_embedding()
     right = right_module_structure(e)

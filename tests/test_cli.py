@@ -101,6 +101,20 @@ def test_embedding_word_that_does_not_compose_is_an_input_error(tmp_path):
     assert "not injective" in err
 
 
+def test_non_parallel_embedding_image_is_an_input_error(tmp_path):
+    # be runs 1 -> 2, and its image al + ga has the path ga from 2 to 1
+    alg = tmp_path / "cyc.alg"
+    alg.write_text("field Q\nvertices 1 2\narrow al 1 2\narrow ga 2 1\n"
+                   "relation 1*ga.al\nrelation 1*al.ga\n")
+    sub = tmp_path / "sub.alg"
+    sub.write_text("field Q\nvertices 1 2\narrow be 1 2\nembedding\n"
+                   "  image be = 1*al + 1*ga\nend\n")
+    code, out, err = run_cli(["check", str(alg), "--borel", str(sub),
+                              "--format", "machine"])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+
+
 def test_gfd_builtin_and_declared_modules():
     code, out, _ = run_cli(["gfd", fixture_path("a3line.alg"),
                             "--module", "E(3)", "--format", "machine"])
