@@ -6,27 +6,26 @@ on which β acts as φ(β) does.  The embedding is checked on the restricted
 indecomposable projectives of A, A as a right B-module is the restricted
 regular module of A^op, and induction A ⊗_B M is computed as an explicit
 cokernel presentation by projectives.  The duality functor is built from
-an arrow involution extending to an anti-automorphism of the algebra.
+an arrow involution extending to an anti-automorphism of the algebra, which
+is decided on the twisted dual of the regular module.
 """
-
-from itertools import permutations
 
 from . import homology, linalg, reps, strat, tilting
 from .errors import (AlgebraMismatch, EmbeddingError, IdempotentMismatch,
                      NotAntiAutomorphism, NotInjective, NotMultiplicative,
                      StratakitError)
 from .linalg import Matrix
-from .quiver import Path
 from .reps import Rep, direct_sum, path_matrix, projective, quotient
 
 
 class Embedding:
     """An algebra map B -> A given by images of the arrows of B.
 
-    arrow_images: arrow name of B -> coefficient vector over the basis of A
-    (or a list of (coeff, tuple of A-arrow names in traversal order), which
-    is converted).  The vertices correspond positionally, e_v -> e_v, so the
-    image of an arrow s -> t must lie in e_t A e_s (NotMultiplicative).
+    arrow_images: arrow name of B -> list of (coeff, tuple of A-arrow names
+    in traversal order); each image is kept as its normal form, a dict
+    basis path of A -> nonzero coeff.  The vertices correspond positionally,
+    e_v -> e_v, so the image of an arrow s -> t must lie in e_t A e_s
+    (NotMultiplicative).
     """
 
     def __init__(self, b, a, arrow_images):
@@ -39,29 +38,22 @@ class Embedding:
         if b.field != F:
             raise EmbeddingError("embedding across different base fields")
         imgs = {}
-        for name, val in arrow_images.items():
+        for name, terms in arrow_images.items():
             bi = b.arrow_index(name)
-            if isinstance(val, list):
-                vec = [F.zero] * a.dim
-                for coeff, arr_names in val:
-                    idxs = tuple(a.arrow_index(nm) for nm in arr_names)
-                    src = a.arrows[idxs[0]][1]
-                    nf = a.nf_path(src, idxs)
-                    c = F.of(coeff) if isinstance(coeff, int) else coeff
-                    for p, c2 in nf.items():
-                        vec[a.basis_index[p]] = F.add(
-                            vec[a.basis_index[p]], F.mul(c, c2))
-                imgs[bi] = vec
-            else:
-                imgs[bi] = list(val)
+            img = {}
+            for coeff, arr_names in terms:
+                idxs = tuple(a.arrow_index(nm) for nm in arr_names)
+                c = F.of(coeff) if isinstance(coeff, int) else coeff
+                for p, c2 in a.nf_path(a.arrows[idxs[0]][1], idxs).items():
+                    img[p] = F.add(img.get(p, F.zero), F.mul(c, c2))
+            imgs[bi] = {p: c for p, c in img.items() if not F.is_zero(c)}
         missing = set(range(len(b.arrows))) - set(imgs)
         if missing:
             names = [b.arrow_names[i] for i in sorted(missing)]
             raise EmbeddingError(f"no image supplied for arrows {names}")
         for bi, (name, s, t) in enumerate(b.arrows):
-            for k, c in enumerate(imgs[bi]):
-                p = a.basis[k]
-                if not F.is_zero(c) and (p.src, a.path_target(p)) != (s, t):
+            for p in imgs[bi]:
+                if (p.src, a.path_target(p)) != (s, t):
                     raise NotMultiplicative(
                         f"image of arrow {name} has a path from "
                         f"{a.vertices[p.src]} to {a.vertices[a.path_target(p)]}"
@@ -71,14 +63,12 @@ class Embedding:
     def restrict(self, m):
         """The A-module m as a B-module: each arrow β of B acts as its image
         φ(β) = Σ c_k p_k does, by Σ c_k times the matrix of p_k on m."""
-        a, F = self.a, self.a.field
+        F = self.a.field
         action = []
         for bi, (_, s, t) in enumerate(self.b.arrows):
             mat = Matrix.zero(F, m.dims[t], m.dims[s])
-            for k, c in enumerate(self.arrow_imgs[bi]):
-                if not F.is_zero(c):
-                    p = a.basis[k]
-                    mat = mat.add(path_matrix(m, p.src, p.arrs).scale(c))
+            for p, c in self.arrow_imgs[bi].items():
+                mat = mat.add(path_matrix(m, p.src, p.arrs).scale(c))
             action.append(mat)
         return Rep(self.b, m.dims, action)
 
@@ -122,11 +112,10 @@ def right_module_structure(e):
     those of e read backwards.  Needs a checked embedding, whose images hold
     no trivial path."""
     a, b = e.a, e.b
-    F = a.field
     images = {b.arrow_names[bi]: [
-        (c, tuple(a.arrow_names[i] for i in reversed(a.basis[k].arrs)))
-        for k, c in enumerate(vec) if not F.is_zero(c)]
-        for bi, vec in e.arrow_imgs.items()}
+        (c, tuple(a.arrow_names[i] for i in reversed(p.arrs)))
+        for p, c in img.items()]
+        for bi, img in e.arrow_imgs.items()}
     op = Embedding(b.opposite(), a.opposite(), images)
     right = op.restrict(reps.regular_module(a.opposite()))
     right.label = "A as right B-module"
@@ -156,8 +145,8 @@ def induce(e, m):
             for i in range(b.n):
                 paths = a.projective_layout(i)[t]
                 for c in range(m.dims[i]):
-                    part = [img[k] if (i, c) == (s, j) else F.zero
-                            for k in paths]
+                    part = [img.get(a.basis[k], F.zero) if (i, c) == (s, j)
+                            else F.zero for k in paths]
                     if i == t:              # e_t is the first path from t
                         part[0] = F.sub(part[0], act[c, j])
                     vec += part
@@ -240,59 +229,31 @@ def verify_gldim_doubling(e, cap=homology.DEFAULT_CAP):
 
 # -- dualities via arrow involutions -----------------------------------------
 
-def _sigma_path_image(a, sigma_idx, p):
-    """Normal form of the anti-automorphism image of a path (reversed, mapped)."""
-    arrs = tuple(sigma_idx[i] for i in reversed(p.arrs))
-    if not arrs:
-        return {Path(p.src, ()): a.field.one}
-    src = a.arrows[arrs[0]][1]
-    return a.nf_path(src, arrs)
-
-
 def check_anti_automorphism(a, sigma):
     """Does the arrow involution extend to an anti-automorphism of A?
 
-    sigma: dict arrow name -> arrow name.  Raises NotAntiAutomorphism with the
-    failing reason; returns the basis matrix of the induced linear map.
+    sigma: dict arrow name -> arrow name.  Returns it as a dict of arrow
+    indices; raises NotAntiAutomorphism with the failing reason.
+
+    σ descends from kQ to A = kQ/I when σ(I) ⊆ I.  A path p acts on
+    twisted_dual(M) as the transpose of σ(p) acting on M, so a relation r
+    holds there exactly when σ(r) acts as 0 on M; A is faithful, so for
+    M = A this holds exactly when σ(I) ⊆ I.  The induced map is then
+    bijective: σ is an involution of kQ, so I = σ(σ(I)) ⊆ σ(I).
     """
-    F = a.field
-    sigma_idx = {}
-    for name, img in sigma.items():
-        i, j = a.arrow_index(name), a.arrow_index(img)
-        sigma_idx[i] = j
+    sigma_idx = {a.arrow_index(x): a.arrow_index(y) for x, y in sigma.items()}
     if set(sigma_idx) != set(range(len(a.arrows))):
         raise NotAntiAutomorphism("involution does not cover every arrow")
     for i, j in sigma_idx.items():
         if sigma_idx.get(j) != i:
             raise NotAntiAutomorphism("arrow map is not an involution")
         _, s, t = a.arrows[i]
-        _, s2, t2 = a.arrows[j]
-        if (s2, t2) != (t, s):
+        if a.arrows[j][1:] != (t, s):
             raise NotAntiAutomorphism(
                 f"image of arrow {a.arrow_names[i]} does not reverse it")
-    # the ideal must be stable: each defining relation maps to zero in A
-    for rel in a.spec.relations:
-        acc = {}
-        for coeff, names in rel:
-            idxs = tuple(a.arrow_index(nm) for nm in names)
-            src = a.arrows[idxs[0]][1]
-            img = _sigma_path_image(a, sigma_idx, Path(src, idxs))
-            c = F.of(coeff) if isinstance(coeff, int) else coeff
-            for q, c2 in img.items():
-                acc[q] = F.add(acc.get(q, F.zero), F.mul(c, c2))
-        if any(not F.is_zero(v) for v in acc.values()):
-            raise NotAntiAutomorphism(
-                "a defining relation does not map into the ideal")
-    # bijectivity of the induced map on the basis
-    cols = []
-    for p in a.basis:
-        vec = [F.zero] * a.dim
-        for q, c in _sigma_path_image(a, sigma_idx, p).items():
-            vec[a.basis_index[q]] = c
-        cols.append(vec)
-    mat = Matrix.from_columns(F, cols, rows=a.dim)
-    if not linalg.is_invertible(mat):
-        raise NotAntiAutomorphism("induced linear map is not bijective")
+    if not twisted_dual(a, sigma_idx, reps.regular_module(a)).relations_hold():
+        raise NotAntiAutomorphism(
+            "a defining relation does not map into the ideal")
     return sigma_idx
 
 
@@ -328,31 +289,34 @@ def duality_check(a, sigma):
     return sigma_idx, clauses
 
 
+def _arrow_involutions(a, sigma):
+    """The involutions extending sigma (arrow index -> arrow index) that send
+    each arrow s -> t to an arrow t -> s, in the lexicographic order of
+    itertools.permutations: the smallest unpaired arrow is paired with each
+    unpaired arrow that reverses it, in increasing order (with itself only
+    if it is a loop), and the rest is paired recursively."""
+    free = [i for i in range(len(a.arrows)) if i not in sigma]
+    if not free:
+        yield sigma
+        return
+    i = free[0]
+    _, s, t = a.arrows[i]
+    for j in free:
+        if a.arrows[j][1:] == (t, s):
+            yield from _arrow_involutions(a, {**sigma, i: j, j: i})
+
+
 def find_duality(a):
     """Exhaustive search for an arrow involution extending to a duality.
 
     Returns (sigma dict, clauses) or None.  Only for small quivers.
     """
-    narr = len(a.arrows)
-    if narr > 6:
+    if len(a.arrows) > 6:
         raise StratakitError("duality search limited to quivers with <= 6 "
                              "arrows")
     names = a.arrow_names
-    for perm in permutations(range(narr)):
-        ok = True
-        for i in range(narr):
-            j = perm[i]
-            if perm[j] != i:
-                ok = False
-                break
-            _, s, t = a.arrows[i]
-            _, s2, t2 = a.arrows[j]
-            if (s2, t2) != (t, s):
-                ok = False
-                break
-        if not ok:
-            continue
-        sigma = {names[i]: names[perm[i]] for i in range(narr)}
+    for inv in _arrow_involutions(a, {}):
+        sigma = {names[i]: names[inv[i]] for i in range(len(names))}
         try:
             sigma_idx, clauses = duality_check(a, sigma)
         except NotAntiAutomorphism:

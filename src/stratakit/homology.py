@@ -213,8 +213,6 @@ def ext_dim(i, m, n, cap=DEFAULT_CAP):
     if i < 0:
         return 0
     ms, ns = reps.summands(m), reps.summands(n)
-    if len(ms) == len(ns) == 1:
-        return _ext_dim(i, m, n, cap)
     return sum(_ext_dim(i, x, y, cap) for x in ms for y in ns)
 
 

@@ -12,7 +12,9 @@ Grammar (one directive per line, `#` comments, blank lines ignored):
     duality <a>=<b> [<c>=<d> ...]
 
 Path syntax is `c.b.a`, meaning "a, then b, then c" — the rightmost factor
-acts first, matching how compositions are written multiplicatively.
+acts first, matching how compositions are written multiplicatively.  The
+paths of `image <arrow> = ...` lines name arrows of the ambient algebra, not
+of this file; they are resolved when the embedding is built.
 """
 
 from .errors import ParseError, StratakitError
@@ -300,8 +302,6 @@ def parse(text):
             raise ParseError(f"arrow {aname}: unknown vertex")
     for rel, line_no in zip(f.relations, relation_lines):
         _check_terms(rel, arrow_map, line_no=line_no)
-    for rhs in f.embedding.values():
-        _check_terms(rhs, arrow_map, allow_unknown=True)
     for mname, lit in f.modules.items():
         if len(lit.dims) != len(vertices):
             raise ParseError(f"module {mname!r}: dims has {len(lit.dims)} "
@@ -314,14 +314,12 @@ def parse(text):
     return f
 
 
-def _check_terms(terms, arrow_map, allow_unknown=False, line_no=None):
+def _check_terms(terms, arrow_map, line_no=None):
     for _, path in terms:
         cur = None
         for nm in path:
             a = arrow_map.get(nm)
             if a is None:
-                if allow_unknown:
-                    return               # resolved against the ambient algebra
                 raise ParseError(f"unknown arrow {nm!r} in path", line_no)
             if cur is not None and a[1] != cur:
                 raise ParseError(

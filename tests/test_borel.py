@@ -1,5 +1,7 @@
 """Subalgebra embeddings, induction, exact Borel checks, dualities."""
 
+import itertools
+
 import pytest
 
 from stratakit import homology, reps, strat, tilting
@@ -10,12 +12,13 @@ from stratakit.borel import (Embedding, check_embedding, duality_check,
                              verify_lemma_induction_bounds)
 from stratakit.errors import (AlgebraMismatch, IdempotentMismatch,
                               NotAntiAutomorphism, NotInjective,
-                              NotMultiplicative)
+                              NotMultiplicative, StratakitError)
 from stratakit.fields import QQ
 from stratakit.parser import parse_file
-from stratakit.quiver import QuiverSpec, build_algebra
+from stratakit.quiver import Path, QuiverSpec, build_algebra
 
 from conftest import algebra, algebra_file, fixture_path
+from test_certificate_corpus import CORPUS, corpus_algebra
 
 
 def _borel_embedding():
@@ -29,11 +32,9 @@ def test_embedding_verifies():
     e = _borel_embedding()
     # the composite arrow image: dbeta lands on the basis path "delta then beta"
     a = e.a
-    img = e.arrow_imgs[e.b.arrow_index("dbeta")]
-    nonzero = [i for i, c in enumerate(img) if not a.field.is_zero(c)]
-    assert len(nonzero) == 1
     d, bt = a.arrow_index("delta"), a.arrow_index("beta")
-    assert a.basis[nonzero[0]].arrs == (d, bt)
+    assert e.arrow_imgs[e.b.arrow_index("dbeta")] == {
+        Path(a.arrows[d][1], (d, bt)): 1}
 
 
 def test_relations_of_b_hold_on_restricted_projectives():
@@ -198,6 +199,69 @@ def test_find_duality_recovers_borelA():
     sigma, clauses = found
     assert sigma["alpha"] == "beta" and sigma["gamma"] == "delta"
     assert all(flag for _, flag in clauses)
+
+
+def _crossed_pairs():
+    # a, c: 1 -> 2 and b, d: 2 -> 1; every path of length 2 is 0 but b.c
+    arrows = [("a", "1", "2"), ("c", "1", "2"), ("b", "2", "1"),
+              ("d", "2", "1")]
+    zero = [("a", "b"), ("a", "d"), ("c", "d"), ("b", "a"), ("b", "c"),
+            ("d", "a"), ("d", "c")]
+    return build_algebra(QuiverSpec(["1", "2"], arrows,
+                                    [[(1, p)] for p in zero], QQ))
+
+
+def test_involution_moving_a_relation_out_of_the_ideal_is_rejected():
+    a = _crossed_pairs()
+    assert a.dim == 7
+    # a<->b, c<->d sends the relation d.a to b.c, which is not 0
+    with pytest.raises(NotAntiAutomorphism,
+                       match="a defining relation does not map into the ideal"):
+        duality_check(a, {"a": "b", "b": "a", "c": "d", "d": "c"})
+    sigma, clauses = find_duality(a)
+    assert sigma == {"a": "d", "d": "a", "b": "c", "c": "b"}
+    assert all(flag for _, flag in clauses)
+
+
+def _first_permutation_duality(a):
+    """find_duality by brute force: the first arrow permutation, in the
+    order of itertools.permutations, that passes duality_check with every
+    clause (duality_check rejects one that does not reverse every arrow)."""
+    names = a.arrow_names
+    for perm in itertools.permutations(names):
+        sigma = dict(zip(names, perm))
+        try:
+            _, clauses = duality_check(a, sigma)
+        except NotAntiAutomorphism:
+            continue
+        if all(flag for _, flag in clauses):
+            return sigma, clauses
+    return None
+
+
+def test_find_duality_matches_the_first_permutation_on_the_corpus():
+    # the corpus, in every vertex order over Q and GF(2), and two algebras
+    # with more than one arrow involution: on the crossed pairs the first
+    # fails, on k[x, y]/(x^2, y^2) both the identity and x <-> y pass
+    cases = [(f"{key} {field}", corpus_algebra(key, field))
+             for key, field in CORPUS]
+    cases.append(("crossed pairs", _crossed_pairs()))
+    cases.append(("two loops", build_algebra(QuiverSpec(
+        ["1"], [("x", "1", "1"), ("y", "1", "1")],
+        [[(1, ("x", "x"))], [(1, ("y", "y"))],
+         [(1, ("x", "y")), (-1, ("y", "x"))]], QQ))))
+    for label, a in cases:
+        found, expected = find_duality(a), _first_permutation_duality(a)
+        assert found == expected, label
+        if found is not None:                  # in the same order, too
+            assert list(found[0].items()) == list(expected[0].items()), label
+
+
+def test_find_duality_refuses_more_than_six_arrows():
+    a = build_algebra(QuiverSpec(
+        ["1", "2"], [(f"a{k}", "1", "2") for k in range(7)], [], QQ))
+    with pytest.raises(StratakitError, match="<= 6 arrows"):
+        find_duality(a)
 
 
 def test_induction_bounds_keep_capped_dimensions():

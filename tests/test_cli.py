@@ -115,6 +115,64 @@ def test_non_parallel_embedding_image_is_an_input_error(tmp_path):
     assert err.startswith("input error:")
 
 
+def test_image_paths_are_read_in_the_ambient_algebra(tmp_path):
+    # B's own x runs 1 -> 3, so y then x does not compose in B; the image
+    # x.y lives in A, where it does, and renaming B's arrows changes nothing
+    alg = tmp_path / "pa.alg"
+    alg.write_text("field Q\nvertices 1 2 3\narrow x 2 3\narrow y 1 2\n")
+    runs = []
+    for b_names in ("x y", "s t"):
+        s, t = b_names.split()
+        sub = tmp_path / f"q{s}.alg"
+        sub.write_text(f"field Q\nvertices 1 2 3\narrow {s} 1 3\narrow {t} 1 2\n"
+                       f"embedding\n  image {s} = 1*x.y\n  image {t} = 1*y\n"
+                       "end\n")
+        runs.append(run_cli(["check", str(alg), "--borel", str(sub),
+                             "--format", "machine"]))
+    (code, out, _), renamed = runs
+    assert (code, out) == renamed[:2]
+    assert code == 1 and machine_dict(out)["borel.B_dim"] == "5"
+
+
+def _borelA_variant(tmp_path, old, new):
+    with open(fixture_path("borelA.alg"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / "A.alg"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+@pytest.mark.parametrize("duality,reason", [
+    ("alpha=zz", "unknown arrow 'zz'"),
+    ("alpha=beta gamma=gamma delta=delta",
+     "image of arrow gamma does not reverse it"),
+    ("alpha=beta", "involution does not cover every arrow")],
+    ids=["unknown", "not_reversed", "not_covering"])
+def test_bad_duality_lines_fail_the_check(tmp_path, duality, reason):
+    path = _borelA_variant(tmp_path, "duality alpha=beta gamma=delta",
+                           f"duality {duality}")
+    code, out, _ = run_cli(["check", path, "--borel", fixture_path("borelB.alg"),
+                            "--format", "machine"])
+    assert code == 1
+    assert out.endswith(f"duality.anti_automorphism = fail ({reason})\n")
+
+
+def test_duality_moving_a_relation_out_of_the_ideal_fails_the_check(tmp_path):
+    # without beta.delta.gamma = 0, the relation delta.gamma.alpha maps to it
+    path = _borelA_variant(tmp_path, "relation 1*beta.delta.gamma\n", "")
+    sub = tmp_path / "B.alg"
+    sub.write_text("field Q\nvertices 1 2 3\narrow beta 1 3\narrow gamma 1 2\n"
+                   "embedding\n  image beta = 1*beta\n  image gamma = 1*gamma\n"
+                   "end\n")
+    code, out, _ = run_cli(["check", path, "--borel", str(sub),
+                            "--format", "machine"])
+    assert code == 1
+    assert machine_dict(out)["dims.gl_dim"] == "3"
+    assert out.endswith("duality.anti_automorphism = fail (a defining "
+                        "relation does not map into the ideal)\n")
+
+
 def test_gfd_builtin_and_declared_modules():
     code, out, _ = run_cli(["gfd", fixture_path("a3line.alg"),
                             "--module", "E(3)", "--format", "machine"])
