@@ -4,7 +4,8 @@ The stratifying order is the position of a vertex in the declared vertex list
 (later = larger).  Filtration membership is decided two independent ways: an
 explicit filtration certificate, constructed from the trace filtration, and
 (when the algebra is stratified) the Ext-vanishing criterion; the two are
-cross-checked in tests.
+cross-checked in tests.  Certificates against Nabla and NablaBar are built
+over the opposite algebra only (filtration_certificate).
 """
 
 from . import homology, linalg, reps
@@ -138,14 +139,16 @@ def _top_lifts(m, sub, w, below=None):
 
 @reps.by_structure
 def _top_kernel(f, mu):
-    """Generators (w, vector) of K(μ) = ker(P(μ) -> f) for a projective
-    cover, in the coordinates of projective_layout(μ); None unless the top of
-    f is the simple module at μ.  Read from f's syzygy step."""
+    """Lifts (w, vector), w <= μ, of the top of K(μ) = ker(P(μ) -> f) for a
+    projective cover, in the coordinates of projective_layout(μ); with the
+    vectors of K(μ) above μ they generate K(μ).  None unless the top of f is
+    the simple module at μ.  Read from f's syzygy step.  The trace
+    filtration needs no lift above μ: it would act inside U_{μ+1}."""
     cover, _, incl = homology.syzygy_step(f)
     if cover.source.cover_summands != [mu]:
         return None
     k = Submodule(cover.source, incl.blocks, check=False)
-    return [(w, g) for w in range(f.algebra.n)
+    return [(w, g) for w in range(mu + 1)
             for g in _top_lifts(cover.source, k, w)]
 
 
@@ -170,14 +173,13 @@ def _trace_certificate(m, family):
                 return None
             # peel: W = U_{μ+1} + K(μ)·e_μ(cur) is generated by g·x over the
             # generators g of K(μ) and x in e_μ(cur); g·x lies in U_{μ+1}
-            # when g sits at a vertex above μ
-            low = [(w, g) for w, g in kernels[mu] if w <= mu]
+            # when g sits at a vertex above μ, so _top_kernel lifts none there
             gens = []
-            for x in cur.bases[mu].columns() if low else []:
+            for x in cur.bases[mu].columns() if kernels[mu] else []:
                 images = reps.path_images(m, mu, x)
                 gens += [(w, Matrix.from_columns(
                     a.field, images[w], rows=m.dims[w]).apply(g))
-                    for w, g in low]
+                    for w, g in kernels[mu]]
             steps = [generated_submodule(m, gens, below)]
             # cur/W is generated at μ: each lift of its top adds one factor
             for x in _top_lifts(m, cur, mu, steps[0]):
@@ -220,9 +222,12 @@ def filtration_certificate(m, family):
     with larger vertices lower, whose parts are the U_μ (Dlab–Ringel;
     Ágoston–Happel–Lukács–Unger 2000), and Delta(μ) ∈ F(DeltaBar(μ)) forces
     Delta(μ) to be free over End(Delta(μ)), so peeling loses nothing.
-    Families with simple socles (Nabla, NablaBar), and families with simple
-    tops that yield nothing, are handled over the opposite algebra and
-    mapped back by dual_certificate: Nabla can have simple tops.
+    Nabla and NablaBar, recognised by the structural keys of their members
+    after Delta and DeltaBar, go straight to the opposite algebra: the trace
+    filtration of D(m) against Delta^op or DeltaBar^op, mapped back by
+    dual_certificate, so a None there proves non-membership too.  Any other
+    family is tried over m's algebra first, and on None over the opposite
+    algebra.
 
     A direct sum is certified summand by summand (_stacked_certificate).
     Trace and stacked certificates, and the duals of m and of the family's
@@ -233,7 +238,8 @@ def filtration_certificate(m, family):
     if len(reps.summands(m)) > 1:
         cert = _stacked_certificate(m, family)
     else:
-        cert = _trace_certificate(m, family)
+        cert = (None if _costandard_like(m.algebra, family)
+                else _trace_certificate(m, family))
         if cert is None:
             cert = _trace_certificate(reps.dual(m),
                                       [reps.dual(f) for f in family])
@@ -241,6 +247,19 @@ def filtration_certificate(m, family):
     # the memoised certificate may name an equal module built apart
     return (cert if cert is None or cert.module is m
             else FiltrationCertificate(m, cert.layers, cert.factor_indices))
+
+
+def _costandard_like(a, family):
+    """Is the family, by the structural keys of its members, Nabla or
+    NablaBar of a?  Delta and DeltaBar are matched first, so that their
+    certificates build nothing over the opposite algebra."""
+    keys = [f.key() for f in family]
+
+    def same(builder):
+        return keys == [f.key() for f in builder(a)]
+
+    return not (same(standard_family) or same(proper_standard_family)) and (
+        same(costandard_family) or same(proper_costandard_family))
 
 
 @reps.by_structure

@@ -152,22 +152,28 @@ def characteristic_cotilting(a):
 
     Computed as the dual of the characteristic tilting of the opposite
     algebra; valid because the opposite of a properly stratified algebra is
-    standardly stratified for the same order.
+    standardly stratified for the same order.  S(λ) = D(T^op(λ)), and D
+    carries Delta^op to Nabla: T^op(λ)'s Delta^op certificate dualizes to
+    S(λ)'s Nabla certificate.  S(λ)'s DeltaBar certificate is the trace
+    filtration that T^op(λ)'s NablaBar^op certificate was built from, so it
+    is read from the memo, not dualized twice.
     """
     if not strat.classify(a).properly_stratified:
         raise NotProperlyStratified("cotilting needs a properly stratified "
                                     "algebra")
     op_tilt = characteristic_tilting(a.opposite())
+    dbars = strat.proper_standard_family(a)
     summands, nabla_certs, dbar_certs = [], [], []
-    # S(λ) = D(T^op(λ)), and D carries Delta^op to Nabla, NablaBar^op to
-    # DeltaBar: T^op(λ)'s certificates dualize to those of S(λ)
     for lam in range(a.n):
         s = reps.dual_to_opposite(op_tilt.summands[lam])
         s.label = f"S({a.vertices[lam]})"
+        dcert = strat.filtration_certificate(s, dbars)
+        if dcert is None:
+            raise StratakitError("cotilting summand has no filtration "
+                                 "certificate")
         summands.append(s)
         nabla_certs.append(strat.dual_certificate(s, op_tilt.delta_certs[lam]))
-        dbar_certs.append(
-            strat.dual_certificate(s, op_tilt.nabla_bar_certs[lam]))
+        dbar_certs.append(dcert)
     return Cotilting(a, summands, nabla_certs, dbar_certs)
 
 
@@ -330,15 +336,20 @@ class GfdReport:
 @reps.built_once
 def probe_modules(a):
     """Finite probe corpus: simples, projectives, injectives, standards,
-    costandards, and the radicals and tops of all of those, up to iso."""
+    costandards, and the radicals and tops of all of those, up to iso.  A
+    base module equal to an earlier one is skipped before its radical and
+    top are taken: all three of its candidates are already seen."""
     deltas, nablas = strat.standard_family(a), strat.costandard_family(a)
     base = []
     for i in range(a.n):
         base += [reps.simple(a, i), reps.projective(a, i), reps.injective(a, i),
                  deltas[i], nablas[i]]
     out = []
-    seen = set()
+    seen, seen_base = set(), set()
     for m in base:
+        if m.key() in seen_base:
+            continue
+        seen_base.add(m.key())
         rad_rep, _ = reps.radical_submodule(m).as_rep()
         for cand in (m, rad_rep, reps.top(m)):
             if cand.total_dim == 0:

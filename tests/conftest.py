@@ -56,6 +56,20 @@ def auslander(n):
     return _cache[key][1]
 
 
+# Vertices 1 < ... < 5, arrows 1 -> 3 -> 4 and 2 -> 5, one zero relation.
+# Delta(i) = S(i) and T = S(1) + S(2) + P(1) + P(3) + P(2), so pd T = pd S(1)
+# = 2.  The only Delta with Ext^1(Delta, S(5)) != 0 is S(2), of projective
+# dimension 1, so gfd S(5) = 1 is witnessed below pd T only.
+LOW_PD_WITNESS = """name low_pd_witness
+field Q
+vertices 1 2 3 4 5
+arrow a 1 3
+arrow b 3 4
+arrow c 2 5
+relation 1*b.a
+"""
+
+
 def algebra_file(name):
     if name not in _cache:
         f = parse_file(fixture_path(name + ".alg"))

@@ -13,7 +13,7 @@ from stratakit.cli import main
 from stratakit.errors import (NonTerminating, NotAntiAutomorphism,
                               NotStratified, UndecidedDecomposition)
 
-from conftest import auslander_text, fixture_path
+from conftest import LOW_PD_WITNESS, auslander_text, fixture_path
 
 
 def run_cli(argv):
@@ -187,6 +187,17 @@ def test_gfd_builtin_and_declared_modules():
     d = machine_dict(out)
     assert d["module.dims"] == "1 1 0"
     assert d["gfd.nabla_bar"] == "0"
+
+
+def test_gfd_witnessed_below_pd_T(tmp_path):
+    # Ext^1(Delta(2), S(5)) != 0 and pd Delta(2) = 1 < pd T = 2: the scan
+    # must still ask Delta(2) at degree 1
+    path = tmp_path / "low_pd_witness.alg"
+    path.write_text(LOW_PD_WITNESS)
+    code, out, _ = run_cli(["gfd", str(path), "--module", "E(5)",
+                            "--format", "machine"])
+    assert code == 0
+    assert machine_dict(out)["gfd.nabla_bar"] == "1"
 
 
 def test_missing_file_is_input_error():
