@@ -65,6 +65,8 @@ class FieldSpec:
     # -- element constructors ------------------------------------------------
 
     def of(self, n, d=1):
+        if d == 1:
+            return _q(n) if self.p is None else n % self.p
         if self.p is None:
             return _q(Fraction(n, d))
         if d % self.p == 0:

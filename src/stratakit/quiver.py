@@ -11,8 +11,11 @@ Groebner bases, and projective resolutions", 1999).  Paths are ordered by
 length, then by arrow tuple; the tip of an ideal element is its largest path.
 The basis of kQ/I is the set of paths that contain no tip, and only those
 paths are ever listed: the candidates of length d are the basis paths of
-length d - 1 extended by one arrow, and plain linear algebra over the base
-field splits them into tips and basis paths.
+length d - 1 extended by one arrow.  When every relation is a single path,
+the tips are the candidates that end in a relation word, each equal to 0,
+and the automaton of the words tells them apart with no field arithmetic;
+otherwise plain linear algebra over the base field splits the candidates
+into tips and basis paths.
 """
 
 from collections import namedtuple
@@ -293,53 +296,124 @@ def _unreduced(a, relations):
     return None
 
 
-def _unbounded(arrows, nverts, words):
-    """Whether paths containing none of `words` exist in every length.
+def _word_automaton(arrows, nverts, words):
+    """The Aho-Corasick automaton of the relation words (A. V. Aho and M. J.
+    Corasick, "Efficient string matching", 1975), one table per state.
 
-    They do exactly when the graph of such paths has a cycle (V. Ufnarovski,
-    "A growth criterion for graphs and algebras defined by words", 1982),
-    here the Aho-Corasick automaton of the words.  A state is a vertex and
-    the longest suffix of the path read so far that is a proper prefix of a
-    word, so there are at most nverts + sum(len(w) - 1) of them, and the
-    roots are the vertices with the empty suffix.  Reading an arrow is dead
-    when some suffix of the state's suffix extended by it is a word: all but
-    the last arrow of a word ending there is a suffix of the path read that
-    is a proper prefix of a word, so it lies inside the state's suffix.
-    Paths are walks from a root, so without a reachable cycle none is as
-    long as the number of states.
+    A state is a node of the trie of the words: a vertex v (the empty
+    suffix at v; states 0 .. nverts - 1) or a nonempty prefix of a word.
+    The state of a path is its longest suffix that is a node, and the
+    failure link of a node its longest proper suffix that is one.  A node
+    is dead when it is a word or its link is dead, that is when it ends in
+    a word.  step[s] maps each arrow i out of s's vertex, in index order,
+    to the state of s.i, or to None when that state is dead.  Only live
+    nodes get a table, found breadth first: the link of a live node is live
+    and shallower, so its table is there when the node falls back on it.
+    There are at most nverts + sum(len(w) - 1) of them.
     """
-    prefixes = {w[:i] for w in words for i in range(1, len(w))}
     out_of = [[i for i, (_, s, _) in enumerate(arrows) if s == v]
               for v in range(nverts)]
+    child = [{} for _ in range(nverts)]
+    vertex = list(range(nverts))            # where each node's paths end
+    is_word = [False] * nverts
+    for w in words:
+        node = arrows[w[0]][1]
+        for i in w:
+            if i not in child[node]:
+                child[node][i] = len(child)
+                child.append({})
+                vertex.append(arrows[i][2])
+                is_word.append(False)
+            node = child[node][i]
+        is_word[node] = True
+    step = [None] * len(child)
+    fail = [None] * len(child)
+    queue = list(range(nverts))
+    for s in queue:
+        step[s] = {}
+        for i in out_of[vertex[s]]:
+            # the state of the longest proper suffix of s.i
+            back = arrows[i][2] if s < nverts else step[fail[s]][i]
+            t = child[s].get(i)
+            if t is None:
+                t = back
+            elif is_word[t] or back is None:
+                t = None
+            else:
+                fail[t] = back
+                queue.append(t)
+            step[s][i] = t
+    return step
 
-    def successors(state):
-        v, suffix = state
-        for i in out_of[v]:
-            read = suffix + (i,)
-            tails = [read[k:] for k in range(len(read))]
-            if not any(t in words for t in tails):
-                yield arrows[i][2], next((t for t in tails if t in prefixes), ())
 
-    done, on_stack = set(), set()
-    for root in [(v, ()) for v in range(nverts)]:
-        if root in done:
+def _longest_walk(step, nverts):
+    """The length of the longest walk through live transitions from a
+    vertex state, or None when such walks reach a cycle and so have every
+    length (V. Ufnarovski, "A growth criterion for graphs and algebras
+    defined by words", 1982).  One depth-first search: a state's height is
+    known when it leaves the stack, and an edge back onto the stack is a
+    cycle."""
+    on_stack = -1
+    height = [None] * len(step)
+    for root in range(nverts):
+        if height[root] is not None:
             continue
-        on_stack.add(root)
-        stack = [(root, successors(root))]
+        height[root] = on_stack
+        stack = [[root, 0, iter(step[root].values())]]
         while stack:
-            state, pending = stack[-1]
-            for nxt in pending:
-                if nxt in on_stack:
-                    return True
-                if nxt not in done:
-                    on_stack.add(nxt)
-                    stack.append((nxt, successors(nxt)))
+            top = stack[-1]
+            for t in top[2]:
+                if t is None:
+                    continue
+                if height[t] is None:
+                    height[t] = on_stack
+                    stack.append([t, 0, iter(step[t].values())])
                     break
+                if height[t] == on_stack:
+                    return None
+                top[1] = max(top[1], height[t] + 1)
             else:
                 stack.pop()
-                on_stack.discard(state)
-                done.add(state)
-    return False
+                height[top[0]] = top[1]
+                if stack:
+                    stack[-1][1] = max(stack[-1][1], top[1] + 1)
+    return max(height[:nverts], default=0)
+
+
+def _monomial(spec, arrows, nverts, words, degree_cap):
+    """kQ/I for I spanned by paths that contain a word: the normal paths
+    are the paths that contain none, the tips the normal paths extended by
+    one arrow that end in a word, and every tip is 0.
+
+    The automaton of the words decides admissibility first: the quotient is
+    refused when its normal paths have no longest (a reachable cycle), or
+    when the longest has length d >= 2 with d >= degree_cap, the degrees at
+    which the sweep refuses.  The basis is then listed level by level, each
+    normal path carrying its state, so one table lookup per arrow splits
+    the extensions into normal paths and tips.  Each level comes in path
+    order, so the basis needs no sort and the table is filled in the
+    sweep's order.
+    """
+    step = _word_automaton(arrows, nverts, words)
+    longest = _longest_walk(step, nverts)
+    if longest is None or longest >= max(degree_cap, 2):
+        raise NotAdmissible(_ALIVE.format(degree_cap))
+    basis = [Path(v, ()) for v in range(nverts)]
+    # no word is shorter than 2, so every arrow is normal
+    level = [(Path(s, (i,)), step[s][i]) for i, (_, s, _) in enumerate(arrows)]
+    red = {}
+    while level:
+        basis += [p for p, _ in level]
+        longer = []
+        for p, s in level:
+            for i, t in step[s].items():
+                q = Path(p.src, p.arrs + (i,))
+                if t is None:
+                    red[q] = {}
+                else:
+                    longer.append((q, t))
+        level = longer
+    return PathAlgebra(spec, basis, red, max(longest, 1))
 
 
 def _check_nilpotent(a):
@@ -372,22 +446,27 @@ def build_algebra(spec, degree_cap=64):
     """Build kQ/I by tip reduction (Green 1999), degree by degree.
 
     Only paths that contain no tip are ever listed, and the class of the
-    ideal chooses the work.  When every relation is a single path, kQ/I is
-    infinite dimensional exactly when _unbounded finds a cycle, and that is
-    raised before any sweep.  When every relation is homogeneous, one _sweep
-    is exact: a homogeneous row n.r reduces to paths of its own length, so
-    no element is missed; every u.r.v of degree d reduces to 0 modulo the
-    rows n.r and the lower degrees, so _unreduced would find nothing; and
-    the sweep stops at the first empty degree d, where A_d' = A_(d'-1).A_1
-    gives A_d' = 0 for all d' >= d, so the arrow ideal is nilpotent.  Only
-    mixed-length relations take the completion: a missed element, or an n.r
-    that the finished tables do not reduce to 0, joins the relations and the
-    sweep restarts; then no tip may be shorter than 2, and _check_nilpotent
-    decides nilpotency.
+    validated relations (zero terms dropped) chooses the work:
 
-    Raises NotAdmissible when some path survives past the degree cap (for a
-    monomial ideal with an infinite quotient, normal paths reach any cap),
-    or the arrow ideal is not nilpotent in the quotient, and
+    - Monomial, every relation a single path: one walk of the automaton of
+      the relation words (_monomial).  A cycle in it means an infinite
+      quotient, refused at once whatever the cap; otherwise the basis is
+      listed level by level, every tip mapped to 0, with no rows and no
+      field arithmetic.
+    - Graded, every relation homogeneous: one _sweep is exact.  A
+      homogeneous row n.r reduces to paths of its own length, so no element
+      is missed; every u.r.v of degree d reduces to 0 modulo the rows n.r
+      and the lower degrees, so _unreduced would find nothing; and the sweep
+      stops at the first empty degree d, where A_d' = A_(d'-1).A_1 gives
+      A_d' = 0 for all d' >= d, so the arrow ideal is nilpotent.
+    - Mixed-length: the completion.  A missed element, or an n.r that the
+      finished tables do not reduce to 0, joins the relations and the sweep
+      restarts; then no tip may be shorter than 2, and _check_nilpotent
+      decides nilpotency.
+
+    Raises NotAdmissible when some path of length d >= 2 with d >= the
+    degree cap is normal (for an infinite quotient, normal paths reach any
+    cap), or the arrow ideal is not nilpotent in the quotient, and
     MalformedRelation for non-parallel or too-short relation terms.
     """
     F = spec.field
@@ -430,9 +509,10 @@ def build_algebra(spec, degree_cap=64):
         if terms:
             relations.append((endpoints[0], max(map(len, terms)), terms))
 
-    if all(len(terms) == 1 for _, _, terms in relations) and _unbounded(
-            arrows, nverts, {w for _, _, terms in relations for w in terms}):
-        raise NotAdmissible(_ALIVE.format(degree_cap))
+    if all(len(terms) == 1 for _, _, terms in relations):
+        return _monomial(spec, arrows, nverts,
+                         {w for _, _, terms in relations for w in terms},
+                         degree_cap)
 
     graded = all(len(set(map(len, terms))) == 1 for _, _, terms in relations)
     while True:

@@ -2,8 +2,11 @@ import os
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
+from stratakit.fields import GF, QQ
 from stratakit.parser import parse, parse_file
+from stratakit.quiver import QuiverSpec
 
 # every run draws the same examples, and no example is timed out
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -54,6 +57,65 @@ def auslander(n):
         f = parse(auslander_text(n))
         _cache[key] = (f, f.build())
     return _cache[key][1]
+
+
+@st.composite
+def graded_specs(draw):
+    """Quivers with 1-3 vertices and at most 3 arrows; every term of a relation
+    has the same length and a nonzero coefficient.  Half the specs also kill
+    every path of length 3 or 4, so that more of them are finite dimensional."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    nverts = draw(st.integers(1, 3))
+    vertices = [str(v) for v in range(nverts)]
+    ends = st.sampled_from(vertices)
+    arrows = [(f"a{i}", draw(ends), draw(ends))
+              for i in range(draw(st.integers(1, 3)))]
+    coeffs = (st.sampled_from([-3, -2, -1, 1, 2, 3]) if field.is_rational
+              else st.integers(1, field.p - 1))
+
+    def paths(length):
+        out = [(a,) for a in arrows]
+        for _ in range(length - 1):
+            out = [p + (a,) for p in out for a in arrows if a[1] == p[-1][2]]
+        return out
+
+    relations = []
+    for _ in range(draw(st.integers(0, 4))):
+        candidates = paths(draw(st.integers(2, 4)))
+        if not candidates:
+            continue
+        first = draw(st.sampled_from(candidates))
+        parallel = [p for p in candidates
+                    if (p[0][1], p[-1][2]) == (first[0][1], first[-1][2])]
+        chosen = draw(st.lists(st.sampled_from(parallel), min_size=1,
+                               max_size=3, unique=True))
+        relations.append([(draw(coeffs), tuple(a[0] for a in p)) for p in chosen])
+    if draw(st.booleans()):
+        relations += [[(1, tuple(a[0] for a in p))]
+                      for p in paths(draw(st.integers(3, 4)))]
+    return QuiverSpec(vertices, arrows, relations, field)
+
+
+@st.composite
+def monomial_specs(draw):
+    """Quivers with 1-3 vertices and 1-4 arrows and 0-5 relations, each a
+    single path of length 2-5 (shorter where the quiver stops it)."""
+    field = draw(st.sampled_from([QQ, GF(2)]))
+    vertices = [str(v) for v in range(draw(st.integers(1, 3)))]
+    ends = st.sampled_from(vertices)
+    arrows = [(f"a{i}", draw(ends), draw(ends))
+              for i in range(draw(st.integers(1, 4)))]
+    relations = []
+    for _ in range(draw(st.integers(0, 5))):
+        word = [draw(st.sampled_from(arrows))]
+        for _ in range(draw(st.integers(1, 4))):
+            onward = [a for a in arrows if a[1] == word[-1][2]]
+            if not onward:
+                break
+            word.append(draw(st.sampled_from(onward)))
+        if len(word) > 1:
+            relations.append([(1, tuple(a[0] for a in word))])
+    return QuiverSpec(vertices, arrows, relations, field)
 
 
 # Vertices 1 < ... < 5, arrows 1 -> 3 -> 4 and 2 -> 5, one zero relation.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratakit import linalg
+from stratakit import fields, linalg
 from stratakit.cli import main
 from stratakit.fields import GF, QQ
 from stratakit.linalg import Matrix
@@ -350,6 +350,17 @@ def test_rational_constructors_are_canonical():
     assert type(QQ.parse_scalar("-3/4")) is Fraction
     _assert_canonical(QQ, [QQ.of(n, d) for n in range(-6, 7)
                            for d in (-3, -2, -1, 1, 2, 3)])
+
+
+def test_integer_constructor_takes_no_division(monkeypatch):
+    # an integer n, such as every relation coefficient the parser reads,
+    # is n itself over Q and n mod p over GF(p)
+    monkeypatch.setattr(fields, "Fraction", None)
+    monkeypatch.setattr(fields, "pow", None, raising=False)
+    assert QQ.of(5) == 5 and type(QQ.of(5)) is int
+    assert GF(7).of(-3) == 4 and GF(7).of(10) == 3
+    monkeypatch.undo()
+    assert QQ.of(3, 6) == Fraction(1, 2) and type(QQ.of(3, 6)) is Fraction
 
 
 def test_rational_arithmetic_is_canonical():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stratakit import quiver, reps
 from stratakit.borel import Embedding, check_embedding
 from stratakit.errors import (MalformedRelation, NotAdmissible, NotInjective,
-                              StratakitError, UnknownVertex)
+                              NotStratified, StratakitError, UnknownVertex)
 from stratakit.fields import GF, QQ, FieldSpec
 from stratakit.linalg import Matrix
 from stratakit.parser import parse, parse_file
@@ -20,7 +20,8 @@ from stratakit.quiver import (Path, PathAlgebra, QuiverSpec, _insert_row,
 
 from stratakit.tilting import ringel_dual
 
-from conftest import algebra, auslander_text, fixture_path
+from conftest import (algebra, auslander_text, fixture_path, graded_specs,
+                      monomial_specs)
 from test_certificate_corpus import CORPUS, QUIVERS
 from test_cli import machine_dict, run_cli
 
@@ -350,52 +351,16 @@ def _paths(a, length):
 def _assert_same_algebra(spec, degree_cap):
     try:
         ref = reference_build_algebra(spec, degree_cap)
-    except NotAdmissible:
-        with pytest.raises(NotAdmissible):
+    except NotAdmissible as err:
+        with pytest.raises(NotAdmissible) as refused:
             build_algebra(spec, degree_cap)
+        assert str(refused.value) == str(err)
         return
     a = build_algebra(spec, degree_cap)
     assert (a.basis, a.max_len) == (ref.basis, ref.max_len)
     for length in range(a.max_len + 2):
         for p in _paths(a, length):
             assert a.nf_path(p.src, p.arrs) == ref.nf_path(p.src, p.arrs), p
-
-
-@st.composite
-def graded_specs(draw):
-    """Quivers with 1-3 vertices and at most 3 arrows; every term of a relation
-    has the same length and a nonzero coefficient.  Half the specs also kill
-    every path of length 3 or 4, so that more of them are finite dimensional."""
-    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
-    nverts = draw(st.integers(1, 3))
-    vertices = [str(v) for v in range(nverts)]
-    ends = st.sampled_from(vertices)
-    arrows = [(f"a{i}", draw(ends), draw(ends))
-              for i in range(draw(st.integers(1, 3)))]
-    coeffs = (st.sampled_from([-3, -2, -1, 1, 2, 3]) if field.is_rational
-              else st.integers(1, field.p - 1))
-
-    def paths(length):
-        out = [(a,) for a in arrows]
-        for _ in range(length - 1):
-            out = [p + (a,) for p in out for a in arrows if a[1] == p[-1][2]]
-        return out
-
-    relations = []
-    for _ in range(draw(st.integers(0, 4))):
-        candidates = paths(draw(st.integers(2, 4)))
-        if not candidates:
-            continue
-        first = draw(st.sampled_from(candidates))
-        parallel = [p for p in candidates
-                    if (p[0][1], p[-1][2]) == (first[0][1], first[-1][2])]
-        chosen = draw(st.lists(st.sampled_from(parallel), min_size=1,
-                               max_size=3, unique=True))
-        relations.append([(draw(coeffs), tuple(a[0] for a in p)) for p in chosen])
-    if draw(st.booleans()):
-        relations += [[(1, tuple(a[0] for a in p))]
-                      for p in paths(draw(st.integers(3, 4)))]
-    return QuiverSpec(vertices, arrows, relations, field)
 
 
 @settings(max_examples=250)
@@ -529,28 +494,6 @@ def test_long_monomial_relation_builds():
     assert (a.dim, a.max_len) == (40, 39)
 
 
-@st.composite
-def monomial_specs(draw):
-    """Quivers with 1-3 vertices and 1-4 arrows and 0-5 relations, each a
-    single path of length 2-5 (shorter where the quiver stops it)."""
-    field = draw(st.sampled_from([QQ, GF(2)]))
-    vertices = [str(v) for v in range(draw(st.integers(1, 3)))]
-    ends = st.sampled_from(vertices)
-    arrows = [(f"a{i}", draw(ends), draw(ends))
-              for i in range(draw(st.integers(1, 4)))]
-    relations = []
-    for _ in range(draw(st.integers(0, 5))):
-        word = [draw(st.sampled_from(arrows))]
-        for _ in range(draw(st.integers(1, 4))):
-            onward = [a for a in arrows if a[1] == word[-1][2]]
-            if not onward:
-                break
-            word.append(draw(st.sampled_from(onward)))
-        if len(word) > 1:
-            relations.append([(1, tuple(a[0] for a in word))])
-    return QuiverSpec(vertices, arrows, relations, field)
-
-
 @settings(max_examples=300)
 @given(monomial_specs())
 def test_monomial_admissibility_matches_the_sweep(spec):
@@ -558,39 +501,91 @@ def test_monomial_admissibility_matches_the_sweep(spec):
         a = build_algebra(spec)
     except NotAdmissible as err:
         assert "length 64 still alive" in str(err)
-        # the sweep finds normal paths longer than any relation; it goes no
-        # further, since the quotient may grow exponentially
-        with patch.object(quiver, "_unbounded", return_value=False), \
-                pytest.raises(NotAdmissible, match="length 7 still alive"):
-            build_algebra(spec, degree_cap=7)
+        # the enumeration lists every path up to the cap, so it goes no
+        # further than 7: the quotient may grow exponentially
+        for cap in (1, 2, 7):
+            _assert_same_algebra(spec, cap)
         return
     # a finite quotient has no normal path as long as the automaton's states
     assert a.max_len < _states(spec)
-    _assert_same_algebra(spec, _states(spec) + 1)
+    for cap in (1, 2, a.max_len, a.max_len + 1, 64):
+        _assert_same_algebra(spec, cap)
 
 
 FIXTURES = ["point", "semisimple2", "loop2", "a2", "a3line", "borelA",
             "borelB"]
 
+# 2 = 0 in GF(2) drops the x^4 term: the relation is x^2, a single path
+GF2_X2 = "field GF 2\nvertices 1\narrow x 1 1\nrelation 2*x.x.x.x + 1*x.x\n"
+
+
+def _linear_a(n, rad2):
+    """Linear A_n over GF(101), arrows i -> i+1, with or without every path
+    of length 2 zero."""
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+    relations = ([[(1, (f"a{i}", f"a{i + 1}"))] for i in range(1, n - 1)]
+                 if rad2 else [])
+    return QuiverSpec([str(i) for i in range(1, n + 1)], arrows, relations,
+                      GF(101))
+
+
+def _corpus_specs():
+    return [parse("\n".join([f"field {field}", "vertices " + " ".join(order)]
+                            + QUIVERS[name][1])).to_spec()
+            for key, field in CORPUS
+            for name, order in [key.split("/")]]
+
+
+def _with_opposites_and_duals(specs):
+    """Each spec, its opposite and, when the algebra is standardly
+    stratified, its Ringel dual and the dual's opposite."""
+    out = []
+    for spec in specs:
+        out += [spec, spec.opposite()]
+        with suppress(NotStratified):
+            dual = ringel_dual(build_algebra(spec)).spec
+            out += [dual, dual.opposite()]
+    return out
+
+
+def test_monomial_builds_take_no_linear_algebra():
+    specs = _with_opposites_and_duals(
+        [_xy(m) for m in range(1, 9)]
+        + [_linear_a(n, rad2) for n in range(3, 9) for rad2 in (True, False)]
+        + [parse_file(fixture_path(f"{name}.alg")).to_spec()
+           for name in FIXTURES]
+        + _corpus_specs() + [parse(GF2_X2).to_spec()])
+    dims = [build_algebra(spec).dim for spec in specs]
+    automata = []
+
+    def spy(*args):
+        automata.append(args)
+        return real(*args)
+
+    real = quiver._word_automaton
+    with patch.object(quiver, "_sweep", _fail), \
+            patch.object(quiver, "_insert_row", _fail), \
+            patch.object(FieldSpec, "inv", _fail), \
+            patch.object(quiver, "_word_automaton", spy):
+        for spec, dim in zip(specs, dims):
+            automata.clear()
+            assert build_algebra(spec).dim == dim
+            assert len(automata) == 1
+
 
 def test_graded_quotients_take_one_sweep():
-    fixtures = [parse_file(fixture_path(f"{name}.alg")).to_spec()
-                for name in FIXTURES] + [parse(AUSLANDER3).to_spec()]
-    auslander = [parse(auslander_text(n)).to_spec() for n in (4, 5)]
-    corpus = [parse("\n".join([f"field {field}", "vertices " + " ".join(order)]
-                              + QUIVERS[name][1])).to_spec()
-              for key, field in CORPUS
-              for name, order in [key.split("/")]]
-    # 2 = 0 in GF(2) drops the x^4 term: the relation is x^2, graded
-    gf2 = parse("field GF 2\nvertices 1\narrow x 1 1\n"
-                "relation 2*x.x.x.x + 1*x.x\n").to_spec()
+    # the graded specs that are not monomial: the Auslander algebras, whose
+    # second relation is a commutativity relation, and their Ringel duals;
+    # no corpus quiver and no fixture has such a relation
+    specs = _with_opposites_and_duals(
+        [parse(AUSLANDER3).to_spec()]
+        + [parse(auslander_text(n)).to_spec() for n in (4, 5)])
+    assert all(any(len(rel) > 1 for rel in spec.relations) for spec in specs)
     with _graded_path() as sweeps:
-        duals = [ringel_dual(build_algebra(spec)).spec for spec in fixtures]
-        for spec in fixtures + auslander + corpus + [gf2] + duals:
-            for s in (spec, spec.opposite()):
-                sweeps.clear()
-                build_algebra(s)
-                assert len(sweeps) == 1
+        for spec in specs:
+            sweeps.clear()
+            build_algebra(spec)
+            assert len(sweeps) == 1
 
 
 @pytest.mark.parametrize("spec,raises", [
