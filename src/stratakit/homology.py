@@ -4,7 +4,8 @@ A resolution is a chain of shared steps.  syzygy_step(M) is the projective
 cover P -> M, Ω M and its inclusion into P, memoised per algebra by the
 structural key of M (reps.by_structure), so the resolution of Ω M reuses the
 steps of M's resolution, and resolutions whose syzygies are equal share
-their tails.  Resolutions are memoized the same way and extended on demand,
+their tails.  A step eliminates each cover block once, for its surjectivity
+and Ω, and builds P once per algebra and multiset of tops.  Resolutions are memoized the same way and extended on demand,
 so repeated Ext queries against the same module reuse one resolution.  A
 resolution keeps its projective covers and its syzygies Ω^k M; a
 differential is composed only when asked for.
@@ -49,8 +50,17 @@ class LowerBound(int):
     __str__ = __repr__
 
 
+@reps.built_once
+def _cover_source(a, summands):
+    """⊕P(v) over the tuple summands, shared by the covers with these tops."""
+    P = direct_sum([projective(a, v) for v in summands])
+    P.cover_summands = list(summands)
+    return P
+
+
 def projective_cover(m):
-    """Projective cover ⊕P(i)^mult -> m, with multiplicities from top(m)."""
+    """Projective cover ⊕P(i)^mult -> m, with multiplicities from top(m); it
+    is onto when its kernel, kept as `cover.ker`, has dim P - dim m."""
     if m.total_dim == 0:
         raise ZeroModule("projective cover of the zero module")
     a = m.algebra
@@ -59,14 +69,13 @@ def projective_cover(m):
     # of a nonzero module is nonzero, so there is at least one
     lifts = [(v, [F.one if i == c else F.zero for i in range(m.dims[v])])
              for v, C in enumerate(reps.top_basis(m)) for c in C]
-    summands = [v for v, _ in lifts]
-    P = direct_sum([projective(a, v) for v in summands])
+    P = _cover_source(a, tuple(v for v, _ in lifts))
     images = [reps.path_images(m, v, x) for v, x in lifts]
     cover = Morphism(P, m, [Matrix.from_columns(
         F, [c for img in images for c in img[tv]], rows=m.dims[tv])
         for tv in range(a.n)])
-    P.cover_summands = summands
-    if not cover.is_surjective():
+    cover.ker = kernel(cover)
+    if cover.ker.dims() != tuple(p - d for p, d in zip(P.dims, m.dims)):
         raise StratakitError("projective cover failed to be surjective")
     return cover
 
@@ -87,10 +96,12 @@ def injective_hull(m):
 @reps.by_structure
 def syzygy_step(m):
     """(cover, Ω m, inclusion): the projective cover P -> m, its kernel Ω m
-    as a module, and the inclusion of Ω m into P.  One per structural key,
-    so resolutions whose syzygies are equal share their tails."""
+    as a module, and the inclusion of Ω m into P.  The kernel is the one the
+    cover's check found, so Ω's action is read off its free coordinates and
+    checked by one product per arrow.  One per structural key, so
+    resolutions whose syzygies are equal share their tails."""
     cover = projective_cover(m)
-    omega, incl = kernel(cover).as_rep()
+    omega, incl = cover.ker.as_rep()
     return cover, omega, incl
 
 

@@ -3,10 +3,12 @@
 Matrices are dense, row-major, immutable after construction, and hold the
 field's canonical scalars (fields): over Q an int for every integral entry
 and a Fraction with denominator > 1 for the rest.  RREF over the field is
-the reference semantics for everything (rank, kernels, solving).  The
-arithmetic is specialised per field: over GF(p) on int residues reduced
-inline, over Q by fraction-free elimination on integer rows, which divides
-only to write out the reduced rows.  The RREF is unique, so both give
+the reference semantics for everything (rank, kernels, solving).  One
+elimination routine serves them all, specialised per field: over GF(p) on
+int residues reduced inline, over Q fraction-free on integer rows.  It stops
+where the question is answered: rank and image_basis clear only below each
+pivot, and over Q kernel_basis, solve and inverse divide only the entries
+they return, rref all of them.  The RREF is unique, so both fields give
 exactly the result of elimination on field scalars.  pivot_columns reduces
 one vector at a time against the rows kept so far, with the same arithmetic,
 and builds no matrix.
@@ -199,38 +201,14 @@ def block_diag(field, mats):
 
 
 def rref(m):
-    """Reduced row echelon form.  Returns (Matrix, pivot column indices)."""
-    if m.rows == 0 or m.cols == 0:
-        return m, []
-    if m.field.p is None:
-        return _rref_rational(m)
-    return _rref_mod_p(m)
-
-
-def _rref_mod_p(m):
-    """Gauss-Jordan over GF(p) on int residues, reducing inline."""
-    p, n = m.field.p, m.cols
-    rows = [m.entries[i * n:(i + 1) * n] for i in range(m.rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        for i in range(r, m.rows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        prow = rows[r] = [x * inv % p for x in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Matrix(m.field, m.rows, n, [x for row in rows for x in row]), pivots
+    """Reduced row echelon form.  Returns (Matrix, pivot column indices):
+    the pivot rows of _eliminate divided by their pivots, then zero rows."""
+    rows, pivots = _echelon(m)
+    if not pivots:
+        return m, pivots
+    out = [x for row, c in zip(rows, pivots) for x in _divided(row, row[c])]
+    out.extend([m.field.zero] * ((m.rows - len(pivots)) * m.cols))
+    return Matrix(m.field, m.rows, m.cols, out), pivots
 
 
 def _integral(row):
@@ -244,20 +222,21 @@ def _integral(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _rref_rational(m):
-    """Fraction-free Gauss-Jordan over Q (cf. Bareiss 1968).
-
-    Each row is made integral by _integral, which leaves the RREF unchanged.
-    Elimination runs on int rows, row := s*row - t*pivot_row, and divides
-    each updated row by its content to keep the entries small.  The final
-    pivot rows are divided by their pivots once: x // d where d divides x,
-    a Fraction otherwise."""
-    F, n = m.field, m.cols
-    rows = [_integral(m.entries[i:i + n]) for i in range(0, m.rows * n, n)]
+def _eliminate(m, full=True):
+    """Gauss-Jordan on the rows of m, which has rows and columns: (pivot
+    rows, pivot columns), the r-th reduced row being rows[r] / its pivot.
+    Over GF(p) on residues, each pivot row scaled to 1.  Over Q fraction-free
+    (cf. Bareiss 1968) on the rows made integral by _integral: row := s*row -
+    t*pivot_row, divided by its content to keep the entries small; callers
+    divide only the entries they return (_divided).  full=False clears only
+    below each pivot: an echelon form with the same pivots, for a rank."""
+    p, n, nrows, e = m.field.p, m.cols, m.rows, m.entries
+    rows = [e[i:i + n] if p else _integral(e[i:i + n])
+            for i in range(0, nrows * n, n)]
     pivots = []
     r = 0
     for c in range(n):
-        for i in range(r, m.rows):
+        for i in range(r, nrows):
             if rows[i][c]:
                 break
         else:
@@ -265,78 +244,88 @@ def _rref_rational(m):
         rows[r], rows[i] = rows[i], rows[r]
         prow = rows[r]
         a = prow[c]
-        for i, row in enumerate(rows):
+        if p and a != 1:
+            inv = pow(a, -1, p)
+            prow = rows[r] = [x * inv % p for x in prow]
+        for i in range(0 if full else r + 1, nrows):
+            row = rows[i]
             f = row[c]
-            if f and i != r:
-                g = gcd(a, f)
-                s, t = a // g, f // g
-                row = [s * x - t * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
+            if not f or i == r:
+                continue
+            if p:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+                continue
+            g = gcd(a, f)
+            s, t = a // g, f // g
+            row = [s * x - t * y for x, y in zip(row, prow)]
+            g = gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == nrows:
             break
-    out = []
-    for row, c in zip(rows, pivots):
-        d = row[c]
-        out.extend([x // d if not x % d else Fraction(x, d) for x in row])
-    out.extend([F.zero] * ((m.rows - len(pivots)) * n))
-    return Matrix(F, m.rows, n, out), pivots
+    return rows[:r], pivots
 
 
-def _echelon(m):
-    """rref(m), answered without elimination for a matrix with no rows or
-    no columns: it is its own reduced form and has no pivots."""
-    return rref(m) if m.rows and m.cols else (m, [])
+def _echelon(m, full=True):
+    """_eliminate(m, full), or no pivots for a matrix with no rows or no
+    columns, without elimination."""
+    return _eliminate(m, full) if m.rows and m.cols else ([], [])
+
+
+def _divided(xs, d):
+    """The entries x / d, canonical: x // d where d divides x, a Fraction
+    otherwise.  d is 1 over GF(p), where pivot rows are scaled."""
+    return xs if d == 1 else [x // d if not x % d else Fraction(x, d) for x in xs]
 
 
 def rank(m):
-    return len(_echelon(m)[1])
+    return len(_echelon(m, full=False)[1])
 
 
 def kernel_basis(m):
-    """Basis of the right null space, as a list of column vectors."""
-    F = m.field
-    R, pivots = _echelon(m)
+    """Basis of the right null space, as a list of column vectors: per free
+    column fc, 1 at fc and -R[r, fc] at the r-th pivot, R the rref."""
+    F, p = m.field, m.field.p
+    rows, pivots = _echelon(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [F.zero] * m.cols
         v[fc] = F.one
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(R[r, fc])
+        for row, pc in zip(rows, pivots):
+            if x := row[fc]:
+                d = row[pc]
+                v[pc] = -x % p if p else -x // d if not x % d else Fraction(-x, d)
         basis.append(v)
     return basis
 
 
 def image_basis(m):
     """Basis of the column space: the pivot columns of m."""
-    _, pivots = _echelon(m)
-    return [m.column(c) for c in pivots]
+    return [m.column(c) for c in _echelon(m, full=False)[1]]
 
 
 def solve(m, b):
     """Some X with m.X = b, for b a block of right-hand sides (a Matrix with
     m.rows rows), or None if the system is inconsistent for some column.
 
-    One rref of [m | b]: the columns of b are consistent exactly when no
-    pivot falls among them, and X holds, in the row of each pivot column of
-    m, the reduced row's entries under b."""
+    One elimination of [m | b]: the columns of b are consistent exactly
+    when no pivot falls among them, and X holds, in the row of each pivot
+    column of m, the reduced row's entries under b."""
     F = m.field
     n, k = m.cols, b.cols
     if k == 0:
         return Matrix(F, n, 0, [])
     if n == 0:
         return Matrix(F, 0, k, []) if b.is_zero() else None
-    R, pivots = _echelon(hstack([m, b]))
+    rows, pivots = _echelon(hstack([m, b]))
     if pivots and pivots[-1] >= n:
         return None
-    w = n + k
-    rows = {pc: R.entries[r * w + n:(r + 1) * w] for r, pc in enumerate(pivots)}
+    sol = {pc: _divided(row[n:], row[pc]) for row, pc in zip(rows, pivots)}
     zeros = (F.zero,) * k
-    return Matrix(F, n, k, [x for c in range(n) for x in rows.get(c, zeros)])
+    return Matrix(F, n, k, [x for c in range(n) for x in sol.get(c, zeros)])
 
 
 def _greedy_pivots(field, vectors):
@@ -347,7 +336,7 @@ def _greedy_pivots(field, vectors):
     the row 0 at every earlier pivot, so one pass in order clears every kept
     pivot and the vector is kept when something is left.  Over GF(p) the
     rows are residues scaled to 1 at the pivot; over Q, integer rows divided
-    by their content, as in _rref_rational."""
+    by their content, as in _eliminate."""
     p = field.p
     rows = []
     for i, v in enumerate(vectors):
@@ -403,9 +392,9 @@ def inverse(m):
     F = m.field
     if m.rows != m.cols:
         raise StratakitError("inverse of non-square matrix")
-    aug = hstack([m, Matrix.identity(F, m.rows)])
-    R, pivots = _echelon(aug)
-    if pivots[:m.rows] != list(range(m.rows)):
+    n = m.rows
+    rows, pivots = _echelon(hstack([m, Matrix.identity(F, n)]))
+    if pivots[:n] != list(range(n)):
         raise StratakitError("matrix not invertible")
-    return Matrix(F, m.rows, m.rows,
-                  [R[i, m.cols + j] for i in range(m.rows) for j in range(m.rows)])
+    return Matrix(F, n, n, [x for row, c in zip(rows, pivots)
+                            for x in _divided(row[n:], row[c])])

@@ -99,21 +99,22 @@ def _parse_path(text, line_no):
 
 def _parse_terms(field, text, line_no):
     """`c1*p1 + c2*p2 - p3` into [(coeff, traversal tuple)]."""
-    # tokenize on +/- while keeping signs; a leading sign is allowed
+    # split at every sign, each - made "+-": a piece starts with "-" after a
+    # minus.  Signs before a chunk multiply, so a leading sign is allowed
     sign = 1
     chunks = []
-    cur = ""
-    for ch in text:
-        if ch in "+-" and cur.strip():
-            chunks.append((sign, cur.strip()))
-            cur = ""
-            sign = 1 if ch == "+" else -1
-        elif ch in "+-" and not cur.strip():
-            sign = sign * (1 if ch == "+" else -1)
+    first, *pieces = text.replace("-", "+-").split("+")
+    cur = first.strip()
+    for piece in pieces:
+        s = -1 if piece[:1] == "-" else 1
+        if cur:
+            chunks.append((sign, cur))
+            sign = s
         else:
-            cur += ch
-    if cur.strip():
-        chunks.append((sign, cur.strip()))
+            sign *= s
+        cur = piece[1 if s < 0 else 0:].strip()
+    if cur:
+        chunks.append((sign, cur))
     if not chunks:
         raise ParseError("empty relation", line_no)
     out = []

@@ -13,7 +13,8 @@ reduced rows give the projection.  The top m/rad(m) needs no quotient:
 one echelon form per vertex of the arrow images gives its greedy
 complement.  Coordinates in a submodule (its actions, closure and
 containment) take one solve per arrow or vertex, for a whole block of
-right-hand sides.
+right-hand sides; a kernel's are read off its basis at its free
+coordinates, checked by one product per arrow.
 
 Decomposition is exact and makes no search.  It splits a module by
 Fitting's lemma along an endomorphism whose minimal polynomial has coprime
@@ -157,10 +158,13 @@ def zero_morphism(m, n):
 
 
 class Submodule:
-    """A subspace per vertex, closed under all arrow actions."""
+    """A subspace per vertex, closed under all arrow actions.  `coords`, if
+    given, lists per vertex the rows at which the basis is the identity
+    matrix: a vector of the span has its coordinates there."""
 
-    def __init__(self, ambient, bases, check=True):
+    def __init__(self, ambient, bases, check=True, coords=None):
         self.ambient = ambient
+        self.coords = coords
         F = ambient.algebra.field
         # bases: per vertex, a Matrix whose columns span the subspace
         self.bases = [b if isinstance(b, Matrix)
@@ -171,10 +175,17 @@ class Submodule:
 
     def _arrow_coords(self, ai):
         """The coordinates, in the basis at the target, of the images of the
-        basis at the source under arrow ai: one solve.  None if some image
+        basis at the source under arrow ai: one solve, or with coords the
+        images' rows there, checked by one product.  None if some image
         leaves the subspace."""
         _, s, t = self.ambient.algebra.arrows[ai]
-        return linalg.solve(self.bases[t], self.ambient.action[ai].mul(self.bases[s]))
+        img = self.ambient.action[ai].mul(self.bases[s])
+        if self.coords is None:
+            return linalg.solve(self.bases[t], img)
+        k, e = img.cols, img.entries
+        x = Matrix(img.field, len(self.coords[t]), k,
+                   [y for i in self.coords[t] for y in e[i * k:(i + 1) * k]])
+        return x if self.bases[t].mul(x) == img else None
 
     def _closed(self):
         return all(self._arrow_coords(ai) is not None
@@ -443,13 +454,16 @@ def hom_dim(m, n):
 # -- kernels, images, quotients ---------------------------------------------
 
 def kernel(f):
-    """Kernel of a morphism, as a Submodule of the source."""
+    """Kernel of a morphism, as a Submodule of the source, with coords: a
+    kernel_basis vector is 1 at its free column, which is its last nonzero
+    entry, and 0 at the other free columns."""
     F = f.source.algebra.field
-    bases = []
+    bases, coords = [], []
     for v, b in enumerate(f.blocks):
         ker = linalg.kernel_basis(b)
         bases.append(Matrix.from_columns(F, ker, rows=f.source.dims[v]))
-    return Submodule(f.source, bases, check=False)
+        coords.append([max(i for i, x in enumerate(k) if x) for k in ker])
+    return Submodule(f.source, bases, check=False, coords=coords)
 
 
 def image(f):
@@ -653,8 +667,8 @@ def _projections(m, parts):
 def find_isomorphism(m, n):
     """An isomorphism m -> n, or None, decided without a coefficient search.
 
-    If m ≅ n then dim Hom(m, n) = dim End(m) = dim End(n), so a mismatch
-    settles the question first.  For indecomposable m ≅ n via φ the
+    If m ≅ n then dim Hom(m, n) = dim End(m) = dim End(n), so a mismatch of
+    the memoised dimensions settles the question before any basis is built.  For indecomposable m ≅ n via φ the
     non-isomorphisms form the proper subspace φ∘rad End(m), so a basis scan
     of Hom(m, n) finds an isomorphism; it decides when m or n has a simple
     top or socle, or decomposes into a single part.  Otherwise, by
@@ -669,10 +683,10 @@ def find_isomorphism(m, n):
         return None
     if m.total_dim == 0:
         return zero_morphism(m, n)
-    homs = hom_basis(m, n)
-    if not homs or any(hom_dim(x, x) != len(homs) for x in (m, n)):
+    d = hom_dim(m, n)
+    if not d or hom_dim(m, m) != d or hom_dim(n, n) != d:
         return None
-    iso = _iso_in_basis(homs)
+    iso = _iso_in_basis(hom_basis(m, n))
     if iso is not None:
         return iso
     if _simple_top_or_socle(m) or _simple_top_or_socle(n):

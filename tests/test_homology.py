@@ -8,8 +8,8 @@ import pytest
 
 from stratakit import homology, linalg, reps, strat, tilting
 from stratakit.cli import main
-from stratakit.errors import (AlgebraMismatch, NothingToExtend, StratakitError,
-                              Truncated)
+from stratakit.errors import (AlgebraMismatch, NotASubmodule, NothingToExtend,
+                              StratakitError, Truncated)
 from stratakit.homology import (DEFAULT_CAP, LowerBound, ext1_classes, ext_dim,
                                 global_dim, inj_dim, injective_hull,
                                 min_proj_resolution, proj_dim,
@@ -383,6 +383,76 @@ def test_one_projective_cover_per_structural_key(monkeypatch):
         assert main(argv) == 0
     keys = [(id(m.algebra), m.key()) for m in covered]
     assert len(keys) == len(set(keys)) == 55
+
+
+def reference_syzygy_step(m):
+    """The syzygy step as solving computed it: projective_cover and
+    kernel(projective_cover(m)).as_rep() inlined as they were, with a fresh
+    sum of projectives, a rank check and a kernel_basis per block, and one
+    solve per arrow.  (cover summands, source, cover blocks, Ω, inclusion
+    blocks)."""
+    a = m.algebra
+    F = a.field
+    lifts = [(v, [F.one if i == c else F.zero for i in range(m.dims[v])])
+             for v, C in enumerate(reps.top_basis(m)) for c in C]
+    P = reps.direct_sum([projective(a, v) for v, _ in lifts])
+    images = [reps.path_images(m, v, x) for v, x in lifts]
+    blocks = [Matrix.from_columns(F, [c for img in images for c in img[tv]],
+                                  rows=m.dims[tv]) for tv in range(a.n)]
+    assert all(linalg.rank(b) == b.rows for b in blocks)
+    bases = [Matrix.from_columns(F, linalg.kernel_basis(b), rows=P.dims[v])
+             for v, b in enumerate(blocks)]
+    action = [linalg.solve(bases[t], P.action[ai].mul(bases[s]))
+              for ai, (_, s, t) in enumerate(a.arrows)]
+    assert None not in action
+    omega = reps.Rep(a, [b.cols for b in bases], action)
+    return [v for v, _ in lifts], P, blocks, omega, bases
+
+
+@pytest.mark.parametrize("argv", [[name] for name in FIXTURES]
+                         + [["borelA", "--borel", "borelB"]],
+                         ids=FIXTURES + ["borelA-borelB"])
+def test_syzygy_steps_match_the_solving_reference(monkeypatch, argv):
+    # Ω's action is read off the kernel basis at its free coordinates, and
+    # the cover's source is shared per multiset of tops: every step that
+    # `check` takes equals the reference, block for block
+    steps = {}
+    real = homology.syzygy_step
+
+    def record(m):
+        out = real(m)
+        steps[id(out)] = (m, out)
+        return out
+
+    monkeypatch.setattr(homology, "syzygy_step", record)
+    paths = [fixture_path(x + ".alg") if x != "--borel" else x for x in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", *paths, "--format", "machine"]) == 0
+    assert steps
+    sources = {}
+    for m, (cover, omega, incl) in steps.values():
+        summands, P, blocks, ref_omega, ref_bases = reference_syzygy_step(m)
+        src = cover.source
+        assert src.cover_summands == summands
+        assert (src.dims, src.action) == (P.dims, P.action)
+        assert sources.setdefault((id(m.algebra), tuple(summands)), src) is src
+        assert cover.target.key() == m.key() and cover.blocks == blocks
+        assert (omega.dims, omega.action) == (ref_omega.dims, ref_omega.action)
+        assert incl.source is omega and incl.target is src
+        assert incl.blocks == ref_bases
+
+
+def test_a_cover_whose_kernel_is_not_a_submodule_is_refused(monkeypatch):
+    # over the dual numbers k[x]/(x^2), the cover P(1) -> E(1) sends e to 1
+    # and x to 0.  With its columns reversed it is still onto, but its
+    # kernel, spanned by e, is not closed under x: the product check on
+    # the coordinates read off the kernel basis must catch it
+    a = parse_file(fixture_path("loop2.alg")).build()    # fresh memo caches
+    real = reps.path_images
+    monkeypatch.setattr(reps, "path_images", lambda m, v, x: [
+        cols[::-1] for cols in real(m, v, x)])
+    with pytest.raises(NotASubmodule):
+        homology.syzygy_step(simple(a, 0))
 
 
 def _count_hom_systems(monkeypatch):

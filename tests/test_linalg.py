@@ -244,6 +244,78 @@ def test_rref_matches_reference(m):
     _assert_same_entries(m.field, got, want)
 
 
+def reference_kernel(m):
+    """The kernel basis read off reference_rref: per free column fc, 1 at
+    fc and -R[r, fc] at the r-th pivot."""
+    F = m.field
+    R, pivots = reference_rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [F.zero] * m.cols
+        v[fc] = F.one
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg(R[r, fc])
+        basis.append(v)
+    return basis
+
+
+def reference_solve(m, b):
+    """X from reference_rref of [m | b], or None if a pivot falls in b."""
+    F, n = m.field, m.cols
+    if not b.cols or not n:
+        return (Matrix(F, n, b.cols, []) if not b.cols or b.is_zero()
+                else None)
+    R, pivots = reference_rref(linalg.hstack([m, b]))
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[F.zero] * b.cols for _ in range(n)]
+    for r, pc in enumerate(pivots):
+        x[pc] = [R[r, n + j] for j in range(b.cols)]
+    return Matrix(F, n, b.cols, [e for row in x for e in row])
+
+
+@st.composite
+def _system(draw):
+    """(m, b): b has m.rows rows and 0 to 3 columns, each either random or
+    an image m.x, so that both outcomes of solve are drawn."""
+    field = draw(st.sampled_from(FIELDS))
+    m = draw(_field_matrix(field))
+    cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            cols.append(draw(st.lists(_scalars(field), min_size=m.rows,
+                                      max_size=m.rows)))
+        else:
+            x = draw(st.lists(_scalars(field), min_size=m.cols,
+                              max_size=m.cols))
+            cols.append(m.apply(x))
+    return m, Matrix.from_columns(field, cols, rows=m.rows)
+
+
+def _types(entries):
+    return [type(e) for e in entries]
+
+
+@settings(max_examples=300)
+@given(_system())
+def test_rank_kernel_and_solve_match_the_reference(system):
+    # rank stops at the echelon form, and over Q kernel_basis and solve
+    # divide only the entries they return: same values, of the same types
+    m, b = system
+    _, pivots = reference_rref(m)
+    assert linalg.rank(m) == len(pivots)
+    got, want = linalg.kernel_basis(m), reference_kernel(m)
+    assert got == want
+    assert [_types(v) for v in got] == [_types(v) for v in want]
+    for v in got:
+        _assert_canonical(m.field, v)
+    got, want = linalg.solve(m, b), reference_solve(m, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == want and _types(got.entries) == _types(want.entries)
+        _assert_canonical(m.field, got.entries)
+
+
 @st.composite
 def _product_operands(draw):
     field = draw(st.sampled_from(FIELDS))
@@ -285,11 +357,12 @@ def test_zero_size_matrices(field, shape):
 
 
 def _count_rref(monkeypatch):
-    """The shapes of the matrices linalg.rref gets from now on."""
+    """The shapes of the matrices eliminated from now on: every rref, rank,
+    kernel, solve and inverse goes through linalg._eliminate."""
     shapes = []
-    real = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: (
-        shapes.append((m.rows, m.cols)) or real(m)))
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda m, full=True: (
+        shapes.append((m.rows, m.cols)) or real(m, full)))
     return shapes
 
 

@@ -4,9 +4,12 @@ import glob
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stratakit import fields
+from stratakit import fields, parser
 from stratakit.errors import ParseError
+from stratakit.fields import GF, QQ
 from stratakit.parser import parse, parse_file, serialize
 
 from conftest import FIXTURES, fixture_path
@@ -64,6 +67,56 @@ def test_serialize_is_canonical():
     f2 = parse("field Q\nvertices 1 2\narrow a 1 2\n"
                "module A\n dims 0 1\nend\nmodule B\n dims 1 0\nend\n")
     assert serialize(f1) == serialize(f2)
+
+
+def reference_terms(field, text, line_no):
+    """parser._parse_terms with the character-by-character tokenizer: a
+    sign ends a nonblank chunk, and the signs before a chunk multiply."""
+    sign, chunks, cur = 1, [], ""
+    for ch in text:
+        if ch in "+-" and cur.strip():
+            chunks.append((sign, cur.strip()))
+            cur = ""
+            sign = 1 if ch == "+" else -1
+        elif ch in "+-" and not cur.strip():
+            sign = sign * (1 if ch == "+" else -1)
+        else:
+            cur += ch
+    if cur.strip():
+        chunks.append((sign, cur.strip()))
+    if not chunks:
+        raise ParseError("empty relation", line_no)
+    out = []
+    for sgn, chunk in chunks:
+        if "*" in chunk:
+            coeff_text, path_text = chunk.split("*", 1)
+            try:
+                coeff = field.parse_scalar(coeff_text)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad coefficient {coeff_text!r}", line_no)
+        else:
+            coeff, path_text = field.one, chunk
+        if sgn < 0:
+            coeff = field.neg(coeff)
+        out.append((coeff, parser._parse_path(path_text, line_no)))
+    return out
+
+
+def _terms_or_error(parse_terms, field, text):
+    try:
+        return parse_terms(field, text, 7)
+    except ParseError as err:
+        return str(err), err.line
+
+
+@settings(max_examples=500)
+@given(st.sampled_from([QQ, GF(3)]),
+       st.text(alphabet=" +-*./2ab\t", max_size=16))
+def test_terms_split_as_the_character_tokenizer_did(field, text):
+    # runs of signs, blanks around them, signs inside coefficients such as
+    # 3/-4 and empty chunks: the same terms, or the same error and line
+    assert (_terms_or_error(parser._parse_terms, field, text)
+            == _terms_or_error(reference_terms, field, text))
 
 
 @pytest.mark.parametrize("text,fragment", [

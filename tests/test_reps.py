@@ -207,17 +207,19 @@ def test_simple_top_or_socle_modules_have_local_endomorphisms(name):
 
 
 def test_hom_dimension_mismatch_settles_isomorphism_without_search(monkeypatch):
+    # the memoised dimensions of Hom(m, n), End(m) and End(n) are compared
+    # before any basis of Hom(m, n) is built or either module decomposed
     probes = probe_modules(algebra("borelA"))
     mismatched = [(m, n) for m in probes for n in probes
                   if m is not n and m.dims == n.dims
-                  and len({len(reps.hom_basis(m, n)), len(reps.hom_basis(m, m)),
-                           len(reps.hom_basis(n, n))}) > 1]
+                  and len({hom_dim(m, n), hom_dim(m, m), hom_dim(n, n)}) > 1]
     assert mismatched
 
-    def no_fallback(m):
-        raise AssertionError("decompose_with_inclusions called")
+    def no_search(*modules):
+        raise AssertionError("hom_basis or decompose_with_inclusions called")
 
-    monkeypatch.setattr(reps, "decompose_with_inclusions", no_fallback)
+    monkeypatch.setattr(reps, "decompose_with_inclusions", no_search)
+    monkeypatch.setattr(reps, "hom_basis", no_search)
     for m, n in mismatched:
         assert reps.find_isomorphism(m, n) is None
 
