@@ -5,13 +5,16 @@ The stratifying order is the position of a vertex in the declared vertex list
 explicit filtration certificate, constructed from the trace filtration, and
 (when the algebra is stratified) the Ext-vanishing criterion; the two are
 cross-checked in tests.  Certificates against Nabla and NablaBar are built
-over the opposite algebra only (filtration_certificate).
+over the opposite algebra only (filtration_certificate).  Wherever
+dim e_i·Delta(i) = 1, DeltaBar(i) is Delta(i) relabelled and NablaBar(i)
+has the structure of Nabla(i), with no quotient taken, and classify reads
+Delta = DeltaBar off that dimension (proper_standard, proper_costandard).
 """
 
 from . import homology, linalg, reps
 from .errors import NotStratified, StratakitError
 from .linalg import Matrix
-from .reps import (Submodule, generated_submodule, projective, quotient,
+from .reps import (Rep, Submodule, generated_submodule, projective, quotient,
                    radical_submodule)
 from .reps import hom_basis  # noqa: F401  (bench/selftest.py traces it here)
 
@@ -36,8 +39,17 @@ def standard(a, i):
 @reps.built_once
 def proper_standard(a, i):
     """Delta-bar(i): Delta(i) modulo the submodule generated by e_i·rad
-    Delta(i), which is the trace of P(i) in its radical."""
+    Delta(i), which is the trace of P(i) in its radical.
+
+    Delta(i) is generated by the image of e_i, which spans its top, so
+    e_i·Delta(i) = k·e_i ⊕ e_i·rad Delta(i).  When dim e_i·Delta(i) = 1,
+    e_i·rad Delta(i) = 0, nothing is factored out and Delta-bar(i) is
+    Delta(i): it is returned relabelled, with Delta(i)'s basis and action,
+    which the quotient by zero keeps too.  Otherwise the quotient is taken.
+    """
     d = standard(a, i)
+    if d.dims[i] == 1:
+        return Rep(a, d.dims, d.action, label=f"DeltaBar({a.vertices[i]})")
     rad = radical_submodule(d).bases[i].columns()
     q, _ = quotient(d, generated_submodule(d, [(i, x) for x in rad]))
     q.label = f"DeltaBar({a.vertices[i]})"
@@ -54,7 +66,13 @@ def costandard(a, i):
 
 @reps.built_once
 def proper_costandard(a, i):
-    """Nabla-bar(i): dual of the proper standard module over the opposite algebra."""
+    """Nabla-bar(i): dual of the proper standard module over the opposite
+    algebra.
+
+    e_i·Delta^op(i) and e_i·Delta(i) are both e_i·(A/A·e_{>i}·A)·e_i, so
+    they have one dimension.  When it is 1, proper_standard returns
+    Delta^op(i) relabelled, and Nabla-bar(i), the dual of the same basis
+    and action, is Nabla(i) by structure: no quotient is taken."""
     q = reps.dual_to_opposite(proper_standard(a.opposite(), i))
     q.label = f"NablaBar({a.vertices[i]})"
     return q
@@ -326,16 +344,20 @@ class StratClass:
 
 @reps.built_once
 def classify(a):
-    """Classify the algebra with respect to its declared vertex order."""
+    """Classify the algebra with respect to its declared vertex order.
+
+    Delta-bar(i) = Delta(i) exactly when dim e_i·Delta(i) = 1 (see
+    proper_standard), which is also dim End(Delta(i)) = 1, as every map
+    P(i) -> Delta(i) kills the trace of the larger projectives.  So eq is
+    read off the dimension vectors of the standard modules.  When it holds
+    for every i, the Delta certificate is a Delta-bar certificate and the
+    proper standard modules are not needed here."""
     reg = reps.regular_module(a)
     deltas = standard_family(a)
-    proper = proper_standard_family(a)
     delta_cert = filtration_certificate(reg, deltas)
-    # DeltaBar(i) is a quotient of Delta(i), so equal dimensions mean equal
-    # modules, and then the Delta certificate is a DeltaBar certificate
-    eq = [d.total_dim == p.total_dim for d, p in zip(deltas, proper)]
+    eq = [d.dims[i] == 1 for i, d in enumerate(deltas)]
     proper_cert = (None if delta_cert is None else delta_cert if all(eq)
-                   else filtration_certificate(reg, proper))
+                   else filtration_certificate(reg, proper_standard_family(a)))
     return StratClass(a, delta_cert, proper_cert, eq)
 
 

@@ -9,6 +9,15 @@ standard modules, scanned down from proj_dim(T).  End(T(λ)) is local, so each
 endomorphism is c·id plus a nilpotent; c is read off its minimal polynomial
 (x - c)^m, and rad End(T(λ)) is spanned by the f - c·id.  The Ringel dual
 End(T) is presented by the reduced Groebner basis of its relations.
+
+The cotilting module S, with add(S) = F(Nabla) ∩ F(DeltaBar), is read off
+the theorem on a quasi-hereditary algebra: there DeltaBar = Delta and
+NablaBar = Nabla, so add(S) = F(Nabla) ∩ F(Delta) = F(NablaBar) ∩
+F(Delta) = add(T), and S(λ) ≅ T(λ), the indecomposable of that class
+with λ as its largest composition factor (Ringel, Math. Z. 1991).  S is
+then T relabelled and S ≅ T needs no Hom scan.  Only a properly
+stratified algebra that is not quasi-hereditary builds S as the dual of
+the opposite algebra's characteristic tilting module.
 """
 
 from . import homology, linalg, poly, reps, strat
@@ -150,17 +159,46 @@ def characteristic_tilting(a):
 def characteristic_cotilting(a):
     """The cotilting module S with add(S) = F(Nabla) ∩ F(DeltaBar).
 
-    Computed as the dual of the characteristic tilting of the opposite
-    algebra; valid because the opposite of a properly stratified algebra is
-    standardly stratified for the same order.  S(λ) = D(T^op(λ)), and D
-    carries Delta^op to Nabla: T^op(λ)'s Delta^op certificate dualizes to
-    S(λ)'s Nabla certificate.  S(λ)'s DeltaBar certificate is the trace
-    filtration that T^op(λ)'s NablaBar^op certificate was built from, so it
-    is read from the memo, not dualized twice.
+    On a quasi-hereditary algebra DeltaBar = Delta and NablaBar = Nabla
+    (strat.proper_standard, strat.proper_costandard), so
+    add(S) = F(Nabla) ∩ F(Delta) = F(NablaBar) ∩ F(Delta) = add(T).  The
+    indecomposables of add(T) are the T(μ), and T(μ) has μ as its largest
+    composition factor; S(λ) is indecomposable in add(T) with λ as its
+    largest composition factor, so S(λ) ≅ T(λ) (Ringel, Math. Z. 1991).
+    S(λ) is T(λ) relabelled: T(λ)'s
+    NablaBar certificate is its Nabla certificate and its Delta
+    certificate its DeltaBar certificate, and nothing is built over the
+    opposite algebra.  Any other properly stratified algebra takes the
+    dual of the opposite algebra's tilting module
+    (_cotilting_from_opposite).
     """
-    if not strat.classify(a).properly_stratified:
+    cls = strat.classify(a)
+    if not cls.properly_stratified:
         raise NotProperlyStratified("cotilting needs a properly stratified "
                                     "algebra")
+    if not cls.quasi_hereditary:
+        return _cotilting_from_opposite(a)
+    tilt = characteristic_tilting(a)
+    summands = [Rep(a, t.dims, t.action, label=f"S({v})")
+                for t, v in zip(tilt.summands, a.vertices)]
+
+    def renamed(certs):
+        return [strat.FiltrationCertificate(s, c.layers, c.factor_indices)
+                for s, c in zip(summands, certs)]
+
+    return Cotilting(a, summands, renamed(tilt.nabla_bar_certs),
+                     renamed(tilt.delta_certs))
+
+
+def _cotilting_from_opposite(a):
+    """S as the dual of the characteristic tilting module of the opposite
+    algebra, for a properly stratified algebra a; valid because the opposite
+    of a properly stratified algebra is standardly stratified for the same
+    order.  S(λ) = D(T^op(λ)), and D carries Delta^op to Nabla: T^op(λ)'s
+    Delta^op certificate dualizes to S(λ)'s Nabla certificate.  S(λ)'s
+    DeltaBar certificate is the trace filtration that T^op(λ)'s NablaBar^op
+    certificate was built from, so it is read from the memo, not dualized
+    twice."""
     op_tilt = characteristic_tilting(a.opposite())
     dbars = strat.proper_standard_family(a)
     summands, nabla_certs, dbar_certs = [], [], []
@@ -180,8 +218,12 @@ def characteristic_cotilting(a):
 @reps.built_once
 def s_iso_t(a):
     """Is S ≅ T?  Exactly when S(λ) ≅ T(λ) for every λ, as λ is the largest
-    composition factor of both.  T(λ) is indecomposable, so a basis scan of
-    Hom(S(λ), T(λ)) decides each λ (see reps.find_isomorphism)."""
+    composition factor of both.  On a quasi-hereditary algebra add(S) =
+    add(T), so S ≅ T by the theorem (see characteristic_cotilting) and
+    nothing is scanned.  Otherwise T(λ) is indecomposable, so a basis scan
+    of Hom(S(λ), T(λ)) decides each λ (see reps.find_isomorphism)."""
+    if strat.classify(a).quasi_hereditary:
+        return True
     pairs = zip(characteristic_cotilting(a).summands,
                 characteristic_tilting(a).summands)
     return all(s.dims == t.dims

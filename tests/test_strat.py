@@ -11,6 +11,8 @@ from stratakit.strat import (classify, costandard, filtration_certificate,
                              proper_standard, standard, standard_family)
 
 from conftest import algebra, fixture_path
+from test_certificate_corpus import CORPUS as SMALL
+from test_certificate_corpus import PINNED, corpus_algebra
 
 CORPUS = ["point", "semisimple2", "a2", "a3line", "loop2", "borelA", "borelB"]
 
@@ -88,6 +90,40 @@ def test_quasi_hereditary_reuses_the_delta_certificate(name):
     assert cls.proper_delta_cert is cls.delta_cert
 
 
+def reference_proper_standard(a, i):
+    """Delta-bar(i) as the quotient of Delta(i) by the submodule generated
+    by e_i·rad Delta(i), taken at every vertex."""
+    d = standard(a, i)
+    rad = reps.radical_submodule(d).bases[i].columns()
+    q, _ = reps.quotient(d, reps.generated_submodule(d, [(i, x) for x in rad]))
+    return q
+
+
+def reference_proper_costandard(a, i):
+    """Nabla-bar(i) as the dual of the quotient over the opposite algebra."""
+    return reps.dual_to_opposite(reference_proper_standard(a.opposite(), i))
+
+
+@pytest.mark.parametrize("which", CORPUS + SMALL, ids=str)
+def test_proper_families_match_the_quotients(which):
+    # where dim e_i·Delta(i) = 1, DeltaBar(i) is Delta(i) relabelled and
+    # NablaBar(i) the dual of DeltaBar^op(i) = Delta^op(i): the quotients by
+    # zero give the same structures.  classify reads Delta = DeltaBar off
+    # those dimensions
+    a = algebra(which) if isinstance(which, str) else corpus_algebra(*which)
+    eq = []
+    for i in range(a.n):
+        dbar = reference_proper_standard(a, i)
+        assert proper_standard(a, i).key() == dbar.key()
+        assert proper_costandard(a, i).key() == \
+            reference_proper_costandard(a, i).key()
+        eq.append(dbar.total_dim == standard(a, i).total_dim)
+    cls = classify(a)
+    assert cls.delta_equals_proper == eq
+    if not isinstance(which, str):
+        assert cls.kind() == PINNED[which[0]][0]
+
+
 def test_a_memoised_certificate_names_the_callers_module():
     # certificates are memoised by structure; an equal module built apart
     # gets the same layers, bound to itself.  T lies in F(Delta) and in
@@ -113,12 +149,11 @@ def test_a_repeated_dual_certificate_builds_no_dual(monkeypatch):
     # F(Nabla) certificates come from the opposite algebra; the duals of the
     # module and of the family are built once per algebra, not per call.
     # A direct sum is certified summand by summand, so m must have parts not
-    # certified yet: the summands of T are, against NablaBar, which on this
-    # quasi-hereditary algebra is Nabla.  Those of S are certified in
-    # F(Nabla) only by dual_certificate, so their certificates start here
+    # certified yet.  On a fresh algebra nothing is: m = D(A), the sum of the
+    # injectives, lies in F(Nabla) and its certificates start here
     a = parse_file(fixture_path("borelA.alg")).build()
     family = strat.costandard_family(a)
-    m = tilting.characteristic_cotilting(a).total
+    m = reps.direct_sum([reps.injective(a, i) for i in range(a.n)])
     built = []
     real = reps.dual_to_opposite
 

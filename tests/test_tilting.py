@@ -5,12 +5,12 @@ import sys
 
 import pytest
 
-from stratakit import homology, linalg, reps, strat, tilting
+from stratakit import cli, homology, linalg, reps, strat, tilting
 from stratakit.errors import (NoEmbedding, NotStratified, PresentationFailed,
                               Truncated)
 from stratakit.homology import global_dim, inj_dim, proj_dim
 from stratakit.linalg import Matrix
-from stratakit.parser import parse_file
+from stratakit.parser import parse, parse_file
 from stratakit.quiver import QuiverSpec, build_algebra
 from stratakit.reps import (compose, injective, is_isomorphic,
                             regular_module, simple)
@@ -20,7 +20,8 @@ from stratakit.tilting import (characteristic_cotilting, characteristic_tilting,
                                verify_section2)
 
 from conftest import algebra, auslander, fixture_path
-from test_certificate_corpus import TILTING_DIMS, corpus_algebra
+from test_certificate_corpus import (CORPUS, PINNED, TILTING_DIMS,
+                                     corpus_algebra, corpus_text)
 from test_cli import run_cli
 
 STRATIFIED = ["point", "semisimple2", "a2", "a3line", "loop2", "borelA",
@@ -198,10 +199,12 @@ def test_verify_section2_loop2():
 
 
 def test_cotilting_dual_of_tilting():
-    a = algebra("a3line")
-    cot = characteristic_cotilting(a)
+    # quasi-hereditary: S = T here.  characteristic_cotilting reads that off
+    # the theorem, so S is built the long way, as the dual of T^op
+    a = _fresh("a3line")
+    cot = tilting._cotilting_from_opposite(a)
     tilt = characteristic_tilting(a)
-    assert is_isomorphic(cot.total, tilt.total)   # quasi-hereditary: S = T here
+    assert is_isomorphic(cot.total, tilt.total)
 
 
 @pytest.mark.parametrize("name", STRATIFIED)
@@ -214,6 +217,73 @@ def test_cotilting_certificates_verify(name):
         assert nc.module is s and dc.module is s
         assert nc.verify(strat.costandard_family(a))
         assert dc.verify(strat.proper_standard_family(a))
+
+
+# the quasi-hereditary fixtures and corpus algebras
+QUASI_HEREDITARY = ([name for name in STRATIFIED if name != "loop2"]
+                    + [(key, field) for key, field in CORPUS
+                       if PINNED[key][0] == "quasi-hereditary"])
+
+
+@pytest.mark.parametrize("which", QUASI_HEREDITARY, ids=str)
+def test_cotilting_is_tilting_on_quasi_hereditary_algebras(which):
+    # DeltaBar = Delta and NablaBar = Nabla, so add(S) = add(T) and S(λ) is
+    # T(λ) relabelled, certificates and all, with nothing built over the
+    # opposite algebra.  The long route, the dual of T^op, agrees summand by
+    # summand, and the certificates taken from T verify as S's
+    a = (_fresh(which) if isinstance(which, str)
+         else parse(corpus_text(*which)).build())
+    cot, tilt = characteristic_cotilting(a), characteristic_tilting(a)
+    assert tilting.s_iso_t(a)
+    assert ("characteristic_tilting",) not in a.opposite().cache
+    nablas, dbars = strat.costandard_family(a), strat.proper_standard_family(a)
+    for lam, (s, t) in enumerate(zip(cot.summands, tilt.summands)):
+        assert s is not t and s.key() == t.key()
+        assert s.label == f"S({a.vertices[lam]})"
+        nc, dc = cot.nabla_certs[lam], cot.dbar_certs[lam]
+        assert nc.module is s and dc.module is s
+        assert nc.verify(nablas) and dc.verify(dbars)
+    long = tilting._cotilting_from_opposite(a)
+    for s, t in zip(long.summands, tilt.summands):
+        iso = reps.find_isomorphism(s, t)
+        assert iso is not None and iso.is_valid() and iso.is_isomorphism()
+
+
+def _cli_algebra(monkeypatch, argv):
+    """Run the CLI and return the algebra its report was about."""
+    seen = []
+    real = cli.cmd_analyze
+    monkeypatch.setattr(cli, "cmd_analyze",
+                        lambda args: seen.append(args) or real(args))
+    code, _, _ = run_cli(argv + ["--format", "machine"])
+    assert code == 0
+    return seen[0].algebra
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "borelA", "--borel", "borelB"]] + [
+    ["analyze", name] for name in STRATIFIED if name != "loop2"],
+    ids=" ".join)
+def test_quasi_hereditary_reports_build_no_opposite_tilting(monkeypatch,
+                                                            argv):
+    argv = [fixture_path(x + ".alg") if x in STRATIFIED else x for x in argv]
+    a = _cli_algebra(monkeypatch, argv)
+    assert ("characteristic_tilting",) not in a.opposite().cache
+
+
+@pytest.mark.parametrize("which", ["loop2"] + [
+    (key, field) for key, field in CORPUS
+    if PINNED[key][0] == "properly stratified"], ids=str)
+def test_properly_stratified_cotilting_still_goes_through_the_opposite(
+        monkeypatch, tmp_path, which):
+    if isinstance(which, str):
+        path = fixture_path(which + ".alg")
+    else:
+        path = tmp_path / "corpus.alg"
+        path.write_text(corpus_text(*which))
+    a = _cli_algebra(monkeypatch, ["analyze", str(path)])
+    assert not strat.classify(a).quasi_hereditary
+    assert ("characteristic_tilting",) in a.opposite().cache
 
 
 def test_probe_modules_are_nonzero_and_distinct():
