@@ -9,9 +9,9 @@ int residues reduced inline, over Q fraction-free on integer rows.  It stops
 where the question is answered: rank and image_basis clear only below each
 pivot, and over Q kernel_basis, solve and inverse divide only the entries
 they return, rref all of them.  The RREF is unique, so both fields give
-exactly the result of elimination on field scalars.  pivot_columns reduces
+exactly the result of elimination on field scalars.  _extend_rows reduces
 one vector at a time against the rows kept so far, with the same arithmetic,
-and builds no matrix.
+and builds no matrix: pivot_columns and the spans of reps run on it.
 """
 
 from fractions import Fraction
@@ -328,60 +328,56 @@ def solve(m, b):
     return Matrix(F, n, k, [x for c in range(n) for x in sol.get(c, zeros)])
 
 
-def _greedy_pivots(field, vectors):
-    """(index, pivot) for each vector not in the span of those before it,
-    with pivot its first nonzero coordinate once reduced.
+def _extend_rows(p, rows, v):
+    """Reduce v against the echelon rows (pivot, row) kept so far and keep
+    what is left: its pivot, the first nonzero coordinate, or None when v
+    lies in their span.
 
-    Each vector is reduced against the rows kept so far, (pivot, row) with
-    the row 0 at every earlier pivot, so one pass in order clears every kept
-    pivot and the vector is kept when something is left.  Over GF(p) the
-    rows are residues scaled to 1 at the pivot; over Q, integer rows divided
+    Each row is 0 at every earlier pivot, so one pass in order clears every
+    kept pivot, and the appended row keeps that so.  Over GF(p) the rows are
+    residues scaled to 1 at the pivot; over Q (p None), integer rows divided
     by their content, as in _eliminate."""
-    p = field.p
-    rows = []
-    for i, v in enumerate(vectors):
-        if p is None:
-            v = _integral(v)
-        for c, row in rows:
-            f = v[c]
-            if not f:
-                continue
-            if p is not None:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-                continue
-            g = gcd(row[c], f)
-            s, t = row[c] // g, f // g
-            v = [s * x - t * y for x, y in zip(v, row)]
-            g = gcd(*v)
-            if g > 1:
-                v = [x // g for x in v]
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is None:
+    if p is None:
+        v = _integral(v)
+    for c, row in rows:
+        f = v[c]
+        if not f:
             continue
         if p is not None:
-            inv = pow(v[c], -1, p)
-            v = [x * inv % p for x in v]
-        rows.append((c, v))
-        yield i, c
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+            continue
+        g = gcd(row[c], f)
+        s, t = row[c] // g, f // g
+        v = [s * x - t * y for x, y in zip(v, row)]
+        g = gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+    c = next((j for j, x in enumerate(v) if x), None)
+    if c is None:
+        return None
+    if p is not None:
+        inv = pow(v[c], -1, p)
+        v = [x * inv % p for x in v]
+    rows.append((c, v))
+    return c
 
 
 def pivot_columns(field, vectors):
     """Indices of the vectors not in the span of the vectors before them, as
     a greedy left-to-right rank test keeps them: the pivot columns of the
     rref of the matrix with these columns, found without building it."""
-    return [i for i, _ in _greedy_pivots(field, vectors)]
+    rows = []
+    return [i for i, v in enumerate(vectors)
+            if _extend_rows(field.p, rows, v) is not None]
 
 
 def leading_positions(field, vectors):
     """The first nonzero coordinates of the nonzero vectors in their span:
     one per echelon row, so as many as the span's dimension."""
-    return {c for _, c in _greedy_pivots(field, vectors)}
-
-
-def column_reduce(field, vectors):
-    """Reduce a list of vectors to a basis of their span: those that
-    pivot_columns keeps."""
-    return [list(vectors[i]) for i in pivot_columns(field, vectors)]
+    rows = []
+    for v in vectors:
+        _extend_rows(field.p, rows, v)
+    return {c for c, _ in rows}
 
 
 def is_invertible(m):

@@ -16,6 +16,12 @@ containment) take one solve per arrow or vertex, for a whole block of
 right-hand sides; a kernel's are read off its basis at its free
 coordinates, checked by one product per arrow.
 
+A generated submodule is grown on a Span, which keeps per vertex its
+vectors and their echelon rows and reduces each new vector once against
+them.  Its closure applies an arrow only to a vector that enlarged the
+span, and not at all where the span at the target is already all of the
+module.  A chain grown on one Span is read off as prefixes of it.
+
 Decomposition is exact and makes no search.  It splits a module by
 Fitting's lemma along an endomorphism whose minimal polynomial has coprime
 factors over k: from a basis of End, the algebra S its nilpotent parts
@@ -214,9 +220,54 @@ class Submodule:
                    for b, o in zip(self.bases, other.bases))
 
 
-def zero_submodule(m):
-    F = m.algebra.field
-    return Submodule(m, [Matrix.zero(F, d, 0) for d in m.dims], check=False)
+class Span:
+    """A subspace of m at each vertex, grown one vector at a time: the
+    vectors kept, none in the span of those before it, and their echelon
+    rows (linalg._extend_rows).  The first k vectors at each vertex span a
+    subspace too, so a chain of submodules grown one after another is one
+    Span and, per member, a length per vertex."""
+
+    def __init__(self, m, vecs=None, rows=None):
+        self.module = m
+        self.vecs = vecs or [[] for _ in m.dims]
+        self.rows = rows or [[] for _ in m.dims]
+
+    def lengths(self):
+        return [len(v) for v in self.vecs]
+
+    def prefix(self, lengths):
+        """A new Span of the first lengths[w] vectors at each vertex w."""
+        return Span(self.module, [v[:k] for v, k in zip(self.vecs, lengths)],
+                    [r[:k] for r, k in zip(self.rows, lengths)])
+
+    def bases(self, lengths=None):
+        """Per vertex, the matrix of the first lengths[w] vectors (all)."""
+        F = self.module.algebra.field
+        return [Matrix.from_columns(F, v[:k], rows=d) for v, k, d in zip(
+            self.vecs, lengths or self.lengths(), self.module.dims)]
+
+    def add(self, w, x):
+        """Keep the vector x of m at w if it is not in the span there."""
+        p = self.module.algebra.field.p
+        if linalg._extend_rows(p, self.rows[w], x) is None:
+            return False
+        self.vecs[w].append(x)
+        return True
+
+    def close(self, gens):
+        """Add the generators (w, x), then the image under each arrow of each
+        vector kept, unless the span at the arrow's target is already all of
+        m.  The images of the other vectors lie in the span, so a Span that
+        held a submodule ends as the one it and the generators generate."""
+        m = self.module
+        arrows = m.algebra.arrows
+        todo = [(w, x) for w, x in gens if self.add(w, x)]
+        while todo:
+            w, x = todo.pop()
+            for ai, (_, s, t) in enumerate(arrows):
+                if (s == w and len(self.vecs[t]) < m.dims[t]
+                        and self.add(t, y := m.action[ai].apply(x))):
+                    todo.append((t, y))
 
 
 def path_matrix(m, src, arrs):
@@ -559,10 +610,11 @@ def _arrow_images(m):
 
 
 def radical_submodule(m):
-    F = m.algebra.field
-    return Submodule(m, [Matrix.from_columns(
-        F, linalg.column_reduce(F, vecs), rows=d)
-        for vecs, d in zip(_arrow_images(m), m.dims)], check=False)
+    span = Span(m)
+    for w, vecs in enumerate(_arrow_images(m)):
+        for x in vecs:
+            span.add(w, x)
+    return Submodule(m, span.bases(), check=False)
 
 
 def top_basis(m):
@@ -621,21 +673,14 @@ def path_images(m, v, x):
 def generated_submodule(m, gens, sub=None):
     """The smallest submodule of m containing the submodule `sub` and the
     generators `gens`, pairs (v, x) of a vertex and a vector of m at v: the
-    span of sub and of the images p·x of the basis paths p from v."""
-    a = m.algebra
-    F = a.field
-    new = [[] for _ in range(a.n)]
-    for v, x in gens:
-        for w, cols in enumerate(path_images(m, v, x)):
-            new[w] += cols
-    bases = []
-    for w, d in enumerate(m.dims):
-        b = sub.bases[w] if sub is not None else Matrix.zero(F, d, 0)
-        if new[w]:
-            b = Matrix.from_columns(
-                F, linalg.column_reduce(F, b.columns() + new[w]), rows=d)
-        bases.append(b)
-    return Submodule(m, bases, check=False)
+    closure (Span.close) of sub's basis under the arrows, with the
+    generators added."""
+    span = Span(m)
+    for w, b in enumerate(sub.bases if sub is not None else ()):
+        for x in b.columns():
+            span.add(w, x)
+    span.close(gens)
+    return Submodule(m, span.bases(), check=False)
 
 
 # -- isomorphism testing ----------------------------------------------------

@@ -144,15 +144,19 @@ class FiltrationCertificate:
         return True
 
 
-def _top_lifts(m, sub, w, below=None):
-    """Vectors of sub at w lifting a basis of the top of sub/below at w."""
+def _top_lifts(m, vecs, w, rows=()):
+    """The vectors of vecs[w] that lift a basis of the top at w of the
+    submodule spanned by vecs (per vertex), modulo the span of the echelon
+    rows at w: those that the rows, extended by the arrow images of vecs
+    into w and the vectors before them, do not span."""
     a = m.algebra
-    known = [c for ai, (_, s, t) in enumerate(a.arrows) if t == w
-             for c in m.action[ai].mul(sub.bases[s]).columns()]
-    known += below.bases[w].columns() if below is not None else []
-    cols = sub.bases[w].columns()
-    return [cols[k - len(known)] for k in linalg.pivot_columns(
-        a.field, known + cols) if k >= len(known)]
+    rows = list(rows)
+    for ai, (_, s, t) in enumerate(a.arrows):
+        if t == w:
+            for x in vecs[s]:
+                linalg._extend_rows(a.field.p, rows, m.action[ai].apply(x))
+    return [x for x in vecs[w]
+            if linalg._extend_rows(a.field.p, rows, x) is not None]
 
 
 @reps.by_structure
@@ -165,53 +169,67 @@ def _top_kernel(f, mu):
     cover, _, incl = homology.syzygy_step(f)
     if cover.source.cover_summands != [mu]:
         return None
-    k = Submodule(cover.source, incl.blocks, check=False)
+    vecs = [b.columns() for b in incl.blocks]
     return [(w, g) for w in range(mu + 1)
-            for g in _top_lifts(cover.source, k, w)]
+            for g in _top_lifts(cover.source, vecs, w)]
 
 
 @reps.by_structure
 def _trace_certificate(m, family):
     """The certificate of the trace filtration of m whose factor family[μ]
     is P(μ)/K(μ); None if some member has no simple top, or the chain does
-    not close."""
+    not close.
+
+    U_n ⊂ ... ⊂ U_0 are prefixes of one Span, grown by closing it on the
+    vectors of m at μ, μ descending, and kept as lengths per vertex: U_{μ+1}
+    is all of m above μ, so the closure applies no arrow into a vertex
+    above μ.  Each layer is peeled on a copy of U_{μ+1}, extended first by
+    K(μ)·e_μ(cur) and then by each lift of the top at μ; every step of the
+    chain is a prefix of that copy."""
     kernels = [_top_kernel(f, mu) for mu, f in enumerate(family)]
     if None in kernels:
         return None
     a = m.algebra
-    U = [reps.zero_submodule(m)]        # U[μ] is generated by e_{>=μ}·m
+    span = reps.Span(m)
+    U = [span.lengths()]        # once reversed, U[μ] is the lengths of U_μ
     for mu in reversed(range(a.n)):
-        U.append(generated_submodule(m, _unit_gens(m, [mu]), U[-1]))
+        span.close(_unit_gens(m, [mu]))
+        U.append(span.lengths())
     U.reverse()
-    chain, indices = [U[0]], []         # top-down
+    chain, indices = [span.bases()], []         # top-down
     for mu in range(a.n):
-        below, cur = U[mu + 1], U[mu]
-        while cur.total_dim > below.total_dim:
+        cur = [v[:k] for v, k in zip(span.vecs, U[mu])]
+        while sum(map(len, cur)) > sum(U[mu + 1]):
             if mu >= len(family):
                 return None
             # peel: W = U_{μ+1} + K(μ)·e_μ(cur) is generated by g·x over the
             # generators g of K(μ) and x in e_μ(cur); g·x lies in U_{μ+1}
             # when g sits at a vertex above μ, so _top_kernel lifts none there
             gens = []
-            for x in cur.bases[mu].columns() if kernels[mu] else []:
+            for x in cur[mu] if kernels[mu] else []:
                 images = reps.path_images(m, mu, x)
                 gens += [(w, Matrix.from_columns(
                     a.field, images[w], rows=m.dims[w]).apply(g))
                     for w, g in kernels[mu]]
-            steps = [generated_submodule(m, gens, below)]
-            # cur/W is generated at μ: each lift of its top adds one factor
-            for x in _top_lifts(m, cur, mu, steps[0]):
-                steps.append(generated_submodule(m, [(mu, x)], steps[-1]))
-                if (steps[-1].total_dim - steps[-2].total_dim
-                        != family[mu].total_dim):
+            peel = span.prefix(U[mu + 1])
+            peel.close(gens)
+            steps = [peel.lengths()]
+            # cur/W is generated at μ: each lift of its top adds one factor.
+            # cur is all of m above μ, so its arrow images from there lie in
+            # U_{μ+1}, inside W
+            lifts = _top_lifts(m, [v if s <= mu else [] for s, v in
+                                   enumerate(cur)], mu, peel.rows[mu])
+            for x in lifts:
+                peel.close([(mu, x)])
+                steps.append(peel.lengths())
+                if sum(steps[-1]) - sum(steps[-2]) != family[mu].total_dim:
                     return None
-            if steps[-1].total_dim != cur.total_dim:
+            if steps[-1] != [len(v) for v in cur]:
                 return None
-            chain += reversed(steps[:-1])
+            chain += [peel.bases(k) for k in reversed(steps[:-1])]
             indices += [mu] * (len(steps) - 1)
-            cur = steps[0]
-    return FiltrationCertificate(m, [s.bases for s in reversed(chain)],
-                                 indices[::-1])
+            cur = [v[:k] for v, k in zip(peel.vecs, steps[0])]
+    return FiltrationCertificate(m, chain[::-1], indices[::-1])
 
 
 def dual_certificate(m, cert):
@@ -231,7 +249,9 @@ def filtration_certificate(m, family):
 
     Constructed from the trace filtration, not searched for.  Member μ is
     P(μ)/K(μ) (Delta, DeltaBar).  The layers U_μ/U_{μ+1}, U_μ generated by
-    e_{>=μ}·m, have no composition factor above μ.  A layer is peeled from
+    e_{>=μ}·m, have no composition factor above μ; the U_μ are prefixes of
+    one reps.Span and each layer is peeled on a copy of U_{μ+1}
+    (_trace_certificate).  A layer is peeled from
     the top: C/W with W = U_{μ+1} + K(μ)·e_μC is a quotient of family[μ]^t,
     t the multiplicity of the simple at μ in its top, and equals it when
     each lift of that top adds dim family[μ].  For Delta, W = U_{μ+1}; for

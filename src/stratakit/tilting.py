@@ -276,8 +276,20 @@ def gfd_nabla_bar(x, cap=homology.DEFAULT_CAP):
 
 
 def gfd_delta_bar(x, cap=homology.DEFAULT_CAP):
-    """DeltaBar-good filtration dimension, via the opposite algebra."""
-    return gfd_nabla_bar(reps.dual(x), cap)
+    """DeltaBar-good filtration dimension, via the opposite algebra: the
+    NablaBar-good one of D(x), whose Ext scan stops at pd T^op.
+
+    On a quasi-hereditary algebra S ≅ T (characteristic_cotilting), and S
+    is D(T^op) on any properly stratified algebra, so T^op ≅ D(T) and
+    pd T^op = pd D(T) = inj T.  That bound is read off the algebra's own T,
+    and no tilting module of the opposite algebra is built."""
+    a = x.algebra
+    if x.total_dim == 0 or not strat.classify(a).quasi_hereditary:
+        return gfd_nabla_bar(reps.dual(x), cap)
+    inj_t = homology.finite_dim(homology.inj_dim(
+        characteristic_tilting(a).total, cap), "projective dimension of T")
+    return _ext_top(strat.standard_family(a.opposite()), reps.dual(x), inj_t,
+                    cap)
 
 
 # -- T-(co)dimension ----------------------------------------------------------
@@ -394,15 +406,11 @@ def probe_modules(a):
         seen_base.add(m.key())
         rad_rep, _ = reps.radical_submodule(m).as_rep()
         for cand in (m, rad_rep, reps.top(m)):
-            if cand.total_dim == 0:
-                continue
-            if cand.key() in seen:
-                continue
-            if any(reps.is_isomorphic(cand, other) for other in out):
-                seen.add(cand.key())
+            if cand.total_dim == 0 or cand.key() in seen:
                 continue
             seen.add(cand.key())
-            out.append(cand)
+            if not any(reps.is_isomorphic(cand, other) for other in out):
+                out.append(cand)
     return tuple(out)
 
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from stratakit import homology, linalg, reps, strat
 from stratakit.fields import GF, QQ
+from stratakit.linalg import Matrix
 from stratakit.parser import parse, parse_file
 from stratakit.quiver import QuiverSpec
 
@@ -172,3 +174,93 @@ def semisimple2():
 @pytest.fixture(scope="session")
 def point():
     return algebra("point")
+
+
+# -- the path-image closure and the trace certificate built on it -----------
+#
+# The earlier routes, kept as references: generated_submodule walked every
+# basis path of P(v) from each generator and re-reduced the whole basis, and
+# the trace certificate built each U_μ and each peel step as a fresh
+# generated submodule.  Unmemoised, so they share no result with the code
+# under test but the syzygy steps.
+
+def reference_generated_submodule(m, gens, sub=None):
+    """The span of sub and of the images p·x of the basis paths p from v,
+    over the generators (v, x)."""
+    a = m.algebra
+    F = a.field
+    new = [[] for _ in range(a.n)]
+    for v, x in gens:
+        for w, cols in enumerate(reps.path_images(m, v, x)):
+            new[w] += cols
+    bases = []
+    for w, d in enumerate(m.dims):
+        b = sub.bases[w] if sub is not None else Matrix.zero(F, d, 0)
+        if new[w]:
+            vecs = b.columns() + new[w]
+            b = Matrix.from_columns(
+                F, [vecs[i] for i in linalg.pivot_columns(F, vecs)], rows=d)
+        bases.append(b)
+    return reps.Submodule(m, bases, check=False)
+
+
+def _reference_top_lifts(m, sub, w, below=None):
+    a = m.algebra
+    known = [c for ai, (_, s, t) in enumerate(a.arrows) if t == w
+             for c in m.action[ai].mul(sub.bases[s]).columns()]
+    known += below.bases[w].columns() if below is not None else []
+    cols = sub.bases[w].columns()
+    return [cols[k - len(known)] for k in linalg.pivot_columns(
+        a.field, known + cols) if k >= len(known)]
+
+
+def _reference_top_kernel(f, mu):
+    cover, _, incl = homology.syzygy_step(f)
+    if cover.source.cover_summands != [mu]:
+        return None
+    k = reps.Submodule(cover.source, incl.blocks, check=False)
+    return [(w, g) for w in range(mu + 1)
+            for g in _reference_top_lifts(cover.source, k, w)]
+
+
+def reference_trace_certificate(m, family):
+    """The trace filtration certificate, each U_μ and peel step generated
+    afresh by reference_generated_submodule."""
+    kernels = [_reference_top_kernel(f, mu) for mu, f in enumerate(family)]
+    if None in kernels:
+        return None
+    a = m.algebra
+    F = a.field
+    U = [reps.Submodule(m, [Matrix.zero(F, d, 0) for d in m.dims],
+                        check=False)]
+    for mu in reversed(range(a.n)):
+        U.append(reference_generated_submodule(
+            m, [(mu, x) for x in Matrix.identity(F, m.dims[mu]).columns()],
+            U[-1]))
+    U.reverse()
+    chain, indices = [U[0]], []
+    for mu in range(a.n):
+        below, cur = U[mu + 1], U[mu]
+        while cur.total_dim > below.total_dim:
+            if mu >= len(family):
+                return None
+            gens = []
+            for x in cur.bases[mu].columns() if kernels[mu] else []:
+                images = reps.path_images(m, mu, x)
+                gens += [(w, Matrix.from_columns(
+                    F, images[w], rows=m.dims[w]).apply(g))
+                    for w, g in kernels[mu]]
+            steps = [reference_generated_submodule(m, gens, below)]
+            for x in _reference_top_lifts(m, cur, mu, steps[0]):
+                steps.append(reference_generated_submodule(
+                    m, [(mu, x)], steps[-1]))
+                if (steps[-1].total_dim - steps[-2].total_dim
+                        != family[mu].total_dim):
+                    return None
+            if steps[-1].total_dim != cur.total_dim:
+                return None
+            chain += reversed(steps[:-1])
+            indices += [mu] * (len(steps) - 1)
+            cur = steps[0]
+    return strat.FiltrationCertificate(
+        m, [s.bases for s in reversed(chain)], indices[::-1])

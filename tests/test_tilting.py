@@ -271,6 +271,30 @@ def test_quasi_hereditary_reports_build_no_opposite_tilting(monkeypatch,
     assert ("characteristic_tilting",) not in a.opposite().cache
 
 
+@pytest.mark.parametrize("which", QUASI_HEREDITARY, ids=str)
+def test_gfd_delta_bar_matches_the_opposite_route(which):
+    # the bound inj T of gfd_delta_bar is pd T^op, the bound of the NablaBar
+    # scan of D(m) over the opposite algebra
+    a = algebra(which) if isinstance(which, str) else corpus_algebra(*which)
+    for m in probe_modules(a):
+        assert gfd_delta_bar(m) == gfd_nabla_bar(reps.dual(m))
+
+
+def test_gfd_delta_bar_builds_no_opposite_tilting(monkeypatch):
+    # on a quasi-hereditary algebra pd T^op = inj T (gfd_delta_bar), so the
+    # delta_bar line of gfd bounds its Ext scan by the algebra's own T
+    seen = []
+    real = tilting.gfd_delta_bar
+    monkeypatch.setattr(tilting, "gfd_delta_bar",
+                        lambda m, cap: seen.append(m) or real(m, cap))
+    code, out, _ = run_cli(["gfd", fixture_path("a3line.alg"), "--module",
+                            "E(3)", "--format", "machine"])
+    assert code == 0 and "gfd.delta_bar = 0" in out
+    a = seen[0].algebra
+    assert ("characteristic_tilting",) in a.cache
+    assert ("characteristic_tilting",) not in a.opposite().cache
+
+
 @pytest.mark.parametrize("which", ["loop2"] + [
     (key, field) for key, field in CORPUS
     if PINNED[key][0] == "properly stratified"], ids=str)
