@@ -13,9 +13,10 @@ differential is composed only when asked for.
 Ext is computed by dimension shifting: Ext^i(M, N) ≅ Ext^1(Ω^{i-1}M, N), and
 0 -> Hom(Ω^{i-1}M, N) -> Hom(P_{i-1}, N) -> Hom(Ω^i M, N) -> Ext^i(M, N) -> 0
 is exact, so dim Ext^i is an alternating sum of Hom dimensions.  reps.hom_dim
-memoises those per algebra by the modules' structural keys, so the
-consecutive degrees of a scan share one syzygy's Hom space, and so do equal
-syzygies of different resolutions.
+reads each off one kernel per pair of structural keys, shared with
+hom_basis, so the consecutive degrees of a scan share one syzygy's Hom
+space, and so do equal syzygies of different resolutions and the cocycles
+of an extension.
 
 A direct sum is resolved, Hom-solved and certified summand by summand.
 Minimal resolutions of a sum are the sums of those of its summands and Ext

@@ -4,14 +4,16 @@ Matrices are dense, row-major, immutable after construction, and hold the
 field's canonical scalars (fields): over Q an int for every integral entry
 and a Fraction with denominator > 1 for the rest.  RREF over the field is
 the reference semantics for everything (rank, kernels, solving).  One
-elimination routine serves them all, specialised per field: over GF(p) on
-int residues reduced inline, over Q fraction-free on integer rows.  It stops
-where the question is answered: rank and image_basis clear only below each
-pivot, and over Q kernel_basis, solve and inverse divide only the entries
-they return, rref all of them.  The RREF is unique, so both fields give
-exactly the result of elimination on field scalars.  _extend_rows reduces
-one vector at a time against the rows kept so far, with the same arithmetic,
-and builds no matrix: pivot_columns and the spans of reps run on it.
+elimination routine serves them all, with one row step (_cleared)
+specialised per field: over GF(p) on int residues, over Q fraction-free on
+integer rows.  It stops where the question is answered: rank and
+image_basis clear only below each pivot; the others then clear above the
+pivots, the last first, and kernel_basis only when there is a free column;
+over Q kernel_basis, solve and inverse divide only the entries they
+return, rref all of them.  The RREF is unique, so both fields give exactly
+the result of elimination on field scalars.  _extend_rows reduces one
+vector at a time against the rows kept so far, with the same step, and
+builds no matrix: pivot_columns and the spans of reps run on it.
 """
 
 from fractions import Fraction
@@ -222,14 +224,29 @@ def _integral(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
+def _cleared(p, row, prow, c):
+    """row with its entry at column c cleared by the pivot row prow.  Over
+    GF(p) on residues, prow scaled to 1 at c.  Over Q (p None) fraction-free
+    (cf. Bareiss 1968) on integer rows: s*row - t*prow, divided by its
+    content to keep the entries small."""
+    f = row[c]
+    if p:
+        return [(x - f * y) % p for x, y in zip(row, prow)]
+    g = gcd(prow[c], f)
+    s, t = prow[c] // g, f // g
+    row = [s * x - t * y for x, y in zip(row, prow)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _eliminate(m, full=True):
-    """Gauss-Jordan on the rows of m, which has rows and columns: (pivot
-    rows, pivot columns), the r-th reduced row being rows[r] / its pivot.
-    Over GF(p) on residues, each pivot row scaled to 1.  Over Q fraction-free
-    (cf. Bareiss 1968) on the rows made integral by _integral: row := s*row -
-    t*pivot_row, divided by its content to keep the entries small; callers
-    divide only the entries they return (_divided).  full=False clears only
-    below each pivot: an echelon form with the same pivots, for a rank."""
+    """Gaussian elimination on the rows of m, which has rows and columns:
+    (pivot rows, pivot columns), the r-th reduced row being rows[r] / its
+    pivot.  Over GF(p) on residues, each pivot row scaled to 1; over Q on
+    the rows made integral by _integral (_cleared); callers divide only the
+    entries they return (_divided).  A forward pass clears below each pivot:
+    an echelon form with the pivots of the rref, enough for a rank.
+    full=True then clears above them too (_clear_above)."""
     p, n, nrows, e = m.field.p, m.cols, m.rows, m.entries
     rows = [e[i:i + n] if p else _integral(e[i:i + n])
             for i in range(0, nrows * n, n)]
@@ -243,28 +260,31 @@ def _eliminate(m, full=True):
             continue
         rows[r], rows[i] = rows[i], rows[r]
         prow = rows[r]
-        a = prow[c]
-        if p and a != 1:
-            inv = pow(a, -1, p)
+        if p and prow[c] != 1:
+            inv = pow(prow[c], -1, p)
             prow = rows[r] = [x * inv % p for x in prow]
-        for i in range(0 if full else r + 1, nrows):
-            row = rows[i]
-            f = row[c]
-            if not f or i == r:
-                continue
-            if p:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
-                continue
-            g = gcd(a, f)
-            s, t = a // g, f // g
-            row = [s * x - t * y for x, y in zip(row, prow)]
-            g = gcd(*row)
-            rows[i] = [x // g for x in row] if g > 1 else row
+        for i in range(r + 1, nrows):
+            if rows[i][c]:
+                rows[i] = _cleared(p, rows[i], prow, c)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows[:r], pivots
+    rows = rows[:r]
+    if full:
+        _clear_above(p, rows, pivots)
+    return rows, pivots
+
+
+def _clear_above(p, rows, pivots):
+    """Reduce echelon rows in place to the rows of the rref, up to scale:
+    clear above each pivot, the last first, so that a pivot row used is 0
+    at every later pivot and fills none in."""
+    for k in range(len(rows) - 1, 0, -1):
+        c, prow = pivots[k], rows[k]
+        for i in range(k):
+            if rows[i][c]:
+                rows[i] = _cleared(p, rows[i], prow, c)
 
 
 def _echelon(m, full=True):
@@ -285,11 +305,14 @@ def rank(m):
 
 def kernel_basis(m):
     """Basis of the right null space, as a list of column vectors: per free
-    column fc, 1 at fc and -R[r, fc] at the r-th pivot, R the rref."""
+    column fc, 1 at fc and -R[r, fc] at the r-th pivot, R the rref.  With no
+    free column, the forward pass of a rank answers."""
     F, p = m.field, m.field.p
-    rows, pivots = _echelon(m)
+    rows, pivots = _echelon(m, full=False)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
+    if free:
+        _clear_above(p, rows, pivots)
     basis = []
     for fc in free:
         v = [F.zero] * m.cols
@@ -336,22 +359,12 @@ def _extend_rows(p, rows, v):
     Each row is 0 at every earlier pivot, so one pass in order clears every
     kept pivot, and the appended row keeps that so.  Over GF(p) the rows are
     residues scaled to 1 at the pivot; over Q (p None), integer rows divided
-    by their content, as in _eliminate."""
+    by their content (_cleared)."""
     if p is None:
         v = _integral(v)
     for c, row in rows:
-        f = v[c]
-        if not f:
-            continue
-        if p is not None:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-            continue
-        g = gcd(row[c], f)
-        s, t = row[c] // g, f // g
-        v = [s * x - t * y for x, y in zip(v, row)]
-        g = gcd(*v)
-        if g > 1:
-            v = [x // g for x in v]
+        if v[c]:
+            v = _cleared(p, v, row, c)
     c = next((j for j, x in enumerate(v) if x), None)
     if c is None:
         return None

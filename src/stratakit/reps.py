@@ -37,9 +37,12 @@ Per-algebra results live in the algebra's cache and go through two helpers:
 built_once, keyed by a function's name and arguments, and by_structure,
 keyed by the structural keys of its module arguments.  Rep.key() is a small
 int, interned once per module, so equal modules built apart share one
-result and a lookup hashes ints.  direct_sum records the summands of each
-sum it builds under the sum's key, and summands(m) reads them back, so
-additive invariants of a sum are computed summand by summand.
+result and a lookup hashes ints.  Hom(m, n) is one such result: the kernel
+of its intertwining system, eliminated once per pair of structures, of
+which hom_dim reads the length and hom_basis wraps fresh morphisms
+m -> n.  direct_sum records the summands of each sum it builds under the
+sum's key, and summands(m) reads them back, so additive invariants of a
+sum are computed summand by summand.
 """
 
 import functools
@@ -445,8 +448,6 @@ def _hom_system(m, n):
     """The intertwining equations f_t·m(α) = n(α)·f_s of Hom(m, n), one row
     per arrow α: s -> t and entry; unknowns are the blocks f_v, row-major,
     at the returned offsets."""
-    if m.algebra is not n.algebra:
-        raise AlgebraMismatch("hom between modules over different algebras")
     a = m.algebra
     F = a.field
     offs = []
@@ -478,28 +479,30 @@ def _hom_system(m, n):
     return Matrix(F, eqs, total, flat), offs
 
 
-def hom_basis(m, n):
-    """Basis of Hom(m, n), by solving the intertwining linear system."""
-    mat, offs = _hom_system(m, n)
-    F = m.algebra.field
-    out = []
-    for vec in linalg.kernel_basis(mat):
-        blocks = []
-        for v in range(m.algebra.n):
-            ent = vec[offs[v]:offs[v] + n.dims[v] * m.dims[v]]
-            blocks.append(Matrix(F, n.dims[v], m.dims[v], ent))
-        out.append(Morphism(m, n, blocks))
-    return out
-
-
 @by_structure
-def hom_dim(m, n):
-    """dim Hom(m, n): the unknowns less the rank of the intertwining system.
+def _hom_kernel(m, n):
+    """(kernel, offsets): the kernel basis of the intertwining system of
+    Hom(m, n), as a tuple of tuples, and the offsets of its blocks.  One
+    elimination per pair of structures serves hom_dim and hom_basis."""
+    mat, offs = _hom_system(m, n)
+    return tuple(map(tuple, linalg.kernel_basis(mat))), offs
 
-    Memoised per algebra by structure, so equal modules built apart (the
-    syzygies of two resolutions, say) share one solve."""
-    mat, _ = _hom_system(m, n)
-    return mat.cols - linalg.rank(mat)
+
+def hom_basis(m, n):
+    """Basis of Hom(m, n): the memoised kernel (_hom_kernel), wrapped in
+    fresh Morphisms m -> n."""
+    ker, offs = _hom_kernel(m, n)
+    F = m.algebra.field
+    return [Morphism(m, n, [Matrix(F, dn, dm, vec[o:o + dn * dm])
+                            for o, dm, dn in zip(offs, m.dims, n.dims)])
+            for vec in ker]
+
+
+def hom_dim(m, n):
+    """dim Hom(m, n): the length of the memoised kernel (_hom_kernel), so
+    equal modules built apart (the syzygies of two resolutions, say) share
+    one elimination with each other and with hom_basis."""
+    return len(_hom_kernel(m, n)[0])
 
 
 # -- kernels, images, quotients ---------------------------------------------
@@ -670,15 +673,11 @@ def path_images(m, v, x):
     return [[image[a.basis[bi].arrs] for bi in paths] for paths in layout]
 
 
-def generated_submodule(m, gens, sub=None):
-    """The smallest submodule of m containing the submodule `sub` and the
-    generators `gens`, pairs (v, x) of a vertex and a vector of m at v: the
-    closure (Span.close) of sub's basis under the arrows, with the
-    generators added."""
+def generated_submodule(m, gens):
+    """The submodule of m generated by `gens`, pairs (v, x) of a vertex and
+    a vector of m at v: the closure (Span.close) of the generators under
+    the arrows."""
     span = Span(m)
-    for w, b in enumerate(sub.bases if sub is not None else ()):
-        for x in b.columns():
-            span.add(w, x)
     span.close(gens)
     return Submodule(m, span.bases(), check=False)
 
@@ -860,21 +859,10 @@ def decompose_with_inclusions(m):
             return parts
         nilpotent.append(_poly_of_morphism(f, g))
         linear = linear and len(g) == 2
-    # the span in echelon form: rows (pivot, row) with row[pivot] = 1, each
-    # 0 at the pivots of the rows before it, so one pass reduces a product
-    span = []
+    span = []                   # echelon rows, as linalg._extend_rows keeps
 
     def extends_span(h):
-        v = h.flat()
-        for p, row in span:
-            if not F.is_zero(c := v[p]):
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
-        p = next((i for i, x in enumerate(v) if not F.is_zero(x)), None)
-        if p is None:
-            return False
-        inv = F.inv(v[p])
-        span.append((p, [F.mul(inv, x) for x in v]))
-        return True
+        return linalg._extend_rows(F.p, span, h.flat()) is not None
 
     gens = level = [n for n in nilpotent if extends_span(n)]
     while level:

@@ -263,9 +263,7 @@ def filtration_certificate(m, family):
     Nabla and NablaBar, recognised by the structural keys of their members
     after Delta and DeltaBar, go straight to the opposite algebra: the trace
     filtration of D(m) against Delta^op or DeltaBar^op, mapped back by
-    dual_certificate, so a None there proves non-membership too.  Any other
-    family is tried over m's algebra first, and on None over the opposite
-    algebra.
+    dual_certificate, so a None there proves non-membership too.
 
     A direct sum is certified summand by summand (_stacked_certificate).
     Trace and stacked certificates, and the duals of m and of the family's
@@ -275,13 +273,11 @@ def filtration_certificate(m, family):
     """
     if len(reps.summands(m)) > 1:
         cert = _stacked_certificate(m, family)
+    elif _costandard_like(m.algebra, family):
+        cert = _trace_certificate(reps.dual(m), [reps.dual(f) for f in family])
+        return None if cert is None else dual_certificate(m, cert)
     else:
-        cert = (None if _costandard_like(m.algebra, family)
-                else _trace_certificate(m, family))
-        if cert is None:
-            cert = _trace_certificate(reps.dual(m),
-                                      [reps.dual(f) for f in family])
-            return None if cert is None else dual_certificate(m, cert)
+        cert = _trace_certificate(m, family)
     # the memoised certificate may name an equal module built apart
     return (cert if cert is None or cert.module is m
             else FiltrationCertificate(m, cert.layers, cert.factor_indices))

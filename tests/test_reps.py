@@ -696,7 +696,7 @@ def test_cache_keys_are_namespaced():
     names = {key[0] for key in a.cache}
     assert all(type(key) is tuple and type(key[0]) is str for key in a.cache)
     assert {"simple", "classify", "gfd_algebra"} <= names
-    assert {"stratakit.reps.hom_dim", "stratakit.homology.syzygy_step",
+    assert {"stratakit.reps._hom_kernel", "stratakit.homology.syzygy_step",
             "stratakit.strat._top_kernel",
             "stratakit.strat._trace_certificate"} <= names
 

@@ -194,6 +194,21 @@ def test_infeasible_dimension_vector_has_no_certificate():
     assert not in_filtration_class(simple(a, 1), standard_family(a))
 
 
+def test_a_missing_delta_certificate_builds_nothing_over_the_opposite(
+        monkeypatch):
+    # the trace filtration's None already proves non-membership in F(Delta),
+    # so no dual is built to try again over the opposite algebra.  A fresh
+    # algebra, with the family built first, so that no dual is memoised
+    a = parse_file(fixture_path("a3line.alg")).build()
+    family = standard_family(a)
+    built = []
+    real = reps.dual_to_opposite
+    monkeypatch.setattr(reps, "dual_to_opposite",
+                        lambda x: built.append(x) or real(x))
+    assert filtration_certificate(simple(a, 1), family) is None
+    assert built == []
+
+
 def test_standard_modules_are_trivially_filtered():
     a = algebra("borelA")
     family = standard_family(a)
