@@ -18,6 +18,12 @@ hom_basis, so the consecutive degrees of a scan share one syzygy's Hom
 space, and so do equal syzygies of different resolutions and the cocycles
 of an extension.
 
+ext_top finds the top nonvanishing degree against a family of sources, as
+the good filtration dimensions need.  Ext^d(x, -) = 0 above pd x, so once
+x's resolution completes within the bound, x's scan starts at pd x and not
+at the bound; each pair stops at its first nonzero Ext above the best
+degree found so far.
+
 A direct sum is resolved, Hom-solved and certified summand by summand.
 Minimal resolutions of a sum are the sums of those of its summands and Ext
 is bilinear, so for a module built by reps.direct_sum, ext_dim adds up the
@@ -244,6 +250,29 @@ def _ext_dim(i, m, n, cap):
     syz = res.syzygies
     return (reps.hom_dim(syz[i][0], n) - sum(n.dims[v] for v in res.terms[i - 1])
             + reps.hom_dim(syz[i - 1][0], n))
+
+
+def ext_top(sources, m, bound, cap):
+    """The top d <= bound with Ext^d(x, m) != 0 for a summand x of a module
+    in sources, or 0.  bound is a finite dimension at this cap, so no degree
+    above cap + 1 is asked.
+
+    Each x's resolution is grown to bound terms, as far as Ext^bound grows
+    it.  Ext^d(x, -) = 0 above pd x, so a complete resolution starts x's
+    scan at min(bound, pd x).  Each pair (x, y), y a summand of m, is
+    scanned down to one above the best degree found so far, and stops at
+    its first nonzero Ext; once bound is found, nothing more is grown."""
+    best = 0
+    ys = reps.summands(m)
+    for x in (x for s in sources for x in reps.summands(s)):
+        if best == bound:
+            break
+        res = min_proj_resolution(x, bound - 1)
+        top = min(bound, len(res.terms) - 1) if res.complete else bound
+        for y in ys:
+            best = next((d for d in range(top, best, -1)
+                         if ext_dim(d, x, y, cap) != 0), best)
+    return best
 
 
 # -- realized extension classes ---------------------------------------------

@@ -63,16 +63,13 @@ class Rep:
         self.dims = tuple(dims)
         self.action = list(action)          # one Matrix per arrow
         self.label = label
+        self.total_dim = sum(self.dims)
         self._key = None
         for ai, (_, s, t) in enumerate(algebra.arrows):
             m = self.action[ai]
             if m.rows != dims[t] or m.cols != dims[s]:
                 raise StratakitError(f"arrow {ai}: matrix shape {m.rows}x{m.cols} "
                                      f"!= {dims[t]}x{dims[s]}")
-
-    @property
-    def total_dim(self):
-        return sum(self.dims)
 
     def is_zero(self):
         return self.total_dim == 0

@@ -5,10 +5,12 @@ its declared vertex order; callers are gated through strat.classify.  T(λ)
 is Delta(λ) extended by Delta(μ), μ < λ descending, along minimal
 generators of Ext^1 over End(Delta(μ)) (homology.universal_extension).  The
 good filtration dimension is the top degree of a nonzero Ext against the
-standard modules, scanned down from proj_dim(T).  End(T(λ)) is local, so each
-endomorphism is c·id plus a nilpotent; c is read off its minimal polynomial
-(x - c)^m, and rad End(T(λ)) is spanned by the f - c·id.  The Ringel dual
-End(T) is presented by the reduced Groebner basis of its relations.
+standard modules, at most proj_dim(T); homology.ext_top scans each standard
+module down from the smaller of pd T and its own pd.  End(T(λ)) is local,
+so each endomorphism is c·id plus a nilpotent; c is read off its minimal
+polynomial (x - c)^m, and rad End(T(λ)) is spanned by the f - c·id.  The
+Ringel dual End(T) is presented by the reduced Groebner basis of its
+relations.
 
 The cotilting module S, with add(S) = F(Nabla) ∩ F(DeltaBar), is read off
 the theorem on a quasi-hereditary algebra: there DeltaBar = Delta and
@@ -251,18 +253,6 @@ def _tilting_pd(a, cap):
         "projective dimension of T")
 
 
-def _ext_top(sources, m, bound, cap):
-    """The top d <= bound with Ext^d(X, m) != 0 for an X in sources, or 0.
-    Only whether Ext vanishes matters, so direct sums are scanned summand
-    pair by summand pair, stopping at the first nonzero one."""
-    pairs = [(x, y) for s in sources for x in reps.summands(s)
-             for y in reps.summands(m)]
-    for d in range(bound, 0, -1):
-        if any(homology.ext_dim(d, x, y, cap) != 0 for x, y in pairs):
-            return d
-    return 0
-
-
 def gfd_nabla_bar(x, cap=homology.DEFAULT_CAP):
     """NablaBar-good filtration dimension: the top Ext degree against the
     standard modules, at most proj_dim(T)."""
@@ -272,7 +262,8 @@ def gfd_nabla_bar(x, cap=homology.DEFAULT_CAP):
                             "stratified algebra")
     if x.total_dim == 0:
         return 0
-    return _ext_top(strat.standard_family(a), x, _tilting_pd(a, cap), cap)
+    return homology.ext_top(strat.standard_family(a), x, _tilting_pd(a, cap),
+                            cap)
 
 
 def gfd_delta_bar(x, cap=homology.DEFAULT_CAP):
@@ -287,9 +278,9 @@ def gfd_delta_bar(x, cap=homology.DEFAULT_CAP):
     if x.total_dim == 0 or not strat.classify(a).quasi_hereditary:
         return gfd_nabla_bar(reps.dual(x), cap)
     inj_t = homology.finite_dim(homology.inj_dim(
-        characteristic_tilting(a).total, cap), "projective dimension of T")
-    return _ext_top(strat.standard_family(a.opposite()), reps.dual(x), inj_t,
-                    cap)
+        characteristic_tilting(a).total, cap), "injective dimension of T")
+    return homology.ext_top(strat.standard_family(a.opposite()), reps.dual(x),
+                            inj_t, cap)
 
 
 # -- T-(co)dimension ----------------------------------------------------------
@@ -547,7 +538,7 @@ def verify_section2(a, cap=homology.DEFAULT_CAP):
     ok = True
     witness = ""
     for m, g in zip(probes, report.probe_gfds):
-        top = _ext_top([tilt.total], m, pd_t, cap)
+        top = homology.ext_top([tilt.total], m, pd_t, cap)
         if top != g:
             ok = False
             witness = f"{m.label or m.dims}: ext-top {top} != gfd {g}"

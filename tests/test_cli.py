@@ -229,6 +229,28 @@ def test_inconclusive_exit_code_on_tiny_cap(argv):
     assert out == ""
 
 
+REV4 = """field GF 101
+vertices 1 2 3 4
+arrow a1 2 1
+arrow a2 3 2
+arrow a3 4 3
+relation 1*a1.a2
+relation 1*a2.a3
+"""
+
+
+def test_gfd_delta_bar_names_a_capped_inj_t(tmp_path):
+    # on a quasi-hereditary algebra the DeltaBar scan is bounded by inj T;
+    # here pd T = 0 and inj T = 3, so cap 1 caps inj T, not pd T
+    path = tmp_path / "rev4.alg"
+    path.write_text(REV4)
+    code, out, err = run_cli(["gfd", str(path), "--module", "E(1)",
+                              "--cap", "1"])
+    assert code == 3 and out == ""
+    assert err == ("inconclusive: injective dimension of T capped at 1; "
+                   "raise the cap\n")
+
+
 def test_negative_cap_is_an_input_error():
     code, out, err = run_cli(["analyze", fixture_path("point.alg"),
                               "--cap", "-1"])

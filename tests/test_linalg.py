@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from stratakit import fields, linalg
 from stratakit.cli import main
+from stratakit.errors import StratakitError
 from stratakit.fields import GF, QQ
 from stratakit.linalg import Matrix
 from stratakit.parser import parse
@@ -127,6 +128,16 @@ def test_inverse_exact():
     _assert_canonical(QQ, inv.entries)
     assert m.mul(inv) == Matrix.identity(QQ, 2)
     assert inv.mul(m) == Matrix.identity(QQ, 2)
+
+
+def test_matrix_keeps_a_given_tuple_and_checks_the_count():
+    entries = (F5.of(1), F5.of(2), F5.of(3), F5.of(4))
+    assert Matrix(F5, 2, 2, entries).entries is entries
+    as_list = Matrix(F5, 2, 2, list(entries)).entries
+    assert type(as_list) is tuple and as_list == entries
+    for bad in (entries[:3], list(entries[:3]), entries + entries):
+        with pytest.raises(StratakitError):
+            Matrix(F5, 2, 2, bad)
 
 
 def test_singular_matrix_not_invertible():

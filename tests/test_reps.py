@@ -1,13 +1,16 @@
 """Representations: projectives, injectives, hom spaces, decomposition."""
 
+import io
 import random
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratakit import homology, linalg, parse, poly, reps, strat, tilting
+from stratakit.cli import main
 from stratakit.errors import (AlgebraMismatch, NotASubmodule,
                               UndecidedDecomposition)
 from stratakit.linalg import Matrix
@@ -699,6 +702,46 @@ def test_cache_keys_are_namespaced():
     assert {"stratakit.reps._hom_kernel", "stratakit.homology.syzygy_step",
             "stratakit.strat._top_kernel",
             "stratakit.strat._trace_certificate"} <= names
+
+
+def test_structural_memo_keys_on_fresh_modules():
+    # the key is (dotted name, each module's key, other arguments), and a
+    # fresh module's key is interned on first use
+    a = parse_file(fixture_path("a3line.alg")).build()
+    m, n, f = simple(a, 0), projective(a, 1), projective(a, 2)
+    assert (m._key, n._key, f._key) == (None, None, None)
+    reps._hom_kernel(m, n)
+    homology.syzygy_step(m)
+    strat._top_kernel(f, 2)
+
+    def keys(name):
+        return {k for k in a.cache if k[0] == name}
+
+    assert keys("stratakit.reps._hom_kernel") == {
+        ("stratakit.reps._hom_kernel", m.key(), n.key())}
+    # the top kernel reads f's syzygy step
+    assert keys("stratakit.homology.syzygy_step") == {
+        ("stratakit.homology.syzygy_step", m.key()),
+        ("stratakit.homology.syzygy_step", f.key())}
+    assert keys("stratakit.strat._top_kernel") == {
+        ("stratakit.strat._top_kernel", f.key(), 2)}
+    assert all(type(x) is int for k in a.cache if "." in k[0] for x in k[1:])
+
+
+def test_total_dim_is_the_sum_of_dims_on_a_borel_check(monkeypatch):
+    built = []
+    init = Rep.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Rep, "__init__", recording)
+    with redirect_stdout(io.StringIO()):
+        assert main(["check", fixture_path("borelA.alg"),
+                     "--borel", fixture_path("borelB.alg")]) == 0
+    assert len(built) > 100
+    assert all(r.total_dim == sum(r.dims) for r in built)
 
 
 def test_quotient_issues_one_rref_per_vertex_and_no_inverse(monkeypatch):

@@ -107,15 +107,26 @@ def test_probe_modules_match_the_reference(kind, name):
     (kind, name) for kind, name in ALGEBRAS
     if kind != "corpus" or PINNED[name[0]][0] != "not stratified"])
 def test_ext_top_matches_the_reference(kind, name):
+    # every bound up to pd T + 1, against the standard modules, T and the
+    # simples (on loop2 the simple's resolution never completes), and
+    # gfd_delta_bar's scan over the opposite algebra: Delta^op against
+    # D(m), bounded by inj T
     a = _build(kind, name)
     cap = homology.DEFAULT_CAP
-    bound = tilting._tilting_pd(a, cap)
-    sources = (strat.standard_family(a),
-               [tilting.characteristic_tilting(a).total])
-    for m in tilting.probe_modules(a):
-        for family in sources:
-            assert (tilting._ext_top(family, m, bound, cap)
-                    == reference_ext_top(family, m, bound, cap))
+    pd_t = tilting._tilting_pd(a, cap)
+    tilt = tilting.characteristic_tilting(a)
+    sources = (strat.standard_family(a), [tilt.total],
+               [reps.simple(a, i) for i in range(a.n)])
+    probes = tilting.probe_modules(a)
+    scans = [(family, m, bound) for m in probes for family in sources
+             for bound in range(pd_t + 2)]
+    inj_t = homology.inj_dim(tilt.total, cap)
+    if not isinstance(inj_t, homology.LowerBound):
+        op_deltas = strat.standard_family(a.opposite())
+        scans += [(op_deltas, reps.dual(m), inj_t) for m in probes]
+    for family, m, bound in scans:
+        assert (homology.ext_top(family, m, bound, cap)
+                == reference_ext_top(family, m, bound, cap))
 
 
 @pytest.mark.parametrize("kind,name", ALGEBRAS)
@@ -136,12 +147,18 @@ def test_costandard_certificates_match_the_reference(kind, name):
             assert cert is None or cert.verify(family)
 
 
-# -- work-count guards on linear A_6 with rad^2 = 0 over GF(101) ----------------
+# -- work-count guards on linear A_n with rad^2 = 0 over GF(101) ----------------
 
-A6_RAD2 = "\n".join(
-    ["name A6_rad2", "field GF 101", "vertices 1 2 3 4 5 6"]
-    + [f"arrow a{i} {i} {i + 1}" for i in range(1, 6)]
-    + [f"relation 1*a{i + 1}.a{i}" for i in range(1, 5)]) + "\n"
+def linear_rad2(n):
+    """Linear A_n, arrows i -> i + 1, with rad^2 = 0 over GF(101)."""
+    return "\n".join(
+        [f"name A{n}_rad2", "field GF 101",
+         "vertices " + " ".join(map(str, range(1, n + 1)))]
+        + [f"arrow a{i} {i} {i + 1}" for i in range(1, n)]
+        + [f"relation 1*a{i + 1}.a{i}" for i in range(1, n - 1)]) + "\n"
+
+
+A6_RAD2 = linear_rad2(6)
 
 
 def _is_family(family, builder, a):
@@ -191,3 +208,28 @@ def test_probe_modules_takes_one_radical_per_base_structure(monkeypatch):
         strat.standard(a, i), strat.costandard(a, i))}
     assert len(base) == 11
     assert sorted(_keys(radicals)) == sorted(base)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_gfd_scans_ask_no_degree_above_the_source_pd(monkeypatch, n):
+    # Ext^d(x, -) = 0 above pd x, so the scans inside gfd_algebra never ask
+    # for such a degree.  Here Delta(i) = S(i) and Omega S(i) = S(i + 1), so
+    # pd Delta(i) = n - i and pd T = n - 1: a scan that takes every source
+    # from pd T asks some Ext^d(Delta(i), y) with d > n - i
+    a = parse(linear_rad2(n)).build()
+    asked = []
+    real = homology.ext_dim
+
+    def spy(d, x, y, cap=homology.DEFAULT_CAP):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "gfd_nabla_bar":
+            frame = frame.f_back
+        if frame is not None:
+            asked.append((d, x))
+        return real(d, x, y, cap)
+
+    monkeypatch.setattr(homology, "ext_dim", spy)
+    tilting.gfd_algebra(a, homology.DEFAULT_CAP)
+    monkeypatch.undo()
+    assert asked
+    assert all(d <= homology.proj_dim(x) for d, x in asked)
