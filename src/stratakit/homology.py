@@ -1,14 +1,14 @@
-"""Minimal projective resolutions, syzygies, Ext groups, extension classes.
+"""Minimal projective resolutions, syzygies, Ext groups, universal extensions.
 
 A resolution is a chain of shared steps.  syzygy_step(M) is the projective
 cover P -> M, Ω M and its inclusion into P, memoised per algebra by the
 structural key of M (reps.by_structure), so the resolution of Ω M reuses the
 steps of M's resolution, and resolutions whose syzygies are equal share
 their tails.  A step eliminates each cover block once, for its surjectivity
-and Ω, and builds P once per algebra and multiset of tops.  Resolutions are memoized the same way and extended on demand,
-so repeated Ext queries against the same module reuse one resolution.  A
-resolution keeps its projective covers and its syzygies Ω^k M; a
-differential is composed only when asked for.
+and Ω, and builds P once per algebra and multiset of tops.  Resolutions are
+memoized the same way and extended on demand, so repeated Ext queries
+against the same module reuse one resolution.  A resolution keeps its
+projective covers and its syzygies Ω^k M, and no differentials.
 
 Ext is computed by dimension shifting: Ext^i(M, N) ≅ Ext^1(Ω^{i-1}M, N), and
 0 -> Hom(Ω^{i-1}M, N) -> Hom(P_{i-1}, N) -> Hom(Ω^i M, N) -> Ext^i(M, N) -> 0
@@ -87,19 +87,6 @@ def projective_cover(m):
     return cover
 
 
-def injective_hull(m):
-    """Essential embedding m -> I with I injective (dual of a projective cover)."""
-    dual = reps.dual_to_opposite(m)
-    cover = projective_cover(dual)
-    hull = reps.dual_to_opposite(cover.source)
-    # dualizing twice restores the original action matrices, so the dual of
-    # the cover is literally the transposed blocks
-    emb = Morphism(m, hull, [b.transpose() for b in cover.blocks])
-    if not (emb.is_valid() and emb.is_injective()):
-        raise StratakitError("injective hull construction failed")
-    return emb
-
-
 @reps.by_structure
 def syzygy_step(m):
     """(cover, Ω m, inclusion): the projective cover P -> m, its kernel Ω m
@@ -141,25 +128,6 @@ class Resolution:
         """Do the first cap + 1 terms complete the resolution?  The answer
         does not depend on how far other callers have grown it."""
         return self.complete and len(self.terms) <= cap + 1
-
-    def diff(self, i):
-        """The differential P_i -> P_{i-1}, or the cover P_0 -> m for i = 0."""
-        incl = self.syzygies[i][1]
-        return self.covers[i] if incl is None else compose(incl, self.covers[i])
-
-    def is_minimal(self):
-        """Each differential lands in the radical of its target."""
-        for i in range(1, len(self.covers)):
-            rad = radical_submodule(self.covers[i - 1].source)
-            if not rad.contains(reps.image(self.diff(i))):
-                return False
-        return True
-
-    def composes_to_zero(self):
-        for i in range(1, len(self.covers)):
-            if not all(b.is_zero() for b in compose(self.diff(i - 1), self.diff(i)).blocks):
-                return False
-        return True
 
 
 @reps.by_structure
@@ -275,42 +243,12 @@ def ext_top(sources, m, bound, cap):
     return best
 
 
-# -- realized extension classes ---------------------------------------------
+# -- universal extensions ----------------------------------------------------
 
-class ExtClass:
-    """A short exact sequence 0 -> n -> middle -> m -> 0."""
-
-    def __init__(self, incl, proj):
-        self.incl = incl         # n -> middle
-        self.proj = proj         # middle -> m
-        self.middle = incl.target
-
-    def is_exact(self):
-        if not (self.incl.is_injective() and self.proj.is_surjective()):
-            return False
-        comp = compose(self.proj, self.incl)
-        if not all(b.is_zero() for b in comp.blocks):
-            return False
-        return self.middle.total_dim == self.incl.source.total_dim + self.proj.target.total_dim
-
-    def splits(self):
-        """Does the projection admit a right inverse?"""
-        m = self.proj.target
-        homs = hom_basis(m, self.middle)
-        if not homs:
-            return m.total_dim == 0
-        F = m.algebra.field
-        # solve: sum c_i (proj . sigma_i) = id in Hom(m, m) coordinates
-        cols = [compose(self.proj, sig).flat() for sig in homs]
-        target = reps.identity_morphism(m).flat()
-        mat = Matrix.from_columns(F, cols, rows=len(target))
-        return linalg.solve(mat, Matrix(F, len(target), 1, target)) is not None
-
-
-def _cocycle_classes(m, n, radical=False):
-    """Cocycles Omega(m) -> n whose classes are a basis of Ext^1(m, n), plus
-    the syzygy data; with radical=True, of Ext^1(m, n)/Ext^1(m, n)·rad End(m)
-    for m with a simple top (see universal_extension)."""
+def _cocycle_classes(m, n):
+    """Cocycles Omega(m) -> n whose classes are a basis of
+    Ext^1(m, n)/Ext^1(m, n)·rad End(m), for m with a simple top (see
+    universal_extension), plus the syzygy data."""
     res = min_proj_resolution(m, 0)
     cover = res.covers[0]
     P0 = cover.source
@@ -322,19 +260,18 @@ def _cocycle_classes(m, n, radical=False):
     # coboundaries: restrictions of Hom(P0, n) along the inclusion; keep
     # the cocycles independent modulo them
     known = [compose(g, incl).flat() for g in hom_basis(P0, n)]
-    if radical:
-        [mu] = P0.cover_summands
-        # and modulo c∘(r|Omega), r: e_μ -> y over a basis of rad P(μ) at μ;
-        # if dim e_μ m = 1, r maps P(μ) into Omega: c∘r is a coboundary
-        for y in (radical_submodule(P0).bases[mu].columns()
-                  if m.dims[mu] > 1 else []):
-            # r|Omega at each vertex: the s with incl·s = r·incl
-            r = [linalg.solve(i, Matrix.from_columns(F, cols, rows=i.rows).mul(i))
-                 for i, cols in zip(incl.blocks, reps.path_images(P0, mu, y))]
-            if None in r:
-                raise StratakitError("an endomorphism of P(μ) leaves Omega")
-            known += [compose(c, Morphism(omega, omega, r)).flat()
-                      for c in cocycles]
+    [mu] = P0.cover_summands
+    # and modulo c∘(r|Omega), r: e_μ -> y over a basis of rad P(μ) at μ;
+    # if dim e_μ m = 1, r maps P(μ) into Omega: c∘r is a coboundary
+    for y in (radical_submodule(P0).bases[mu].columns()
+              if m.dims[mu] > 1 else []):
+        # r|Omega at each vertex: the s with incl·s = r·incl
+        r = [linalg.solve(i, Matrix.from_columns(F, cols, rows=i.rows).mul(i))
+             for i, cols in zip(incl.blocks, reps.path_images(P0, mu, y))]
+        if None in r:
+            raise StratakitError("an endomorphism of P(μ) leaves Omega")
+        known += [compose(c, Morphism(omega, omega, r)).flat()
+                  for c in cocycles]
     keep = linalg.pivot_columns(F, known + [c.flat() for c in cocycles])
     reps_out = [cocycles[k - len(known)] for k in keep if k >= len(known)]
     return reps_out, omega, incl, cover
@@ -343,7 +280,8 @@ def _cocycle_classes(m, n, radical=False):
 def _pushout_extension(n, incl, cover, cocycle):
     """Build 0 -> n -> Z -> m -> 0 from a cocycle Omega(m) -> n.
 
-    Z = (n ⊕ P0) / {(cocycle(w), -incl(w))}.
+    Z = (n ⊕ P0) / {(cocycle(w), -incl(w))}.  Returns (Z, embedding of n,
+    projection onto m).
     """
     a = n.algebra
     F = a.field
@@ -364,15 +302,7 @@ def _pushout_extension(n, incl, cover, cocycle):
                                                  for j in range(nd)]))
         proj_blocks.append(cover.blocks[v].mul(
             Matrix(F, sec.rows - nd, sec.cols, sec.entries[nd * sec.cols:])))
-    emb = Morphism(n, Z, emb_blocks)
-    proj = Morphism(Z, m, proj_blocks)
-    return ExtClass(emb, proj)
-
-
-def ext1_classes(m, n):
-    """Basis of Ext^1(m, n) realized as non-split short exact sequences."""
-    cocycles, omega, incl, cover = _cocycle_classes(m, n)
-    return [_pushout_extension(n, incl, cover, c) for c in cocycles]
+    return Z, Morphism(n, Z, emb_blocks), Morphism(Z, m, proj_blocks)
 
 
 def universal_extension(q, x):
@@ -395,7 +325,7 @@ def universal_extension(q, x):
 
     Returns (middle, embedding of x, projection onto q^r).
     """
-    cocycles, omega, incl, cover = _cocycle_classes(q, x, radical=True)
+    cocycles, omega, incl, cover = _cocycle_classes(q, x)
     r = len(cocycles)
     if r == 0:
         raise NothingToExtend("Ext^1(q, x) = 0")
@@ -411,5 +341,4 @@ def universal_extension(q, x):
                                for v in range(a.n)])
     coc = Morphism(Or, x, [linalg.hstack([c.blocks[v] for c in cocycles])
                            for v in range(a.n)])
-    ext = _pushout_extension(x, incl_r, cover_r, coc)
-    return ext.middle, ext.incl, ext.proj
+    return _pushout_extension(x, incl_r, cover_r, coc)

@@ -82,9 +82,6 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
-    def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols

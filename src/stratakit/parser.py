@@ -17,10 +17,10 @@ paths of `image <arrow> = ...` lines name arrows of the ambient algebra, not
 of this file; they are resolved when the embedding is built.
 """
 
-from .errors import ParseError, StratakitError
+from .errors import MalformedRelation, ParseError, StratakitError
 from .fields import GF, MAX_PRIME, QQ
 from .linalg import Matrix
-from .quiver import QuiverSpec, build_algebra
+from .quiver import QuiverSpec, build_algebra, path_ends
 from .reps import Rep
 
 
@@ -79,15 +79,6 @@ class AlgebraFile:
             raise StratakitError(
                 f"module {name!r} does not satisfy the algebra's relations")
         return rep
-
-    def structurally_equal(self, other):
-        return (self.name == other.name and self.field == other.field
-                and self.vertices == other.vertices
-                and self.arrows == other.arrows
-                and self.relations == other.relations
-                and self.modules == other.modules
-                and self.embedding == other.embedding
-                and self.duality == other.duality)
 
 
 def _parse_path(text, line_no):
@@ -297,36 +288,26 @@ def parse(text):
                     modules, embedding, duality)
     # semantic validation: vertices, paths and module shapes resolve
     vset = set(vertices)
-    arrow_map = {a[0]: a for a in f.arrows}
+    ends = {aname: (s, t) for aname, s, t in f.arrows}
     for aname, s, t in f.arrows:
         if s not in vset or t not in vset:
             raise ParseError(f"arrow {aname}: unknown vertex")
     for rel, line_no in zip(f.relations, relation_lines):
-        _check_terms(rel, arrow_map, line_no=line_no)
+        for _, path in rel:
+            try:
+                path_ends(ends, path)
+            except MalformedRelation as e:
+                raise ParseError(str(e), line_no) from None
     for mname, lit in f.modules.items():
         if len(lit.dims) != len(vertices):
             raise ParseError(f"module {mname!r}: dims has {len(lit.dims)} "
                              f"entries for {len(vertices)} vertices",
                              module_lines.get(mname))
         for aname in lit.maps:
-            if aname not in arrow_map:
+            if aname not in ends:
                 raise ParseError(f"module {mname!r}: map for unknown arrow "
                                  f"{aname!r}", map_lines[mname, aname])
     return f
-
-
-def _check_terms(terms, arrow_map, line_no=None):
-    for _, path in terms:
-        cur = None
-        for nm in path:
-            a = arrow_map.get(nm)
-            if a is None:
-                raise ParseError(f"unknown arrow {nm!r} in path", line_no)
-            if cur is not None and a[1] != cur:
-                raise ParseError(
-                    f"non-composable path: {nm} does not start where the "
-                    "previous arrow ended", line_no)
-            cur = a[2]
 
 
 def _format_terms(field, terms):

@@ -105,9 +105,6 @@ class PathAlgebra:
     def basis_with_source(self, v):
         return [i for i, p in enumerate(self.basis) if p.src == v]
 
-    def basis_with_target(self, v):
-        return [i for i, p in enumerate(self.basis) if self.path_target(p) == v]
-
     def projective_layout(self, v):
         """Coordinates of P(v) = A.e_v: per target vertex w, the indices of
         the basis paths from v to w, in basis order (cached).
@@ -442,6 +439,25 @@ def _check_nilpotent(a):
         span = list(echelon.values())
 
 
+def path_ends(ends, names):
+    """(source, target) of the path through the arrows `names` in traversal
+    order, `ends` mapping each arrow name to its (source, target).  Raises
+    MalformedRelation for an unknown arrow or a non-composable path."""
+    src = cur = None
+    for nm in names:
+        e = ends.get(nm)
+        if e is None:
+            raise MalformedRelation(f"unknown arrow {nm!r} in path")
+        if src is None:
+            src = e[0]
+        elif e[0] != cur:
+            raise MalformedRelation(
+                f"non-composable path: {nm} does not start where the "
+                "previous arrow ended")
+        cur = e[1]
+    return src, cur
+
+
 def build_algebra(spec, degree_cap=64):
     """Build kQ/I by tip reduction (Green 1999), degree by degree.
 
@@ -467,7 +483,8 @@ def build_algebra(spec, degree_cap=64):
     Raises NotAdmissible when some path of length d >= 2 with d >= the
     degree cap is normal (for an infinite quotient, normal paths reach any
     cap), or the arrow ideal is not nilpotent in the quotient, and
-    MalformedRelation for non-parallel or too-short relation terms.
+    MalformedRelation for unknown arrows, non-composable paths, and
+    non-parallel or too-short relation terms.
     """
     F = spec.field
     if not isinstance(F, FieldSpec):
@@ -476,15 +493,7 @@ def build_algebra(spec, degree_cap=64):
     vindex = {v: i for i, v in enumerate(spec.vertices)}
     arrows = [(a, vindex[s], vindex[t]) for (a, s, t) in spec.arrows]
     aindex = {a[0]: i for i, a in enumerate(spec.arrows)}
-
-    def seq_endpoints(idxseq):
-        src = arrows[idxseq[0]][1]
-        cur = src
-        for i in idxseq:
-            if arrows[i][1] != cur:
-                raise MalformedRelation("non-composable path in relation")
-            cur = arrows[i][2]
-        return src, cur
+    ends = {a: (s, t) for a, s, t in arrows}
 
     # resolve + validate relations as (src, top length, {arrow tuple: coeff});
     # terms are summed and zero terms dropped before the top length is taken
@@ -495,11 +504,8 @@ def build_algebra(spec, degree_cap=64):
         for coeff, namesseq in rel:
             if len(namesseq) < 2:
                 raise MalformedRelation("relation term shorter than 2 arrows")
-            try:
-                idxseq = tuple(aindex[nm] for nm in namesseq)
-            except KeyError as e:
-                raise MalformedRelation(f"unknown arrow in relation: {e}") from None
-            ep = seq_endpoints(idxseq)
+            ep = path_ends(ends, namesseq)
+            idxseq = tuple(aindex[nm] for nm in namesseq)
             if endpoints is None:
                 endpoints = ep
             elif ep != endpoints:

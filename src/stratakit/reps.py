@@ -709,10 +709,11 @@ def find_isomorphism(m, n):
     """An isomorphism m -> n, or None, decided without a coefficient search.
 
     If m ≅ n then dim Hom(m, n) = dim End(m) = dim End(n), so a mismatch of
-    the memoised dimensions settles the question before any basis is built.  For indecomposable m ≅ n via φ the
-    non-isomorphisms form the proper subspace φ∘rad End(m), so a basis scan
-    of Hom(m, n) finds an isomorphism; it decides when m or n has a simple
-    top or socle, or decomposes into a single part.  Otherwise, by
+    the memoised dimensions settles the question before any basis is built.
+    For indecomposable m ≅ n via φ the non-isomorphisms form the proper
+    subspace φ∘rad End(m), so a basis scan of Hom(m, n) finds an
+    isomorphism; it decides when m or n has a simple top or socle, or
+    decomposes into a single part.  Otherwise, by
     Krull–Schmidt, m ≅ n exactly when the indecomposable parts of m and n
     match one-to-one up to isomorphism, each pair decided by a basis scan;
     the sum of the matched isomorphisms, through the projections of m and

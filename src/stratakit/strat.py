@@ -321,10 +321,6 @@ def _stacked_certificate(m, family):
     return FiltrationCertificate(m, layers, indices)
 
 
-def in_filtration_class(m, family):
-    return filtration_certificate(m, family) is not None
-
-
 # -- stratification of the algebra itself ------------------------------------
 
 class StratClass:

@@ -373,10 +373,6 @@ class GfdReport:
         return (self.pd_t == self.gfd_regular == self.tcodim_regular
                 and self.probe_sup <= self.pd_t)
 
-    @property
-    def probe_sup_attained(self):
-        return self.probe_sup == self.pd_t
-
 
 @reps.built_once
 def probe_modules(a):

@@ -125,10 +125,10 @@ def test_criterion_5_certificate_vs_ext_criterion(capsys):
         for m in tilting.probe_modules(a):
             if m.total_dim > 8:
                 continue
-            by_cert = strat.in_filtration_class(m, deltas)
+            by_cert = strat.filtration_certificate(m, deltas) is not None
             by_ext = strat.in_F_delta_by_ext(m)
             ok = ok and by_cert == by_ext
-            by_cert = strat.in_filtration_class(m, nbars)
+            by_cert = strat.filtration_certificate(m, nbars) is not None
             by_ext = strat.in_F_nabla_bar_by_ext(m)
             ok = ok and by_cert == by_ext
             checked += 1
@@ -237,7 +237,7 @@ def test_criterion_10_determinism_and_round_trip(capsys):
     for path in paths:
         with open(path) as fh:
             f = parse(fh.read())
-        round_trip = round_trip and f.structurally_equal(parse(serialize(f)))
+        round_trip = round_trip and vars(f) == vars(parse(serialize(f)))
     ok = byte_identical and round_trip and len(paths) >= 8
     announce(capsys, 10, ok,
              f"machine reports byte-identical across runs; "

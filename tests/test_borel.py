@@ -135,7 +135,7 @@ def test_directed_algebra_filtration_dimension_equals_gldim():
     b = algebra("borelB")
     g = tilting.gfd_algebra(b, homology.DEFAULT_CAP)
     assert g.pd_t == int(homology.global_dim(b)) == 2
-    assert g.probe_sup_attained
+    assert g.probe_sup == g.pd_t
 
 
 def test_vertex_count_mismatch_rejected():

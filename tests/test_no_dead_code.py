@@ -19,6 +19,12 @@ of src/stratakit is reported when no code under src/ mentions it outside its
 own definition, so a function that only calls itself is dead too.  Tests and
 bench/ do not count: a private helper that only a test uses is dead code.
 
+The library scan reads the same statements for the public module-level
+functions of src/stratakit.  One is reported when no code under src/
+mentions it outside its own definition; a re-export in __init__.py is a
+mention, so the package's API counts as used.  Again tests and bench/ do not
+count: a function that only a test calls belongs in the test.
+
 The exception scan reads the `raise` statements under src/.  A class in
 errors.py is live when one of them raises it or a subclass of it, so the base
 classes of raised errors count as raised.
@@ -95,10 +101,19 @@ def _private_definitions(top):
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
-def _unused_private_names(sources, defining):
-    """The private names that the files in `defining` define at module level
-    and no top-level statement of `sources` ({filename: text}) mentions,
-    other than the one defining them, as "file:name"."""
+def _public_functions(top):
+    """[name] when the statement defines a public function, else []."""
+    if (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not top.name.startswith("_")):
+        return [top.name]
+    return []
+
+
+def _unused_names(sources, defining, defines=_private_definitions):
+    """The names that `defines` reads off the top-level statements of the
+    files in `defining` and no top-level statement of `sources`
+    ({filename: text}) mentions, other than the one defining them, as
+    "file:name"."""
     statements = []
     for filename, text in sources.items():
         for top in ast.parse(text).body:
@@ -112,18 +127,27 @@ def _unused_private_names(sources, defining):
                     mentioned.add(node.name.rsplit(".", 1)[-1])
             statements.append((filename, top, mentioned))
     return [f"{filename}:{name}" for filename, top, _ in statements
-            if filename in defining for name in _private_definitions(top)
+            if filename in defining for name in defines(top)
             if not any(name in mentioned for _, other, mentioned in statements
                        if other is not top)]
 
 
-def test_every_private_name_is_used():
+def _src_sources():
+    """({filename: text} for src/, the filenames in src/stratakit)."""
     sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src").rglob("*.py"))}
-    package = {name for name in sources
-               if Path(name).parent == PACKAGE.relative_to(ROOT)}
-    dead = _unused_private_names(sources, package)
+    return sources, {name for name in sources
+                     if Path(name).parent == PACKAGE.relative_to(ROOT)}
+
+
+def test_every_private_name_is_used():
+    dead = _unused_names(*_src_sources())
     assert not dead, f"private names nothing in src/ refers to: {dead}"
+
+
+def test_every_library_function_has_a_caller_in_src():
+    dead = _unused_names(*_src_sources(), defines=_public_functions)
+    assert not dead, f"public functions only tests or bench/ call: {dead}"
 
 
 def test_private_name_scan_sees_leftovers():
@@ -146,8 +170,13 @@ def public():
     return _USED, _Used, _helper
 """
     other = "from .m import _helper\n"
-    assert _unused_private_names({"m.py": source, "o.py": other}, {"m.py"}) \
+    sources = {"m.py": source, "o.py": other}
+    assert _unused_names(sources, {"m.py"}) \
         == ["m.py:_SPLIT_SEED", "m.py:_split_candidates"]
+    # public() has no caller; a re-export, like _helper's import, counts
+    assert _unused_names(sources, {"m.py"}, _public_functions) == ["m.py:public"]
+    assert _unused_names({**sources, "__init__.py": "from .m import public\n"},
+                         {"m.py"}, _public_functions) == []
 
 
 def _raised_names():

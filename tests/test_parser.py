@@ -56,7 +56,7 @@ def test_all_fixtures_round_trip():
         with open(path) as fh:
             f = parse(fh.read())
         again = parse(serialize(f))
-        assert f.structurally_equal(again), path
+        assert vars(f) == vars(again), path
         # serialization is a fixed point
         assert serialize(f) == serialize(again), path
 

@@ -7,8 +7,8 @@ from stratakit.parser import parse_file
 from stratakit.reps import is_isomorphic, projective, regular_module, simple
 from stratakit.strat import (classify, costandard, filtration_certificate,
                              in_F_delta_by_ext, in_F_nabla_bar_by_ext,
-                             in_filtration_class, proper_costandard,
-                             proper_standard, standard, standard_family)
+                             proper_costandard, proper_standard, standard,
+                             standard_family)
 
 from conftest import algebra, fixture_path
 from test_certificate_corpus import CORPUS as SMALL
@@ -191,7 +191,6 @@ def test_regular_module_delta_certificate_verifies(name):
 def test_infeasible_dimension_vector_has_no_certificate():
     a = algebra("a3line")
     assert filtration_certificate(simple(a, 1), standard_family(a)) is None
-    assert not in_filtration_class(simple(a, 1), standard_family(a))
 
 
 def test_a_missing_delta_certificate_builds_nothing_over_the_opposite(
@@ -221,10 +220,10 @@ def test_certificate_matches_ext_criterion_spot_checks():
     a = algebra("a3line")
     for m in (regular_module(a), simple(a, 0), simple(a, 1), simple(a, 2),
               projective(a, 1)):
-        assert in_filtration_class(m, standard_family(a)) == \
-            in_F_delta_by_ext(m)
-        assert in_filtration_class(m, strat.proper_costandard_family(a)) == \
-            in_F_nabla_bar_by_ext(m)
+        assert (filtration_certificate(m, standard_family(a))
+                is not None) == in_F_delta_by_ext(m)
+        assert (filtration_certificate(m, strat.proper_costandard_family(a))
+                is not None) == in_F_nabla_bar_by_ext(m)
 
 
 def test_certificate_layers_are_a_chain():
