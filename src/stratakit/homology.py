@@ -24,7 +24,7 @@ x's resolution completes within the bound, x's scan starts at pd x and not
 at the bound; each pair stops at its first nonzero Ext above the best
 degree found so far.
 
-A direct sum is resolved, Hom-solved and certified summand by summand.
+A direct sum is resolved and Hom-solved summand by summand.
 Minimal resolutions of a sum are the sums of those of its summands and Ext
 is bilinear, so for a module built by reps.direct_sum, ext_dim adds up the
 pairs of summands, and proj_dim and inj_dim take the largest over them.

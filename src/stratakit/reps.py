@@ -110,15 +110,6 @@ class Morphism:
         self.target = target
         self.blocks = list(blocks)           # one Matrix per vertex
 
-    def is_valid(self):
-        a = self.source.algebra
-        for ai, (_, s, t) in enumerate(a.arrows):
-            lhs = self.blocks[t].mul(self.source.action[ai])
-            rhs = self.target.action[ai].mul(self.blocks[s])
-            if not lhs.sub(rhs).is_zero():
-                return False
-        return True
-
     def is_zero(self):
         return all(b.is_zero() for b in self.blocks)
 
@@ -128,9 +119,6 @@ class Morphism:
 
     def is_injective(self):
         return all(linalg.rank(b) == b.cols for b in self.blocks)
-
-    def is_surjective(self):
-        return all(linalg.rank(b) == b.rows for b in self.blocks)
 
     def is_isomorphism(self):
         return all(b.rows == b.cols and linalg.is_invertible(b) for b in self.blocks)

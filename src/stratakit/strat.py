@@ -265,19 +265,17 @@ def filtration_certificate(m, family):
     filtration of D(m) against Delta^op or DeltaBar^op, mapped back by
     dual_certificate, so a None there proves non-membership too.
 
-    A direct sum is certified summand by summand (_stacked_certificate).
-    Trace and stacked certificates, and the duals of m and of the family's
-    members, are memoised per algebra by structural keys (reps.by_structure),
-    so equal modules built apart share one construction; the certificate
-    returned always names m itself.
+    A direct sum, such as A or T, gets no route of its own: its trace
+    filtration is the sum of its summands' trace filtrations, so its
+    certificate, too, has larger vertices lower.  Trace certificates, and
+    the duals of m and of the family's members, are memoised per algebra by
+    structural keys (reps.by_structure), so equal modules built apart share
+    one construction; the certificate returned always names m itself.
     """
-    if len(reps.summands(m)) > 1:
-        cert = _stacked_certificate(m, family)
-    elif _costandard_like(m.algebra, family):
+    if _costandard_like(m.algebra, family):
         cert = _trace_certificate(reps.dual(m), [reps.dual(f) for f in family])
         return None if cert is None else dual_certificate(m, cert)
-    else:
-        cert = _trace_certificate(m, family)
+    cert = _trace_certificate(m, family)
     # the memoised certificate may name an equal module built apart
     return (cert if cert is None or cert.module is m
             else FiltrationCertificate(m, cert.layers, cert.factor_indices))
@@ -294,31 +292,6 @@ def _costandard_like(a, family):
 
     return not (same(standard_family) or same(proper_standard_family)) and (
         same(costandard_family) or same(proper_costandard_family))
-
-
-@reps.by_structure
-def _stacked_certificate(m, family):
-    """The certificate of the direct sum m that stacks each summand's chain
-    on top of the full summands before it; None if a summand has none.  At
-    each vertex the coordinates of m are those of its summands in turn, so a
-    layer is the identity on the summands before, the summand's layer, and
-    nothing after; its factors are the summand's."""
-    F = m.algebra.field
-    layers = [[Matrix.zero(F, d, 0) for d in m.dims]]
-    indices = []
-    before = [0] * len(m.dims)
-    for x in reps.summands(m):
-        cert = filtration_certificate(x, family)
-        if cert is None:
-            return None
-        layers += [[linalg.vstack([
-            linalg.block_diag(F, [Matrix.identity(F, lo), b]),
-            Matrix.zero(F, d - lo - b.rows, lo + b.cols)])
-            for b, lo, d in zip(bases, before, m.dims)]
-            for bases in cert.layers[1:]]
-        indices += cert.factor_indices
-        before = [lo + d for lo, d in zip(before, x.dims)]
-    return FiltrationCertificate(m, layers, indices)
 
 
 # -- stratification of the algebra itself ------------------------------------

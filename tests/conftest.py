@@ -33,6 +33,19 @@ def algebra(name):
     return _cache[name][1]
 
 
+def is_module_map(f):
+    """Does f commute with the action of every arrow?"""
+    a = f.source.algebra
+    return all(f.blocks[t].mul(f.source.action[ai])
+               .sub(f.target.action[ai].mul(f.blocks[s])).is_zero()
+               for ai, (_, s, t) in enumerate(a.arrows))
+
+
+def is_surjective(f):
+    """Is f onto at every vertex?"""
+    return all(linalg.rank(b) == b.rows for b in f.blocks)
+
+
 def auslander_text(n, p=101):
     """The Auslander algebra of k[x]/(x^n) over GF(p), as a description file.
 

@@ -19,11 +19,14 @@ of src/stratakit is reported when no code under src/ mentions it outside its
 own definition, so a function that only calls itself is dead too.  Tests and
 bench/ do not count: a private helper that only a test uses is dead code.
 
-The library scan reads the same statements for the public module-level
-functions of src/stratakit.  One is reported when no code under src/
-mentions it outside its own definition; a re-export in __init__.py is a
-mention, so the package's API counts as used.  Again tests and bench/ do not
-count: a function that only a test calls belongs in the test.
+The library scans read the same statements for the public module-level
+functions of src/stratakit and for the public methods of its module-level
+classes.  One is reported when no code under src/ mentions it outside its
+own definition; a re-export in __init__.py or a call in the README's Python
+examples is a mention, so the package's documented API counts as used.
+Again tests and bench/ do not count: a function or method that only a test
+calls belongs in the test.  A method's name is matched as the function
+scan's is, so a call of another class's method of the same name keeps it.
 
 The exception scan reads the `raise` statements under src/.  A class in
 errors.py is live when one of them raises it or a subclass of it, so the base
@@ -41,6 +44,7 @@ imports are re-exports.  A name a module imports and never mentions as a
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,8 +92,8 @@ def test_every_public_function_is_used():
 
 
 def _private_definitions(top):
-    """The private names a top-level statement defines: a function or class,
-    or `_CONSTANT`s assigned."""
+    """(name, name, top) for the private names a top-level statement
+    defines: a function or class, or `_CONSTANT`s assigned."""
     if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = [top.name]
     elif isinstance(top, (ast.Assign, ast.AnnAssign)):
@@ -98,44 +102,68 @@ def _private_definitions(top):
                  and t.id.lstrip("_").isupper()]
     else:
         names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [(n, n, top) for n in names
+            if n.startswith("_") and not n.startswith("__")]
 
 
 def _public_functions(top):
-    """[name] when the statement defines a public function, else []."""
+    """[(name, name, top)] when the statement defines a public function,
+    else []."""
     if (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not top.name.startswith("_")):
-        return [top.name]
+        return [(top.name, top.name, top)]
     return []
+
+
+def _public_methods(top):
+    """[(Class.name, name, method node)] for the public methods of a class
+    the statement defines, else []."""
+    if not isinstance(top, ast.ClassDef):
+        return []
+    return [(f"{top.name}.{item.name}", item.name, item) for item in top.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
+def _mentions(node):
+    """The names the node mentions as a `Name`, the attribute of an
+    `Attribute` or in an import, counted."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name.rsplit(".", 1)[-1]] += 1
+    return out
 
 
 def _unused_names(sources, defining, defines=_private_definitions):
     """The names that `defines` reads off the top-level statements of the
-    files in `defining` and no top-level statement of `sources`
-    ({filename: text}) mentions, other than the one defining them, as
-    "file:name"."""
-    statements = []
-    for filename, text in sources.items():
-        for top in ast.parse(text).body:
-            mentioned = set()
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    mentioned.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    mentioned.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    mentioned.add(node.name.rsplit(".", 1)[-1])
-            statements.append((filename, top, mentioned))
-    return [f"{filename}:{name}" for filename, top, _ in statements
-            if filename in defining for name in defines(top)
-            if not any(name in mentioned for _, other, mentioned in statements
-                       if other is not top)]
+    files in `defining`, as (label, name, defining node), that nothing in
+    `sources` ({filename: text}) mentions outside their own definition, as
+    "file:label"."""
+    trees = {filename: ast.parse(text) for filename, text in sources.items()}
+    mentioned = sum((_mentions(tree) for tree in trees.values()), Counter())
+    dead = []
+    for filename in sorted(defining):
+        for top in trees[filename].body:
+            for label, name, node in defines(top):
+                if mentioned[name] == _mentions(node)[name]:
+                    dead.append(f"{filename}:{label}")
+    return dead
 
 
 def _src_sources():
-    """({filename: text} for src/, the filenames in src/stratakit)."""
+    """({filename: text} for src/ and the README's Python examples, the
+    filenames in src/stratakit)."""
     sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src").rglob("*.py"))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources["README.md"] = "".join(
+        block.split("\n", 1)[1] for block in readme.split("```")[1::2]
+        if block.startswith("python\n"))
     return sources, {name for name in sources
                      if Path(name).parent == PACKAGE.relative_to(ROOT)}
 
@@ -148,6 +176,11 @@ def test_every_private_name_is_used():
 def test_every_library_function_has_a_caller_in_src():
     dead = _unused_names(*_src_sources(), defines=_public_functions)
     assert not dead, f"public functions only tests or bench/ call: {dead}"
+
+
+def test_every_library_method_has_a_caller_in_src():
+    dead = _unused_names(*_src_sources(), defines=_public_methods)
+    assert not dead, f"public methods only tests or bench/ call: {dead}"
 
 
 def test_private_name_scan_sees_leftovers():
@@ -177,6 +210,20 @@ def public():
     assert _unused_names(sources, {"m.py"}, _public_functions) == ["m.py:public"]
     assert _unused_names({**sources, "__init__.py": "from .m import public\n"},
                          {"m.py"}, _public_functions) == []
+    # a method that only calls itself is dead; one another method calls is not
+    methods = """
+class C:
+    def loop(self):
+        return self.loop()
+
+    def called(self):
+        return 1
+
+    def caller(self):
+        return self.called()
+"""
+    assert _unused_names({"m.py": methods, "o.py": "C().caller()\n"},
+                         {"m.py"}, _public_methods) == ["m.py:C.loop"]
 
 
 def _raised_names():

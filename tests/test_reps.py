@@ -23,7 +23,7 @@ from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
                             socle_submodule, top)
 from stratakit.tilting import probe_modules
 
-from conftest import algebra, fixture_path
+from conftest import algebra, fixture_path, is_module_map, is_surjective
 
 
 def _rows(m):
@@ -59,7 +59,7 @@ def test_a3line_hom_between_projectives():
     assert hom_dim(p2, p1) == 0
     assert hom_dim(p1, p2) == 1
     f = hom_basis(p1, p2)[0]
-    assert f.is_valid() and f.is_injective() and not f.is_surjective()
+    assert is_module_map(f) and f.is_injective() and not is_surjective(f)
 
 
 def test_projective_and_injective_are_dual_sized():
@@ -93,7 +93,7 @@ def test_quotient_projection_is_surjective():
     p = projective(a, 0)
     rad = radical_submodule(p)
     q, pi = quotient(p, rad)
-    assert pi.is_surjective()
+    assert is_surjective(pi)
     assert is_isomorphic(q, simple(a, 0))
 
 
@@ -401,7 +401,8 @@ def test_matrix_algebra_splits_by_the_closure_of_nilpotent_parts(
     assert len(calls) == 5              # the basis, then e22
     assert [part.dims for part, _ in parts] == [(1,), (1,)]
     assert all(is_isomorphic(part, e) for part, _ in parts)
-    assert all(incl.is_valid() and incl.is_injective() for _, incl in parts)
+    assert all(is_module_map(incl) and incl.is_injective()
+               for _, incl in parts)
     assert linalg.is_invertible(linalg.hstack([i.blocks[0] for _, i in parts]))
 
 
@@ -513,7 +514,7 @@ def test_pairwise_sums_decide_what_the_closure_leaves(build, monkeypatch):
     # polynomial of degree 4 = dim End, so End is local
     m, mats = build()
     basis = [Morphism(m, m, [x, x]) for x in mats]
-    assert all(f.is_valid() for f in basis)
+    assert all(is_module_map(f) for f in basis)
     assert len(hom_basis(m, m)) == 4
     _with_end_basis(monkeypatch, m, basis)
     calls = _count_minimal_polynomials(monkeypatch)
@@ -637,7 +638,7 @@ def test_quotient_matches_reference(fixture, kind, seed):
     assert q.action == want_q.action
     assert pi.blocks == want_pi.blocks
     assert pi.section_blocks == want_pi.section_blocks
-    assert pi.is_valid() and pi.is_surjective()
+    assert is_module_map(pi) and is_surjective(pi)
 
 
 @pytest.mark.parametrize("name", ["a3line", "loop2", "borelA", "borelB"])
@@ -647,7 +648,7 @@ def test_as_rep_matches_solving_column_by_column(name):
     for m in probe_modules(a):
         for sub in (radical_submodule(m), socle_submodule(m)):
             rep, incl = sub.as_rep()
-            assert incl.is_valid() and incl.is_injective()
+            assert is_module_map(incl) and incl.is_injective()
             for ai, (_, s, t) in enumerate(a.arrows):
                 img = m.action[ai].mul(sub.bases[s])
                 cols = [linalg.solve(sub.bases[t], Matrix(F, img.rows, 1, img.column(j)))

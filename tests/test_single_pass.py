@@ -27,14 +27,11 @@ from test_certificate_corpus import CORPUS, PINNED, corpus_algebra
 
 def reference_filtration_certificate(m, family):
     """The route that tried every single module over its own algebra first."""
-    if len(reps.summands(m)) > 1:
-        cert = strat._stacked_certificate(m, family)
-    else:
-        cert = strat._trace_certificate(m, family)
-        if cert is None:
-            cert = strat._trace_certificate(reps.dual(m),
-                                            [reps.dual(f) for f in family])
-            return None if cert is None else strat.dual_certificate(m, cert)
+    cert = strat._trace_certificate(m, family)
+    if cert is None:
+        cert = strat._trace_certificate(reps.dual(m),
+                                        [reps.dual(f) for f in family])
+        return None if cert is None else strat.dual_certificate(m, cert)
     # the memoised certificate may name an equal module built apart
     return (cert if cert is None or cert.module is m
             else strat.FiltrationCertificate(m, cert.layers,

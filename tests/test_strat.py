@@ -1,16 +1,19 @@
 """Standard-module families, filtration certificates, classification."""
 
 import pytest
+from hypothesis import given, settings
 
 from stratakit import reps, strat, tilting
+from stratakit.errors import NonTerminating, NotAdmissible, Truncated
 from stratakit.parser import parse_file
+from stratakit.quiver import build_algebra
 from stratakit.reps import is_isomorphic, projective, regular_module, simple
 from stratakit.strat import (classify, costandard, filtration_certificate,
                              in_F_delta_by_ext, in_F_nabla_bar_by_ext,
                              proper_costandard, proper_standard, standard,
                              standard_family)
 
-from conftest import algebra, fixture_path
+from conftest import algebra, fixture_path, graded_specs, monomial_specs
 from test_certificate_corpus import CORPUS as SMALL
 from test_certificate_corpus import PINNED, corpus_algebra
 
@@ -148,9 +151,8 @@ def test_a_memoised_certificate_names_the_callers_module():
 def test_a_repeated_dual_certificate_builds_no_dual(monkeypatch):
     # F(Nabla) certificates come from the opposite algebra; the duals of the
     # module and of the family are built once per algebra, not per call.
-    # A direct sum is certified summand by summand, so m must have parts not
-    # certified yet.  On a fresh algebra nothing is: m = D(A), the sum of the
-    # injectives, lies in F(Nabla) and its certificates start here
+    # m = D(A), the sum of the injectives, lies in F(Nabla); on a fresh
+    # algebra its certificate, and the duals it reads, start here
     a = parse_file(fixture_path("borelA.alg")).build()
     family = strat.costandard_family(a)
     m = reps.direct_sum([reps.injective(a, i) for i in range(a.n)])
@@ -248,3 +250,40 @@ def test_certificate_verify_rejects_wrong_factors():
     skipped = cert.layers[:1] + cert.layers[2:]
     assert not strat.FiltrationCertificate(
         cert.module, skipped, cert.factor_indices[1:]).verify(family)
+
+
+# -- the trace-filtration criterion on generated algebras ---------------------
+
+def _check_delta_certificate_of_a(spec):
+    """On a standardly stratified draw, A's Delta certificate verifies from
+    scratch and, read bottom-up, never goes to a larger vertex: it is the
+    trace filtration, larger vertices lower.  The paper's claims on T and
+    the good filtration dimensions hold too (verify_section2).  Only a
+    resolution or coresolution running out of its cap rejects a draw."""
+    try:
+        a = build_algebra(spec, degree_cap=8)
+    except NotAdmissible:
+        return
+    cls = classify(a)
+    if not cls.standardly_stratified:
+        return
+    assert cls.delta_cert.verify(standard_family(a))
+    indices = cls.delta_cert.factor_indices
+    assert all(lo >= hi for lo, hi in zip(indices, indices[1:])), indices
+    try:
+        lines = tilting.verify_section2(a, 4)
+    except (Truncated, NonTerminating):
+        return
+    assert not [line for line in lines if line.passed is False], lines
+
+
+@settings(max_examples=100)
+@given(graded_specs())
+def test_delta_certificate_of_a_on_graded_algebras(spec):
+    _check_delta_certificate_of_a(spec)
+
+
+@settings(max_examples=100)
+@given(monomial_specs())
+def test_delta_certificate_of_a_on_monomial_algebras(spec):
+    _check_delta_certificate_of_a(spec)
