@@ -14,6 +14,10 @@ return, rref all of them.  The RREF is unique, so both fields give exactly
 the result of elimination on field scalars.  _extend_rows reduces one
 vector at a time against the rows kept so far, with the same step, and
 builds no matrix: pivot_columns and the spans of reps run on it.
+
+A matrix with no rows or no columns has no entries, so one is shared per
+field and shape (_empty), and the constructors and operations whose result
+has such a shape return it with no loop.  No matrix with entries is shared.
 """
 
 from fractions import Fraction
@@ -21,6 +25,19 @@ from math import gcd, lcm
 
 from .errors import StratakitError
 from .fields import _q
+
+
+_EMPTY = {}
+
+
+def _empty(field, rows, cols):
+    """The shared rows x cols matrix over field, one of rows, cols being 0:
+    keyed by (field.p, rows, cols), as equal fields have equal p."""
+    key = (field.p, rows, cols)
+    m = _EMPTY.get(key)
+    if m is None:
+        m = _EMPTY[key] = Matrix(field, rows, cols, ())
+    return m
 
 
 class Matrix:
@@ -49,10 +66,14 @@ class Matrix:
 
     @classmethod
     def zero(cls, field, rows, cols):
+        if not (rows and cols):
+            return _empty(field, rows, cols)
         return cls(field, rows, cols, [field.zero] * (rows * cols))
 
     @classmethod
     def identity(cls, field, n):
+        if not n:
+            return _empty(field, 0, 0)
         z, o = field.zero, field.one
         return cls(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
 
@@ -61,6 +82,8 @@ class Matrix:
         cols = len(col_lists)
         if rows is None:
             rows = len(col_lists[0]) if cols else 0
+        if not (rows and cols):
+            return _empty(field, rows, cols)
         flat = []
         for i in range(rows):
             for c in col_lists:
@@ -100,15 +123,24 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------------
 
     def transpose(self):
+        if not self.entries:
+            return _empty(self.field, self.cols, self.rows)
         return Matrix(self.field, self.cols, self.rows,
                       [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
+    def _same_shape(self, other, op):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise StratakitError(f"shape mismatch {self.rows}x{self.cols} {op} "
+                                 f"{other.rows}x{other.cols}")
+
     def add(self, other):
+        self._same_shape(other, "+")
         F = self.field
         return Matrix(F, self.rows, self.cols,
                       [F.add(a, b) for a, b in zip(self.entries, other.entries)])
 
     def sub(self, other):
+        self._same_shape(other, "-")
         F = self.field
         return Matrix(F, self.rows, self.cols,
                       [F.sub(a, b) for a, b in zip(self.entries, other.entries)])
@@ -126,6 +158,8 @@ class Matrix:
             raise StratakitError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         F = self.field
         p, n, oc = F.p, self.cols, other.cols
+        if not (self.rows and oc):
+            return _empty(F, self.rows, oc)
         b_entries = other.entries
         out = []
         for i in range(self.rows):
@@ -162,11 +196,16 @@ def hstack(mats):
         raise StratakitError("hstack of nothing")
     F = mats[0].field
     rows = mats[0].rows
+    if any(m.rows != rows for m in mats):
+        raise StratakitError("hstack height mismatch")
+    cols = sum(m.cols for m in mats)
+    if not (rows and cols):
+        return _empty(F, rows, cols)
     flat = []
     for i in range(rows):
         for m in mats:
             flat.extend(m.entries[i * m.cols:(i + 1) * m.cols])
-    return Matrix(F, rows, sum(m.cols for m in mats), flat)
+    return Matrix(F, rows, cols, flat)
 
 
 def vstack(mats):
@@ -186,7 +225,9 @@ def vstack(mats):
 def block_diag(field, mats):
     """The block-diagonal matrix of mats, each row a slice of its block
     padded with zeros."""
-    cols = sum(m.cols for m in mats)
+    rows, cols = sum(m.rows for m in mats), sum(m.cols for m in mats)
+    if not (rows and cols):
+        return _empty(field, rows, cols)
     flat = []
     c = 0
     for m in mats:
@@ -196,7 +237,7 @@ def block_diag(field, mats):
             flat += m.entries[i * m.cols:(i + 1) * m.cols]
             flat += right
         c += m.cols
-    return Matrix(field, sum(m.rows for m in mats), cols, flat)
+    return Matrix(field, rows, cols, flat)
 
 
 def rref(m):
@@ -304,6 +345,8 @@ def kernel_basis(m):
     """Basis of the right null space, as a list of column vectors: per free
     column fc, 1 at fc and -R[r, fc] at the r-th pivot, R the rref.  With no
     free column, the forward pass of a rank answers."""
+    if not m.cols:
+        return []
     F, p = m.field, m.field.p
     rows, pivots = _echelon(m, full=False)
     pivot_set = set(pivots)
@@ -336,10 +379,12 @@ def solve(m, b):
     column of m, the reduced row's entries under b."""
     F = m.field
     n, k = m.cols, b.cols
+    if b.rows != m.rows:
+        raise StratakitError(f"solve: {b.rows} right-hand rows for {m.rows} equations")
     if k == 0:
-        return Matrix(F, n, 0, [])
+        return _empty(F, n, 0)
     if n == 0:
-        return Matrix(F, 0, k, []) if b.is_zero() else None
+        return _empty(F, 0, k) if b.is_zero() else None
     rows, pivots = _echelon(hstack([m, b]))
     if pivots and pivots[-1] >= n:
         return None

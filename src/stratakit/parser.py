@@ -73,7 +73,7 @@ class AlgebraFile:
                 raise StratakitError(
                     f"module {name!r}: map for {aname} has the wrong shape")
             action.append(Matrix.from_rows(F, rows) if rows
-                          else Matrix(F, 0, lit.dims[s], []))
+                          else Matrix.zero(F, 0, lit.dims[s]))
         rep = Rep(algebra, tuple(lit.dims), action, label=name)
         if not rep.relations_hold():
             raise StratakitError(

@@ -40,9 +40,14 @@ int, interned once per module, so equal modules built apart share one
 result and a lookup hashes ints.  Hom(m, n) is one such result: the kernel
 of its intertwining system, eliminated once per pair of structures, of
 which hom_dim reads the length and hom_basis wraps fresh morphisms
-m -> n.  direct_sum records the summands of each sum it builds under the
-sum's key, and summands(m) reads them back, so additive invariants of a
-sum are computed summand by summand.
+m -> n.  Rep.support is the bitmask of the vertices where a module is
+nonzero; a map is one linear map per vertex, so Hom across disjoint
+supports is 0, found with no memo entry and no elimination.  Per-vertex
+work (kernels, quotients, tops, Hom blocks) skips the vertices where a
+module is 0, whose blocks are linalg's shared empty matrices.  direct_sum
+records the summands of each sum it builds under the sum's key, and
+summands(m) reads them back, so additive invariants of a sum are computed
+summand by summand.
 """
 
 import functools
@@ -64,6 +69,8 @@ class Rep:
         self.action = list(action)          # one Matrix per arrow
         self.label = label
         self.total_dim = sum(self.dims)
+        # the vertices where the module is nonzero: bit v is set if dims[v] > 0
+        self.support = sum(1 << v for v, d in enumerate(self.dims) if d)
         self._key = None
         for ai, (_, s, t) in enumerate(algebra.arrows):
             m = self.action[ai]
@@ -173,6 +180,8 @@ class Submodule:
         images' rows there, checked by one product.  None if some image
         leaves the subspace."""
         _, s, t = self.ambient.algebra.arrows[ai]
+        if not self.bases[s].cols:
+            return Matrix.zero(self.bases[t].field, self.bases[t].cols, 0)
         img = self.ambient.action[ai].mul(self.bases[s])
         if self.coords is None:
             return linalg.solve(self.bases[t], img)
@@ -357,7 +366,7 @@ def projective(a, i):
             nf = a.nf_path(p.src, p.arrs + (ai,))
             for q, c in nf.items():
                 mat[pos[a.basis_index[q]]][col] = c
-        action.append(Matrix.from_rows(F, mat) if dims[t] else Matrix(F, 0, dims[s], []))
+        action.append(Matrix.from_rows(F, mat) if dims[t] else Matrix.zero(F, 0, dims[s]))
     return Rep(a, dims, action, label=f"P({a.vertices[i]})")
 
 
@@ -440,6 +449,9 @@ def _hom_system(m, n):
     for v in range(a.n):
         offs.append(total)
         total += n.dims[v] * m.dims[v]
+    eqs = sum(n.dims[t] * m.dims[s] for _, s, t in a.arrows)
+    if not (total and eqs):
+        return Matrix.zero(F, eqs, total), offs
     flat = []
     for ai, (_, s, t) in enumerate(a.arrows):
         Ms, Nt = m.action[ai].entries, n.action[ai].entries
@@ -460,7 +472,6 @@ def _hom_system(m, n):
                         j = offs[s] + k * ms + c
                         row[j] = F.sub(row[j], x)
                 flat.extend(row)
-    eqs = sum(n.dims[t] * m.dims[s] for _, s, t in a.arrows)
     return Matrix(F, eqs, total, flat), offs
 
 
@@ -473,20 +484,33 @@ def _hom_kernel(m, n):
     return tuple(map(tuple, linalg.kernel_basis(mat))), offs
 
 
+def _disjoint(m, n):
+    """Do m and n, over one algebra, share no vertex?  Then Hom(m, n) = 0, a
+    map being one linear map per vertex.  Modules over different algebras
+    go on to the memo, which refuses them (AlgebraMismatch)."""
+    return m.algebra is n.algebra and not m.support & n.support
+
+
 def hom_basis(m, n):
-    """Basis of Hom(m, n): the memoised kernel (_hom_kernel), wrapped in
-    fresh Morphisms m -> n."""
+    """Basis of Hom(m, n): empty across disjoint supports, else the memoised
+    kernel (_hom_kernel), wrapped in fresh Morphisms m -> n."""
+    if _disjoint(m, n):
+        return []
     ker, offs = _hom_kernel(m, n)
     F = m.algebra.field
-    return [Morphism(m, n, [Matrix(F, dn, dm, vec[o:o + dn * dm])
+    return [Morphism(m, n, [Matrix(F, dn, dm, vec[o:o + dn * dm]) if dn and dm
+                            else Matrix.zero(F, dn, dm)
                             for o, dm, dn in zip(offs, m.dims, n.dims)])
             for vec in ker]
 
 
 def hom_dim(m, n):
-    """dim Hom(m, n): the length of the memoised kernel (_hom_kernel), so
-    equal modules built apart (the syzygies of two resolutions, say) share
-    one elimination with each other and with hom_basis."""
+    """dim Hom(m, n): 0 across disjoint supports, else the length of the
+    memoised kernel (_hom_kernel), so equal modules built apart (the
+    syzygies of two resolutions, say) share one elimination with each other
+    and with hom_basis."""
+    if _disjoint(m, n):
+        return 0
     return len(_hom_kernel(m, n)[0])
 
 
@@ -499,7 +523,7 @@ def kernel(f):
     F = f.source.algebra.field
     bases, coords = [], []
     for v, b in enumerate(f.blocks):
-        ker = linalg.kernel_basis(b)
+        ker = linalg.kernel_basis(b) if b.cols else []
         bases.append(Matrix.from_columns(F, ker, rows=f.source.dims[v]))
         coords.append([max(i for i, x in enumerate(k) if x) for k in ker])
     return Submodule(f.source, bases, check=False, coords=coords)
@@ -540,7 +564,7 @@ def _complement(F, B, d):
             x = R.entries[r * d + d - 1 - c]
             if x:
                 out[j * d + i] = F.neg(x)
-    return C, Matrix(F, len(C), d, out)
+    return C, Matrix(F, len(C), d, out) if C else Matrix.zero(F, 0, d)
 
 
 def quotient(m, s):
@@ -562,6 +586,9 @@ def quotient(m, s):
         comps.append(C)
         projs.append(proj)
         q = len(C)
+        if not q:
+            sections.append(Matrix.zero(F, d, 0))
+            continue
         sec = [F.zero] * (d * q)
         for j, c in enumerate(C):
             sec[c * q + j] = F.one
@@ -570,7 +597,7 @@ def quotient(m, s):
     for ai, (_, sv, tv) in enumerate(a.arrows):
         Cs, Ct = comps[sv], comps[tv]
         if not (Cs and Ct):
-            action.append(Matrix(F, len(Ct), len(Cs), []))
+            action.append(Matrix.zero(F, len(Ct), len(Cs)))
             continue
         dt, ds, e = m.dims[tv], m.dims[sv], m.action[ai].entries
         cols = Matrix(F, dt, len(Cs), [e[i * ds + c] for i in range(dt) for c in Cs])
@@ -593,7 +620,8 @@ def _arrow_images(m):
     a = m.algebra
     vecs = [[] for _ in range(a.n)]
     for ai, (_, s, t) in enumerate(a.arrows):
-        vecs[t].extend(m.action[ai].columns())
+        if m.dims[s] and m.dims[t]:
+            vecs[t].extend(m.action[ai].columns())
     return vecs
 
 
@@ -615,6 +643,9 @@ def top_basis(m):
     F = m.algebra.field
     out = []
     for vecs, d in zip(_arrow_images(m), m.dims):
+        if not vecs:
+            out.append(list(range(d)))
+            continue
         rad = linalg.leading_positions(F, [v[::-1] for v in vecs])
         out.append([c for c in range(d) if d - 1 - c not in rad])
     return out

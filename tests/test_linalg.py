@@ -408,6 +408,65 @@ def test_a_check_issues_no_empty_rref(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "GF5"])
+def test_zero_size_results_are_the_shared_matrices(field):
+    # a result with no rows or no columns is the one matrix of its shape,
+    # built with no loop, and equal to a fresh one
+    def z(r, c):
+        return Matrix.zero(field, r, c)
+
+    results = [
+        (z(0, 2).mul(z(2, 3)), (0, 3)), (z(3, 2).mul(z(2, 0)), (3, 0)),
+        (z(0, 3).transpose(), (3, 0)), (z(2, 0).transpose(), (0, 2)),
+        (Matrix.from_columns(field, [], rows=4), (4, 0)),
+        (Matrix.from_columns(field, [[], []]), (0, 2)),
+        (Matrix.identity(field, 0), (0, 0)),
+        (linalg.block_diag(field, [z(0, 2), z(0, 1)]), (0, 3)),
+        (linalg.block_diag(field, [z(2, 0), z(1, 0)]), (3, 0)),
+        (linalg.block_diag(field, []), (0, 0)),
+        (linalg.hstack([z(0, 2), z(0, 1)]), (0, 3)),
+        (linalg.hstack([z(3, 0), z(3, 0)]), (3, 0)),
+    ]
+    for got, (r, c) in results:
+        assert got == Matrix(field, r, c, []), (got, r, c)
+        assert got is z(r, c)
+    # a zero product with entries is built afresh, never shared
+    inner = z(2, 0).mul(z(0, 3))
+    assert inner == Matrix.zero(field, 2, 3) and inner is not z(2, 3)
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_add_and_sub_refuse_a_shape_mismatch(op):
+    a = Matrix.from_rows(F5, [[1], [2]])
+    b = Matrix.from_rows(F5, [[1, 2]])
+    for x, y in ((a, b), (b, a), (a, Matrix.zero(F5, 2, 0))):
+        with pytest.raises(StratakitError):
+            getattr(x, op)(y)
+
+
+def test_hstack_and_solve_refuse_a_height_mismatch():
+    a, b = Matrix.zero(F5, 2, 1), Matrix.zero(F5, 3, 1)
+    for mats in ([a, b], [b, a], [a, Matrix.zero(F5, 0, 1)]):
+        with pytest.raises(StratakitError):
+            linalg.hstack(mats)
+    m = Matrix.identity(F5, 2)
+    for rhs in (_column(F5, [1, 0, 0]), Matrix.zero(F5, 3, 0),
+                Matrix.zero(F5, 1, 2)):
+        with pytest.raises(StratakitError):
+            linalg.solve(m, rhs)
+
+
+def test_a_check_shares_only_zero_size_matrices():
+    argv = ["check", fixture_path("borelA.alg"),
+            "--borel", fixture_path("borelB.alg"), "--format", "machine"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert linalg._EMPTY
+    for (p, rows, cols), m in linalg._EMPTY.items():
+        assert (m.field.p, m.rows, m.cols) == (p, rows, cols)
+        assert not (rows and cols) and m.entries == ()
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "GF5"])
 def test_inverse_of_zero_raises_zero_division(field):
     with pytest.raises(ZeroDivisionError, match="inverse of zero"):
         field.inv(field.zero)

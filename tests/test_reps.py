@@ -23,7 +23,8 @@ from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
                             socle_submodule, top)
 from stratakit.tilting import probe_modules
 
-from conftest import algebra, fixture_path, is_module_map, is_surjective
+from conftest import (algebra, auslander, fixture_path, is_module_map,
+                      is_surjective)
 
 
 def _rows(m):
@@ -60,6 +61,55 @@ def test_a3line_hom_between_projectives():
     assert hom_dim(p1, p2) == 1
     f = hom_basis(p1, p2)[0]
     assert is_module_map(f) and f.is_injective() and not is_surjective(f)
+
+
+HOM_CASES = ["point", "semisimple2", "a2", "a3line", "loop2", "borelA",
+             "borelB", "aus3", "aus4", "aus5"]
+
+
+def _hom_modules(a):
+    """The simples, projectives, injectives, Δ, ∇ and, where it exists,
+    the T(λ) of a."""
+    mods = []
+    for i in range(a.n):
+        mods += [simple(a, i), projective(a, i), injective(a, i),
+                 strat.standard(a, i), strat.costandard(a, i)]
+    if strat.classify(a).standardly_stratified:
+        mods += tilting.characteristic_tilting(a).summands
+    return mods
+
+
+@pytest.mark.parametrize("name", HOM_CASES)
+def test_hom_matches_the_kernel_of_its_system(name):
+    # hom_dim and hom_basis, with their support test and memo, against one
+    # elimination of the intertwining system per pair, disjoint pairs too
+    a = auslander(int(name[3:])) if name.startswith("aus") else algebra(name)
+    mods = _hom_modules(a)
+    disjoint = 0
+    for m in mods:
+        for n in mods:
+            ref = linalg.kernel_basis(reps._hom_system(m, n)[0])
+            assert hom_dim(m, n) == len(ref), (name, m, n)
+            assert [f.flat() for f in hom_basis(m, n)] == ref, (name, m, n)
+            disjoint += not m.support & n.support
+    assert disjoint or a.n == 1
+
+
+def test_support_is_the_vertices_where_the_module_lives():
+    a = algebra("borelA")
+    for m in _hom_modules(a):
+        assert m.support == sum(1 << v for v in range(a.n) if m.dims[v])
+    assert reps.zero_rep(a).support == 0
+
+
+def test_hom_across_algebras_with_disjoint_supports_is_a_mismatch():
+    a = algebra("a3line")
+    m, n = simple(a, 0), simple(a.opposite(), 1)
+    assert not m.support & n.support
+    for x, y in ((m, n), (n, m)):
+        for hom in (hom_dim, hom_basis):
+            with pytest.raises(AlgebraMismatch):
+                hom(x, y)
 
 
 def test_projective_and_injective_are_dual_sized():
