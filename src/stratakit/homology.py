@@ -5,10 +5,13 @@ cover P -> M, Ω M and its inclusion into P, memoised per algebra by the
 structural key of M (reps.by_structure), so the resolution of Ω M reuses the
 steps of M's resolution, and resolutions whose syzygies are equal share
 their tails.  A step eliminates each cover block once, for its surjectivity
-and Ω, and builds P once per algebra and multiset of tops.  Resolutions are
-memoized the same way and extended on demand, so repeated Ext queries
-against the same module reuse one resolution.  A resolution keeps its
-projective covers and its syzygies Ω^k M, and no differentials.
+and Ω, and builds P once per algebra and multiset of tops; a cover with one
+top v has P(v) itself as its source, and keeps its tops on the cover
+morphism, so the shared P(v) is never written to.  Resolutions are memoized
+the same way and extended on demand, so repeated Ext queries against the
+same module reuse one resolution.  A resolution keeps its projective covers,
+its syzygies Ω^k M and the vertices of each term's tops as a bitmask, and no
+differentials.
 
 Ext is computed by dimension shifting: Ext^i(M, N) ≅ Ext^1(Ω^{i-1}M, N), and
 0 -> Hom(Ω^{i-1}M, N) -> Hom(P_{i-1}, N) -> Hom(Ω^i M, N) -> Ext^i(M, N) -> 0
@@ -16,13 +19,17 @@ is exact, so dim Ext^i is an alternating sum of Hom dimensions.  reps.hom_dim
 reads each off one kernel per pair of structural keys, shared with
 hom_basis, so the consecutive degrees of a scan share one syzygy's Hom
 space, and so do equal syzygies of different resolutions and the cocycles
-of an extension.
+of an extension.  Ext^i(M, N) is a subquotient of Hom(P_i, N), the sum of
+the N_v over the tops v of P_i, and a quotient of Hom(Ω^i M, N): it is 0,
+with no Hom asked, when N is zero at every top of P_i, or at every vertex
+of Ω^i M while P_i is not grown yet.
 
 ext_top finds the top nonvanishing degree against a family of sources, as
 the good filtration dimensions need.  Ext^d(x, -) = 0 above pd x, so once
 x's resolution completes within the bound, x's scan starts at pd x and not
 at the bound; each pair stops at its first nonzero Ext above the best
-degree found so far.
+degree found so far, and skips, with no ext_dim call, each degree whose
+term's tops the target misses.
 
 A direct sum is resolved and Hom-solved summand by summand.
 Minimal resolutions of a sum are the sums of those of its summands and Ext
@@ -58,16 +65,18 @@ class LowerBound(int):
 
 
 @reps.built_once
-def _cover_source(a, summands):
-    """⊕P(v) over the tuple summands, shared by the covers with these tops."""
-    P = direct_sum([projective(a, v) for v in summands])
-    P.cover_summands = list(summands)
-    return P
+def _cover_source(a, tops):
+    """⊕P(v) over the tuple tops, shared by the covers with these tops; P(v)
+    itself for one top."""
+    if len(tops) == 1:
+        return projective(a, tops[0])
+    return direct_sum([projective(a, v) for v in tops])
 
 
 def projective_cover(m):
     """Projective cover ⊕P(i)^mult -> m, with multiplicities from top(m); it
-    is onto when its kernel, kept as `cover.ker`, has dim P - dim m."""
+    is onto when its kernel, kept as `cover.ker`, has dim P - dim m.  The
+    vertices of its source's summands, in order, are kept as `cover.tops`."""
     if m.total_dim == 0:
         raise ZeroModule("projective cover of the zero module")
     a = m.algebra
@@ -76,11 +85,13 @@ def projective_cover(m):
     # of a nonzero module is nonzero, so there is at least one
     lifts = [(v, [F.one if i == c else F.zero for i in range(m.dims[v])])
              for v, C in enumerate(reps.top_basis(m)) for c in C]
-    P = _cover_source(a, tuple(v for v, _ in lifts))
+    tops = [v for v, _ in lifts]
+    P = _cover_source(a, tuple(tops))
     images = [reps.path_images(m, v, x) for v, x in lifts]
     cover = Morphism(P, m, [Matrix.from_columns(
         F, [c for img in images for c in img[tv]], rows=m.dims[tv])
         for tv in range(a.n)])
+    cover.tops = tops
     cover.ker = kernel(cover)
     if cover.ker.dims() != tuple(p - d for p, d in zip(P.dims, m.dims)):
         raise StratakitError("projective cover failed to be surjective")
@@ -103,14 +114,16 @@ class Resolution:
     """A (partial) minimal projective resolution.
 
     terms[i] is the multiset of projective summand vertices of P_i, and
-    covers[i]: P_i -> Ω^i m its projective cover.  syzygies[k] is
-    (Ω^k m, its inclusion into P_{k-1}), with Ω^0 = m and no inclusion.
-    `complete` means the last syzygy is zero.
+    top_masks[i] the bitmask of those vertices; covers[i]: P_i -> Ω^i m is
+    its projective cover.  syzygies[k] is (Ω^k m, its inclusion into
+    P_{k-1}), with Ω^0 = m and no inclusion.  `complete` means the last
+    syzygy is zero.
     """
 
     def __init__(self, module):
         self.module = module
         self.terms = []          # list of lists of vertex indices
+        self.top_masks = []
         self.covers = []
         self.syzygies = [(module, None)]
         self.complete = module.total_dim == 0
@@ -119,7 +132,8 @@ class Resolution:
         """Grow until there are nterms terms or the resolution completes."""
         while not self.complete and len(self.terms) < nterms:
             cover, omega, incl = syzygy_step(self.syzygies[-1][0])
-            self.terms.append(cover.source.cover_summands)
+            self.terms.append(cover.tops)
+            self.top_masks.append(sum(1 << v for v in set(cover.tops)))
             self.covers.append(cover)
             self.syzygies.append((omega, incl))
             self.complete = omega.total_dim == 0
@@ -216,6 +230,10 @@ def _ext_dim(i, m, n, cap):
     if i > len(res.terms):  # past the end of the resolution
         return 0
     syz = res.syzygies
+    # Ext^i is a subquotient of Hom(P_i, n) and a quotient of Hom(Ω^i m, n)
+    tops = res.top_masks[i] if i < len(res.terms) else syz[i][0].support
+    if not n.support & tops:
+        return 0
     return (reps.hom_dim(syz[i][0], n) - sum(n.dims[v] for v in res.terms[i - 1])
             + reps.hom_dim(syz[i - 1][0], n))
 
@@ -229,7 +247,9 @@ def ext_top(sources, m, bound, cap):
     it.  Ext^d(x, -) = 0 above pd x, so a complete resolution starts x's
     scan at min(bound, pd x).  Each pair (x, y), y a summand of m, is
     scanned down to one above the best degree found so far, and stops at
-    its first nonzero Ext; once bound is found, nothing more is grown."""
+    its first nonzero Ext; a degree d whose term P_d has no top where y is
+    nonzero has Ext^d(x, y) = 0 and is skipped with no ext_dim call.  Once
+    bound is found, nothing more is grown."""
     best = 0
     ys = reps.summands(m)
     for x in (x for s in sources for x in reps.summands(s)):
@@ -237,9 +257,11 @@ def ext_top(sources, m, bound, cap):
             break
         res = min_proj_resolution(x, bound - 1)
         top = min(bound, len(res.terms) - 1) if res.complete else bound
+        masks = res.top_masks
         for y in ys:
             best = next((d for d in range(top, best, -1)
-                         if ext_dim(d, x, y, cap) != 0), best)
+                         if (d >= len(masks) or y.support & masks[d])
+                         and ext_dim(d, x, y, cap) != 0), best)
     return best
 
 
@@ -260,7 +282,7 @@ def _cocycle_classes(m, n):
     # coboundaries: restrictions of Hom(P0, n) along the inclusion; keep
     # the cocycles independent modulo them
     known = [compose(g, incl).flat() for g in hom_basis(P0, n)]
-    [mu] = P0.cover_summands
+    [mu] = cover.tops
     # and modulo c∘(r|Omega), r: e_μ -> y over a basis of rad P(μ) at μ;
     # if dim e_μ m = 1, r maps P(μ) into Omega: c∘r is a coboundary
     for y in (radical_submodule(P0).bases[mu].columns()
@@ -298,10 +320,10 @@ def _pushout_extension(n, incl, cover, cocycle):
     emb_blocks, proj_blocks = [], []
     for v in range(a.n):
         nd, p, sec = n.dims[v], pi.blocks[v], pi.section_blocks[v]
-        emb_blocks.append(Matrix(F, p.rows, nd, [p[i, j] for i in range(p.rows)
-                                                 for j in range(nd)]))
-        proj_blocks.append(cover.blocks[v].mul(
-            Matrix(F, sec.rows - nd, sec.cols, sec.entries[nd * sec.cols:])))
+        emb_blocks.append(Matrix.of(F, p.rows, nd, [
+            p[i, j] for i in range(p.rows) for j in range(nd)]))
+        proj_blocks.append(cover.blocks[v].mul(Matrix.of(
+            F, sec.rows - nd, sec.cols, sec.entries[nd * sec.cols:])))
     return Z, Morphism(n, Z, emb_blocks), Morphism(Z, m, proj_blocks)
 
 
@@ -329,6 +351,8 @@ def universal_extension(q, x):
     r = len(cocycles)
     if r == 0:
         raise NothingToExtend("Ext^1(q, x) = 0")
+    if r == 1:      # q^1 is q: push out along the cover and Ω itself
+        return _pushout_extension(x, incl, cover, cocycles[0])
     a = q.algebra
     F = a.field
     qr = direct_sum([q] * r)

@@ -17,7 +17,9 @@ builds no matrix: pivot_columns and the spans of reps run on it.
 
 A matrix with no rows or no columns has no entries, so one is shared per
 field and shape (_empty), and the constructors and operations whose result
-has such a shape return it with no loop.  No matrix with entries is shared.
+has such a shape return it with no loop; Matrix.of builds a matrix from its
+entries or gives the shared one.  block_diag of one block is that block, as
+matrices are immutable.  No matrix with entries is shared.
 """
 
 from fractions import Fraction
@@ -63,6 +65,14 @@ class Matrix:
                 raise StratakitError("ragged rows")
             flat.extend(r)
         return cls(field, rows, cols, flat)
+
+    @classmethod
+    def of(cls, field, rows, cols, entries):
+        """Matrix(field, rows, cols, entries), or the shared matrix of that
+        shape when it has no entries."""
+        if not (rows and cols):
+            return _empty(field, rows, cols)
+        return cls(field, rows, cols, entries)
 
     @classmethod
     def zero(cls, field, rows, cols):
@@ -136,22 +146,22 @@ class Matrix:
     def add(self, other):
         self._same_shape(other, "+")
         F = self.field
-        return Matrix(F, self.rows, self.cols,
-                      [F.add(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix.of(F, self.rows, self.cols,
+                         [F.add(a, b) for a, b in zip(self.entries, other.entries)])
 
     def sub(self, other):
         self._same_shape(other, "-")
         F = self.field
-        return Matrix(F, self.rows, self.cols,
-                      [F.sub(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix.of(F, self.rows, self.cols,
+                         [F.sub(a, b) for a, b in zip(self.entries, other.entries)])
 
     def scale(self, c):
         F = self.field
-        return Matrix(F, self.rows, self.cols, [F.mul(c, a) for a in self.entries])
+        return Matrix.of(F, self.rows, self.cols, [F.mul(c, a) for a in self.entries])
 
     def neg(self):
         F = self.field
-        return Matrix(F, self.rows, self.cols, [F.neg(a) for a in self.entries])
+        return Matrix.of(F, self.rows, self.cols, [F.neg(a) for a in self.entries])
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -219,12 +229,14 @@ def vstack(mats):
         if m.cols != cols:
             raise StratakitError("vstack width mismatch")
         flat.extend(m.entries)
-    return Matrix(F, sum(m.rows for m in mats), cols, flat)
+    return Matrix.of(F, sum(m.rows for m in mats), cols, flat)
 
 
 def block_diag(field, mats):
     """The block-diagonal matrix of mats, each row a slice of its block
-    padded with zeros."""
+    padded with zeros; one block is itself."""
+    if len(mats) == 1:
+        return mats[0]
     rows, cols = sum(m.rows for m in mats), sum(m.cols for m in mats)
     if not (rows and cols):
         return _empty(field, rows, cols)

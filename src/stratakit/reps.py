@@ -322,7 +322,8 @@ def by_structure(compute):
     @functools.wraps(compute)
     def cached(m, *args):
         a = m.algebra
-        key = (name, m.key(), *[structure(a, x) for x in args])
+        key = ((name, m.key(), *[structure(a, x) for x in args]) if args
+               else (name, m.key()))
         hit = a.cache.get(key, _MISSING)
         if hit is _MISSING:
             hit = a.cache[key] = compute(m, *args)

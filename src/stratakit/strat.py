@@ -167,7 +167,7 @@ def _top_kernel(f, mu):
     the simple module at μ.  Read from f's syzygy step.  The trace
     filtration needs no lift above μ: it would act inside U_{μ+1}."""
     cover, _, incl = homology.syzygy_step(f)
-    if cover.source.cover_summands != [mu]:
+    if cover.tops != [mu]:
         return None
     vecs = [b.columns() for b in incl.blocks]
     return [(w, g) for w in range(mu + 1)
@@ -185,21 +185,26 @@ def _trace_certificate(m, family):
     is all of m above μ, so the closure applies no arrow into a vertex
     above μ.  Each layer is peeled on a copy of U_{μ+1}, extended first by
     K(μ)·e_μ(cur) and then by each lift of the top at μ; every step of the
-    chain is a prefix of that copy."""
+    chain is a prefix of that copy.  Only the vertices where m is nonzero
+    are walked: at any other μ, U_μ = U_{μ+1} and there is nothing to
+    peel."""
     kernels = [_top_kernel(f, mu) for mu, f in enumerate(family)]
     if None in kernels:
         return None
     a = m.algebra
+    support = [mu for mu, d in enumerate(m.dims) if d]
     span = reps.Span(m)
-    U = [span.lengths()]        # once reversed, U[μ] is the lengths of U_μ
-    for mu in reversed(range(a.n)):
+    # once reversed, U[k] is the lengths of U_μ, μ = support[k], and U[k + 1]
+    # those of U_{μ+1}, all of m above μ
+    U = [span.lengths()]
+    for mu in reversed(support):
         span.close(_unit_gens(m, [mu]))
         U.append(span.lengths())
     U.reverse()
     chain, indices = [span.bases()], []         # top-down
-    for mu in range(a.n):
-        cur = [v[:k] for v, k in zip(span.vecs, U[mu])]
-        while sum(map(len, cur)) > sum(U[mu + 1]):
+    for mu, here, above in zip(support, U, U[1:]):
+        cur = [v[:k] for v, k in zip(span.vecs, here)]
+        while sum(map(len, cur)) > sum(above):
             if mu >= len(family):
                 return None
             # peel: W = U_{μ+1} + K(μ)·e_μ(cur) is generated by g·x over the
@@ -211,7 +216,7 @@ def _trace_certificate(m, family):
                 gens += [(w, Matrix.from_columns(
                     a.field, images[w], rows=m.dims[w]).apply(g))
                     for w, g in kernels[mu]]
-            peel = span.prefix(U[mu + 1])
+            peel = span.prefix(above)
             peel.close(gens)
             steps = [peel.lengths()]
             # cur/W is generated at μ: each lift of its top adds one factor.
@@ -236,10 +241,12 @@ def dual_certificate(m, cert):
     """A certificate of m from one of its dual D(m) over the opposite
     algebra: the annihilators in m of the layers of D(m), in reverse order.
     A factor of the dual chain is D of a factor of the new one, so the
-    indices are reversed alongside."""
+    indices are reversed alongside.  At a vertex where m is 0 the
+    annihilator is the shared 0x0 block."""
     F = m.algebra.field
     layers = [[Matrix.from_columns(F, linalg.kernel_basis(b.transpose()),
-                                   rows=d) for b, d in zip(bases, m.dims)]
+                                   rows=d) if d else Matrix.zero(F, 0, 0)
+               for b, d in zip(bases, m.dims)]
               for bases in reversed(cert.layers)]
     return FiltrationCertificate(m, layers, cert.factor_indices[::-1])
 
@@ -251,10 +258,11 @@ def filtration_certificate(m, family):
     P(μ)/K(μ) (Delta, DeltaBar).  The layers U_μ/U_{μ+1}, U_μ generated by
     e_{>=μ}·m, have no composition factor above μ; the U_μ are prefixes of
     one reps.Span and each layer is peeled on a copy of U_{μ+1}
-    (_trace_certificate).  A layer is peeled from
-    the top: C/W with W = U_{μ+1} + K(μ)·e_μC is a quotient of family[μ]^t,
-    t the multiplicity of the simple at μ in its top, and equals it when
-    each lift of that top adds dim family[μ].  For Delta, W = U_{μ+1}; for
+    (_trace_certificate).  Only the vertices where m is nonzero are walked,
+    as U_μ = U_{μ+1} at every other μ.  A layer is peeled from the top:
+    C/W with W = U_{μ+1} + K(μ)·e_μC is a quotient of family[μ]^t, t the
+    multiplicity of the simple at μ in its top, and equals it when each
+    lift of that top adds dim family[μ].  For Delta, W = U_{μ+1}; for
     DeltaBar, W = U_{μ+1} + ⟨e_μ·rad C⟩.  None proves non-membership for
     Delta, DeltaBar and their prefixes: a filtered module has a filtration
     with larger vertices lower, whose parts are the U_μ (Dlab–Ringel;

@@ -229,7 +229,7 @@ def _reference_top_lifts(m, sub, w, below=None):
 
 def _reference_top_kernel(f, mu):
     cover, _, incl = homology.syzygy_step(f)
-    if cover.source.cover_summands != [mu]:
+    if cover.tops != [mu]:
         return None
     k = reps.Submodule(cover.source, incl.blocks, check=False)
     return [(w, g) for w in range(mu + 1)

@@ -425,13 +425,26 @@ def test_zero_size_results_are_the_shared_matrices(field):
         (linalg.block_diag(field, []), (0, 0)),
         (linalg.hstack([z(0, 2), z(0, 1)]), (0, 3)),
         (linalg.hstack([z(3, 0), z(3, 0)]), (3, 0)),
+        (linalg.vstack([z(0, 2), z(0, 2)]), (0, 2)),
+        (linalg.vstack([z(2, 0), z(1, 0)]), (3, 0)),
+        (Matrix.of(field, 2, 0, []), (2, 0)),
     ]
+    # arithmetic on an operand with no entries, built apart from the cache
+    for r, c in ((0, 2), (3, 0), (0, 0)):
+        x, y = Matrix(field, r, c, []), Matrix(field, r, c, [])
+        results += [(x.add(y), (r, c)), (x.sub(y), (r, c)),
+                    (x.scale(field.one), (r, c)), (x.neg(), (r, c))]
     for got, (r, c) in results:
         assert got == Matrix(field, r, c, []), (got, r, c)
         assert got is z(r, c)
     # a zero product with entries is built afresh, never shared
     inner = z(2, 0).mul(z(0, 3))
     assert inner == Matrix.zero(field, 2, 3) and inner is not z(2, 3)
+    # a block-diagonal matrix of one block is that block
+    one = Matrix.from_rows(field, [[field.one, field.zero]])
+    assert linalg.block_diag(field, [one]) is one
+    for m in linalg._EMPTY.values():
+        assert not (m.rows and m.cols) and m.entries == ()
 
 
 @pytest.mark.parametrize("op", ["add", "sub"])

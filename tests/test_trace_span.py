@@ -9,7 +9,10 @@ trace certificate built on it.  The tests check that both give the same
 submodules, and certificates with the same factors and layer dimensions,
 on the fixtures over four fields, the certificate corpus, their opposites
 and random monomial algebras, and that the Delta certificate of a linear
-A_n touches no vertex its trace filtration has already filled.
+A_n touches no vertex its trace filtration has already filled.  For A,
+each T(λ) and each D(T(λ)) over linear A_n and the corpus, whose trace
+filtrations walk only the vertices where the module is nonzero, each layer
+is the reference's submodule.
 """
 
 import random
@@ -107,6 +110,60 @@ def test_trace_certificates_match_on_monomial_algebras(spec, opposite):
     except NotAdmissible:
         assume(False)
     _assert_certificates_match(a)
+
+
+def _same_layers(m, got, want):
+    """Do two certificates of m have the same factor indices and, layer by
+    layer, the same submodule?"""
+    if got.factor_indices != want.factor_indices:
+        return False
+    if len(got.layers) != len(want.layers):
+        return False
+    for g, w in zip(got.layers, want.layers):
+        if [b.cols for b in g] != [b.cols for b in w]:
+            return False
+        sg, sw = (reps.Submodule(m, list(b), check=False) for b in (g, w))
+        if not (sg.contains(sw) and sw.contains(sg)):
+            return False
+    return True
+
+
+def _tilting_certificate_cases(a):
+    """(module, family): A and each T(λ) against Delta and DeltaBar, and
+    each D(T(λ)) over the opposite algebra against the duals of Nabla and
+    NablaBar, the route filtration_certificate takes for those families.
+    A alone when a is not standardly stratified."""
+    reg = reps.regular_module(a)
+    fams = [strat.standard_family(a), strat.proper_standard_family(a)]
+    if not strat.classify(a).standardly_stratified:
+        return [(reg, f) for f in fams]
+    ts = tilting.characteristic_tilting(a).summands
+    duals = [[reps.dual(f) for f in fam] for fam in
+             (strat.costandard_family(a), strat.proper_costandard_family(a))]
+    return ([(m, f) for m in [reg, *ts] for f in fams]
+            + [(reps.dual(t), f) for t in ts for f in duals])
+
+
+def _assert_tilting_certificates_match(a):
+    for m, fam in _tilting_certificate_cases(a):
+        got = strat._trace_certificate(m, fam)
+        want = reference_trace_certificate(m, fam)
+        assert (got is None) == (want is None), (m, fam)
+        assert got is None or _same_layers(m, got, want), (m, fam)
+
+
+@pytest.mark.parametrize("rad2", [True, False])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_tilting_certificates_of_linear_a_match_the_reference(n, rad2):
+    # T(λ) of linear A_n lives on at most 2 vertices (rad^2 = 0) or on
+    # 1..λ (free): the trace filtration walks only those, and each layer
+    # is the reference's submodule
+    _assert_tilting_certificates_match(build_algebra(_linear_a(n, rad2)))
+
+
+@pytest.mark.parametrize("key,field", CORPUS, ids=str)
+def test_tilting_certificates_of_the_corpus_match_the_reference(key, field):
+    _assert_tilting_certificates_match(corpus_algebra(key, field))
 
 
 @pytest.mark.parametrize("rad2", [True, False])
