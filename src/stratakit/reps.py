@@ -29,9 +29,10 @@ generate, or its pairwise sums.  With none, End is local if 1 and S, or
 one element's powers, span it.  Minimal polynomials are factored exactly
 by the poly module.
 
-Isomorphism is decided by Krull–Schmidt, without a coefficient search: a
-basis scan of Hom is exact between indecomposable modules, so two
-decomposable modules are compared part by part.
+Isomorphism is decided by Krull–Schmidt, without a coefficient search:
+modules with different tops are told apart with no Hom, a basis scan of Hom
+is exact between indecomposable modules, and two decomposable modules are
+compared part by part.
 
 Per-algebra results live in the algebra's cache and go through two helpers:
 built_once, keyed by a function's name and arguments, and by_structure,
@@ -186,8 +187,8 @@ class Submodule:
         if self.coords is None:
             return linalg.solve(self.bases[t], img)
         k, e = img.cols, img.entries
-        x = Matrix(img.field, len(self.coords[t]), k,
-                   [y for i in self.coords[t] for y in e[i * k:(i + 1) * k]])
+        x = Matrix.of(img.field, len(self.coords[t]), k,
+                      [y for i in self.coords[t] for y in e[i * k:(i + 1) * k]])
         return x if self.bases[t].mul(x) == img else None
 
     def _closed(self):
@@ -367,7 +368,8 @@ def projective(a, i):
             nf = a.nf_path(p.src, p.arrs + (ai,))
             for q, c in nf.items():
                 mat[pos[a.basis_index[q]]][col] = c
-        action.append(Matrix.from_rows(F, mat) if dims[t] else Matrix.zero(F, 0, dims[s]))
+        action.append(Matrix.of(F, dims[t], dims[s],
+                                [x for row in mat for x in row]))
     return Rep(a, dims, action, label=f"P({a.vertices[i]})")
 
 
@@ -652,6 +654,13 @@ def top_basis(m):
     return out
 
 
+def _same_tops(m, n):
+    """Do top(m) and top(n) have one dimension vector?  Isomorphic modules
+    do, so this settles many non-isomorphic pairs before any Hom."""
+    return ([len(C) for C in top_basis(m)]
+            == [len(C) for C in top_basis(n)])
+
+
 def top(m):
     """m / rad(m), on the basis top_basis(m): semisimple, so every arrow
     acts as zero."""
@@ -728,8 +737,10 @@ def _projections(m, parts):
 def find_isomorphism(m, n):
     """An isomorphism m -> n, or None, decided without a coefficient search.
 
-    If m ≅ n then dim Hom(m, n) = dim End(m) = dim End(n), so a mismatch of
-    the memoised dimensions settles the question before any basis is built.
+    If m ≅ n then their tops are isomorphic, so a mismatch of the top
+    dimension vectors (top_basis) settles the question before any Hom.
+    Then dim Hom(m, n) = dim End(m) = dim End(n), so a mismatch of the
+    memoised dimensions settles it before any basis is built.
     For indecomposable m ≅ n via φ the non-isomorphisms form the proper
     subspace φ∘rad End(m), so a basis scan of Hom(m, n) finds an
     isomorphism; it decides when m or n has a simple top or socle, or
@@ -745,6 +756,8 @@ def find_isomorphism(m, n):
         return None
     if m.total_dim == 0:
         return zero_morphism(m, n)
+    if not _same_tops(m, n):
+        return None
     d = hom_dim(m, n)
     if not d or hom_dim(m, m) != d or hom_dim(n, n) != d:
         return None

@@ -7,10 +7,11 @@ generators of Ext^1 over End(Delta(μ)) (homology.universal_extension).  The
 good filtration dimension is the top degree of a nonzero Ext against the
 standard modules, at most proj_dim(T); homology.ext_top scans each standard
 module down from the smaller of pd T and its own pd.  End(T(λ)) is local,
-so each endomorphism is c·id plus a nilpotent; c is read off its minimal
-polynomial (x - c)^m, and rad End(T(λ)) is spanned by the f - c·id.  The
-Ringel dual End(T) is presented by the reduced Groebner basis of its
-relations.
+so each endomorphism is c·id plus a nilpotent, c read off its block at λ.
+One pass per algebra (_end_arrows) gives rad End(T), rad^2 and the arrows
+of End(T), lifts of a basis of rad/rad^2; the add(T)-approximations of
+t_codim and the Ringel dual read them.  The Ringel dual End(T) is presented
+by the reduced Groebner basis of its relations.
 
 The cotilting module S, with add(S) = F(Nabla) ∩ F(DeltaBar), is read off
 the theorem on a quasi-hereditary algebra: there DeltaBar = Delta and
@@ -46,14 +47,6 @@ class CharTilting:
         self.delta_certs = delta_certs            # T(λ) ∈ F(Delta)
         self.nabla_bar_certs = nabla_bar_certs    # T(λ) ∈ F(NablaBar)
         self.total = direct_sum(summands)
-        self._radical = {}
-
-    def is_basic(self):
-        for i in range(len(self.summands)):
-            for j in range(i + 1, len(self.summands)):
-                if reps.is_isomorphic(self.summands[i], self.summands[j]):
-                    return False
-        return True
 
     def contains(self, m):
         """Is m in add(T)?
@@ -64,39 +57,12 @@ class CharTilting:
         """
         return strat.in_F_nabla_bar_by_ext(m) and strat.in_F_delta_by_ext(m)
 
-    def radical(self, s, t):
-        """Basis of rad(T(s), T(t)), as morphisms; computed once per pair.
-
-        For s != t this is all of Hom(T(s), T(t)).  On the diagonal it is
-        spanned by f - c·id over the basis of End(T(s)), where c is the
-        scalar with f - c·id nilpotent; raises PresentationFailed when
-        End(T(s)) is not split local over the base field.
-        """
-        hit = self._radical.get((s, t))
-        if hit is not None:
-            return hit
-        homs = hom_basis(self.summands[s], self.summands[t])
-        if s != t:
-            rad = homs
-        else:
-            F = self.algebra.field
-            ident = identity_morphism(self.summands[s])
-            rad = []
-            for f in homs:
-                c = _local_scalar(F, reps._total_matrix(f))
-                if c is None:
-                    raise PresentationFailed(
-                        "endomorphism ring of a tilting summand is not "
-                        "split local over the base field")
-                rad.append(f.add(ident.scale(F.neg(c))))
-            rad = [rad[k] for k in linalg.pivot_columns(
-                F, [g.flat() for g in rad])]
-        self._radical[(s, t)] = rad
-        return rad
-
     def verify(self):
         """Re-verify every certificate and the defining sequences: T(λ)'s
-        Delta certificate starts at Delta(λ)'s image, so it filters M(λ) too."""
+        Delta certificate starts at Delta(λ)'s image, so it filters M(λ) too.
+        Its factors are Delta(λ) and lower Delta(μ), so λ is the largest
+        composition factor of T(λ), and T is basic with no isomorphism
+        test."""
         a = self.algebra
         deltas = strat.standard_family(a)
         nbars = strat.proper_costandard_family(a)
@@ -113,7 +79,7 @@ class CharTilting:
             if not (bottom.contains(image) and image.contains(bottom)
                     and self.nabla_bar_certs[lam].verify(nbars)):
                 return False
-        return self.is_basic()
+        return True
 
 
 @reps.built_once
@@ -222,13 +188,14 @@ def s_iso_t(a):
     """Is S ≅ T?  Exactly when S(λ) ≅ T(λ) for every λ, as λ is the largest
     composition factor of both.  On a quasi-hereditary algebra add(S) =
     add(T), so S ≅ T by the theorem (see characteristic_cotilting) and
-    nothing is scanned.  Otherwise T(λ) is indecomposable, so a basis scan
-    of Hom(S(λ), T(λ)) decides each λ (see reps.find_isomorphism)."""
+    nothing is scanned.  Otherwise isomorphic summands have isomorphic
+    tops, and T(λ) is indecomposable, so a basis scan of Hom(S(λ), T(λ))
+    decides each λ (see reps.find_isomorphism)."""
     if strat.classify(a).quasi_hereditary:
         return True
     pairs = zip(characteristic_cotilting(a).summands,
                 characteristic_tilting(a).summands)
-    return all(s.dims == t.dims
+    return all(s.dims == t.dims and reps._same_tops(s, t)
                and reps._iso_in_basis(hom_basis(s, t)) is not None
                for s, t in pairs)
 
@@ -285,19 +252,23 @@ def gfd_delta_bar(x, cap=homology.DEFAULT_CAP):
 
 # -- T-(co)dimension ----------------------------------------------------------
 
-def _left_approximation(m, tilt):
+def _left_approximation(m):
     """The minimal left add(T)-approximation of m, or None if Hom(m, T) = 0.
 
     Hom(m, T) is a module over End(T); the approximation maps m into one
     copy of T(λ) for each map in hom_basis(m, T(λ)) that is independent
-    modulo rad(m, T(λ)) = Σ_μ rad(T(μ), T(λ)) ∘ Hom(m, T(μ)).
+    modulo rad(m, T(λ)) = Σ_μ rad(T(μ), T(λ)) ∘ Hom(m, T(μ)).  Each radical
+    map is an arrow of End(T) after an endomorphism (_end_arrows), so that
+    span is Σ_ν arrows(ν, λ) ∘ Hom(m, T(ν)).
     """
     a = m.algebra
+    tilt = characteristic_tilting(a)
+    arrows = _end_arrows(a)[0]
     homs = [hom_basis(m, t) for t in tilt.summands]
     chosen = []                          # (T(λ), morphism m -> T(λ))
     for lam, t in enumerate(tilt.summands):
-        rad = [compose(g, h) for mu in range(a.n)
-               for g in tilt.radical(mu, lam) for h in homs[mu]]
+        rad = [compose(g, h) for nu in range(a.n)
+               for g in arrows[nu][lam] for h in homs[nu]]
         keep = linalg.pivot_columns(
             a.field, [f.flat() for f in rad + homs[lam]])
         chosen += [(t, homs[lam][k - len(rad)]) for k in keep if k >= len(rad)]
@@ -336,7 +307,7 @@ def t_codim(x, cap=homology.DEFAULT_CAP):
     while not tilt.contains(cur):
         if steps > cap:
             raise NonTerminating("add(T)-coresolution did not close")
-        f = _left_approximation(cur, tilt)
+        f = _left_approximation(cur)
         coker = (reps.cokernel(f)[0] if f is not None and f.is_injective()
                  else None)
         if coker is None or not strat.in_F_delta_by_ext(coker):
@@ -417,7 +388,7 @@ def gfd_algebra(a, cap):
                      tuple(gfd_nabla_bar(m, cap) for m in probes))
 
 
-# -- Ringel dual --------------------------------------------------------------
+# -- the radical of End(T) and the Ringel dual ------------------------------
 
 def _local_scalar(field, f):
     """For f in a local algebra, the scalar c with f - c*id nilpotent, or
@@ -429,41 +400,71 @@ def _local_scalar(field, f):
     return None
 
 
+@reps.built_once
+def _end_arrows(a):
+    """(arrows, dim End(T)): arrows[s][t] lifts a basis of rad/rad^2 of
+    End(T) between T(s) and T(t), a subset of rad(T(s), T(t)) in order.
+
+    rad(T(s), T(t)) is all of Hom(T(s), T(t)) for s != t.  End(T(s)) is
+    local, so on the diagonal it is spanned by the f - c·id, c the scalar
+    with f - c·id nilpotent.  c is read off the block of f at s, nonzero as
+    Delta(s) ⊂ T(s): the block's minimal polynomial is a power of that of f
+    modulo rad End(T(s)).  PresentationFailed when End(T(s)) is not split
+    local over the base field.  rad^2 is spanned by the composites through
+    each middle summand, reduced to echelon rows until they span all of
+    rad(T(s), T(t)); the arrows are the radical maps outside that span.
+    Every radical map is an arrow after an endomorphism of T, since
+    rad = arrows + rad^2 and rad is nilpotent."""
+    tilt = characteristic_tilting(a)
+    F, n = a.field, a.n
+    rad = [[hom_basis(x, y) for y in tilt.summands] for x in tilt.summands]
+    for s, x in enumerate(tilt.summands):
+        ident, shifted = identity_morphism(x), []
+        for f in rad[s][s]:
+            c = _local_scalar(F, f.blocks[s])
+            if c is None:
+                raise PresentationFailed(
+                    "endomorphism ring of a tilting summand is not "
+                    "split local over the base field")
+            shifted.append(f.add(ident.scale(F.neg(c))))
+        rad[s][s] = [shifted[k] for k in linalg.pivot_columns(
+            F, [g.flat() for g in shifted])]
+
+    def lifts(s, t):
+        rows = []
+        for f, g in ((f, g) for mid in range(n)
+                     for f in rad[s][mid] for g in rad[mid][t]):
+            if len(rows) == len(rad[s][t]):
+                break
+            linalg._extend_rows(F.p, rows, compose(g, f).flat())
+        return [f for f in rad[s][t]
+                if linalg._extend_rows(F.p, rows, f.flat()) is not None]
+
+    return ([[lifts(s, t) for t in range(n)] for s in range(n)],
+            n + sum(len(r) for row in rad for r in row))
+
+
 def ringel_dual(a):
     """End(T) presented as a bound quiver algebra, opposite vertex order.
 
-    The relations are the reduced Groebner basis of ker(kQ -> End T) in
-    build_algebra's path order, read off in one walk over that order that
-    extends only normal paths.  Non-tips are closed under subpaths, so a
-    candidate whose suffix (minus its first arrow) is not normal is skipped;
-    any other is a tip exactly when its value is in the span of the earlier
-    normal paths q with its ends, and then path - Σ c·q is recorded."""
-    tilt = characteristic_tilting(a)
+    Its arrows are those of _end_arrows, named in the reversed order of the
+    summands.  The relations are the reduced Groebner basis of
+    ker(kQ -> End T) in build_algebra's path order, read off in one walk
+    over that order that extends only normal paths.  Non-tips are closed
+    under subpaths, so a candidate whose suffix (minus its first arrow) is
+    not normal is skipped; any other is a tip exactly when its value is in
+    the span of the earlier normal paths q with its ends, and then
+    path - Σ c·q is recorded."""
     F = a.field
     n = a.n
     # order of the dual: reversed
     order = list(range(n - 1, -1, -1))
-
-    def rad_basis(s, t):
-        """rad(s, t) between summands numbered in the reversed order."""
-        return tilt.radical(order[s], order[t])
-
-    # End(T(s)) is k·id ⊕ rad(T(s), T(s)) for each of the n summands
-    end_dim = n + sum(len(rad_basis(s, t)) for s in range(n) for t in range(n))
-    # arrows: per pair, lift a basis of rad/rad^2, where rad^2 is spanned by
-    # the compositions through every middle summand
+    lifts, end_dim = _end_arrows(a)
     arrows = []            # (name, s, t, morphism)
     for s in range(n):
         for t in range(n):
-            rad2 = [compose(g, f) for mid in range(n)
-                    for f in rad_basis(s, mid) for g in rad_basis(mid, t)]
-            rad = rad_basis(s, t)
-            if not rad:
-                continue
-            keep = linalg.pivot_columns(F, [f.flat() for f in rad2 + rad])
-            for k in keep:
-                if k >= len(rad2):
-                    arrows.append((f"r{len(arrows)}", s, t, rad[k - len(rad2)]))
+            for f in lifts[order[s]][order[t]]:
+                arrows.append((f"r{len(arrows)}", s, t, f))
     vertices = [a.vertices[i] for i in order]
     arrow_decls = [(nm, vertices[s], vertices[t]) for (nm, s, t, _) in arrows]
 

@@ -8,7 +8,7 @@ from stratakit import homology, linalg, reps, strat
 from stratakit.fields import GF, QQ
 from stratakit.linalg import Matrix
 from stratakit.parser import parse, parse_file
-from stratakit.quiver import QuiverSpec
+from stratakit.quiver import QuiverSpec, build_algebra
 
 # every run draws the same examples, and no example is timed out
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -39,6 +39,15 @@ def is_module_map(f):
     return all(f.blocks[t].mul(f.source.action[ai])
                .sub(f.target.action[ai].mul(f.blocks[s])).is_zero()
                for ai, (_, s, t) in enumerate(a.arrows))
+
+
+def is_basic(tilt):
+    """Are the summands of a tilting module pairwise non-isomorphic?  An
+    O(n^2) isomorphism scan, the oracle for CharTilting.verify, which reads
+    it off the largest composition factors."""
+    parts = tilt.summands
+    return not any(reps.is_isomorphic(parts[i], parts[j])
+                   for i in range(len(parts)) for j in range(i + 1, len(parts)))
 
 
 def is_surjective(f):
@@ -72,6 +81,20 @@ def auslander(n):
         f = parse(auslander_text(n))
         _cache[key] = (f, f.build())
     return _cache[key][1]
+
+
+def local35():
+    """The 35-dimensional local algebra over Q that graded_specs draws: loops
+    a0, a1 at one vertex, relations a0·a1·a1 + a0·a0·a0 - 3·a1·a1·a1 and
+    2·a1·a0·a1 - 3·a0·a0·a1, read right to left, built with degree cap 8.
+    It is properly stratified; I(1) and P(1), which are S(1) and T(1), have
+    one dimension vector but tops of dimension 6 and 1."""
+    rels = [[(1, ("a1", "a1", "a0")), (1, ("a0", "a0", "a0")),
+             (-3, ("a1", "a1", "a1"))],
+            [(2, ("a1", "a0", "a1")), (-3, ("a1", "a0", "a0"))]]
+    return build_algebra(QuiverSpec(["1"], [("a0", "1", "1"),
+                                            ("a1", "1", "1")], rels, QQ),
+                         degree_cap=8)
 
 
 @st.composite

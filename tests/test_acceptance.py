@@ -19,7 +19,7 @@ from stratakit.parser import parse, serialize
 from stratakit.reps import (dual_to_opposite, is_isomorphic, projective,
                             regular_module, simple)
 
-from conftest import FIXTURES, algebra, algebra_file, fixture_path
+from conftest import FIXTURES, algebra, algebra_file, fixture_path, is_basic
 
 CORPUS = ["point", "semisimple2", "a2", "a3line", "loop2", "borelA", "borelB"]
 
@@ -69,7 +69,7 @@ def test_criterion_2_small_tilting_example(capsys):
     a = algebra("a3line")
     cls = strat.classify(a)
     tilt = tilting.characteristic_tilting(a)
-    basic = tilt.is_basic() and len(tilt.summands) == 3
+    basic = is_basic(tilt) and len(tilt.summands) == 3
     has_simple = any(is_isomorphic(t, simple(a, 0)) for t in tilt.summands)
     gl = int(global_dim(a))
     pd_t, inj_t = int(proj_dim(tilt.total)), int(inj_dim(tilt.total))

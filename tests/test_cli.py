@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from stratakit import borel, quiver, reps, strat, tilting
+from stratakit import borel, homology, quiver, reps, strat, tilting
 from stratakit.cli import main
 from stratakit.errors import (NonTerminating, NotAntiAutomorphism,
                               NotStratified, UndecidedDecomposition)
@@ -439,3 +439,28 @@ def test_check_aus6_stays_small(monkeypatch, tmp_path):
         assert got[f"tilting.T({j})"] == " ".join(
             str(max(n - j + 1 - k, 0)) for k in range(n))
     assert max(unknowns) <= 91
+
+
+def test_check_aus5_composes_once_per_radical_product(monkeypatch, tmp_path):
+    # a scale guard that counts compositions.  On the Auslander algebra of
+    # k[x]/(x^5), `check` composes 465 times: 344 products of radical maps
+    # of End(T), reduced only until they span each rad(T(s), T(t)); 61
+    # paths of the Ringel dual's relation walk; 30 arrows of End(T) after
+    # Hom(M, T) in the add(T)-approximations; 20 in the cocycle classes of
+    # the universal extensions; 10 embeddings of Delta(λ) into T(λ).
+    # Composing the whole radical into rad^2 and into every approximation
+    # took 566 + 259 in place of 344 + 30, 916 in all
+    path = tmp_path / "aus5.alg"
+    path.write_text(auslander_text(5))
+    calls = []
+    real = reps.compose
+
+    def counting(g, f):
+        calls.append(None)
+        return real(g, f)
+
+    for module in (reps, homology, tilting):
+        monkeypatch.setattr(module, "compose", counting)
+    code, _, _ = run_cli(["check", str(path), "--format", "machine"])
+    assert code == 0
+    assert len(calls) == 465

@@ -238,6 +238,14 @@ def test_local_scalar_rejects_two_eigenvalues(F, c, gap, extra):
     assert _local_scalar(F, m) == expected
 
 
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(101)], ids=["Q", "GF2", "GF101"])
+def test_local_scalar_of_a_1x1_matrix_is_its_entry(F):
+    # a 1x1 block [c] has minimal polynomial x - c, so it is its own scalar
+    for c in [F.of(k) for k in (0, 1, -1, 3)] + (
+            [F.of(-2, 3)] if F.p is None else []):
+        assert _local_scalar(F, Matrix(F, 1, 1, [c])) == c
+
+
 def test_local_scalar_rejects_eigenvalues_outside_k():
     # x^2 + 1 has no root in Q or GF(3); x^2 + x + 1 none in GF(2) or GF(5)
     for F, low in ((QQ, [1, 0]), (GF(3), [1, 0]), (GF(2), [1, 1]),

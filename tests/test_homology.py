@@ -550,15 +550,17 @@ def test_equal_syzygies_share_a_hom_system(monkeypatch):
     # the Hom kernel memo is keyed by structure, not by object, so syzygies
     # of different resolutions and degrees that are equal share one system.
     # On the paper's Borel pair, Ext and the isomorphism tests ask hom_dim
-    # 215 times on 88 pairs of structures, 1 of them across disjoint
+    # 185 times on 68 pairs of structures, 1 of them across disjoint
     # supports, which is 0 with no system; the universal extensions, T,
-    # the decompositions and the isomorphism tests ask hom_basis 41 times
-    # on 36 pairs, all with meeting supports and 23 of them among
-    # hom_dim's: 87 + 36 - 23 = 100 systems, each built once.  (Pairs are
+    # the decompositions and the isomorphism tests ask hom_basis 38 times
+    # on 33 pairs, all with meeting supports and 20 of them among
+    # hom_dim's: 67 + 33 - 20 = 80 systems, each built once.  (Pairs are
     # counted by algebra and structural keys, with hom_dim and hom_basis
-    # told apart by their caller.)  Before Ext read its vanishing off the
-    # tops of a resolution's terms, hom_dim was asked 305 times on 108
-    # pairs, 9 of them disjoint, 27 shared with hom_basis: 108 systems.
+    # told apart by their caller.)  Before isomorphism tests compared the
+    # tops first, hom_dim was asked 215 times on 88 pairs and hom_basis 41
+    # times on 36, 23 shared: 100 systems.  Before Ext read its vanishing
+    # off the tops of a resolution's terms, hom_dim was asked 305 times on
+    # 108 pairs, 9 of them disjoint, 27 shared with hom_basis: 108 systems.
     # With no support test the same run built 117; with a rank memo for
     # hom_dim and none for hom_basis, 156
     solved = _count_hom_systems(monkeypatch)
@@ -566,7 +568,7 @@ def test_equal_syzygies_share_a_hom_system(monkeypatch):
             "--borel", fixture_path("borelB.alg"), "--format", "machine"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert len(solved) == 100
+    assert len(solved) == 80
 
 
 def test_each_hom_pair_is_eliminated_once(monkeypatch):

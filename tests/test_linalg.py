@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from stratakit.linalg import Matrix
 from stratakit.parser import parse
 
 from conftest import FIXTURES, fixture_path
+from test_golden import linear_a_text
 
 F5 = GF(5)
 
@@ -445,6 +447,29 @@ def test_zero_size_results_are_the_shared_matrices(field):
     assert linalg.block_diag(field, [one]) is one
     for m in linalg._EMPTY.values():
         assert not (m.rows and m.cols) and m.entries == ()
+
+
+def test_check_builds_no_zero_size_matrix_of_its_own(monkeypatch, tmp_path):
+    # every matrix with no rows or no columns that `check` makes on linear
+    # A_8 with rad^2 = 0 is one of the shared ones, built by _empty alone.
+    # reps.projective (an arrow into a vertex where P(i) is 0) and
+    # Submodule._arrow_coords (no coordinates at the target) built 21 and
+    # 12 of their own
+    path = tmp_path / "A8_rad2.alg"
+    path.write_text(linear_a_text(8, True))
+    own = []
+    real = Matrix.__init__
+
+    def counting(self, field, rows, cols, entries):
+        caller = sys._getframe(1).f_code
+        if not (rows and cols) and caller is not linalg._empty.__code__:
+            own.append(caller.co_name)
+        real(self, field, rows, cols, entries)
+
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", str(path), "--format", "machine"]) == 0
+    assert own == []
 
 
 @pytest.mark.parametrize("op", ["add", "sub"])

@@ -24,7 +24,7 @@ from stratakit.reps import (Morphism, Rep, Submodule, cokernel, compose,
 from stratakit.tilting import probe_modules
 
 from conftest import (algebra, auslander, fixture_path, is_module_map,
-                      is_surjective)
+                      is_surjective, local35)
 
 
 def _rows(m):
@@ -263,6 +263,33 @@ def test_simple_top_or_socle_modules_have_local_endomorphisms(name):
             assert len(g) == 2 and mult == len(mp) - 1
 
 
+# k<x, y> with every path of length 3 zero.  Its local modules P/<x> and
+# P/<y> share dimension 4 and a simple top, but End has dimension 3 and Hom
+# between them 2.  P/<x, yy> and P/<y, xx>, uniserial along y then x and
+# along x then y, share dimension 3, a simple top and dim Hom = dim End = 2
+LOCAL_RAD3 = ("field Q\nvertices 1\narrow x 1 1\narrow y 1 1\n"
+              + "".join(f"relation 1*{u}.{v}.{w}\n"
+                        for u in "xy" for v in "xy" for w in "xy"))
+
+
+def _local_quotients(*generators):
+    """P/<g> over LOCAL_RAD3 for each list g of basis paths of P, a path
+    being its arrow indices in order (x = 0, y = 1)."""
+    a = parse(LOCAL_RAD3).build()
+    p = projective(a, 0)
+    paths = [a.basis[bi].arrs for bi in a.projective_layout(0)[0]]
+    F = a.field
+    out = []
+    for gens in generators:
+        vecs = [(0, [F.one if q == g else F.zero for q in paths]) for g in gens]
+        out.append(quotient(p, generated_submodule(p, vecs))[0])
+    return out
+
+
+def _top_dims(m):
+    return [len(c) for c in reps.top_basis(m)]
+
+
 def test_hom_dimension_mismatch_settles_isomorphism_without_search(monkeypatch):
     # the memoised dimensions of Hom(m, n), End(m) and End(n) are compared
     # before any basis of Hom(m, n) is built or either module decomposed
@@ -279,6 +306,21 @@ def test_hom_dimension_mismatch_settles_isomorphism_without_search(monkeypatch):
     monkeypatch.setattr(reps, "hom_basis", no_search)
     for m, n in mismatched:
         assert reps.find_isomorphism(m, n) is None
+
+
+def test_hom_dimension_mismatch_with_equal_tops_needs_no_search(monkeypatch):
+    # a pair the top filter lets through: the Hom dimensions settle it
+    m, n = _local_quotients([(0,)], [(1,)])
+    assert m.dims == n.dims and _top_dims(m) == _top_dims(n)
+    assert (hom_dim(m, n), hom_dim(m, m), hom_dim(n, n)) == (2, 3, 3)
+
+    def no_search(*modules):
+        raise AssertionError("hom_basis or decompose_with_inclusions called")
+
+    monkeypatch.setattr(reps, "decompose_with_inclusions", no_search)
+    monkeypatch.setattr(reps, "hom_basis", no_search)
+    assert reps.find_isomorphism(m, n) is None
+    assert reps.find_isomorphism(n, m) is None
 
 
 def test_simple_top_or_socle_settles_isomorphism_by_basis_scan(monkeypatch):
@@ -298,6 +340,42 @@ def test_simple_top_or_socle_settles_isomorphism_by_basis_scan(monkeypatch):
     for m, n in passing:
         assert reps._simple_top_or_socle(m) or reps._simple_top_or_socle(n)
         assert reps.find_isomorphism(m, n) is None
+
+
+def test_equal_tops_and_hom_dimensions_are_settled_by_basis_scan(monkeypatch):
+    # a non-isomorphic pair that passes the top and Hom-dimension filters:
+    # the basis scan must settle it, without decomposing either module
+    m, n = _local_quotients([(0,), (1, 1)], [(1,), (0, 0)])
+    assert m.dims == n.dims and _top_dims(m) == _top_dims(n) == [1]
+    assert hom_dim(m, n) == hom_dim(m, m) == hom_dim(n, n) == 2
+
+    def no_decomposition(m):
+        raise AssertionError("decompose_with_inclusions called")
+
+    scanned = []
+    real = reps._iso_in_basis
+    monkeypatch.setattr(reps, "decompose_with_inclusions", no_decomposition)
+    monkeypatch.setattr(reps, "_iso_in_basis", lambda homs: (
+        scanned.append(len(homs)) or real(homs)))
+    assert reps.find_isomorphism(m, n) is None
+    assert reps.find_isomorphism(n, m) is None
+    assert scanned == [2, 2]
+
+
+def test_top_dimensions_settle_isomorphism_before_any_hom(monkeypatch):
+    # the 35-dimensional local algebra over Q of a graded draw: I(1) and
+    # P(1) have one dimension vector but tops of dimension 6 and 1, so they
+    # are not isomorphic, and no Hom system of 35^2 unknowns is set up
+    a = local35()
+    i, p = injective(a, 0), projective(a, 0)
+    assert a.dim == 35 and i.dims == p.dims == (35,)
+    assert _top_dims(i) == [6] and _top_dims(p) == [1]
+
+    def no_system(m, n):
+        raise AssertionError("a Hom system was set up")
+
+    monkeypatch.setattr(reps, "_hom_system", no_system)
+    assert reps.find_isomorphism(i, p) is None
 
 
 def _loopa(field, power):

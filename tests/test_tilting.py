@@ -19,7 +19,8 @@ from stratakit.tilting import (characteristic_cotilting, characteristic_tilting,
                                probe_modules, ringel_dual, t_codim, t_dim,
                                verify_section2)
 
-from conftest import algebra, auslander, fixture_path, is_module_map
+from conftest import (algebra, auslander, fixture_path, is_basic,
+                      is_module_map, local35)
 from test_certificate_corpus import (CORPUS, PINNED, TILTING_DIMS,
                                      corpus_algebra, corpus_text)
 from test_cli import run_cli
@@ -31,7 +32,7 @@ STRATIFIED = ["point", "semisimple2", "a2", "a3line", "loop2", "borelA",
 def test_a3line_tilting_summands():
     a = algebra("a3line")
     tilt = characteristic_tilting(a)
-    assert tilt.is_basic() and tilt.verify()
+    assert is_basic(tilt) and tilt.verify()
     dims = sorted(t.dims for t in tilt.summands)
     assert dims == [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
     assert any(is_isomorphic(t, simple(a, 0)) for t in tilt.summands)
@@ -310,6 +311,23 @@ def test_properly_stratified_cotilting_still_goes_through_the_opposite(
     assert ("characteristic_tilting",) in a.opposite().cache
 
 
+def test_s_iso_t_compares_tops_before_any_hom(monkeypatch):
+    # on the properly stratified 35-dimensional local algebra, S(1) = I(1)
+    # and T(1) = P(1) have tops of dimension 6 and 1: S is not T, decided
+    # with no Hom system of 35^2 unknowns
+    a = local35()
+    cls = strat.classify(a)
+    assert cls.properly_stratified and not cls.quasi_hereditary
+    # S and T themselves are built before the spy: their Ext scans solve Hom
+    characteristic_cotilting(a), characteristic_tilting(a)
+
+    def no_system(m, n):
+        raise AssertionError("a Hom system was set up")
+
+    monkeypatch.setattr(reps, "_hom_system", no_system)
+    assert tilting.s_iso_t(a) is False
+
+
 def test_probe_modules_are_nonzero_and_distinct():
     a = algebra("borelA")
     probes = probe_modules(a)
@@ -448,6 +466,46 @@ def test_ringel_dual_presentation_is_pinned(name):
     assert (spec.vertices, spec.arrows, relations) == RINGEL_SPECS[name]
 
 
+def reference_radical(tilt):
+    """rad[s][t], a basis of rad(T(s), T(t)) as morphisms, as the CharTilting
+    once computed it: all of Hom(T(s), T(t)) for s != t, and on the diagonal
+    the pivots of the f - c·id over the basis of End(T(s)), c read off the
+    minimal polynomial of f's whole matrix."""
+    a = tilt.algebra
+    F = a.field
+    rad = []
+    for s, x in enumerate(tilt.summands):
+        rad.append([])
+        for t, y in enumerate(tilt.summands):
+            homs = reps.hom_basis(x, y)
+            if s == t:
+                ident = reps.identity_morphism(x)
+                homs = [f.add(ident.scale(F.neg(tilting._local_scalar(
+                    F, reps._total_matrix(f))))) for f in homs]
+                homs = [homs[k] for k in linalg.pivot_columns(
+                    F, [g.flat() for g in homs])]
+            rad[s].append(homs)
+    return rad
+
+
+def reference_arrows(tilt, rad):
+    """arrows[s][t]: the members of rad(T(s), T(t)) kept by the pivots of
+    rad^2 followed by rad, rad^2 spanned by every composite through every
+    middle summand."""
+    n = len(tilt.summands)
+    F = tilt.algebra.field
+    arrows = [[[] for _ in range(n)] for _ in range(n)]
+    for s in range(n):
+        for t in range(n):
+            rad2 = [compose(g, f) for mid in range(n)
+                    for f in rad[s][mid] for g in rad[mid][t]]
+            keep = linalg.pivot_columns(
+                F, [f.flat() for f in rad2 + rad[s][t]])
+            arrows[s][t] = [rad[s][t][k - len(rad2)] for k in keep
+                            if k >= len(rad2)]
+    return arrows
+
+
 def reference_ringel_relations(a):
     """Reference presentation of End(T): the arrow selection of
     tilting.ringel_dual and its former relation recovery, which takes a
@@ -458,27 +516,15 @@ def reference_ringel_relations(a):
     n = a.n
     # order of the dual: reversed
     order = list(range(n - 1, -1, -1))
-
-    def rad_basis(s, t):
-        """rad(s, t) between summands numbered in the reversed order."""
-        return tilt.radical(order[s], order[t])
-
+    rad = reference_radical(tilt)
+    lifts = reference_arrows(tilt, rad)
     # End(T(s)) is k·id ⊕ rad(T(s), T(s)) for each of the n summands
-    end_dim = n + sum(len(rad_basis(s, t)) for s in range(n) for t in range(n))
-    # arrows: per pair, lift a basis of rad/rad^2, where rad^2 is spanned by
-    # the compositions through every middle summand
+    end_dim = n + sum(len(r) for row in rad for r in row)
     arrows = []            # (name, s, t, morphism)
     for s in range(n):
         for t in range(n):
-            rad2 = [compose(g, f) for mid in range(n)
-                    for f in rad_basis(s, mid) for g in rad_basis(mid, t)]
-            rad = rad_basis(s, t)
-            if not rad:
-                continue
-            keep = linalg.pivot_columns(F, [f.flat() for f in rad2 + rad])
-            for k in keep:
-                if k >= len(rad2):
-                    arrows.append((f"r{len(arrows)}", s, t, rad[k - len(rad2)]))
+            for f in lifts[order[s]][order[t]]:
+                arrows.append((f"r{len(arrows)}", s, t, f))
     # relation recovery: generate paths length by length, dropping any path
     # that already evaluates to zero (its extensions are ideal consequences);
     # the relations are the kernel of evaluation on all surviving paths,
@@ -548,6 +594,76 @@ def test_ringel_dual_presents_the_reference_ideal(case):
     assert dual.basis == ref.basis and dual.arrows == ref.arrows
     assert dual._red == ref._red
     assert len(dual.spec.relations) <= len(ref.spec.relations)
+
+
+@pytest.mark.parametrize("case", DUAL_CASES, ids=_case_id)
+def test_end_arrows_match_the_reference(case):
+    # the arrow pass stops reducing rad^2 once it spans rad(T(s), T(t)) and
+    # reads c off one block, yet keeps the maps the reference keeps from all
+    # of rad^2 and the whole matrices
+    a = _dual_case(case)
+    tilt = characteristic_tilting(a)
+    rad = reference_radical(tilt)
+    arrows, end_dim = tilting._end_arrows(a)
+
+    def flats(table):
+        return [[[f.flat() for f in fs] for fs in row] for row in table]
+
+    assert flats(arrows) == flats(reference_arrows(tilt, rad))
+    assert end_dim == a.n + sum(len(r) for row in rad for r in row)
+
+
+def reference_left_approximation(m, tilt, rad):
+    """The minimal left add(T)-approximation of m by its formula: one copy of
+    T(λ) per map in hom_basis(m, T(λ)) independent modulo
+    Σ_μ rad(T(μ), T(λ)) ∘ Hom(m, T(μ)), rad the reference radical."""
+    a = m.algebra
+    homs = [reps.hom_basis(m, t) for t in tilt.summands]
+    chosen = []
+    for lam, t in enumerate(tilt.summands):
+        span = [compose(g, h) for mu in range(a.n)
+                for g in rad[mu][lam] for h in homs[mu]]
+        keep = linalg.pivot_columns(
+            a.field, [f.flat() for f in span + homs[lam]])
+        chosen += [(t, homs[lam][k - len(span)]) for k in keep
+                   if k >= len(span)]
+    return chosen
+
+
+def _approximation_as_the_reference(m, tilt, rad):
+    """tilting._left_approximation(m), asserted to choose the maps of
+    reference_left_approximation in their order."""
+    f = tilting._left_approximation(m)
+    chosen = reference_left_approximation(m, tilt, rad)
+    if not chosen:
+        assert f is None
+        return f
+    assert f.target.dims == reps.direct_sum([t for t, _ in chosen]).dims
+    assert f.blocks == [linalg.vstack([g.blocks[v] for _, g in chosen])
+                        for v in range(m.algebra.n)]
+    return f
+
+
+@pytest.mark.parametrize("case", DUAL_CASES, ids=_case_id)
+def test_left_approximation_matches_the_reference_formula(case):
+    # the arrows of End(T) after Hom(m, T) span the same maps as the whole
+    # radical after Hom(m, T): on every probe module, and on every module of
+    # the add(T)-coresolution of each summand of A, walked as t_codim walks
+    # it.  The probes reach the loops of End(T) that the chains miss
+    a = _dual_case(case)
+    tilt = characteristic_tilting(a)
+    rad = reference_radical(tilt)
+    for m in probe_modules(a):
+        _approximation_as_the_reference(m, tilt, rad)
+    longest = 0
+    for cur in reps.summands(regular_module(a)):
+        steps = 0
+        while not tilt.contains(cur):
+            f = _approximation_as_the_reference(cur, tilt, rad)
+            cur = reps.cokernel(f)[0]
+            steps += 1
+        longest = max(longest, steps)
+    assert longest == t_codim(regular_module(a))
 
 
 def _relations_by_ends(b):
